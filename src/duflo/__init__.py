@@ -39,6 +39,7 @@ from .hodge import (
     ExtClass,
     FormClass,
     HodgeModel,
+    LineBundle,
     PolyClass,
     atiyah_line,
     check_mukai_implication,

@@ -34,6 +34,7 @@ from .rng import SplitMix64, derive
 
 DEFAULT_DEGREE_CAP = 4
 HODGE_DIM_CAP = 4
+SEED_LIMIT = 1 << 64  # splitmix64 state width; larger seeds would alias
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +200,8 @@ def cmd_verify_hodge(args, parser) -> int:
         parser.error(f"--dim must be between 1 and {HODGE_DIM_CAP}")
     if args.cases < 0:
         parser.error("--cases must be nonnegative")
+    if not (0 <= args.seed < SEED_LIMIT):
+        parser.error("--seed must be between 0 and 2**64 - 1")
     n = args.dim
     sink = ReportSink()
     plain = HodgeModel(n)
@@ -236,10 +239,11 @@ def cmd_verify_hodge(args, parser) -> int:
         # 1. kernel sweep of the obstruction-to-Mukai implication (Todd = 1)
         t0 = time.perf_counter()
         c1 = FormClass(plain, _random_11_terms(n, rng))
-        ker = hodge.exp_atiyah_kernel(plain, c1)
+        line = hodge.LineBundle(plain, c1)
+        ker = hodge.exp_atiyah_kernel(plain, line)
         witness = None
         for alpha in ker:
-            rpt = hodge.check_mukai_implication(plain, alpha, c1)
+            rpt = hodge.check_mukai_implication(plain, alpha, line)
             if not rpt.hypothesis or not rpt.ok:
                 witness = {
                     "c1": c1.to_obj(),

@@ -271,7 +271,7 @@ class HodgeModel:
     identity.
     """
 
-    __slots__ = ("n", "todd", "_sqrt", "_inv_sqrt")
+    __slots__ = ("n", "todd", "_sqrt", "_inv_sqrt", "_loci_equal")
 
     def __init__(self, n: int, todd: "FormClass | dict | None" = None):
         if n < 1:
@@ -279,6 +279,7 @@ class HodgeModel:
         self.n = n
         self._sqrt = None
         self._inv_sqrt = None
+        self._loci_equal = None
         if todd is None:
             todd = FormClass(self, {(0, 0): 1})
         elif isinstance(todd, dict):
@@ -457,13 +458,42 @@ def duflo_inverse(model: HodgeModel, alpha: PolyClass) -> PolyClass:
     return contract_Omega_on_T(inv_sqrt_todd(model), alpha)
 
 
+class LineBundle:
+    """Per-c1 data shared by every alpha checked against one line bundle.
+
+    exp_by_b is exp(c1) indexed by b-mask, as bmask -> [(amask, coeff)]:
+    for a (1,1) class the part with k b-factors is the k-th wedge power
+    over k!, so a polyvector term's b-mask alone selects the entries it
+    can fully contract.  mukai is the Mukai vector exp(c1) ^ sqrt(Todd),
+    built from the same exponential.  Build one per c1 and pass it in
+    place of c1 when checking many alphas against the same c1.
+    """
+
+    __slots__ = ("model", "exp_by_b", "mukai")
+
+    def __init__(self, model: HodgeModel, c1: FormClass):
+        exp = exp_form(atiyah_line(model, c1))
+        self.model = model
+        self.exp_by_b: dict[int, list[tuple[int, Fraction]]] = {}
+        for (a, b), c in exp.terms.items():
+            self.exp_by_b.setdefault(b, []).append((a, c))
+        self.mukai = wedge(exp, sqrt_todd(model))
+
+
+def _line_bundle(model: HodgeModel, c1: "FormClass | LineBundle") -> LineBundle:
+    if isinstance(c1, LineBundle):
+        if c1.model is not model:
+            raise ModelMismatch("line bundle built on a different model")
+        return c1
+    return LineBundle(model, c1)
+
+
 def mukai_line(model: HodgeModel, c1: FormClass) -> FormClass:
     """Mukai vector of line-bundle data: exp(c1) twisted by the Todd root."""
-    at = atiyah_line(model, c1)
-    return wedge(exp_form(at), sqrt_todd(model))
+    return LineBundle(model, c1).mukai
 
 
-def contract_exp_atiyah(alpha: PolyClass, at: FormClass) -> ExtClass:
+def contract_exp_atiyah(alpha: PolyClass, at: "FormClass | LineBundle") -> ExtClass:
     """Total contraction against the exponential obstruction class.
 
     The (p,k) part of alpha pairs all k dual factors against the k-th
@@ -471,26 +501,17 @@ def contract_exp_atiyah(alpha: PolyClass, at: FormClass) -> ExtClass:
     is graded by p+k and equals the leftover-free part of
     contract_T_on_Omega(alpha, exp_form(at)).
     """
-    model = alpha.model
-    at = atiyah_line(model, at)
-    powers = [FormClass.one(model)]
-    pw = FormClass.one(model)
-    for k in range(1, model.n + 1):
-        pw = wedge(pw, at)
-        powers.append(pw.scale(Fraction(1, factorial(k))))
+    exp_by_b = _line_bundle(alpha.model, at).exp_by_b
     out: dict[int, Fraction] = {}
     for (aa, bs), ca in alpha.terms.items():
-        k = bs.bit_count()
-        for (av, bv), cv in powers[k].terms.items():
-            if bv != bs:
-                continue
-            hit = _contract_term(aa, bs, av, bv, +1)
+        for av, cv in exp_by_b.get(bs, ()):
+            hit = _contract_term(aa, bs, av, bs, +1)
             if hit is None:
                 continue
             sign, a, b = hit
             assert b == 0
             out[a] = out.get(a, Q(0)) + sign * ca * cv
-    return ExtClass(model, out)
+    return ExtClass(alpha.model, out)
 
 
 # ---------------------------------------------------------------------------
@@ -521,17 +542,20 @@ def form_basis_11(model: HodgeModel) -> list[FormClass]:
     ]
 
 
-def exp_atiyah_kernel(model: HodgeModel, at: FormClass) -> list[PolyClass]:
+def exp_atiyah_kernel(
+    model: HodgeModel, at: "FormClass | LineBundle"
+) -> list[PolyClass]:
     """Exact basis of {alpha : alpha -| exp(at) = 0}.
 
     Linear in alpha, so the kernel is computed from the matrix of the
     contraction over the canonical term basis.
     """
+    line = _line_bundle(model, at)
     basis = poly_basis(model)
     size = 1 << model.n
     rows = [[Q(0)] * len(basis) for _ in range(size)]
     for col, alpha in enumerate(basis):
-        h = contract_exp_atiyah(alpha, at)
+        h = contract_exp_atiyah(alpha, line)
         for a, c in h.terms.items():
             rows[a][col] = c
     out = []
@@ -556,16 +580,17 @@ class MukaiImplicationReport:
 
 
 def check_mukai_implication(
-    model: HodgeModel, alpha: PolyClass, c1: FormClass
+    model: HodgeModel, alpha: PolyClass, c1: "FormClass | LineBundle"
 ) -> MukaiImplicationReport:
     """One instance of: obstruction vanishing forces Mukai-pairing vanishing.
 
+    c1 may be given as a LineBundle built once for a sweep over many alphas.
     A failed implication would mean the sign conventions above are
     inconsistent, so it is reported as critical rather than raised.
     """
-    at = atiyah_line(model, c1)
-    h = contract_exp_atiyah(alpha, at)
-    m = contract_T_on_Omega(duflo(model, alpha), mukai_line(model, c1))
+    line = _line_bundle(model, c1)
+    h = contract_exp_atiyah(alpha, line)
+    m = contract_T_on_Omega(duflo(model, alpha), line.mukai)
     hyp = h.is_zero()
     concl = m.is_zero()
     ok = (not hyp) or concl
@@ -603,7 +628,8 @@ def first_order_check(model: HodgeModel, alpha: PolyClass) -> FirstOrderReport:
     guaranteed only when the datum is generated by c1 (components are
     rational multiples of wedge powers of c1); with independent higher
     (p,p) data the two loci genuinely differ, so callers sweeping (iii)
-    must build the datum from c1.
+    must build the datum from c1.  (iii) depends only on the model, so it
+    is computed on the first call and kept on the model.
     """
     for (a, b) in alpha.terms:
         if a.bit_count() != 1 or b.bit_count() != 1:
@@ -618,16 +644,10 @@ def first_order_check(model: HodgeModel, alpha: PolyClass) -> FirstOrderReport:
     rhs = contract_T_on_Omega(alpha, c1.scale(Fraction(1, 2))).component(2, 0)
     check_ii = lhs == rhs
 
-    basis = poly_basis_11(model)
-    v_sheaf = mukai_line(model, FormClass.zero(model))
-    rows_c1 = []
-    rows_v = []
-    for beta in basis:
-        rows_c1.append(contract_T_on_Omega(beta, c1))
-        rows_v.append(contract_T_on_Omega(duflo(model, beta), v_sheaf))
-    k1 = _kernel_of_images(model, basis, rows_c1)
-    k2 = _kernel_of_images(model, basis, rows_v)
-    check_iii = k1 == k2
+    if model._loci_equal is None:
+        k1, k2 = _first_order_loci(model, c1)
+        model._loci_equal = k1 == k2
+    check_iii = model._loci_equal
 
     witness = None
     if not (check_i and check_ii and check_iii):
@@ -637,6 +657,20 @@ def first_order_check(model: HodgeModel, alpha: PolyClass) -> FirstOrderReport:
             "duflo_alpha": d_alpha.to_obj(),
         }
     return FirstOrderReport(check_i, check_ii, check_iii, witness)
+
+
+def _first_order_loci(model: HodgeModel, c1: FormClass):
+    """Canonical kernel bases of alpha -| c1 and D(alpha) -| v(O) on (1,1)."""
+    basis = poly_basis_11(model)
+    v_sheaf = mukai_line(model, FormClass.zero(model))
+    rows_c1 = []
+    rows_v = []
+    for beta in basis:
+        rows_c1.append(contract_T_on_Omega(beta, c1))
+        rows_v.append(contract_T_on_Omega(duflo(model, beta), v_sheaf))
+    k1 = _kernel_of_images(model, basis, rows_c1)
+    k2 = _kernel_of_images(model, basis, rows_v)
+    return k1, k2
 
 
 def _kernel_of_images(model, basis, images) -> list[list[Fraction]]:

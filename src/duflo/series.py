@@ -88,11 +88,15 @@ class GradedSeries:
         self._check(other)
         out: dict[Monomial, Fraction] = {}
         trunc = self.trunc
+        right = sorted(
+            ((_weight(m2), m2, c2) for m2, c2 in other.terms.items()),
+            key=lambda t: t[0],
+        )
         for m1, c1 in self.terms.items():
-            w1 = _weight(m1)
-            for m2, c2 in other.terms.items():
-                if w1 + _weight(m2) > trunc:
-                    continue
+            room = trunc - _weight(m1)
+            for w2, m2, c2 in right:
+                if w2 > room:
+                    break
                 m = tuple(sorted(m1 + m2))
                 out[m] = out.get(m, Q(0)) + c1 * c2
         return GradedSeries(trunc, out)

@@ -15,6 +15,7 @@ from duflo import catalog, hodge
 from duflo.hodge import (
     FormClass,
     HodgeModel,
+    LineBundle,
     PolyClass,
     check_mukai_implication,
     contract_Omega_on_T,
@@ -166,9 +167,9 @@ def test_criterion_6_mukai_implication_sweep():
                     q = rng.rational()
                     if q:
                         terms[(1 << i, 1 << j)] = q
-            c1 = FormClass(model, terms)
-            for alpha in exp_atiyah_kernel(model, c1):
-                rpt = check_mukai_implication(model, alpha, c1)
+            line = LineBundle(model, FormClass(model, terms))
+            for alpha in exp_atiyah_kernel(model, line):
+                rpt = check_mukai_implication(model, alpha, line)
                 total_kernel_elements += 1
                 if not (rpt.hypothesis and rpt.ok):
                     failures += 1

@@ -157,6 +157,18 @@ def test_verify_hodge_dim_out_of_range():
     assert code == 2
 
 
+def test_verify_hodge_seed_range():
+    top = str(2**64 - 1)
+    for seed in ("0", top):
+        code, _, _ = run_cli(["verify-hodge", "--dim", "1", "--seed", seed, "--cases", "1"])
+        assert code == 0
+    # out-of-range seeds used to wrap onto another seed's stream
+    for seed in ("-1", str(2**64)):
+        code, _, err = run_cli(["verify-hodge", "--dim", "1", "--seed", seed, "--cases", "1"])
+        assert code == 2
+        assert "--seed" in err
+
+
 def test_verify_hodge_deterministic_stream():
     args = ["verify-hodge", "--dim", "2", "--seed", "7", "--cases", "25"]
     code1, out1, _ = run_cli(args)

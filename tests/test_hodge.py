@@ -14,6 +14,7 @@ from duflo.hodge import (
     ExtClass,
     FormClass,
     HodgeModel,
+    LineBundle,
     ModelMismatch,
     NonzeroConstantTerm,
     PolyClass,
@@ -30,6 +31,7 @@ from duflo.hodge import (
     form_basis_11,
     inv_sqrt_todd,
     mukai_line,
+    poly_basis,
     poly_basis_11,
     sqrt_todd,
     wedge,
@@ -287,18 +289,27 @@ def test_contract_exp_atiyah_goldens():
     assert contract_exp_atiyah(alpha, at).is_zero()
 
 
+def _collapse(alpha, at):
+    full = contract_T_on_Omega(alpha, exp_form(at))
+    return ExtClass(alpha.model, {a: c for (a, b), c in full.terms.items() if b == 0})
+
+
 def test_contract_exp_atiyah_equals_collapse():
     m = HodgeModel(3)
     rng = SplitMix64(derive(34, 0))
     for _ in range(15):
         alpha = _random_class(m, rng, PolyClass)
         at = _random_11(m, rng, FormClass)
-        direct = contract_exp_atiyah(alpha, at)
-        full = contract_T_on_Omega(alpha, exp_form(at))
-        collapse = ExtClass(
-            m, {a: c for (a, b), c in full.terms.items() if b == 0}
-        )
-        assert direct == collapse
+        assert contract_exp_atiyah(alpha, at) == _collapse(alpha, at)
+    # every basis term, so each b-mask row of the exp table is reached
+    for n in (1, 2, 3):
+        m = HodgeModel(n)
+        rng = SplitMix64(derive(34, n))
+        ats = [FormClass.zero(m), FormClass.term(m, [1], [n])]
+        ats += [_random_11(m, rng, FormClass) for _ in range(3)]
+        for at in ats:
+            for alpha in poly_basis(m):
+                assert contract_exp_atiyah(alpha, at) == _collapse(alpha, at)
 
 
 # -- Duflo twist -----------------------------------------------------------------
@@ -403,6 +414,18 @@ def test_mukai_implication_kernel_membership():
         rpt = check_mukai_implication(m, alpha, c1)
         assert rpt.hypothesis, "kernel element must satisfy the hypothesis"
         assert rpt.ok and rpt.status == "pass"
+
+
+def test_line_bundle_validates_c1_and_model():
+    m = HodgeModel(2)
+    with pytest.raises(BidegreeError):
+        LineBundle(m, FormClass.term(m, [1, 2], []))
+    line = LineBundle(m, FormClass.term(m, [1], [1]))
+    other = HodgeModel(2)
+    with pytest.raises(ModelMismatch):
+        check_mukai_implication(other, PolyClass.zero(other), line)
+    with pytest.raises(ModelMismatch):
+        exp_atiyah_kernel(other, line)
 
 
 def test_mukai_implication_vacuous_case():

@@ -43,6 +43,45 @@ def test_mul_commutative_associative():
         assert (a * b) * c == a * (b * c)
 
 
+def _random_series(trunc, rng, size=12):
+    """Random products of up to three generators c1..c4, weight <= trunc."""
+    gens = [(f"c{k}", k) for k in range(1, 5)]
+    terms = {}
+    for _ in range(size):
+        mono = tuple(sorted(gens[rng.below(4)] for _ in range(rng.below(4))))
+        if sum(w for _, w in mono) <= trunc:
+            terms[mono] = rng.rational()
+    return GradedSeries(trunc, terms)
+
+
+def _all_pairs_product(a, b):
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            if sum(w for _, w in m1 + m2) <= a.trunc:
+                m = tuple(sorted(m1 + m2))
+                out[m] = out.get(m, Q(0)) + c1 * c2
+    return GradedSeries(a.trunc, out)
+
+
+def test_mul_matches_all_pairs_product():
+    rng = SplitMix64(15)
+    boundary_pairs = 0
+    for trunc in range(9):
+        for _ in range(6):
+            a = _random_series(trunc, rng)
+            b = _random_series(trunc, rng)
+            boundary_pairs += sum(
+                1
+                for m1 in a.terms
+                for m2 in b.terms
+                if sum(w for _, w in m1 + m2) == trunc
+            )
+            assert a * b == _all_pairs_product(a, b)
+            assert b * a == _all_pairs_product(b, a)
+    assert boundary_pairs > 0  # pairs landing exactly on the truncation
+
+
 def test_inv_roundtrip():
     rng = SplitMix64(12)
     for _ in range(10):
