@@ -26,6 +26,7 @@ from .lie import (
 )
 from .pbw import (
     SymElement,
+    SymImages,
     TensorElement,
     adjunction_check,
     check_pbw_diagram,

@@ -148,7 +148,7 @@ class Matrix:
             for x in row:
                 d = x.denominator
                 lcm = lcm // gcd(lcm, d) * d
-            out.append([int(x * lcm) for x in row])
+            out.append([x.numerator * (lcm // x.denominator) for x in row])
         return out
 
     def rref(self) -> tuple[list[int], list[list[int]]]:

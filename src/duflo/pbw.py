@@ -15,15 +15,24 @@ exactly the adjunction bookkeeping the diagram check exercises.  The
 enveloping algebra is never materialized: everything is compared inside
 End(V), and the symmetrization map carries the 1/n! permutation sum.
 
-phi is deliberately written with raw index loops rather than the matrix
-backend so the two diagram paths share no arithmetic code.
+symmetrize, theta and phi evaluate that sum word by word, over all n!
+permutations.  The diagram check evaluates the same sum through
+SymImages instead: the n! permutations of a monomial m hit each distinct
+word of m exactly prod(m_i!) times, and the sum W(m) of the distinct words
+obeys W(m) = sum over letters i of m of x_i W(m - e_i), so each route
+memoizes the image of W on sorted monomials, one entry per monomial.
+
+phi and the phi table are deliberately written with raw index loops over
+the coaction rather than the matrix backend, so the two diagram paths
+share no arithmetic code.
 """
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from .lie import LieAlgebra, Representation
 from .linalg import Matrix, Q, parse_rational
@@ -274,6 +283,92 @@ def s_to_hom(rep: Representation, s: SymElement) -> Matrix:
     return phi(rep, symmetrize(s))
 
 
+def _splits(m: SymMonomial):
+    """(letter, m with one copy of letter removed) for each distinct letter."""
+    for pos, letter in enumerate(m):
+        if pos == 0 or m[pos - 1] != letter:
+            yield letter, m[:pos] + m[pos + 1:]
+
+
+def _word_weight(m: SymMonomial) -> Fraction:
+    """prod(m_i!) / d!: the share of each distinct word in the 1/d! sum."""
+    return Fraction(prod(map(factorial, Counter(m).values())), factorial(len(m)))
+
+
+class SymImages:
+    """Both routes' images of symmetric elements, memoized per monomial.
+
+    theta_table[m] is theta of W(m), the sum of the distinct words of the
+    sorted monomial m, and phi_table[m] is phi of W(m) as rows of entries.
+    Each is filled by W(m) = sum_i x_i W(m - e_i) on its own route: theta
+    multiplies action matrices, phi contracts the coaction with index
+    loops.  A degree-D sweep over n letters stores at most C(n+D, D)
+    entries per table.  Build one per representation and pass it to every
+    check_pbw_diagram call on that representation.
+    """
+
+    __slots__ = ("rep", "lam", "theta_table", "phi_table")
+
+    def __init__(self, rep: Representation):
+        dv = rep.dimV
+        self.rep = rep
+        self.lam = LambdaMap(rep).data
+        self.theta_table: dict[SymMonomial, Matrix] = {(): Matrix.identity(dv)}
+        self.phi_table: dict[SymMonomial, tuple] = {
+            (): tuple(tuple(Q(1) if o == i else Q(0) for i in range(dv)) for o in range(dv))
+        }
+
+    def theta_words(self, m: SymMonomial) -> Matrix:
+        got = self.theta_table.get(m)
+        if got is None:
+            mats = self.rep.matrices
+            for letter, rest in _splits(m):
+                term = mats[letter] @ self.theta_words(rest)
+                got = term if got is None else got + term
+            self.theta_table[m] = got
+        return got
+
+    def phi_words(self, m: SymMonomial) -> tuple:
+        got = self.phi_table.get(m)
+        if got is None:
+            dv, lam = self.rep.dimV, self.lam
+            acc = [[Q(0)] * dv for _ in range(dv)]
+            for g, rest in _splits(m):
+                table = self.phi_words(rest)
+                for o in range(dv):
+                    row = acc[o]
+                    for mid in range(dv):
+                        a = lam[o][mid][g]
+                        if a != 0:
+                            for i, v in enumerate(table[mid]):
+                                if v != 0:
+                                    row[i] += a * v
+            got = self.phi_table[m] = tuple(tuple(row) for row in acc)
+        return got
+
+    def theta(self, s: SymElement) -> Matrix:
+        """theta(rep, symmetrize(s)), from the theta table."""
+        dv = self.rep.dimV
+        acc = Matrix.zeros(dv, dv)
+        for m, c in s.terms.items():
+            acc = acc + self.theta_words(m).scale(c * _word_weight(m))
+        return acc
+
+    def phi(self, s: SymElement) -> Matrix:
+        """phi(rep, symmetrize(s)), from the phi table."""
+        dv = self.rep.dimV
+        acc = [[Q(0)] * dv for _ in range(dv)]
+        for m, c in s.terms.items():
+            w = c * _word_weight(m)
+            table = self.phi_words(m)
+            for o in range(dv):
+                for i in range(dv):
+                    v = table[o][i]
+                    if v != 0:
+                        acc[o][i] += w * v
+        return Matrix(acc)
+
+
 def derivation_apply(alg: LieAlgebra, i: int, s: SymElement) -> SymElement:
     """Extend ad(x_i) to symmetric elements as a derivation."""
     if isinstance(s, tuple):
@@ -298,8 +393,9 @@ def invariants_s(alg: LieAlgebra, degree: int) -> list[SymElement]:
     """Basis of the invariant subspace of degree-d symmetric elements.
 
     Stacks the derivation action of every basis element and takes the
-    exact nullspace; every returned element is re-verified by direct
-    application before it is handed out.
+    exact nullspace.  The CLI's lie-invariant-annihilation suite applies
+    every derivation to each returned element and reports any that
+    survives.
     """
     basis = sym_basis(alg.dim, degree)
     index = {m: c for c, m in enumerate(basis)}
@@ -315,14 +411,10 @@ def invariants_s(alg: LieAlgebra, degree: int) -> list[SymElement]:
                 rows[index[mono]][c] += coeff
         blocks.append(Matrix(rows))
     stacked = Matrix.stack(blocks)
-    out = []
-    for vec in stacked.kernel():
-        elem = SymElement({basis[c]: v for c, v in enumerate(vec)})
-        for i in range(alg.dim):
-            if not derivation_apply(alg, i, elem).is_zero():
-                raise AssertionError("invariant candidate fails re-verification")
-        out.append(elem)
-    return out
+    return [
+        SymElement({basis[c]: v for c, v in enumerate(vec)})
+        for vec in stacked.kernel()
+    ]
 
 
 @dataclass
@@ -336,7 +428,10 @@ class DiagramReport:
 
 
 def check_pbw_diagram(
-    rep: Representation, s: SymElement, check_central: bool = False
+    rep: Representation,
+    s: SymElement,
+    check_central: bool = False,
+    images: SymImages | None = None,
 ) -> DiagramReport:
     """Compare the two routes from a symmetric element to End(V).
 
@@ -345,12 +440,23 @@ def check_pbw_diagram(
     the commutativity of the square.  With check_central=True the report
     also records whether the image commutes with every action matrix,
     which is expected when s is invariant.
+
+    The 1/n! sum is evaluated as sum_m c_m (prod(m_i!)/n!) W(m), where W(m)
+    is the sum of the distinct words of m, taken from the per-route tables
+    of images (a fresh SymImages(rep) when none is given).  The routes
+    share only the weights and the splitting of m into (i, m - e_i), both
+    checked against symmetrize in the tests: theta's table is built from
+    matrix products and phi's from coaction index loops, so a fault in
+    either route's arithmetic shows as a difference.
     """
     if isinstance(s, tuple):
         s = SymElement.monomial(s)
-    sym = symmetrize(s)
-    a = theta(rep, sym)
-    b = phi(rep, sym)
+    if images is None:
+        images = SymImages(rep)
+    elif images.rep is not rep:
+        raise ValueError("images were built for another representation")
+    a = images.theta(s)
+    b = images.phi(s)
     equal = a == b
     central = None
     if check_central:

@@ -1,16 +1,23 @@
-"""Planted faults in the data that verify-hodge computes once and reuses.
+"""Planted faults in the data the verifiers compute once and reuse.
 
-The Mukai line is built once per c1 and the locus comparison once per
-model, then shared by every alpha checked against them.  Each test corrupts
-one of those shared values and checks that the sweep reports it: the
-suite's lines say "fail", the exit code is 1, and the witness re-ingests
-and reproduces the failure on its own.
+verify-hodge builds the Mukai line once per c1 and compares the loci once
+per model, then shares them with every alpha checked against them.
+verify-lie fills one table per representation and route, shared by every
+diagram check on that representation, and checks each invariant it finds
+in one suite.  Each test plants one fault and checks that the sweep
+reports it: the suite's lines say "fail", the exit code is 1, and the
+witness is reproduced by a direct recomputation.
 """
 
 import json
+from fractions import Fraction
 
-from duflo import hodge
+import pytest
+
+from duflo import catalog, hodge, linalg, pbw
 from duflo.hodge import FormClass, HodgeModel, PolyClass
+from duflo.linalg import Matrix
+from duflo.pbw import SymElement, TensorElement, derivation_apply, phi, symmetrize, theta
 
 from test_cli import run_cli
 
@@ -75,3 +82,115 @@ def test_corrupt_locus_kernel_fails_first_order_basis(monkeypatch):
     model = HodgeModel(2, dict(todd.terms))
     alpha = PolyClass.from_obj(model, witness["alpha"])
     assert hodge.first_order_check(model, alpha).loci_equal
+
+
+# -- verify-lie ------------------------------------------------------------------
+
+LIE_ARGV = ["verify-lie", "--algebra", "sl2", "--rep", "standard", "--max-degree", "2"]
+
+
+def _sl2_standard():
+    return catalog.representations(catalog.sl2())["standard"]
+
+
+def _sl2_monomial(name):
+    labels = catalog.sl2().labels
+    return tuple(sorted(labels.index(x) for x in name.split("*")))
+
+
+@pytest.fixture
+def fresh_coaction():
+    """The word-level coaction cache must not keep tables built under a fault."""
+    pbw._iterated_coaction.cache_clear()
+    yield
+    pbw._iterated_coaction.cache_clear()
+
+
+def _failed_diagrams(out):
+    lines = _lines(out, "lie-diagram")
+    assert len(lines) == 9  # the monomials of degree 1 and 2 in e, f, h
+    return [r for r in lines if r["status"] == "fail"]
+
+
+def test_corrupt_coaction_fails_lie_diagram(monkeypatch, fresh_coaction):
+    build = pbw.LambdaMap.__init__
+
+    def corrupt(self, rep):
+        build(self, rep)
+        data = [[list(cell) for cell in plane] for plane in self.data]
+        data[0][1][0] += 1  # the (0, 1) entry of rho(e), seen only by phi
+        self.data = tuple(tuple(tuple(cell) for cell in plane) for plane in data)
+
+    monkeypatch.setattr(pbw.LambdaMap, "__init__", corrupt)
+    code, out, _ = run_cli(LIE_ARGV)
+    assert code == 1
+    failed = _failed_diagrams(out)
+    assert {r["instance"]["monomial"] for r in failed} == {"e", "e*f"}
+    images = _lines(out, "lie-invariant-image")
+    assert [r["status"] for r in images] == ["fail"]  # the Casimir
+    assert images[0]["witness"]["diagram_equal"] is False
+    # the adjunction check re-derives the coaction and sees the same fault
+    assert [r["status"] for r in _lines(out, "lie-adjunction")] == ["fail"]
+
+    rep = _sl2_standard()
+    for r in failed:
+        witness = r["witness"]
+        sym = symmetrize(_sl2_monomial(witness["monomial"]))
+        assert witness["path_theta"] != witness["path_contract"]
+        assert witness["path_theta"] == theta(rep, sym).to_json()
+        # the permutation-sum phi reads the same corrupted coaction
+        assert witness["path_contract"] == phi(rep, sym).to_json()
+
+    monkeypatch.undo()
+    pbw._iterated_coaction.cache_clear()
+    assert run_cli(LIE_ARGV)[0] == 0
+
+
+def test_dropped_letter_in_theta_recursion_fails_lie_diagram(monkeypatch):
+    e = _sl2_standard().matrices[0]
+    product = Matrix.__matmul__
+
+    def drop_e(a, b):
+        # only the theta table multiplies by an action matrix on the left
+        return Matrix.zeros(a.rows, b.cols) if a == e else product(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", drop_e)
+    code, out, _ = run_cli(LIE_ARGV)
+    assert code == 1
+    failed = _failed_diagrams(out)
+    # every entry reached through e's term loses it: theta reads 0 wherever
+    # e occurs, which e*e and e*h (images 0) cannot show
+    assert {r["instance"]["monomial"] for r in failed} == {"e", "e*f"}
+    assert [r["status"] for r in _lines(out, "lie-invariant-image")] == ["fail"]
+
+    monkeypatch.undo()
+    rep = _sl2_standard()
+    for r in failed:
+        witness = r["witness"]
+        sym = symmetrize(_sl2_monomial(witness["monomial"]))
+        kept = TensorElement({w: c for w, c in sym.terms.items() if 0 not in w})
+        assert witness["path_theta"] == theta(rep, kept).to_json()
+        assert witness["path_contract"] == theta(rep, sym).to_json()
+    assert run_cli(LIE_ARGV)[0] == 0
+
+
+def test_non_invariant_kernel_vector_fails_annihilation(monkeypatch):
+    kernel = linalg.kernel
+
+    def planted(m):
+        return kernel(m) + [[Fraction(1)] + [Fraction(0)] * (m.cols - 1)]
+
+    monkeypatch.setattr(linalg, "kernel", planted)
+    code, out, err = run_cli(
+        ["verify-lie", "--algebra", "sl2", "--rep", "standard", "--max-degree", "1"]
+    )
+    assert code == 1
+    assert "Traceback" not in err
+    lines = _lines(out, "lie-invariant-annihilation")
+    assert [r["status"] for r in lines] == ["fail"]
+    assert lines[0]["witness"] == {"element": "1*e"}
+
+    monkeypatch.undo()
+    alg = catalog.sl2()
+    planted_element = SymElement.monomial(_sl2_monomial("e"))
+    assert not derivation_apply(alg, 2, planted_element).is_zero()  # [h, e] = 2e

@@ -1,12 +1,16 @@
 """Byte-identical report streams for fixed command lines.
 
 Each command runs in-process and its stdout sha256 is compared with a
-digest recorded before the per-c1 and per-model work in verify-hodge and
-the truncated product in series were restructured.  A change that is
-meant to alter a stream must re-record its digest here and say why.
+digest recorded at an earlier commit: the verify-hodge and series streams
+before the per-c1 and per-model work and the truncated product were
+restructured, the verify-lie streams before the diagram sweep moved from
+the permutation sum to the multiset recursion.  A change that is meant to
+alter a stream must re-record its digest here and say why.
 """
 
 import hashlib
+import json
+from fractions import Fraction
 
 import pytest
 
@@ -27,9 +31,78 @@ DIGESTS = {
         "530f3879b3da34b0908756f13252740aff222ca9db9ffffef428a460bb5e81e2",
 }
 
+# Run with VERIFIER_MAX_DEGREE=5; {dense} is the file dense_gl2 writes.
+LIE_DIGESTS = {
+    "verify-lie --algebra gl2 --rep all --max-degree 5":
+        "b1d7c92d31680f2690e76718fa3b37b619df086183a55fee481015cbe7b07bf5",
+    "verify-lie --algebra sl2 --rep all --max-degree 5":
+        "2a50eb8ab78816964d0460f1215c50d22441ecd34ba4d87cd6f2b56b46536c27",
+    "verify-lie --algebra heisenberg3 --rep all --max-degree 4":
+        "35f5ac0ba54e1941f0cfb73065e4a70f0542b0577504c03ac5b4c2a2d690f1e2",
+    "verify-lie --algebra abelian3 --rep all --max-degree 4":
+        "343d2188c3d5279e894eba3c97b64129afd379c9ba338017ddee9f7591fa3853",
+    "verify-lie --algebra {dense} --rep adjoint --max-degree 4":
+        "a39486f91d5f0e7cb874552521b041f3613aec9c5219a9b03c8362fe65b3a645",
+}
+
+
+def _sha(out):
+    return hashlib.sha256(out.encode()).hexdigest()
+
 
 @pytest.mark.parametrize("command", sorted(DIGESTS))
 def test_stream_digest(command):
     code, out, _ = run_cli(command.split())
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[command]
+    assert _sha(out) == DIGESTS[command]
+
+
+def dense_gl2(path):
+    """gl2 in the basis y_a = sum_i P[i][a] E_i, written as a JSON algebra.
+
+    P is a fixed dense rational matrix, so the structure constants in the
+    new basis have non-integer entries; the inverse is taken here by
+    Gauss-Jordan on Fractions, independently of duflo.linalg.
+    """
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    p = [[1, half, 0, -2 * third], [0, 1, third, 0], [2, 0, 1, half], [third, -1, 0, 1]]
+    n = 4
+    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(p)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if work[r][col] != 0)
+        work[col], work[piv] = work[piv], work[col]
+        work[col] = [x / work[col][col] for x in work[col]]
+        for r in range(n):
+            if r != col:
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+    pinv = [row[n:] for row in work]
+    # [E_ab, E_cd] = d_bc E_ad - d_da E_cb over E11, E12, E21, E22
+    idx = {(1, 1): 0, (1, 2): 1, (2, 1): 2, (2, 2): 3}
+    c = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for (a, b), i in idx.items():
+        for (cc, d), j in idx.items():
+            if b == cc:
+                c[i][j][idx[(a, d)]] += 1
+            if d == a:
+                c[i][j][idx[(cc, b)]] -= 1
+    brackets = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            x = [sum(p[i][a] * p[j][b] * c[i][j][k] for i in range(n) for j in range(n))
+                 for k in range(n)]
+            coeffs = [sum(pinv[l][k] * x[k] for k in range(n)) for l in range(n)]
+            brackets.append({"i": a, "j": b, "coeffs": [str(q) for q in coeffs]})
+    assert any(Fraction(q).denominator > 1 for br in brackets for q in br["coeffs"])
+    path.write_text(json.dumps({"dim": n, "brackets": brackets}))
+    return path
+
+
+@pytest.mark.parametrize("command", sorted(LIE_DIGESTS))
+def test_verify_lie_stream_digest(command, monkeypatch, tmp_path):
+    monkeypatch.setenv("VERIFIER_MAX_DEGREE", "5")
+    dense = dense_gl2(tmp_path / "dense_gl2.json")
+    code, out, _ = run_cli(command.format(dense=dense).split())
+    assert code == 0
+    assert _sha(out) == LIE_DIGESTS[command]
