@@ -26,7 +26,6 @@ from .lie import (
 )
 from .pbw import (
     SymElement,
-    SymImages,
     TensorElement,
     adjunction_check,
     check_pbw_diagram,

@@ -23,7 +23,6 @@ from .hodge import FormClass, HodgeModel, PolyClass
 from .lie import AntisymmetryViolation, BracketMismatch, JacobiViolation
 from .pbw import (
     SymElement,
-    SymImages,
     adjunction_check,
     check_pbw_diagram,
     derivation_apply,
@@ -82,7 +81,6 @@ def cmd_verify_lie(args, parser) -> int:
 
     alg_name = alg.name or args.algebra
     sink = ReportSink()
-    images = {name: SymImages(rep) for name, rep in reps.items()}
     for rep_name in sorted(reps):
         rep = reps[rep_name]
         base = {"algebra": alg_name, "rep": rep_name}
@@ -98,9 +96,7 @@ def cmd_verify_lie(args, parser) -> int:
         for degree in range(1, args.max_degree + 1):
             for m in sym_basis(alg.dim, degree):
                 t0 = time.perf_counter()
-                rpt = check_pbw_diagram(
-                    rep, SymElement.monomial(m), images=images[rep_name]
-                )
+                rpt = check_pbw_diagram(rep, SymElement.monomial(m))
                 inst = dict(base, monomial=_monomial_name(alg, m))
                 sink.add(
                     "lie-diagram",
@@ -130,9 +126,8 @@ def cmd_verify_lie(args, parser) -> int:
                 witness=None if killed else {"element": s.describe(alg)},
             )
             for rep_name in sorted(reps):
-                rpt = check_pbw_diagram(
-                    reps[rep_name], s, check_central=True, images=images[rep_name]
-                )
+                rep = reps[rep_name]
+                rpt = check_pbw_diagram(rep, s, check_central=True)
                 ok = rpt.equal and rpt.central
                 sink.add(
                     "lie-invariant-image",

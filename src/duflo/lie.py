@@ -113,7 +113,7 @@ class LieAlgebra:
 class Representation:
     """A Lie algebra acting on Q^dimV by one matrix per basis element."""
 
-    __slots__ = ("algebra", "dimV", "matrices", "name")
+    __slots__ = ("algebra", "dimV", "matrices", "name", "_sym_images")
 
     def __init__(self, algebra: LieAlgebra, matrices: Sequence, name: str = ""):
         mats = tuple(m if isinstance(m, Matrix) else Matrix(m) for m in matrices)
@@ -127,6 +127,7 @@ class Representation:
         self.dimV = dv
         self.matrices = mats
         self.name = name
+        self._sym_images = None  # pbw.SymImages, filled on first diagram check
         self._check_brackets()
 
     def _check_brackets(self):

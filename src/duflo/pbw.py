@@ -303,8 +303,8 @@ class SymImages:
     Each is filled by W(m) = sum_i x_i W(m - e_i) on its own route: theta
     multiplies action matrices, phi contracts the coaction with index
     loops.  A degree-D sweep over n letters stores at most C(n+D, D)
-    entries per table.  Build one per representation and pass it to every
-    check_pbw_diagram call on that representation.
+    entries per table.  check_pbw_diagram keeps one on each representation
+    it sees, so every check on that representation shares the tables.
     """
 
     __slots__ = ("rep", "lam", "theta_table", "phi_table")
@@ -428,10 +428,7 @@ class DiagramReport:
 
 
 def check_pbw_diagram(
-    rep: Representation,
-    s: SymElement,
-    check_central: bool = False,
-    images: SymImages | None = None,
+    rep: Representation, s: SymElement, check_central: bool = False
 ) -> DiagramReport:
     """Compare the two routes from a symmetric element to End(V).
 
@@ -443,18 +440,17 @@ def check_pbw_diagram(
 
     The 1/n! sum is evaluated as sum_m c_m (prod(m_i!)/n!) W(m), where W(m)
     is the sum of the distinct words of m, taken from the per-route tables
-    of images (a fresh SymImages(rep) when none is given).  The routes
-    share only the weights and the splitting of m into (i, m - e_i), both
-    checked against symmetrize in the tests: theta's table is built from
-    matrix products and phi's from coaction index loops, so a fault in
-    either route's arithmetic shows as a difference.
+    of the SymImages kept on rep (built on the first check of rep).  The
+    routes share only the weights and the splitting of m into
+    (i, m - e_i), both checked against symmetrize in the tests: theta's
+    table is built from matrix products and phi's from coaction index
+    loops, so a fault in either route's arithmetic shows as a difference.
     """
     if isinstance(s, tuple):
         s = SymElement.monomial(s)
+    images = rep._sym_images
     if images is None:
-        images = SymImages(rep)
-    elif images.rep is not rep:
-        raise ValueError("images were built for another representation")
+        images = rep._sym_images = SymImages(rep)
     a = images.theta(s)
     b = images.phi(s)
     equal = a == b

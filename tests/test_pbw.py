@@ -4,13 +4,10 @@ import itertools
 from fractions import Fraction as Q
 from math import comb
 
-import pytest
-
 from duflo import catalog
 from duflo.linalg import Matrix
 from duflo.pbw import (
     SymElement,
-    SymImages,
     TensorElement,
     adjunction_check,
     check_pbw_diagram,
@@ -221,14 +218,6 @@ def test_adjunction_standard_and_heisenberg():
         assert adjunction_check(rep).equal
 
 
-def test_diagram_rejects_images_of_another_rep():
-    alg = catalog.sl2()
-    reps = catalog.representations(alg)
-    images = SymImages(reps["sym3"])
-    with pytest.raises(ValueError):
-        check_pbw_diagram(reps["standard"], SymElement.monomial((0,)), images=images)
-
-
 # -- the multiset recursion against the permutation sum ----------------------------
 
 def test_sym_images_match_permutation_oracle():
@@ -238,14 +227,16 @@ def test_sym_images_match_permutation_oracle():
         invariants = [s for d in range(top + 1) for s in invariants_s(alg, d)]
         mixed = SymElement({(): -5, (0,): "1/2", (0, 0, 1): "2/3", (1, 1, 1, 0): 3})
         for rep in catalog.representations(alg).values():
-            images = SymImages(rep)
             monomials = [
                 SymElement.monomial(m) for d in range(top + 1) for m in sym_basis(alg.dim, d)
             ]
             for s in monomials + invariants + [mixed]:
                 sym = symmetrize(s)
-                assert images.theta(s) == theta(rep, sym), (name, rep.name, s)
-                assert images.phi(s) == phi(rep, sym), (name, rep.name, s)
-            # one entry per monomial of degree <= top, shared by the whole sweep
+                rpt = check_pbw_diagram(rep, s)
+                assert rpt.path_theta == theta(rep, sym), (name, rep.name, s)
+                assert rpt.path_contract == phi(rep, sym), (name, rep.name, s)
+            # one entry per monomial of degree <= top, kept on rep and shared
+            # by every check of the sweep
+            images = rep._sym_images
             assert len(images.theta_table) == comb(alg.dim + top, top)
             assert len(images.phi_table) == comb(alg.dim + top, top)
