@@ -3,7 +3,8 @@
 Subpackages:
 
   linalg   exact rational matrices, products, nullspaces
-  kernels  compiled/pure backend selection for the hot loops
+  kernels  the hot loops: rational matrix products, integer RREF
+  sparse   finite rational combinations and the graded unit recursions
   lie      Lie algebras from structure constants, representations
   catalog  built-in algebras and representations
   pbw      symmetrization diagram evaluated in End(V)
@@ -12,7 +13,6 @@ Subpackages:
   cli      the `duflo` command
 """
 
-from .kernels import BACKEND
 from .linalg import Matrix, Q, ShapeMismatch, kernel, mat_mul
 from .lie import (
     AntisymmetryViolation,

@@ -25,9 +25,9 @@ Everything is exact; no floats anywhere.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 from .linalg import Matrix, Q, kernel, parse_rational
+from .sparse import LinComb, nilpotent_exp, unit_inverse, unit_sqrt
 
 
 class ModelMismatch(Exception):
@@ -60,63 +60,45 @@ def merge_sign(first: int, second: int) -> int:
     return -1 if inv & 1 else 1
 
 
-class _Exterior:
-    """Shared storage for classes keyed by (amask, bmask)."""
+class _OnModel(LinComb):
+    """Terms keyed by bitmasks of a rank-n model; combine on one model only."""
 
-    __slots__ = ("model", "terms")
+    __slots__ = ("model",)
+    _CONTEXT = ("model",)
 
     def __init__(self, model: "HodgeModel", terms=None):
-        limit = 1 << model.n
-        tidy: dict[tuple[int, int], Fraction] = {}
-        for (a, b), c in (terms or {}).items():
-            c = parse_rational(c)
-            if c == 0:
-                continue
-            if not (0 <= a < limit and 0 <= b < limit):
-                raise BidegreeError(f"term ({a},{b}) outside rank-{model.n} model")
-            key = (a, b)
-            tidy[key] = tidy.get(key, Q(0)) + c
         self.model = model
-        self.terms = {k: c for k, c in tidy.items() if c != 0}
+        super().__init__(terms)
+
+    def _join(self, other):
+        _same_model(self, other)
+        return super()._join(other)
+
+
+class _Exterior(_OnModel):
+    """Shared storage for classes keyed by (amask, bmask)."""
+
+    __slots__ = ()
+
+    def _key(self, key):
+        a, b = key
+        limit = 1 << self.model.n
+        if not (0 <= a < limit and 0 <= b < limit):
+            raise BidegreeError(f"term ({a},{b}) outside rank-{self.model.n} model")
+        return (a, b)
 
     # -- structure ---------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def bidegrees(self) -> set[tuple[int, int]]:
         return {(a.bit_count(), b.bit_count()) for a, b in self.terms}
 
     def component(self, p: int, q: int):
-        return type(self)(
-            self.model,
+        return self._like(
             {
                 k: c
                 for k, c in self.terms.items()
                 if k[0].bit_count() == p and k[1].bit_count() == q
-            },
+            }
         )
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self.terms == other.terms
-
-    def __add__(self, other):
-        _same_model(self, other)
-        if type(self) is not type(other):
-            raise TypeError("cannot add classes of different kinds")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Q(0)) + c
-        return type(self)(self.model, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = parse_rational(c)
-        return type(self)(self.model, {k: c * v for k, v in self.terms.items()})
-
-    def __rmul__(self, c):
-        return self.scale(c)
 
     # -- literals ----------------------------------------------------------
     @classmethod
@@ -161,16 +143,14 @@ class _Exterior:
                 terms[key] = terms.get(key, Q(0)) + parse_rational(t["coeff"])
         return cls(model, terms)
 
-    def __repr__(self):
-        if not self.terms:
-            return f"{type(self).__name__}(0)"
-        parts = []
-        for (a, b), c in sorted(self.terms.items()):
-            aa = "^".join(f"a{i+1}" for i in _bits(a)) or "1"
-            bb = "^".join(f"{self._bsym}{j+1}" for j in _bits(b))
-            word = aa + ("^" + bb if bb else "")
-            parts.append(f"{c}*{word}")
-        return f"{type(self).__name__}(" + " + ".join(parts) + ")"
+    def _word(self, key) -> str:
+        a, b = key
+        bb = "".join(f"^{self._bsym}{j+1}" for j in _bits(b))
+        return _a_word(a) + bb
+
+
+def _a_word(a: int) -> str:
+    return "^".join(f"a{i+1}" for i in _bits(a)) or "1"
 
 
 def _mask_from_indices(n, indices):
@@ -197,54 +177,31 @@ def _same_model(u, v):
 class FormClass(_Exterior):
     """Element of /\\A (x) /\\B (the form side)."""
 
+    __slots__ = ()
+
     _bsym = "b"
 
 
 class PolyClass(_Exterior):
     """Element of /\\A (x) /\\B* (the polyvector side)."""
 
+    __slots__ = ()
+
     _bsym = "b*"
 
 
-class ExtClass:
+class ExtClass(_OnModel):
     """Graded element of /\\A, keyed by amask."""
 
-    __slots__ = ("model", "terms")
+    __slots__ = ()
 
-    def __init__(self, model, terms=None):
-        limit = 1 << model.n
-        tidy: dict[int, Fraction] = {}
-        for a, c in (terms or {}).items():
-            c = parse_rational(c)
-            if c == 0:
-                continue
-            if not 0 <= a < limit:
-                raise BidegreeError(f"term {a} outside rank-{model.n} model")
-            tidy[a] = tidy.get(a, Q(0)) + c
-        self.model = model
-        self.terms = {k: c for k, c in tidy.items() if c != 0}
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _key(self, a):
+        if not 0 <= a < 1 << self.model.n:
+            raise BidegreeError(f"term {a} outside rank-{self.model.n} model")
+        return a
 
     def degrees(self) -> set[int]:
         return {a.bit_count() for a in self.terms}
-
-    def __eq__(self, other):
-        return isinstance(other, ExtClass) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Q(0)) + c
-        return ExtClass(self.model, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = parse_rational(c)
-        return ExtClass(self.model, {k: c * v for k, v in self.terms.items()})
 
     def to_obj(self):
         return [
@@ -252,14 +209,7 @@ class ExtClass:
             for a, c in sorted(self.terms.items())
         ]
 
-    def __repr__(self):
-        if not self.terms:
-            return "ExtClass(0)"
-        parts = []
-        for a, c in sorted(self.terms.items()):
-            word = "^".join(f"a{i+1}" for i in _bits(a)) or "1"
-            parts.append(f"{c}*{word}")
-        return "ExtClass(" + " + ".join(parts) + ")"
+    _word = staticmethod(_a_word)
 
 
 class HodgeModel:
@@ -303,9 +253,7 @@ class HodgeModel:
 
 def wedge(u, v):
     """Graded-commutative product; same-kind classes only."""
-    _same_model(u, v)
-    if type(u) is not type(v):
-        raise TypeError("wedge needs two classes of the same kind")
+    u._join(v)
     out: dict[tuple[int, int], Fraction] = {}
     for (a1, b1), c1 in u.terms.items():
         pb1 = b1.bit_count()
@@ -317,7 +265,7 @@ def wedge(u, v):
                 sign = -sign
             key = (a1 | a2, b1 | b2)
             out[key] = out.get(key, Q(0)) + sign * c1 * c2
-    return type(u)(u.model, out)
+    return u._like(out)
 
 
 def _contract_term(a_act, b_act, a_tgt, b_tgt, pair_sign):
@@ -345,22 +293,27 @@ def _contract_term(a_act, b_act, a_tgt, b_tgt, pair_sign):
     return sign, a_act | a_tgt, b
 
 
+def _contract(act, tgt, pair_sign):
+    """Every term of act acting on every term of tgt; the result has tgt's kind."""
+    _same_model(act, tgt)
+    out: dict[tuple[int, int], Fraction] = {}
+    for (a1, b1), c1 in act.terms.items():
+        for (a2, b2), c2 in tgt.terms.items():
+            hit = _contract_term(a1, b1, a2, b2, pair_sign)
+            if hit is None:
+                continue
+            sign, a, b = hit
+            out[(a, b)] = out.get((a, b), Q(0)) + sign * c1 * c2
+    return tgt._like(out)
+
+
 def contract_T_on_Omega(alpha: PolyClass, v: FormClass) -> FormClass:
     """Polyvector acting on a form: wedge on A, interior product on B.
 
     A (p,q) polyvector sends a (p',q') form to bidegree (p+p', q'-q); the
     result is zero whenever q > q'.
     """
-    _same_model(alpha, v)
-    out: dict[tuple[int, int], Fraction] = {}
-    for (aa, bs), ca in alpha.terms.items():
-        for (av, bv), cv in v.terms.items():
-            hit = _contract_term(aa, bs, av, bv, +1)
-            if hit is None:
-                continue
-            sign, a, b = hit
-            out[(a, b)] = out.get((a, b), Q(0)) + sign * ca * cv
-    return FormClass(alpha.model, out)
+    return _contract(alpha, v, +1)
 
 
 def contract_Omega_on_T(v: FormClass, alpha: PolyClass) -> PolyClass:
@@ -369,16 +322,7 @@ def contract_Omega_on_T(v: FormClass, alpha: PolyClass) -> PolyClass:
     This is the only contraction used inside the Duflo operator.  Each
     contracted pair carries the graded-swap sign of the defining pairing.
     """
-    _same_model(v, alpha)
-    out: dict[tuple[int, int], Fraction] = {}
-    for (av, bv), cv in v.terms.items():
-        for (aa, bs), ca in alpha.terms.items():
-            hit = _contract_term(av, bv, aa, bs, -1)
-            if hit is None:
-                continue
-            sign, a, b = hit
-            out[(a, b)] = out.get((a, b), Q(0)) + sign * cv * ca
-    return PolyClass(v.model, out)
+    return _contract(v, alpha, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -389,16 +333,7 @@ def exp_form(v: FormClass) -> FormClass:
     """Exponential sum of wedge powers over k!; needs zero constant term."""
     if (0, 0) in v.terms:
         raise NonzeroConstantTerm("exp_form needs a class with zero (0,0) part")
-    acc = FormClass.one(v.model)
-    power = FormClass.one(v.model)
-    k = 0
-    while True:
-        power = wedge(power, v)
-        k += 1
-        if power.is_zero():
-            break
-        acc = acc + power.scale(Fraction(1, factorial(k)))
-    return acc
+    return nilpotent_exp(v, FormClass.one(v.model), wedge)
 
 
 def atiyah_line(model: HodgeModel, c1: FormClass) -> FormClass:
@@ -418,34 +353,14 @@ def _even_pieces(f: FormClass, n: int) -> list[FormClass]:
 def sqrt_todd(model: HodgeModel) -> FormClass:
     """Formal square root of the Todd datum, constant term 1, exact."""
     if model._sqrt is None:
-        t = _even_pieces(model.todd, model.n)
-        s: list[FormClass] = [FormClass.one(model)]
-        for w in range(1, model.n + 1):
-            acc = t[w]
-            for i in range(1, w):
-                acc = acc - wedge(s[i], s[w - i])
-            s.append(acc.scale(Fraction(1, 2)))
-        total = FormClass.zero(model)
-        for piece in s:
-            total = total + piece
-        model._sqrt = total
+        model._sqrt = unit_sqrt(_even_pieces(model.todd, model.n), wedge)
     return model._sqrt
 
 
 def inv_sqrt_todd(model: HodgeModel) -> FormClass:
     """Formal inverse of sqrt_todd: the unique series with s*u = 1."""
     if model._inv_sqrt is None:
-        s = _even_pieces(sqrt_todd(model), model.n)
-        u: list[FormClass] = [FormClass.one(model)]
-        for w in range(1, model.n + 1):
-            acc = FormClass.zero(model)
-            for i in range(1, w + 1):
-                acc = acc + wedge(s[i], u[w - i])
-            u.append(acc.scale(-1))
-        total = FormClass.zero(model)
-        for piece in u:
-            total = total + piece
-        model._inv_sqrt = total
+        model._inv_sqrt = unit_inverse(_even_pieces(sqrt_todd(model), model.n), wedge)
     return model._inv_sqrt
 
 

@@ -1,25 +1,89 @@
-"""Backend selection for the exact-arithmetic kernels.
+"""Exact-arithmetic kernels: rational matrix products and integer RREF.
 
-The compiled extension is used when it importable; setting DUFLO_PURE=1 in
-the environment forces the pure-Python fallback.  Both implement the same
-contract and produce identical results (see tests/test_kernels.py and
-benchmarks/bench_kernels.py).
+Numerators and denominators are arbitrary-precision Python ints;
+denominators are always positive and results are in lowest terms.
 """
 
-import os
+from math import gcd
 
-from . import _kernels_py
 
-if os.environ.get("DUFLO_PURE"):
-    _impl = _kernels_py
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _kernels_py
+def matmul_pairs(anum, aden, bnum, bden, n, k, m):
+    """Multiply an n-by-k by a k-by-m rational matrix.
 
-BACKEND: str = _impl.BACKEND
-matmul_pairs = _impl.matmul_pairs
-rref_int = _impl.rref_int
+    Entries are given as flat row-major lists of numerators/denominators.
+    Each output entry is accumulated over a running common denominator and
+    normalized once, which keeps gcd work out of the inner loop.
+    """
+    cnum = [0] * (n * m)
+    cden = [1] * (n * m)
+    for i in range(n):
+        arow = i * k
+        for j in range(m):
+            num = 0
+            den = 1
+            for t in range(k):
+                p = anum[arow + t] * bnum[t * m + j]
+                if p == 0:
+                    continue
+                q = aden[arow + t] * bden[t * m + j]
+                num = num * q + p * den
+                den = den * q
+            if num:
+                g = gcd(num, den)
+                cnum[i * m + j] = num // g
+                cden[i * m + j] = den // g
+    return cnum, cden
 
-__all__ = ["BACKEND", "matmul_pairs", "rref_int"]
+
+def _reduce_row(row, ncols):
+    g = 0
+    for j in range(ncols):
+        if row[j]:
+            g = gcd(g, row[j])
+            if g == 1:
+                return
+    if g > 1:
+        for j in range(ncols):
+            row[j] //= g
+
+
+def rref_int(rows, nrows, ncols):
+    """Fraction-free reduced row echelon form of an integer matrix.
+
+    Pivot choice is deterministic: columns are scanned left to right and
+    the first row with a nonzero entry becomes the pivot row.  Every row is
+    kept primitive (gcd 1) with a positive pivot, so the output is a
+    canonical representative of the row space.  Returns (pivot_columns,
+    pivot_rows).
+    """
+    work = [list(r) for r in rows]
+    piv_cols = []
+    r = 0
+    for c in range(ncols):
+        sel = -1
+        for i in range(r, nrows):
+            if work[i][c] != 0:
+                sel = i
+                break
+        if sel < 0:
+            continue
+        if sel != r:
+            work[r], work[sel] = work[sel], work[r]
+        if work[r][c] < 0:
+            work[r] = [-x for x in work[r]]
+        _reduce_row(work[r], ncols)
+        p = work[r][c]
+        for i in range(nrows):
+            if i == r or work[i][c] == 0:
+                continue
+            f = work[i][c]
+            wi = work[i]
+            wr = work[r]
+            for j in range(ncols):
+                wi[j] = wi[j] * p - wr[j] * f
+            _reduce_row(wi, ncols)
+        piv_cols.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return piv_cols, work[:r]

@@ -181,28 +181,44 @@ def adjoint_rep(alg: LieAlgebra) -> Representation:
     return Representation(alg, mats, name="adjoint")
 
 
+MAX_JSON_DIM = 16  # algebra_from_json allocates dim^3 constants; Jacobi is O(dim^5)
+
+
 def algebra_from_json(obj, name: str = "") -> LieAlgebra:
     """Build an algebra from the JSON schema
 
         {"dim": n, "labels": [...],
          "brackets": [{"i": i, "j": j, "coeffs": ["p/q", ...]}]}
 
-    Indices are 0-based.  Each unordered pair may appear once; the opposite
-    order is filled in by antisymmetry.  Omitted brackets are zero.
+    dim is an integer from 1 to MAX_JSON_DIM; labels, if given, are n
+    distinct strings; brackets is a list of objects with integer indices
+    and a list of coefficients.  Indices are 0-based.
+    Each unordered pair may appear once; the opposite order is filled in by
+    antisymmetry.  Omitted brackets are zero.  Any violation, including a
+    zero denominator, raises ValueError.
     """
     if not isinstance(obj, dict):
         raise ValueError("algebra definition must be a JSON object")
-    try:
-        n = int(obj["dim"])
-    except (KeyError, TypeError, ValueError):
-        raise ValueError("algebra definition needs an integer 'dim'")
+    n = obj.get("dim")
+    if type(n) is not int or not 1 <= n <= MAX_JSON_DIM:
+        raise ValueError(f"algebra definition needs an integer 'dim' from 1 to {MAX_JSON_DIM}")
     labels = obj.get("labels")
+    if labels is not None and not (
+        isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+        and len(set(labels)) == n == len(labels)
+    ):
+        raise ValueError(f"'labels' must be a list of {n} distinct strings")
+    brackets = obj.get("brackets", [])
+    if not isinstance(brackets, list) or not all(isinstance(e, dict) for e in brackets):
+        raise ValueError("'brackets' must be a list of objects")
     c = [[[Q(0)] * n for _ in range(n)] for _ in range(n)]
     seen = set()
-    for ent in obj.get("brackets", []):
+    for ent in brackets:
         try:
-            i, j = int(ent["i"]), int(ent["j"])
-            coeffs = [parse_rational(x) for x in ent["coeffs"]]
+            i, j, coeffs = ent["i"], ent["j"], ent["coeffs"]
+            if type(i) is not int or type(j) is not int or not isinstance(coeffs, list):
+                raise TypeError("'i' and 'j' must be integers and 'coeffs' a list")
+            coeffs = [parse_rational(x) for x in coeffs]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed bracket entry {ent!r}: {exc}")
         if not (0 <= i < n and 0 <= j < n):

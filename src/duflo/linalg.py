@@ -2,8 +2,8 @@
 
 Scalars are fractions.Fraction (arbitrary precision, always in lowest
 terms, positive denominator), matrices are immutable tuples of tuples.
-Products and row reduction run through duflo.kernels so the compiled
-backend is used when available.
+Products and row reduction run through the integer kernels in
+duflo.kernels.
 """
 
 from fractions import Fraction
@@ -26,13 +26,16 @@ class ShapeMismatch(Exception):
 
 
 def parse_rational(value) -> Fraction:
-    """Accept ints, Fractions, and 'p/q' strings (the JSON coefficient form)."""
+    """Accept ints, Fractions and 'p/q' strings; bad strings raise ValueError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"not an exact rational literal: {value!r}")
 
 
@@ -166,7 +169,7 @@ class Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact matrix product through the selected kernel backend."""
+    """Exact matrix product through kernels.matmul_pairs."""
     if a.cols != b.rows:
         raise ShapeMismatch("mat_mul", a.shape, b.shape)
     anum = [x.numerator for row in a.entries for x in row]

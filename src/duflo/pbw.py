@@ -35,7 +35,8 @@ from functools import lru_cache
 from math import factorial, prod
 
 from .lie import LieAlgebra, Representation
-from .linalg import Matrix, Q, parse_rational
+from .linalg import Matrix, Q
+from .sparse import LinComb
 
 Word = tuple[int, ...]
 SymMonomial = tuple[int, ...]  # sorted ascending
@@ -46,49 +47,33 @@ class DegreeOverflow(Exception):
         super().__init__(f"word of length {length} exceeds declared max degree {max_degree}")
 
 
-class TensorElement:
-    """Finite map from words to rational coefficients, zeros dropped."""
+class TensorElement(LinComb):
+    """Finite map from words to rational coefficients, zeros dropped.
 
-    __slots__ = ("terms", "max_degree")
+    max_degree, when given, bounds the word length the constructor
+    accepts; a sum or difference keeps it only when both operands share it.
+    """
+
+    __slots__ = ("max_degree",)
+    _CONTEXT = ("max_degree",)
 
     def __init__(self, terms=None, max_degree: int | None = None):
-        tidy: dict[Word, Fraction] = {}
-        for w, c in (terms or {}).items():
-            c = parse_rational(c)
-            if c == 0:
-                continue
-            w = tuple(int(i) for i in w)
-            if max_degree is not None and len(w) > max_degree:
-                raise DegreeOverflow(len(w), max_degree)
-            tidy[w] = tidy.get(w, Q(0)) + c
-        self.terms = {w: c for w, c in tidy.items() if c != 0}
         self.max_degree = max_degree
+        super().__init__(terms)
+
+    def _key(self, w):
+        w = tuple(int(i) for i in w)
+        if self.max_degree is not None and len(w) > self.max_degree:
+            raise DegreeOverflow(len(w), self.max_degree)
+        return w
+
+    def _join(self, other):
+        super()._join(other)
+        return self if other.max_degree == self.max_degree else TensorElement()
 
     @classmethod
     def word(cls, w, coeff=1) -> "TensorElement":
         return cls({tuple(w): coeff})
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, Q(0)) + c
-        return TensorElement(out)
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "TensorElement":
-        c = parse_rational(c)
-        return TensorElement({w: c * v for w, v in self.terms.items()})
-
-    def __rmul__(self, c) -> "TensorElement":
-        return self.scale(c)
-
-    def __eq__(self, other):
-        return isinstance(other, TensorElement) and self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def swap_letters(self, pos: int) -> "TensorElement":
         """Transpose letters pos and pos+1 in every word (symmetry probe)."""
@@ -97,63 +82,29 @@ class TensorElement:
             if len(w) > pos + 1:
                 w = w[:pos] + (w[pos + 1], w[pos]) + w[pos + 2:]
             out[w] = out.get(w, Q(0)) + c
-        return TensorElement(out)
-
-    def __repr__(self):
-        if not self.terms:
-            return "TensorElement(0)"
-        parts = [f"{c}*{w}" for w, c in sorted(self.terms.items())]
-        return "TensorElement(" + " + ".join(parts) + ")"
+        return self._like(out)
 
 
-class SymElement:
+class SymElement(LinComb):
     """Finite map from sorted monomials to rational coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        tidy: dict[SymMonomial, Fraction] = {}
-        for m, c in (terms or {}).items():
-            c = parse_rational(c)
-            if c == 0:
-                continue
-            m = tuple(sorted(int(i) for i in m))
-            tidy[m] = tidy.get(m, Q(0)) + c
-        self.terms = {m: c for m, c in tidy.items() if c != 0}
+    def _key(self, m):
+        return tuple(sorted(int(i) for i in m))
 
     @classmethod
     def monomial(cls, m, coeff=1) -> "SymElement":
         return cls({tuple(m): coeff})
 
-    def __add__(self, other: "SymElement") -> "SymElement":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Q(0)) + c
-        return SymElement(out)
-
-    def __sub__(self, other: "SymElement") -> "SymElement":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "SymElement":
-        c = parse_rational(c)
-        return SymElement({m: c * v for m, v in self.terms.items()})
-
-    def __rmul__(self, c) -> "SymElement":
-        return self.scale(c)
-
     def __mul__(self, other: "SymElement") -> "SymElement":
+        self._join(other)
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = tuple(sorted(m1 + m2))
                 out[m] = out.get(m, Q(0)) + c1 * c2
-        return SymElement(out)
-
-    def __eq__(self, other):
-        return isinstance(other, SymElement) and self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return self._like(out)
 
     def describe(self, alg: LieAlgebra) -> str:
         if not self.terms:
@@ -164,11 +115,6 @@ class SymElement:
             parts.append(f"{c}*{mono}")
         return " + ".join(parts)
 
-    def __repr__(self):
-        if not self.terms:
-            return "SymElement(0)"
-        parts = [f"{c}*{m}" for m, c in sorted(self.terms.items())]
-        return "SymElement(" + " + ".join(parts) + ")"
 
 
 def symmetrize(s) -> TensorElement:
@@ -382,7 +328,7 @@ def derivation_apply(alg: LieAlgebra, i: int, s: SymElement) -> SymElement:
                     continue
                 mono = tuple(sorted(rest + (k,)))
                 out[mono] = out.get(mono, Q(0)) + coeff * c
-    return SymElement(out)
+    return s._like(out)
 
 
 def sym_basis(dim: int, degree: int) -> list[SymMonomial]:

@@ -12,10 +12,12 @@ from a hard-coded table; the printed low-weight coefficients are test
 targets, not inputs.
 """
 
+import operator
 from fractions import Fraction
 from math import factorial
 
-from .linalg import Q, parse_rational
+from .linalg import Q
+from .sparse import LinComb, nilpotent_exp, unit_inverse, unit_sqrt
 
 Gen = tuple[str, int]
 Monomial = tuple[Gen, ...]
@@ -31,21 +33,24 @@ class NonUnitConstant(Exception):
     pass
 
 
-class GradedSeries:
-    __slots__ = ("trunc", "terms")
+class GradedSeries(LinComb):
+    """Chern-variable series truncated at total weight trunc."""
+
+    __slots__ = ("trunc",)
+    _CONTEXT = ("trunc",)
 
     def __init__(self, trunc: int, terms=None):
         self.trunc = trunc
-        tidy: dict[Monomial, Fraction] = {}
-        for mono, c in (terms or {}).items():
-            c = parse_rational(c)
-            if c == 0:
-                continue
-            mono = tuple(sorted(mono))
-            if _weight(mono) > trunc:
-                continue
-            tidy[mono] = tidy.get(mono, Q(0)) + c
-        self.terms = {m: c for m, c in tidy.items() if c != 0}
+        super().__init__(terms)
+
+    def _key(self, mono):
+        mono = tuple(sorted(mono))
+        return mono if _weight(mono) <= self.trunc else None
+
+    def _join(self, other):
+        if isinstance(other, GradedSeries) and self.trunc != other.trunc:
+            raise TruncationMismatch(f"{self.trunc} != {other.trunc}")
+        return super()._join(other)
 
     # -- constructors --------------------------------------------------
     @classmethod
@@ -57,35 +62,15 @@ class GradedSeries:
         return cls(trunc, {((name, weight),): coeff})
 
     # -- ring structure -------------------------------------------------
-    def _check(self, other):
-        if self.trunc != other.trunc:
-            raise TruncationMismatch(f"{self.trunc} != {other.trunc}")
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = GradedSeries.scalar(self.trunc, other)
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Q(0)) + c
-        return GradedSeries(self.trunc, out)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GradedSeries.scalar(self.trunc, other)
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = parse_rational(c)
-        return GradedSeries(self.trunc, {m: c * v for m, v in self.terms.items()})
-
-    def __rmul__(self, c):
-        return self.scale(c)
+        return super().__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        self._check(other)
+        self._join(other)
         out: dict[Monomial, Fraction] = {}
         trunc = self.trunc
         right = sorted(
@@ -98,26 +83,17 @@ class GradedSeries:
                 if w2 > room:
                     break
                 m = tuple(sorted(m1 + m2))
-                out[m] = out.get(m, Q(0)) + c1 * c2
-        return GradedSeries(trunc, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedSeries)
-            and self.trunc == other.trunc
-            and self.terms == other.terms
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
+                out[m] = out[m] + c1 * c2 if m in out else c1 * c2
+        return self._like(out)
 
     def constant(self) -> Fraction:
         return self.terms.get((), Q(0))
 
     def weight_part(self, w: int) -> "GradedSeries":
-        return GradedSeries(
-            self.trunc, {m: c for m, c in self.terms.items() if _weight(m) == w}
-        )
+        return self._like({m: c for m, c in self.terms.items() if _weight(m) == w})
+
+    def weight_parts(self) -> list["GradedSeries"]:
+        return [self.weight_part(w) for w in range(self.trunc + 1)]
 
     def coefficient(self, mono) -> Fraction:
         return self.terms.get(tuple(sorted(mono)), Q(0))
@@ -127,40 +103,20 @@ class GradedSeries:
         """Reciprocal of a series with constant term 1."""
         if self.constant() != 1:
             raise NonUnitConstant("inv needs constant term 1")
-        a = [self.weight_part(w) for w in range(self.trunc + 1)]
-        u = [GradedSeries.scalar(self.trunc)]
-        for w in range(1, self.trunc + 1):
-            acc = GradedSeries(self.trunc)
-            for i in range(1, w + 1):
-                acc = acc + a[i] * u[w - i]
-            u.append(acc.scale(-1))
-        return _total(u)
+        return unit_inverse(self.weight_parts(), operator.mul)
 
     def sqrt(self) -> "GradedSeries":
         """Square root with constant term 1, weight by weight."""
         if self.constant() != 1:
             raise NonUnitConstant("sqrt needs constant term 1")
-        a = [self.weight_part(w) for w in range(self.trunc + 1)]
-        s = [GradedSeries.scalar(self.trunc)]
-        for w in range(1, self.trunc + 1):
-            acc = a[w]
-            for i in range(1, w):
-                acc = acc - s[i] * s[w - i]
-            s.append(acc.scale(Fraction(1, 2)))
-        return _total(s)
+        return unit_sqrt(self.weight_parts(), operator.mul)
 
     def exp(self) -> "GradedSeries":
         """Exponential of a series with zero constant term."""
         if self.constant() != 0:
             raise NonUnitConstant("exp needs zero constant term")
-        acc = GradedSeries.scalar(self.trunc)
-        power = GradedSeries.scalar(self.trunc)
-        for k in range(1, self.trunc + 1):
-            power = power * self
-            if power.is_zero():
-                break
-            acc = acc + power.scale(Fraction(1, factorial(k)))
-        return acc
+        one = GradedSeries.scalar(self.trunc)
+        return nilpotent_exp(self, one, operator.mul, self.trunc)
 
     def log(self) -> "GradedSeries":
         """Logarithm of a series with constant term 1."""
@@ -238,13 +194,6 @@ def _mono_text(mono: Monomial) -> str:
     return "*".join(name if e == 1 else f"{name}^{e}" for name, e in runs)
 
 
-def _total(pieces) -> GradedSeries:
-    acc = GradedSeries(pieces[0].trunc)
-    for p in pieces:
-        acc = acc + p
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # symmetric-function machinery
 # ---------------------------------------------------------------------------
@@ -267,12 +216,10 @@ def power_sums(trunc: int, family: str = "c") -> list[GradedSeries]:
 
 def _todd_root_series(trunc: int) -> GradedSeries:
     """The one-variable generating series t/(1 - e^{-t}) up to the cutoff."""
-    e = GradedSeries(trunc)
-    for k in range(trunc + 1):
-        e = e + GradedSeries(
-            trunc, {(("t", 1),) * k: Fraction((-1) ** k, factorial(k + 1))}
-        )
-    return e.inv()
+    t = ("t", 1)
+    return GradedSeries(
+        trunc, {(t,) * k: Fraction((-1) ** k, factorial(k + 1)) for k in range(trunc + 1)}
+    ).inv()
 
 
 def todd(trunc: int, family: str = "c") -> GradedSeries:

@@ -105,6 +105,44 @@ def test_verify_lie_bad_structure_file(tmp_path):
     assert "Jacobi" in err and "(0,1,2)" in err
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"dim": 0},
+        {"dim": -1},
+        {"dim": 17},
+        {"dim": True},
+        {"dim": 2.7},
+        {"dim": 2, "brackets": 5},
+        {"dim": 2, "labels": [1, 2]},
+        {"dim": 2, "labels": "ab"},
+        {"dim": 2, "labels": ["a", "a"]},
+        {"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": ["1/0", "0"]}]},
+        {"dim": 2, "brackets": [{"i": 0.9, "j": 1, "coeffs": ["0", "1"]}]},
+    ],
+    ids=[
+        "dim-zero",
+        "dim-negative",
+        "dim-over-cap",
+        "dim-bool",
+        "dim-float",
+        "brackets-not-list",
+        "labels-not-strings",
+        "labels-string",
+        "labels-repeated",
+        "zero-denominator",
+        "index-float",
+    ],
+)
+def test_verify_lie_malformed_json_is_input_error(tmp_path, obj):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = run_cli(["verify-lie", "--algebra", str(bad), "--max-degree", "1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_lie_json_algebra_passes(tmp_path):
     good = tmp_path / "h3.json"
     good.write_text(

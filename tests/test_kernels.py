@@ -1,70 +1,32 @@
-"""Backend kernels: pure Python and compiled must agree exactly."""
+"""Exact-arithmetic kernels: lowest terms and canonical row reduction."""
 
-import pytest
-
-from duflo import _kernels_py
-from duflo.rng import SplitMix64
-
-try:
-    from duflo import _speedups
-except ImportError:
-    _speedups = None
-
-IMPLS = [_kernels_py] + ([_speedups] if _speedups else [])
+from duflo.kernels import matmul_pairs, rref_int
 
 
-def _random_pairs(rng, count, span=9):
-    nums = [rng.below(2 * span + 1) - span for _ in range(count)]
-    dens = [rng.below(7) + 1 for _ in range(count)]
-    return nums, dens
-
-
-@pytest.mark.parametrize("impl", IMPLS, ids=lambda m: m.BACKEND)
-def test_matmul_identity(impl):
+def test_matmul_identity():
     inum = [1, 0, 0, 1]
     iden = [1, 1, 1, 1]
     mnum = [3, -2, 5, 7]
     mden = [2, 1, 3, 4]
-    cnum, cden = impl.matmul_pairs(inum, iden, mnum, mden, 2, 2, 2)
+    cnum, cden = matmul_pairs(inum, iden, mnum, mden, 2, 2, 2)
     assert cnum == mnum and cden == mden
 
 
-@pytest.mark.parametrize("impl", IMPLS, ids=lambda m: m.BACKEND)
-def test_matmul_lowest_terms(impl):
+def test_matmul_lowest_terms():
     # (1/2) * (2/3) = 1/3, normalized
-    cnum, cden = impl.matmul_pairs([1], [2], [2], [3], 1, 1, 1)
+    cnum, cden = matmul_pairs([1], [2], [2], [3], 1, 1, 1)
     assert cnum == [1] and cden == [3]
 
 
-@pytest.mark.parametrize("impl", IMPLS, ids=lambda m: m.BACKEND)
-def test_rref_canonical(impl):
-    piv, rows = impl.rref_int([[2, 2, 0], [0, 0, 3]], 2, 3)
+def test_rref_canonical():
+    piv, rows = rref_int([[2, 2, 0], [0, 0, 3]], 2, 3)
     assert piv == [0, 2]
     assert rows == [[1, 1, 0], [0, 0, 1]]
 
 
-@pytest.mark.parametrize("impl", IMPLS, ids=lambda m: m.BACKEND)
-def test_rref_zero_and_identity(impl):
-    piv, rows = impl.rref_int([[0, 0], [0, 0]], 2, 2)
+def test_rref_zero_and_identity():
+    piv, rows = rref_int([[0, 0], [0, 0]], 2, 2)
     assert piv == [] and rows == []
-    piv, rows = impl.rref_int([[5, 0], [0, -7]], 2, 2)
+    piv, rows = rref_int([[5, 0], [0, -7]], 2, 2)
     assert piv == [0, 1]
     assert rows == [[1, 0], [0, 1]]
-
-
-@pytest.mark.skipif(_speedups is None, reason="compiled backend not built")
-def test_backends_agree_exactly():
-    rng = SplitMix64(2024)
-    for trial in range(25):
-        n, k, m = rng.below(5) + 1, rng.below(5) + 1, rng.below(5) + 1
-        anum, aden = _random_pairs(rng, n * k)
-        bnum, bden = _random_pairs(rng, k * m)
-        assert _kernels_py.matmul_pairs(
-            anum, aden, bnum, bden, n, k, m
-        ) == _speedups.matmul_pairs(anum, aden, bnum, bden, n, k, m)
-    for trial in range(25):
-        r, c = rng.below(6) + 1, rng.below(6) + 1
-        rows = [
-            [rng.below(11) - 5 for _ in range(c)] for _ in range(r)
-        ]
-        assert _kernels_py.rref_int(rows, r, c) == _speedups.rref_int(rows, r, c)

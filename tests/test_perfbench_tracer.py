@@ -1,0 +1,44 @@
+"""The benchmark's span tracer still resolves every function it traces.
+
+perfbench/tracer.py wraps duflo functions by module and name; a function
+that is renamed or moved reads as a per-layer metric of 0 there, not as an
+error.  This test fails instead.  It runs in a fresh interpreter because
+Tracer.install rebinds the functions for the rest of the process.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+PROBE = """
+import contextlib, io, json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import duflo.cli
+import tracer
+tr = tracer.Tracer()
+tr.install()
+with contextlib.redirect_stdout(io.StringIO()):
+    duflo.cli.main(["series", "todd", "--weight", "3"])
+    duflo.cli.main(["verify-hodge", "--dim", "2", "--seed", "0", "--cases", "1"])
+summary = tr.summary()
+print(json.dumps({"missing": tr.missing,
+                  "calls": {k: v[0] for k, v in summary["spans"].items()}}))
+"""
+
+
+def test_tracer_finds_every_span():
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", PROBE, os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["missing"] == []
+    # products reached through the shared graded recursions are still traced
+    for span in ("series.mul", "hodge.wedge", "hodge.exp_form", "hodge.contract"):
+        assert got["calls"].get(span, 0) > 0, span

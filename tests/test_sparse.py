@@ -1,0 +1,158 @@
+"""The shared sparse-combination base: arithmetic results and validation.
+
+Arithmetic results skip the public constructors, so every kind's +, -,
+scale and product is checked against a rebuild through its public
+constructor, for canonical keys, no zero coefficients and Fraction
+coefficients only.  The constructors' own validation errors must still
+fire.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from duflo.hodge import (
+    BidegreeError,
+    ExtClass,
+    FormClass,
+    HodgeModel,
+    ModelMismatch,
+    PolyClass,
+    contract_Omega_on_T,
+    contract_T_on_Omega,
+    wedge,
+)
+from duflo.pbw import DegreeOverflow, SymElement, TensorElement
+from duflo.rng import SplitMix64
+from duflo.series import GradedSeries, TruncationMismatch
+
+
+def _coeffs(rng, keys):
+    return {k: rng.rational() for k in keys}
+
+
+def _tensors(rng):
+    words = [(0,), (1, 0), (0, 1), (2, 2, 1), ()]
+    return [TensorElement(_coeffs(rng, words), max_degree=3) for _ in range(2)]
+
+
+def _syms(rng):
+    monos = [(), (0,), (1, 0), (2, 1, 1), (2,)]
+    return [SymElement(_coeffs(rng, monos)) for _ in range(2)]
+
+
+def _series(rng):
+    monos = [(), (("c1", 1),), (("c1", 1), ("c1", 1)), (("c2", 2),), (("c3", 3),)]
+    return [GradedSeries(3, _coeffs(rng, monos)) for _ in range(2)]
+
+
+MODEL = HodgeModel(2)
+
+
+def _exterior(kind):
+    def build(rng):
+        keys = [(a, b) for a in range(4) for b in range(4)]
+        return [kind(MODEL, _coeffs(rng, keys)) for _ in range(2)]
+    return build
+
+
+def _ext(rng):
+    return [ExtClass(MODEL, _coeffs(rng, range(4))) for _ in range(2)]
+
+
+def _rebuild(x):
+    if isinstance(x, TensorElement):
+        return TensorElement(x.terms, max_degree=x.max_degree)
+    if isinstance(x, SymElement):
+        return SymElement(x.terms)
+    if isinstance(x, GradedSeries):
+        return GradedSeries(x.trunc, x.terms)
+    return type(x)(x.model, x.terms)
+
+
+KINDS = {
+    "tensor": (_tensors, [lambda u, v: u.swap_letters(0)]),
+    "sym": (_syms, [lambda u, v: u * v]),
+    "series": (_series, [lambda u, v: u * v]),
+    "form": (_exterior(FormClass), [wedge, lambda u, v: contract_T_on_Omega(PolyClass(MODEL, v.terms), u)]),
+    "poly": (_exterior(PolyClass), [wedge, lambda u, v: contract_Omega_on_T(FormClass(MODEL, v.terms), u)]),
+    "ext": (_ext, []),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_results_match_public_constructor(kind):
+    build, products = KINDS[kind]
+    rng = SplitMix64(404)
+    for _ in range(20):
+        u, v = build(rng)
+        results = [u + v, u - v, v - v, u + v.scale(-1), u.scale(rng.rational()), u.scale(0), 3 * u]
+        results += [prod(u, v) for prod in products]
+        for r in results:
+            assert type(r) is type(u)
+            assert r == _rebuild(r)
+            assert all(type(c) is Fraction and c != 0 for c in r.terms.values())
+    assert (u - u).is_zero() and (u + u) == u.scale(2)
+
+
+def test_constructor_merges_keys_that_normalise_alike():
+    assert SymElement({(1, 0): 1, (0, 1): "2"}).terms == {(0, 1): Fraction(3)}
+    assert SymElement({(1, 0): 1, (0, 1): -1}).is_zero()
+    c1, c2 = ("c1", 1), ("c2", 2)
+    s = GradedSeries(2, {(c2,): 1, (c1, c1): "1/2", (c1, c1, c1): 5})
+    assert s.terms == {(c2,): Fraction(1), (c1, c1): Fraction(1, 2)}
+    assert GradedSeries(3, {(c2, c1): 1, (c1, c2): 1}).terms == {(c1, c2): Fraction(2)}
+
+
+def test_series_results_respect_truncation():
+    rng = SplitMix64(405)
+    u, v = _series(rng)
+    assert all(sum(w for _, w in m) <= 3 for m in (u * v).terms)
+    assert (u - 1) == u - GradedSeries.scalar(3)
+
+
+def test_tensor_bound_kept_only_when_shared():
+    t = TensorElement({(0, 1): 1}, max_degree=2)
+    assert (t + t).max_degree == 2
+    assert (t - TensorElement({(1,): 1})).max_degree is None
+
+
+OTHER = HodgeModel(2)
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda: TensorElement({(0, 1, 2): 1}, max_degree=2), DegreeOverflow),
+        (lambda: FormClass(MODEL, {(4, 0): 1}), BidegreeError),
+        (lambda: PolyClass(MODEL, {(0, 4): 1}), BidegreeError),
+        (lambda: ExtClass(MODEL, {4: 1}), BidegreeError),
+        (lambda: FormClass(MODEL, {(1, 1): 1}) + FormClass(OTHER, {(1, 1): 1}), ModelMismatch),
+        (lambda: ExtClass(MODEL, {1: 1}) - ExtClass(OTHER, {1: 1}), ModelMismatch),
+        (lambda: wedge(FormClass(MODEL, {(1, 0): 1}), FormClass(OTHER, {(2, 0): 1})), ModelMismatch),
+        (lambda: GradedSeries(2) + GradedSeries(3), TruncationMismatch),
+        (lambda: GradedSeries.scalar(2) * GradedSeries.scalar(3), TruncationMismatch),
+        (lambda: FormClass(MODEL, {(1, 1): 1}) + PolyClass(MODEL, {(1, 1): 1}), TypeError),
+        (lambda: wedge(FormClass(MODEL, {(1, 0): 1}), PolyClass(MODEL, {(2, 0): 1})), TypeError),
+        (lambda: SymElement({(0,): 1}) - TensorElement({(0,): 1}), TypeError),
+        (lambda: SymElement({(0,): 1}) * TensorElement({(0,): 1}), TypeError),
+    ],
+    ids=[
+        "tensor-degree",
+        "form-range",
+        "poly-range",
+        "ext-range",
+        "form-model",
+        "ext-model",
+        "wedge-model",
+        "series-add-trunc",
+        "series-mul-trunc",
+        "form-poly-add",
+        "form-poly-wedge",
+        "sym-tensor-sub",
+        "sym-tensor-mul",
+    ],
+)
+def test_validation_errors_still_raised(make, error):
+    with pytest.raises(error):
+        make()
