@@ -2,7 +2,7 @@
 
 Subpackages:
 
-  linalg   exact rational matrices, products, nullspaces
+  linalg   exact rational matrices, products, nullspaces, kernels of basis images
   kernels  the hot loops: rational matrix products, integer RREF
   sparse   finite rational combinations and the graded unit recursions
   lie      Lie algebras from structure constants, representations
@@ -21,8 +21,6 @@ from .lie import (
     LieAlgebra,
     Representation,
     adjoint_rep,
-    make_lie_algebra,
-    make_representation,
 )
 from .pbw import (
     SymElement,

@@ -26,7 +26,7 @@ Everything is exact; no floats anywhere.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, Q, kernel, parse_rational
+from .linalg import Q, kernel_of_images, parse_rational
 from .sparse import LinComb, nilpotent_exp, unit_inverse, unit_sqrt
 
 
@@ -88,9 +88,6 @@ class _Exterior(_OnModel):
         return (a, b)
 
     # -- structure ---------------------------------------------------------
-    def bidegrees(self) -> set[tuple[int, int]]:
-        return {(a.bit_count(), b.bit_count()) for a, b in self.terms}
-
     def component(self, p: int, q: int):
         return self._like(
             {
@@ -134,13 +131,26 @@ class _Exterior(_OnModel):
 
     @classmethod
     def from_obj(cls, model, obj):
+        """Inverse of to_obj.
+
+        A term off its group's declared bidegree, or an index that is not
+        an int, raises BidegreeError; any other malformed structure
+        raises ValueError.
+        """
+        if not isinstance(obj, list):
+            raise ValueError(f"expected a list of bidegree groups, got {obj!r}")
         terms = {}
         for group in obj:
-            for t in group["terms"]:
-                a = _mask_from_indices(model.n, t["a"])
-                b = _mask_from_indices(model.n, t["b"])
-                key = (a, b)
-                terms[key] = terms.get(key, Q(0)) + parse_rational(t["coeff"])
+            pq = _field(group, "bidegree", list)
+            if len(pq) != 2 or any(type(d) is not int for d in pq):
+                raise ValueError(f"bidegree must be two integers, got {pq!r}")
+            for t in _field(group, "terms", list):
+                a = _mask_from_indices(model.n, _field(t, "a", list))
+                b = _mask_from_indices(model.n, _field(t, "b", list))
+                if [a.bit_count(), b.bit_count()] != pq:
+                    raise BidegreeError(f"term {t!r} is not of declared bidegree {pq}")
+                c = parse_rational(_field(t, "coeff", str))
+                terms[(a, b)] = terms.get((a, b), Q(0)) + c
         return cls(model, terms)
 
     def _word(self, key) -> str:
@@ -153,11 +163,20 @@ def _a_word(a: int) -> str:
     return "^".join(f"a{i+1}" for i in _bits(a)) or "1"
 
 
+def _field(obj, key, kind):
+    """obj[key] for a JSON object obj, which must hold a value of kind."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(value, kind):
+        raise ValueError(f"expected an object with a {kind.__name__} {key!r}, got {obj!r}")
+    return value
+
+
 def _mask_from_indices(n, indices):
     mask = 0
     prev = 0
     for i in indices:
-        i = int(i)
+        if type(i) is not int:
+            raise BidegreeError(f"index {i!r} is not an integer")
         if i <= prev:
             raise BidegreeError("indices must be strictly increasing and 1-based")
         if i > n:
@@ -380,8 +399,9 @@ class LineBundle:
     for a (1,1) class the part with k b-factors is the k-th wedge power
     over k!, so a polyvector term's b-mask alone selects the entries it
     can fully contract.  mukai is the Mukai vector exp(c1) ^ sqrt(Todd),
-    built from the same exponential.  Build one per c1 and pass it in
-    place of c1 when checking many alphas against the same c1.
+    built from the same exponential.  contract_exp_atiyah,
+    exp_atiyah_kernel and check_mukai_implication take one, so a sweep
+    over many alphas against one c1 builds it once.
     """
 
     __slots__ = ("model", "exp_by_b", "mukai")
@@ -395,31 +415,23 @@ class LineBundle:
         self.mukai = wedge(exp, sqrt_todd(model))
 
 
-def _line_bundle(model: HodgeModel, c1: "FormClass | LineBundle") -> LineBundle:
-    if isinstance(c1, LineBundle):
-        if c1.model is not model:
-            raise ModelMismatch("line bundle built on a different model")
-        return c1
-    return LineBundle(model, c1)
-
-
 def mukai_line(model: HodgeModel, c1: FormClass) -> FormClass:
     """Mukai vector of line-bundle data: exp(c1) twisted by the Todd root."""
     return LineBundle(model, c1).mukai
 
 
-def contract_exp_atiyah(alpha: PolyClass, at: "FormClass | LineBundle") -> ExtClass:
+def contract_exp_atiyah(alpha: PolyClass, line: LineBundle) -> ExtClass:
     """Total contraction against the exponential obstruction class.
 
     The (p,k) part of alpha pairs all k dual factors against the k-th
-    wedge power of the (1,1) class over k!; A-factors wedge.  The result
-    is graded by p+k and equals the leftover-free part of
-    contract_T_on_Omega(alpha, exp_form(at)).
+    wedge power of the (1,1) class c1 over k!; A-factors wedge.  The
+    result is graded by p+k and equals the leftover-free part of
+    contract_T_on_Omega(alpha, exp_form(c1)).
     """
-    exp_by_b = _line_bundle(alpha.model, at).exp_by_b
+    _same_model(alpha, line)
     out: dict[int, Fraction] = {}
     for (aa, bs), ca in alpha.terms.items():
-        for av, cv in exp_by_b.get(bs, ()):
+        for av, cv in line.exp_by_b.get(bs, ()):
             hit = _contract_term(aa, bs, av, bs, +1)
             if hit is None:
                 continue
@@ -457,36 +469,24 @@ def form_basis_11(model: HodgeModel) -> list[FormClass]:
     ]
 
 
-def exp_atiyah_kernel(
-    model: HodgeModel, at: "FormClass | LineBundle"
-) -> list[PolyClass]:
-    """Exact basis of {alpha : alpha -| exp(at) = 0}.
+def exp_atiyah_kernel(model: HodgeModel, line: LineBundle) -> list[PolyClass]:
+    """Exact basis of {alpha : alpha -| exp(c1) = 0}.
 
-    Linear in alpha, so the kernel is computed from the matrix of the
-    contraction over the canonical term basis.
+    Linear in alpha, so the kernel is computed from the contraction's
+    images of the canonical term basis.
     """
-    line = _line_bundle(model, at)
     basis = poly_basis(model)
-    size = 1 << model.n
-    rows = [[Q(0)] * len(basis) for _ in range(size)]
-    for col, alpha in enumerate(basis):
-        h = contract_exp_atiyah(alpha, line)
-        for a, c in h.terms.items():
-            rows[a][col] = c
-    out = []
-    for vec in kernel(Matrix(rows)):
-        terms = {}
-        for col, coeff in enumerate(vec):
-            if coeff != 0:
-                a, b = divmod(col, size)
-                terms[(a, b)] = coeff
-        out.append(PolyClass(model, terms))
-    return out
+    keys = [key for beta in basis for key in beta.terms]
+    images = [contract_exp_atiyah(beta, line).terms for beta in basis]
+    return [
+        PolyClass(model, {k: c for k, c in zip(keys, vec) if c})
+        for vec in kernel_of_images(images)
+    ]
 
 
 @dataclass
 class MukaiImplicationReport:
-    obstruction: ExtClass  # alpha -| exp(at)
+    obstruction: ExtClass  # alpha -| exp(c1)
     moduli_action: FormClass  # D(alpha) -| v(L)
     hypothesis: bool  # obstruction vanishes
     conclusion: bool  # moduli action vanishes
@@ -495,15 +495,13 @@ class MukaiImplicationReport:
 
 
 def check_mukai_implication(
-    model: HodgeModel, alpha: PolyClass, c1: "FormClass | LineBundle"
+    model: HodgeModel, alpha: PolyClass, line: LineBundle
 ) -> MukaiImplicationReport:
     """One instance of: obstruction vanishing forces Mukai-pairing vanishing.
 
-    c1 may be given as a LineBundle built once for a sweep over many alphas.
     A failed implication would mean the sign conventions above are
     inconsistent, so it is reported as critical rather than raised.
     """
-    line = _line_bundle(model, c1)
     h = contract_exp_atiyah(alpha, line)
     m = contract_T_on_Omega(duflo(model, alpha), line.mukai)
     hyp = h.is_zero()
@@ -578,24 +576,8 @@ def _first_order_loci(model: HodgeModel, c1: FormClass):
     """Canonical kernel bases of alpha -| c1 and D(alpha) -| v(O) on (1,1)."""
     basis = poly_basis_11(model)
     v_sheaf = mukai_line(model, FormClass.zero(model))
-    rows_c1 = []
-    rows_v = []
-    for beta in basis:
-        rows_c1.append(contract_T_on_Omega(beta, c1))
-        rows_v.append(contract_T_on_Omega(duflo(model, beta), v_sheaf))
-    k1 = _kernel_of_images(model, basis, rows_c1)
-    k2 = _kernel_of_images(model, basis, rows_v)
+    k1 = kernel_of_images([contract_T_on_Omega(beta, c1).terms for beta in basis])
+    k2 = kernel_of_images(
+        [contract_T_on_Omega(duflo(model, beta), v_sheaf).terms for beta in basis]
+    )
     return k1, k2
-
-
-def _kernel_of_images(model, basis, images) -> list[list[Fraction]]:
-    """Canonical kernel basis of a linear map given by images of a basis."""
-    coords = sorted({k for img in images for k in img.terms})
-    coord_index = {k: r for r, k in enumerate(coords)}
-    rows = [[Q(0)] * len(basis) for _ in coords]
-    for col, img in enumerate(images):
-        for k, c in img.terms.items():
-            rows[coord_index[k]][col] = c
-    if not rows:
-        rows = [[Q(0)] * len(basis)]
-    return kernel(Matrix(rows))

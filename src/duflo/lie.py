@@ -100,12 +100,6 @@ class LieAlgebra:
         """Coefficient vector of [x_i, x_j]."""
         return self.constants[i][j]
 
-    def __eq__(self, other):
-        return isinstance(other, LieAlgebra) and self.constants == other.constants
-
-    def __hash__(self):
-        return hash(self.constants)
-
     def __repr__(self):
         return f"LieAlgebra({self.name or 'dim ' + str(self.dim)})"
 
@@ -146,27 +140,9 @@ class Representation:
                 acc = acc + self.matrices[k].scale(c)
         return acc
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Representation)
-            and self.algebra == other.algebra
-            and self.matrices == other.matrices
-        )
-
-    def __hash__(self):
-        return hash((self.algebra, self.matrices))
-
     def __repr__(self):
         tag = self.name or f"dimV={self.dimV}"
         return f"Representation({self.algebra!r}, {tag})"
-
-
-def make_lie_algebra(constants, labels=None, name: str = "") -> LieAlgebra:
-    return LieAlgebra(constants, labels=labels, name=name)
-
-
-def make_representation(alg: LieAlgebra, matrices, name: str = "") -> Representation:
-    return Representation(alg, matrices, name=name)
 
 
 def adjoint_rep(alg: LieAlgebra) -> Representation:

@@ -39,10 +39,6 @@ def parse_rational(value) -> Fraction:
     raise TypeError(f"not an exact rational literal: {value!r}")
 
 
-def format_rational(value: Fraction) -> str:
-    return str(value)
-
-
 class Matrix:
     """Immutable dense matrix over the rationals."""
 
@@ -65,15 +61,6 @@ class Matrix:
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         return cls([[0] * cols for _ in range(rows)])
 
-    @classmethod
-    def stack(cls, mats: Sequence["Matrix"]) -> "Matrix":
-        """Vertical concatenation."""
-        cols = mats[0].cols
-        for m in mats:
-            if m.cols != cols:
-                raise ShapeMismatch("stack", (mats[0].rows, cols), (m.rows, m.cols))
-        return cls([row for m in mats for row in m.entries])
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
@@ -84,9 +71,6 @@ class Matrix:
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
@@ -125,11 +109,6 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         return mat_mul(self, other)
 
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
-
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
 
@@ -160,9 +139,6 @@ class Matrix:
 
     def rank(self) -> int:
         return len(self.rref()[0])
-
-    def kernel(self) -> list[list[Fraction]]:
-        return kernel(self)
 
     def to_json(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self.entries]
@@ -205,3 +181,20 @@ def kernel(m: Matrix) -> list[list[Fraction]]:
             v[p] = Fraction(-red[r][f], red[r][p])
         basis.append(v)
     return basis
+
+
+def kernel_of_images(images: Sequence[dict]) -> list[list[Fraction]]:
+    """Kernel of the linear map sending basis vector j to images[j].
+
+    Each image is a {coordinate: coefficient} map.  The matrix has one row
+    per coordinate that occurs, in sorted order, and one zero row when none
+    does; kernel() depends only on the row space, so this is the canonical
+    basis of the dense matrix over any larger set of coordinates.
+    """
+    coords = sorted({k for img in images for k in img})
+    index = {k: r for r, k in enumerate(coords)}
+    rows = [[Q(0)] * len(images) for _ in coords or [None]]
+    for col, img in enumerate(images):
+        for k, c in img.items():
+            rows[index[k]][col] = c
+    return kernel(Matrix(rows))

@@ -31,11 +31,10 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, prod
 
 from .lie import LieAlgebra, Representation
-from .linalg import Matrix, Q
+from .linalg import Matrix, Q, kernel_of_images
 from .sparse import LinComb
 
 Word = tuple[int, ...]
@@ -173,23 +172,20 @@ def theta(rep: Representation, t: TensorElement) -> Matrix:
     return acc
 
 
-@lru_cache(maxsize=None)
-def _iterated_coaction(rep: Representation, k: int):
-    """k-fold coaction tensor: dict word -> dimV x dimV entry table.
+def phi(rep: Representation, t: TensorElement) -> Matrix:
+    """Word-to-operator map through iterated coaction contraction.
 
-    Built by repeatedly applying the coaction to the V-slot with plain
-    index sums (no matrix backend).  Slot order is arranged so that the
-    entry at word w is the operator phi assigns to w.
+    Each word's entry table starts from the identity and contracts the
+    coaction once per letter, last letter first, with plain index sums (no
+    matrix backend), so the innermost coaction factor meets the last letter.
     """
-    dv, n = rep.dimV, rep.algebra.dim
+    dv = rep.dimV
     lam = LambdaMap(rep).data
-    if k == 0:
-        return {(): tuple(tuple(Q(1) if o == i else Q(0) for i in range(dv)) for o in range(dv))}
-    prev = _iterated_coaction(rep, k - 1)
-    out = {}
-    for w, table in prev.items():
-        for g in range(n):
-            ent = []
+    acc = [[Q(0)] * dv for _ in range(dv)]
+    for w, c in t.terms.items():
+        table = [[Q(1) if o == i else Q(0) for i in range(dv)] for o in range(dv)]
+        for g in reversed(w):
+            nxt = []
             for o in range(dv):
                 row = []
                 for i in range(dv):
@@ -199,17 +195,8 @@ def _iterated_coaction(rep: Representation, k: int):
                         if a != 0:
                             s += a * table[mid][i]
                     row.append(s)
-                ent.append(tuple(row))
-            out[(g,) + w] = tuple(ent)
-    return out
-
-
-def phi(rep: Representation, t: TensorElement) -> Matrix:
-    """Word-to-operator map through iterated coaction contraction."""
-    dv = rep.dimV
-    acc = [[Q(0)] * dv for _ in range(dv)]
-    for w, c in t.terms.items():
-        table = _iterated_coaction(rep, len(w))[w]
+                nxt.append(row)
+            table = nxt
         for o in range(dv):
             for i in range(dv):
                 v = table[o][i]
@@ -338,28 +325,25 @@ def sym_basis(dim: int, degree: int) -> list[SymMonomial]:
 def invariants_s(alg: LieAlgebra, degree: int) -> list[SymElement]:
     """Basis of the invariant subspace of degree-d symmetric elements.
 
-    Stacks the derivation action of every basis element and takes the
-    exact nullspace.  The CLI's lie-invariant-annihilation suite applies
-    every derivation to each returned element and reports any that
-    survives.
+    The exact nullspace of the derivation action of every basis element,
+    with each monomial's image keyed by (letter, image monomial).  The
+    CLI's lie-invariant-annihilation suite applies every derivation to
+    each returned element and reports any that survives.
     """
-    basis = sym_basis(alg.dim, degree)
-    index = {m: c for c, m in enumerate(basis)}
-    nb = len(basis)
     if degree == 0:
         return [SymElement({(): 1})]
-    blocks = []
-    for i in range(alg.dim):
-        rows = [[Q(0)] * nb for _ in range(nb)]
-        for c, m in enumerate(basis):
-            img = derivation_apply(alg, i, SymElement.monomial(m))
-            for mono, coeff in img.terms.items():
-                rows[index[mono]][c] += coeff
-        blocks.append(Matrix(rows))
-    stacked = Matrix.stack(blocks)
+    basis = sym_basis(alg.dim, degree)
+    images = []
+    for m in basis:
+        s = SymElement.monomial(m)
+        img = {}
+        for i in range(alg.dim):
+            for mono, c in derivation_apply(alg, i, s).terms.items():
+                img[(i, mono)] = c
+        images.append(img)
     return [
         SymElement({basis[c]: v for c, v in enumerate(vec)})
-        for vec in stacked.kernel()
+        for vec in kernel_of_images(images)
     ]
 
 

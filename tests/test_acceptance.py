@@ -242,7 +242,7 @@ def test_criterion_7_structural_suites():
         at = FormClass(m, terms)
         full = contract_T_on_Omega(al, exp_form(at))
         collapse = {a: c for (a, b), c in full.terms.items() if b == 0}
-        assert contract_exp_atiyah(al, at) == hodge.ExtClass(m, collapse)
+        assert contract_exp_atiyah(al, LineBundle(m, at)) == hodge.ExtClass(m, collapse)
 
     # Duflo round trips on random independent todd data
     for _ in range(10):

@@ -278,15 +278,15 @@ def test_contract_exp_atiyah_goldens():
     # q = 0 polyvector only meets the constant term
     alpha = PolyClass.term(m, [1], [])
     at = FormClass.term(m, [2], [1])
-    assert contract_exp_atiyah(alpha, at) == ExtClass(m, {0b01: 1})
+    assert contract_exp_atiyah(alpha, LineBundle(m, at)) == ExtClass(m, {0b01: 1})
     # the basic (1,1) case
     alpha = PolyClass.term(m, [1], [1])
-    got = contract_exp_atiyah(alpha, at)
+    got = contract_exp_atiyah(alpha, LineBundle(m, at))
     assert got == ExtClass(m, {0b11: -1})
     assert got.degrees() == {2}
     # rank-one at kills the k=2 component
     alpha = PolyClass.term(m, [], [1, 2])
-    assert contract_exp_atiyah(alpha, at).is_zero()
+    assert contract_exp_atiyah(alpha, LineBundle(m, at)).is_zero()
 
 
 def _collapse(alpha, at):
@@ -300,7 +300,7 @@ def test_contract_exp_atiyah_equals_collapse():
     for _ in range(15):
         alpha = _random_class(m, rng, PolyClass)
         at = _random_11(m, rng, FormClass)
-        assert contract_exp_atiyah(alpha, at) == _collapse(alpha, at)
+        assert contract_exp_atiyah(alpha, LineBundle(m, at)) == _collapse(alpha, at)
     # every basis term, so each b-mask row of the exp table is reached
     for n in (1, 2, 3):
         m = HodgeModel(n)
@@ -309,7 +309,7 @@ def test_contract_exp_atiyah_equals_collapse():
         ats += [_random_11(m, rng, FormClass) for _ in range(3)]
         for at in ats:
             for alpha in poly_basis(m):
-                assert contract_exp_atiyah(alpha, at) == _collapse(alpha, at)
+                assert contract_exp_atiyah(alpha, LineBundle(m, at)) == _collapse(alpha, at)
 
 
 # -- Duflo twist -----------------------------------------------------------------
@@ -400,7 +400,7 @@ def test_mukai_matches_wedge_expansion():
 def test_mukai_implication_zero_alpha():
     m = HodgeModel(2)
     c1 = FormClass.term(m, [1], [1])
-    rpt = check_mukai_implication(m, PolyClass.zero(m), c1)
+    rpt = check_mukai_implication(m, PolyClass.zero(m), LineBundle(m, c1))
     assert rpt.hypothesis and rpt.conclusion and rpt.ok
 
 
@@ -408,10 +408,10 @@ def test_mukai_implication_kernel_membership():
     # the (1,1) kernel of contraction against c1, todd = 1, n = 2
     m = HodgeModel(2)
     c1 = FormClass.term(m, [1], [1])
-    ker = exp_atiyah_kernel(m, c1)
+    ker = exp_atiyah_kernel(m, LineBundle(m, c1))
     assert ker  # never empty: the map drops dimension
     for alpha in ker:
-        rpt = check_mukai_implication(m, alpha, c1)
+        rpt = check_mukai_implication(m, alpha, LineBundle(m, c1))
         assert rpt.hypothesis, "kernel element must satisfy the hypothesis"
         assert rpt.ok and rpt.status == "pass"
 
@@ -432,7 +432,7 @@ def test_mukai_implication_vacuous_case():
     m = HodgeModel(2)
     c1 = FormClass.term(m, [2], [1])
     alpha = PolyClass.term(m, [1], [1])  # pairs to -a1^a2, so h != 0
-    rpt = check_mukai_implication(m, alpha, c1)
+    rpt = check_mukai_implication(m, alpha, LineBundle(m, c1))
     assert not rpt.hypothesis
     assert rpt.status == "vacuous" and rpt.ok
 
@@ -488,6 +488,50 @@ def test_json_roundtrip():
     v = _random_class(m, rng, FormClass)
     assert PolyClass.from_obj(m, alpha.to_obj()) == alpha
     assert FormClass.from_obj(m, v.to_obj()) == v
+
+
+def _group(pq, *terms):
+    return {"bidegree": list(pq), "terms": [dict(zip("ab", t), coeff="1") for t in terms]}
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [_group((1, 0), ([1.7], []))],
+        [_group((1, 0), ([True], []))],
+        [_group((1, 0), (["2"], []))],
+        [_group((1, 0), ([1], [2]))],  # a (1,1) term in a (1,0) group
+        [_group((1, 0), ([1], [])), _group((0, 1), ([2], []))],
+    ],
+)
+def test_from_obj_rejects_bad_index_or_bidegree(obj):
+    m = HodgeModel(2)
+    for kind in (FormClass, PolyClass):
+        with pytest.raises(BidegreeError):
+            kind.from_obj(m, obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"bidegree": [0, 0], "terms": []},
+        [[0, 0]],
+        [{"terms": []}],
+        [{"bidegree": [1, 0]}],
+        [{"bidegree": [True, 0], "terms": [{"a": [1], "b": [], "coeff": "1"}]}],
+        [{"bidegree": [1], "terms": []}],
+        [{"bidegree": [1, 0], "terms": {}}],
+        [{"bidegree": [1, 0], "terms": [{"a": [1], "coeff": "1"}]}],
+        [{"bidegree": [1, 0], "terms": [{"a": 1, "b": [], "coeff": "1"}]}],
+        [{"bidegree": [1, 0], "terms": [{"a": [1], "b": "", "coeff": "1"}]}],
+        [{"bidegree": [1, 0], "terms": [{"a": [1], "b": []}]}],
+        [{"bidegree": [1, 0], "terms": [{"a": [1], "b": [], "coeff": 0.5}]}],
+        [{"bidegree": [1, 0], "terms": [{"a": [1], "b": [], "coeff": "1/0"}]}],
+    ],
+)
+def test_from_obj_malformed_structure_is_value_error(obj):
+    with pytest.raises(ValueError):
+        FormClass.from_obj(HodgeModel(2), obj)
 
 
 def test_indices_must_increase():

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from duflo.linalg import Matrix, ShapeMismatch, kernel, mat_mul
+from duflo.linalg import Matrix, ShapeMismatch, kernel, kernel_of_images, mat_mul
 from duflo.rng import SplitMix64
 
 
@@ -96,6 +96,27 @@ def test_kernel_rank_nullity_and_annihilation():
         # basis vectors are independent: stack them and check full rank
         if basis:
             assert Matrix(basis).rank() == len(basis)
+
+
+def test_kernel_of_images_matches_dense_kernel():
+    # the dense matrix has every coordinate as a row, in reverse order, and
+    # extra zero rows: the canonical kernel depends only on the row space
+    rng = SplitMix64(505)
+    for _ in range(30):
+        cols = rng.below(6) + 1
+        coords = [(rng.below(3), rng.below(4)) for _ in range(rng.below(6) + 1)]
+        images = [
+            {k: q for k in coords if rng.below(3) == 0 and (q := rng.rational())}
+            for _ in range(cols)
+        ]
+        rows = [[img.get(k, 0) for img in images] for k in sorted(set(coords), reverse=True)]
+        rows += [[0] * cols] * (rng.below(3) + 1)
+        assert kernel_of_images(images) == kernel(Matrix(rows))
+
+
+def test_kernel_of_images_without_coordinates_is_standard_basis():
+    assert kernel_of_images([{}, {}, {}]) == kernel(Matrix.zeros(1, 3))
+    assert kernel_of_images([{}, {}]) == [[1, 0], [0, 1]]
 
 
 def test_rational_roundtrip():

@@ -12,8 +12,6 @@ witness is reproduced by a direct recomputation.
 import json
 from fractions import Fraction
 
-import pytest
-
 from duflo import catalog, hodge, linalg, pbw
 from duflo.hodge import FormClass, HodgeModel, PolyClass
 from duflo.linalg import Matrix
@@ -46,12 +44,12 @@ def test_corrupt_mukai_line_fails_mukai_implication(monkeypatch):
     model = HodgeModel(2)
     alpha = PolyClass.from_obj(model, witness["alpha"])
     c1 = FormClass.from_obj(model, witness["c1"])
-    rpt = hodge.check_mukai_implication(model, alpha, c1)
+    rpt = hodge.check_mukai_implication(model, alpha, hodge.LineBundle(model, c1))
     assert rpt.hypothesis and not rpt.ok and rpt.status == "critical-fail"
     assert rpt.moduli_action.to_obj() == witness["moduli_action"]
 
     monkeypatch.undo()
-    assert hodge.check_mukai_implication(model, alpha, c1).ok
+    assert hodge.check_mukai_implication(model, alpha, hodge.LineBundle(model, c1)).ok
 
 
 def test_corrupt_locus_kernel_fails_first_order_basis(monkeypatch):
@@ -98,21 +96,13 @@ def _sl2_monomial(name):
     return tuple(sorted(labels.index(x) for x in name.split("*")))
 
 
-@pytest.fixture
-def fresh_coaction():
-    """The word-level coaction cache must not keep tables built under a fault."""
-    pbw._iterated_coaction.cache_clear()
-    yield
-    pbw._iterated_coaction.cache_clear()
-
-
 def _failed_diagrams(out):
     lines = _lines(out, "lie-diagram")
     assert len(lines) == 9  # the monomials of degree 1 and 2 in e, f, h
     return [r for r in lines if r["status"] == "fail"]
 
 
-def test_corrupt_coaction_fails_lie_diagram(monkeypatch, fresh_coaction):
+def test_corrupt_coaction_fails_lie_diagram(monkeypatch):
     build = pbw.LambdaMap.__init__
 
     def corrupt(self, rep):
@@ -142,7 +132,6 @@ def test_corrupt_coaction_fails_lie_diagram(monkeypatch, fresh_coaction):
         assert witness["path_contract"] == phi(rep, sym).to_json()
 
     monkeypatch.undo()
-    pbw._iterated_coaction.cache_clear()
     assert run_cli(LIE_ARGV)[0] == 0
 
 
