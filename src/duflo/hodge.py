@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import Q, kernel_of_images, parse_rational
-from .sparse import LinComb, nilpotent_exp, unit_inverse, unit_sqrt
+from .sparse import LinComb, graded_exp, unit_inverse, unit_sqrt
 
 
 class ModelMismatch(Exception):
@@ -349,10 +349,21 @@ def contract_Omega_on_T(v: FormClass, alpha: PolyClass) -> PolyClass:
 # ---------------------------------------------------------------------------
 
 def exp_form(v: FormClass) -> FormClass:
-    """Exponential sum of wedge powers over k!; needs zero constant term."""
+    """Exponential of a class of even total degree with zero constant term.
+
+    Even forms commute, so exp is the graded recursion of sparse.graded_exp
+    on the pieces of total degree 2d; a term of odd total degree raises
+    BidegreeError, since odd forms anticommute and the recursion fails.
+    """
     if (0, 0) in v.terms:
         raise NonzeroConstantTerm("exp_form needs a class with zero (0,0) part")
-    return nilpotent_exp(v, FormClass.one(v.model), wedge)
+    pieces: list[dict] = [{} for _ in range(v.model.n + 1)]
+    for (a, b), c in v.terms.items():
+        degree = a.bit_count() + b.bit_count()
+        if degree & 1:
+            raise BidegreeError(f"exp_form needs even total degree, got a degree-{degree} term")
+        pieces[degree // 2][(a, b)] = c
+    return graded_exp([v._like(p) for p in pieces], FormClass.one(v.model), wedge)
 
 
 def atiyah_line(model: HodgeModel, c1: FormClass) -> FormClass:

@@ -54,6 +54,15 @@ class Matrix:
                 raise ValueError("ragged rows in matrix literal")
 
     @classmethod
+    def _of(cls, rows) -> "Matrix":
+        """Matrix of equal-length Fraction rows from arithmetic; no parsing."""
+        out = object.__new__(cls)
+        out.entries = tuple(map(tuple, rows))
+        out.rows = len(out.entries)
+        out.cols = len(out.entries[0]) if out.entries else 0
+        return out
+
+    @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -79,7 +88,7 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ShapeMismatch("add", self.shape, other.shape)
-        return Matrix(
+        return Matrix._of(
             [
                 [a + b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.entries, other.entries)
@@ -89,7 +98,7 @@ class Matrix:
     def __sub__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ShapeMismatch("sub", self.shape, other.shape)
-        return Matrix(
+        return Matrix._of(
             [
                 [a - b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.entries, other.entries)
@@ -97,11 +106,11 @@ class Matrix:
         )
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in row] for row in self.entries])
+        return Matrix._of([[-a for a in row] for row in self.entries])
 
     def scale(self, c) -> "Matrix":
         c = parse_rational(c)
-        return Matrix([[c * a for a in row] for row in self.entries])
+        return Matrix._of([[c * a for a in row] for row in self.entries])
 
     def __rmul__(self, c) -> "Matrix":
         return self.scale(c)
@@ -154,7 +163,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bden = [x.denominator for row in b.entries for x in row]
     cnum, cden = matmul_pairs(anum, aden, bnum, bden, a.rows, a.cols, b.cols)
     m = b.cols
-    return Matrix(
+    return Matrix._of(
         [
             [Fraction(cnum[i * m + j], cden[i * m + j]) for j in range(m)]
             for i in range(a.rows)

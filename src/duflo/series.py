@@ -9,7 +9,11 @@ square root, Chern characters, and Mukai vectors all live here.
 The Todd class is produced from the generating series t/(1 - e^{-t})
 through the elementary/power-sum conversion (Newton's identities), never
 from a hard-coded table; the printed low-weight coefficients are test
-targets, not inputs.
+targets, not inputs.  With l_k the coefficients of log(t/(1 - e^{-t})),
+Todd = exp(L) and its square root is exp(L/2) for L = sum_k l_k p_k; no
+series square root is taken.  Newton's identity for p_k adds
+each e_i p_{k-i} by appending the generator c_i to every monomial of
+p_{k-i}, with no series product.
 """
 
 import operator
@@ -17,7 +21,7 @@ from fractions import Fraction
 from math import factorial
 
 from .linalg import Q
-from .sparse import LinComb, nilpotent_exp, unit_inverse, unit_sqrt
+from .sparse import LinComb, graded_exp, unit_inverse, unit_sqrt
 
 Gen = tuple[str, int]
 Monomial = tuple[Gen, ...]
@@ -44,6 +48,10 @@ class GradedSeries(LinComb):
         super().__init__(terms)
 
     def _key(self, mono):
+        for gen in mono:
+            w = gen[1]
+            if type(w) is not int or w < 1:
+                raise ValueError(f"generator {gen!r} needs a positive int weight")
         mono = tuple(sorted(mono))
         return mono if _weight(mono) <= self.trunc else None
 
@@ -93,7 +101,10 @@ class GradedSeries(LinComb):
         return self._like({m: c for m, c in self.terms.items() if _weight(m) == w})
 
     def weight_parts(self) -> list["GradedSeries"]:
-        return [self.weight_part(w) for w in range(self.trunc + 1)]
+        parts: list[dict] = [{} for _ in range(self.trunc + 1)]
+        for m, c in self.terms.items():
+            parts[_weight(m)][m] = c
+        return [self._like(p) for p in parts]
 
     def coefficient(self, mono) -> Fraction:
         return self.terms.get(tuple(sorted(mono)), Q(0))
@@ -115,8 +126,7 @@ class GradedSeries(LinComb):
         """Exponential of a series with zero constant term."""
         if self.constant() != 0:
             raise NonUnitConstant("exp needs zero constant term")
-        one = GradedSeries.scalar(self.trunc)
-        return nilpotent_exp(self, one, operator.mul, self.trunc)
+        return graded_exp(self.weight_parts(), GradedSeries.scalar(self.trunc), operator.mul)
 
     def log(self) -> "GradedSeries":
         """Logarithm of a series with constant term 1."""
@@ -203,14 +213,23 @@ def chern_gen(trunc: int, k: int, family: str = "c") -> GradedSeries:
 
 
 def power_sums(trunc: int, family: str = "c") -> list[GradedSeries]:
-    """p_1 .. p_trunc in the Chern generators, via Newton's identities."""
-    e = [None] + [chern_gen(trunc, k, family) for k in range(1, trunc + 1)]
+    """p_1 .. p_trunc in the Chern generators, via Newton's identities.
+
+    p_k = (-1)^(k-1) k e_k + sum_{i<k} (-1)^(i-1) e_i p_{k-i}; each product
+    with the generator e_i = c_i only appends c_i to the monomials of
+    p_{k-i}, so all terms of p_k are added into one dict.
+    """
     p: list[GradedSeries] = [GradedSeries.scalar(trunc, 0)]
     for k in range(1, trunc + 1):
-        acc = e[k].scale((-1) ** (k - 1) * k)
+        acc = {((f"{family}{k}", k),): Fraction((-1) ** (k - 1) * k)}
         for i in range(1, k):
-            acc = acc + (e[i] * p[k - i]).scale((-1) ** (i - 1))
-        p.append(acc)
+            gen = (f"{family}{i}", i)
+            for m, c in p[k - i].terms.items():
+                if not i & 1:
+                    c = -c
+                m = tuple(sorted(m + (gen,)))
+                acc[m] = acc[m] + c if m in acc else c
+        p.append(p[0]._like(acc))
     return p
 
 
@@ -222,24 +241,28 @@ def _todd_root_series(trunc: int) -> GradedSeries:
     ).inv()
 
 
-def todd(trunc: int, family: str = "c") -> GradedSeries:
-    """Universal Todd polynomial in c_1 .. c_trunc."""
+def _log_todd(trunc: int, family: str) -> GradedSeries:
+    """log Todd = sum_k l_k p_k, l_k the coefficients of log(t/(1 - e^{-t}))."""
     if trunc < 0:
         raise ValueError("weight must be nonnegative")
-    if trunc == 0:
-        return GradedSeries.scalar(0)
     lq = _todd_root_series(trunc).log()
     p = power_sums(trunc, family)
-    arg = GradedSeries(trunc)
+    terms: dict = {}
     for k in range(1, trunc + 1):
         lk = lq.coefficient((("t", 1),) * k)
-        if lk != 0:
-            arg = arg + p[k].scale(lk)
-    return arg.exp()
+        for m, c in p[k].terms.items():
+            terms[m] = lk * c
+    return p[0]._like(terms)
+
+
+def todd(trunc: int, family: str = "c") -> GradedSeries:
+    """Universal Todd polynomial in c_1 .. c_trunc, as exp(log Todd)."""
+    return _log_todd(trunc, family).exp()
 
 
 def sqrt_todd(trunc: int, family: str = "c") -> GradedSeries:
-    return todd(trunc, family).sqrt()
+    """Square root of the Todd class, as exp(log Todd / 2)."""
+    return _log_todd(trunc, family).scale(Fraction(1, 2)).exp()
 
 
 def chern_character(rank: int, trunc: int, family: str = "c") -> GradedSeries:

@@ -9,13 +9,13 @@ outside input through the _key hook, which may raise or drop a key;
 arithmetic results are canonical already and go through _like, which only
 drops zero coefficients.
 
-unit_inverse, unit_sqrt and nilpotent_exp compute 1/a, sqrt(a) and exp(x)
-weight by weight over any commutative graded product.
+unit_inverse, unit_sqrt and graded_exp compute 1/a, sqrt(a) and exp(a)
+weight by weight over any commutative graded product, from the pieces
+a_0, a_1, ... of a by weight.  In each, the weight-w part of the result is
+a sum of products of lower-weight parts, so no power of a is ever formed.
 """
 
 from fractions import Fraction
-from itertools import count
-from math import factorial
 
 from .linalg import parse_rational
 
@@ -128,12 +128,21 @@ def unit_sqrt(pieces: list, mul) -> LinComb:
     return sum(s[1:], s[0])
 
 
-def nilpotent_exp(x: LinComb, one: LinComb, mul, max_power: int | None = None) -> LinComb:
-    """Sum of x^k / k! from k = 0 until a power vanishes, or past max_power."""
-    acc = power = one
-    for k in count(1) if max_power is None else range(1, max_power + 1):
-        power = mul(power, x)
-        if power.is_zero():
-            break
-        acc = acc + power.scale(Fraction(1, factorial(k)))
-    return acc
+def graded_exp(pieces: list, one: LinComb, mul) -> LinComb:
+    """exp(a) for a = sum of graded pieces, pieces[0] zero.
+
+    e_0 = one and w e_w = sum_{k=1..w} k a_k e_{w-k}, the weight-w part of
+    E' = A' E; empty pieces are skipped.  Returns sum of e_w, whose parts
+    share no key because each key has one weight.
+    """
+    e = [one]
+    for w in range(1, len(pieces)):
+        acc: dict = {}
+        for k in range(1, w + 1):
+            if not (pieces[k].terms and e[w - k].terms):
+                continue
+            for key, c in mul(pieces[k], e[w - k]).terms.items():
+                c *= k
+                acc[key] = acc[key] + c if key in acc else c
+        e.append(one._like({key: c / w for key, c in acc.items()}))
+    return one._like({key: c for part in e for key, c in part.terms.items()})

@@ -46,6 +46,19 @@ def test_random_products_match_naive_oracle():
         assert mat_mul(a, b) == _naive_mul(a, b)
 
 
+def test_arithmetic_results_match_public_constructor():
+    rng = SplitMix64(303)
+    for rows, cols in [(3, 4), (1, 1), (0, 0), (2, 0)]:
+        a = _random_matrix(rng, rows, cols)
+        b = _random_matrix(rng, rows, cols)
+        c = _random_matrix(rng, cols, 2)
+        results = [a + b, a - b, -a, a.scale("3/4"), a.scale(0), 2 * a, mat_mul(a, c), a @ c]
+        for r in results:
+            assert r == Matrix(r.entries) and r.shape == Matrix(r.entries).shape
+            assert all(type(x) is Q for row in r.entries for x in row)
+        assert (a - b) + b == a and (a + b).shape == (rows, cols)
+
+
 def test_product_associative():
     rng = SplitMix64(202)
     for _ in range(5):

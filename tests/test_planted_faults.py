@@ -4,7 +4,9 @@ verify-hodge builds the Mukai line once per c1 and compares the loci once
 per model, then shares them with every alpha checked against them.
 verify-lie fills one table per representation and route, shared by every
 diagram check on that representation, and checks each invariant it finds
-in one suite.  Each test plants one fault and checks that the sweep
+in one suite.  The Duflo round trip and the per-case first-order suite
+read the Todd root and its inverse from the graded recursions of
+duflo.sparse.  Each test plants one fault and checks that the sweep
 reports it: the suite's lines say "fail", the exit code is 1, and the
 witness is reproduced by a direct recomputation.
 """
@@ -80,6 +82,80 @@ def test_corrupt_locus_kernel_fails_first_order_basis(monkeypatch):
     model = HodgeModel(2, dict(todd.terms))
     alpha = PolyClass.from_obj(model, witness["alpha"])
     assert hodge.first_order_check(model, alpha).loci_equal
+
+
+def _failing_suites(out):
+    return {r["suite"] for r in map(json.loads, out.splitlines()) if r["status"] == "fail"}
+
+
+def _inverse_missing_last_term(pieces, mul):
+    """unit_inverse with u_w = -sum_{i<w} a_i u_{w-i}: the a_w u_0 term is lost."""
+    u = [pieces[0]]
+    for w in range(1, len(pieces)):
+        acc = pieces[0]._like({})
+        for i in range(1, w):
+            acc = acc + mul(pieces[i], u[w - i])
+        u.append(acc.scale(-1))
+    return sum(u[1:], u[0])
+
+
+def _sqrt_without_half(pieces, mul):
+    """unit_sqrt with s_w = a_w - sum s_i s_{w-i}: the halving is lost."""
+    s = [pieces[0]]
+    for w in range(1, len(pieces)):
+        acc = pieces[w]
+        for i in range(1, w):
+            acc = acc - mul(s[i], s[w - i])
+        s.append(acc)
+    return sum(s[1:], s[0])
+
+
+def _model_from_witness(witness):
+    todd = FormClass.from_obj(HodgeModel(2), witness["todd"])
+    model = HodgeModel(2, dict(todd.terms))
+    return model, PolyClass.from_obj(model, witness["alpha"])
+
+
+def _roundtrips(model, alpha):
+    back = hodge.duflo_inverse(model, hodge.duflo(model, alpha))
+    forth = hodge.duflo(model, hodge.duflo_inverse(model, alpha))
+    return back == alpha and forth == alpha
+
+
+def test_faulty_unit_inverse_fails_duflo_roundtrip(monkeypatch):
+    monkeypatch.setattr(hodge, "unit_inverse", _inverse_missing_last_term)
+    code, out, _ = run_cli(ARGV[:-1] + ["3"])
+    assert code == 1
+    lines = _lines(out, "duflo-roundtrip")
+    # cases 0 and 1 draw the Todd datum 1, whose inverse root is 1 however
+    # the recursion errs; only the inverse Todd root reads it
+    assert [r["status"] for r in lines] == ["pass", "pass", "fail"]
+    assert _failing_suites(out) == {"duflo-roundtrip"}
+
+    witness = lines[2]["witness"]
+    assert not _roundtrips(*_model_from_witness(witness))
+
+    monkeypatch.undo()
+    assert _roundtrips(*_model_from_witness(witness))
+
+
+def test_faulty_unit_sqrt_fails_first_order(monkeypatch):
+    monkeypatch.setattr(hodge, "unit_sqrt", _sqrt_without_half)
+    code, out, _ = run_cli(ARGV)
+    assert code == 1
+    lines = _lines(out, "first-order")
+    assert [r["status"] for r in lines] == ["fail"]
+    # the round trip inverts whatever root it is given, so it still passes
+    assert "duflo-roundtrip" not in _failing_suites(out)
+
+    witness = lines[0]["witness"]
+    rpt = hodge.first_order_check(*_model_from_witness(witness))
+    assert not rpt.quarter_identity
+    assert rpt.witness == witness
+
+    monkeypatch.undo()
+    rpt = hodge.first_order_check(*_model_from_witness(witness))
+    assert rpt.quarter_identity and rpt.h2_component and rpt.loci_equal
 
 
 # -- verify-lie ------------------------------------------------------------------

@@ -190,6 +190,34 @@ def test_todd_whitney_split_check():
 
 # -- Chern character and Mukai vector ----------------------------------------------
 
+def test_sqrt_todd_squares_to_todd(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the Todd root is exp(log Todd / 2), not a series sqrt")
+
+    monkeypatch.setattr(GradedSeries, "sqrt", refuse)
+    for w in range(11):
+        s = sqrt_todd(w)
+        assert s * s == todd(w)
+    mukai_vector(2, 6)
+
+
+def _newton_by_products(trunc):
+    """p_k = (-1)^(k-1) k e_k + sum_{i<k} (-1)^(i-1) e_i p_{k-i}, by series products."""
+    e = [None] + [_c(trunc, k) for k in range(1, trunc + 1)]
+    p = [GradedSeries.scalar(trunc, 0)]
+    for k in range(1, trunc + 1):
+        acc = e[k].scale((-1) ** (k - 1) * k)
+        for i in range(1, k):
+            acc = acc + (e[i] * p[k - i]).scale((-1) ** (i - 1))
+        p.append(acc)
+    return p
+
+
+def test_power_sums_match_newton_products():
+    for trunc in range(11):
+        assert power_sums(trunc) == _newton_by_products(trunc)
+
+
 def test_newton_power_sum_weight_two():
     p = power_sums(2)
     want = _c(2, 1) * _c(2, 1) - _c(2, 2).scale(2)

@@ -4,10 +4,14 @@ Arithmetic results skip the public constructors, so every kind's +, -,
 scale and product is checked against a rebuild through its public
 constructor, for canonical keys, no zero coefficients and Fraction
 coefficients only.  The constructors' own validation errors must still
-fire.
+fire.  The graded exponential is checked against the full-power series
+it replaced, on series and on even forms.
 """
 
+import operator
 from fractions import Fraction
+from itertools import count
+from math import factorial
 
 import pytest
 
@@ -20,6 +24,7 @@ from duflo.hodge import (
     PolyClass,
     contract_Omega_on_T,
     contract_T_on_Omega,
+    exp_form,
     wedge,
 )
 from duflo.pbw import DegreeOverflow, SymElement, TensorElement
@@ -136,6 +141,11 @@ OTHER = HodgeModel(2)
         (lambda: wedge(FormClass(MODEL, {(1, 0): 1}), PolyClass(MODEL, {(2, 0): 1})), TypeError),
         (lambda: SymElement({(0,): 1}) - TensorElement({(0,): 1}), TypeError),
         (lambda: SymElement({(0,): 1}) * TensorElement({(0,): 1}), TypeError),
+        (lambda: GradedSeries.gen(3, "x", 0), ValueError),
+        (lambda: GradedSeries.gen(3, "x", -1), ValueError),
+        (lambda: GradedSeries(3, {(("c1", 1), ("x", True)): 1}), ValueError),
+        (lambda: GradedSeries(3, {(("x", 1.0),): 1}), ValueError),
+        (lambda: exp_form(FormClass(MODEL, {(1, 1): 1, (1, 0): 1})), BidegreeError),
     ],
     ids=[
         "tensor-degree",
@@ -151,8 +161,76 @@ OTHER = HodgeModel(2)
         "form-poly-wedge",
         "sym-tensor-sub",
         "sym-tensor-mul",
+        "series-weight-zero",
+        "series-weight-negative",
+        "series-weight-bool",
+        "series-weight-float",
+        "exp-form-odd-degree",
     ],
 )
 def test_validation_errors_still_raised(make, error):
     with pytest.raises(error):
         make()
+
+
+# -- the graded exponential ----------------------------------------------------
+
+
+def power_series_exp(x, one, mul, max_power=None):
+    """Sum of x^k / k! from k = 0 until a power vanishes, or past max_power.
+
+    The full-power series that graded_exp replaced, kept as its oracle: it
+    shares no recursion with graded_exp, only the product.
+    """
+    acc = power = one
+    for k in count(1) if max_power is None else range(1, max_power + 1):
+        power = mul(power, x)
+        if power.is_zero():
+            break
+        acc = acc + power.scale(Fraction(1, factorial(k)))
+    return acc
+
+
+def _gapped_series(trunc, rng):
+    """Zero-constant series on generators of a random subset of weights."""
+    weights = [w for w in range(1, trunc + 1) if rng.below(3)]
+    gens = [(f"x{w}", w) for w in weights] + [(f"y{w}", w) for w in weights[::2]]
+    terms = {}
+    for _ in range(10):
+        if not gens:
+            break
+        mono = tuple(gens[rng.below(len(gens))] for _ in range(1 + rng.below(3)))
+        terms[mono] = rng.rational()
+    return GradedSeries(trunc, terms)
+
+
+def test_series_exp_matches_power_series():
+    rng = SplitMix64(406)
+    gapped = 0
+    for trunc in range(9):
+        for _ in range(8):
+            s = _gapped_series(trunc, rng)
+            one = GradedSeries.scalar(trunc)
+            assert s.exp() == power_series_exp(s, one, operator.mul, trunc)
+            parts = s.weight_parts()
+            gapped += any(not parts[w].terms for w in range(1, trunc)) and not s.is_zero()
+    assert gapped > 0
+
+
+def _even_form(model, rng):
+    keys = [
+        (a, b)
+        for a in range(1 << model.n)
+        for b in range(1 << model.n)
+        if (a.bit_count() + b.bit_count()) % 2 == 0 and (a, b) != (0, 0)
+    ]
+    return FormClass(model, {k: rng.rational() for k in keys if rng.below(2)})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exp_form_matches_power_series(n):
+    rng = SplitMix64(407 + n)
+    model = HodgeModel(n)
+    for _ in range(12):
+        v = _even_form(model, rng)
+        assert exp_form(v) == power_series_exp(v, FormClass.one(model), wedge)

@@ -4,7 +4,9 @@ Each command runs in-process and its stdout sha256 is compared with a
 digest recorded at an earlier commit: the verify-hodge and series streams
 before the per-c1 and per-model work and the truncated product were
 restructured, the verify-lie streams before the diagram sweep moved from
-the permutation sum to the multiset recursion.  A change that is meant to
+the permutation sum to the multiset recursion, the weight-16 todd,
+sqrt-todd and mukai streams before the series exponential became a
+weight-graded recursion and the Todd root exp(log Todd / 2).  A change that is meant to
 alter a stream must re-record its digest here and say why.
 """
 
@@ -29,6 +31,12 @@ DIGESTS = {
         "7ca0e50adcbb9a17a9f023303a82c283acff70f3c0f5e54bd9a6917a3ae15c96",
     "series ch --weight 16":
         "530f3879b3da34b0908756f13252740aff222ca9db9ffffef428a460bb5e81e2",
+    "series todd --weight 16":
+        "7188cd5292ad3462a83359503de1ef4d8815ffbb6947b128963a76e79a25eefb",
+    "series sqrt-todd --weight 16":
+        "750f75b6d68418b4c72b45c3fbc4d956f27a1cf646240650a4f75003d57661b9",
+    "series mukai --weight 16 --format json":
+        "63cc648eb7b28962db09cce12485820817b27650930c3bb19aedd0326d247598",
 }
 
 # Run with VERIFIER_MAX_DEGREE=5; {dense} is the file dense_gl2 writes.
