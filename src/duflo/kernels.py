@@ -1,10 +1,11 @@
-"""Exact-arithmetic kernels: rational matrix products and integer RREF.
+"""Exact-arithmetic kernels: rational and integer matrix products, integer RREF.
 
 Numerators and denominators are arbitrary-precision Python ints;
 denominators are always positive and results are in lowest terms.
 """
 
 from math import gcd
+from operator import mul
 
 
 def matmul_pairs(anum, aden, bnum, bden, n, k, m):
@@ -33,6 +34,15 @@ def matmul_pairs(anum, aden, bnum, bden, n, k, m):
                 cnum[i * m + j] = num // g
                 cden[i * m + j] = den // g
     return cnum, cden
+
+
+def matmul_int(a, b):
+    """Product of two integer matrices given as tuples of rows, as a tuple of rows.
+
+    The column count is read from the rows of b, so b needs at least one.
+    """
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def _reduce_row(row, ncols):

@@ -45,10 +45,11 @@ class BracketMismatch(Exception):
 class LieAlgebra:
     """A Lie algebra over Q presented by structure constants.
 
-    constants[i][j][k] is the coefficient of x_k in [x_i, x_j].
+    constants[i][j][k] is the coefficient of x_k in [x_i, x_j], and
+    bracket_terms[i][j] lists the (k, constants[i][j][k]) that are nonzero.
     """
 
-    __slots__ = ("dim", "labels", "constants", "name")
+    __slots__ = ("dim", "labels", "constants", "bracket_terms", "name")
 
     def __init__(self, constants, labels: Sequence[str] | None = None, name: str = ""):
         c = tuple(
@@ -67,6 +68,10 @@ class LieAlgebra:
             raise ValueError("label count does not match dimension")
         self._check_antisymmetry()
         self._check_jacobi()
+        self.bracket_terms = tuple(
+            tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in plane)
+            for plane in c
+        )
 
     def _check_antisymmetry(self):
         c = self.constants

@@ -7,7 +7,7 @@ duflo.kernels.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Iterable, Sequence
 
 from .kernels import matmul_pairs, rref_int
@@ -44,31 +44,39 @@ class Matrix:
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries: Iterable[Iterable]):
+    def __init__(self, entries: Iterable[Iterable], cols: int | None = None):
+        """Parse a literal; cols is read from the first row unless given,
+        and must be given for a matrix with no rows but some columns."""
         rows = tuple(tuple(parse_rational(x) for x in row) for row in entries)
         self.entries = rows
         self.rows = len(rows)
-        self.cols = len(rows[0]) if rows else 0
+        if cols is None:
+            cols = len(rows[0]) if rows else 0
+        self.cols = cols
         for row in rows:
-            if len(row) != self.cols:
+            if len(row) != cols:
                 raise ValueError("ragged rows in matrix literal")
 
     @classmethod
-    def _of(cls, rows) -> "Matrix":
-        """Matrix of equal-length Fraction rows from arithmetic; no parsing."""
+    def _of(cls, rows, cols: int) -> "Matrix":
+        """Matrix of cols-long rows from arithmetic; no parsing.
+
+        Entries are Fractions, or ints in the integer matrices that
+        kernel_of_images hands to kernel.
+        """
         out = object.__new__(cls)
         out.entries = tuple(map(tuple, rows))
         out.rows = len(out.entries)
-        out.cols = len(out.entries[0]) if out.entries else 0
+        out.cols = cols
         return out
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[0] * cols for _ in range(rows)])
+        return cls([[0] * cols for _ in range(rows)], cols)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -92,7 +100,8 @@ class Matrix:
             [
                 [a + b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.entries, other.entries)
-            ]
+            ],
+            self.cols,
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
@@ -102,15 +111,16 @@ class Matrix:
             [
                 [a - b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.entries, other.entries)
-            ]
+            ],
+            self.cols,
         )
 
     def __neg__(self) -> "Matrix":
-        return Matrix._of([[-a for a in row] for row in self.entries])
+        return Matrix._of([[-a for a in row] for row in self.entries], self.cols)
 
     def scale(self, c) -> "Matrix":
         c = parse_rational(c)
-        return Matrix._of([[c * a for a in row] for row in self.entries])
+        return Matrix._of([[c * a for a in row] for row in self.entries], self.cols)
 
     def __rmul__(self, c) -> "Matrix":
         return self.scale(c)
@@ -135,11 +145,8 @@ class Matrix:
         """Clear denominators row by row (preserves the row space and kernel)."""
         out = []
         for row in self.entries:
-            lcm = 1
-            for x in row:
-                d = x.denominator
-                lcm = lcm // gcd(lcm, d) * d
-            out.append([x.numerator * (lcm // x.denominator) for x in row])
+            scale = lcm(*(x.denominator for x in row))
+            out.append([x.numerator * (scale // x.denominator) for x in row])
         return out
 
     def rref(self) -> tuple[list[int], list[list[int]]]:
@@ -167,7 +174,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         [
             [Fraction(cnum[i * m + j], cden[i * m + j]) for j in range(m)]
             for i in range(a.rows)
-        ]
+        ],
+        m,
     )
 
 
@@ -196,14 +204,23 @@ def kernel_of_images(images: Sequence[dict]) -> list[list[Fraction]]:
     """Kernel of the linear map sending basis vector j to images[j].
 
     Each image is a {coordinate: coefficient} map.  The matrix has one row
-    per coordinate that occurs, in sorted order, and one zero row when none
-    does; kernel() depends only on the row space, so this is the canonical
-    basis of the dense matrix over any larger set of coordinates.
+    per coordinate that occurs, in sorted order; kernel() depends only on
+    the row space, so this is the canonical basis of the dense matrix over
+    any larger set of coordinates.  Each row is cleared of denominators
+    from the sparse images alone, which scales it and keeps the kernel, so
+    kernel() receives an integer matrix.
     """
-    coords = sorted({k for img in images for k in img})
-    index = {k: r for r, k in enumerate(coords)}
-    rows = [[Q(0)] * len(images) for _ in coords or [None]]
+    ncols = len(images)
+    by_coord: dict = {}
     for col, img in enumerate(images):
         for k, c in img.items():
-            rows[index[k]][col] = c
-    return kernel(Matrix(rows))
+            by_coord.setdefault(k, []).append((col, c))
+    rows = []
+    for k in sorted(by_coord):
+        entries = by_coord[k]
+        scale = lcm(*(c.denominator for _, c in entries))
+        row = [0] * ncols
+        for col, c in entries:
+            row[col] = c.numerator * (scale // c.denominator)
+        rows.append(row)
+    return kernel(Matrix._of(rows, ncols))

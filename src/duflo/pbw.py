@@ -22,17 +22,25 @@ word of m exactly prod(m_i!) times, and the sum W(m) of the distinct words
 obeys W(m) = sum over letters i of m of x_i W(m - e_i), so each route
 memoizes the image of W on sorted monomials, one entry per monomial.
 
+The tables are integer matrices.  One lcm d of every denominator in the
+action matrices and the coaction clears both routes' sources, d*rho(x_i)
+and d times the coaction, and each table entry is d^|m| times the image
+of W(m).  The check compares and tests centrality in Z; the Fraction
+matrices a report carries are built from the tables only when read.
+
 phi and the phi table are deliberately written with raw index loops over
-the coaction rather than the matrix backend, so the two diagram paths
-share no arithmetic code.
+the coaction rather than the matrix backend, and the theta table with its
+own integer product, so the two diagram paths share no arithmetic code.
 """
 
 import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from functools import cached_property
+from math import factorial, lcm, prod
 
+from .kernels import matmul_int
 from .lie import LieAlgebra, Representation
 from .linalg import Matrix, Q, kernel_of_images
 from .sparse import LinComb
@@ -229,92 +237,145 @@ def _word_weight(m: SymMonomial) -> Fraction:
 
 
 class SymImages:
-    """Both routes' images of symmetric elements, memoized per monomial.
+    """Both routes' images of symmetric elements, memoized per monomial, in Z.
 
-    theta_table[m] is theta of W(m), the sum of the distinct words of the
-    sorted monomial m, and phi_table[m] is phi of W(m) as rows of entries.
-    Each is filled by W(m) = sum_i x_i W(m - e_i) on its own route: theta
-    multiplies action matrices, phi contracts the coaction with index
+    d is the lcm of every denominator in the action matrices and in the
+    coaction, so each route clears its own source exactly: theta reads the
+    integer matrices R_i = d*rho(x_i), phi the coaction entries times d.
+    theta_table[m] is d^|m| theta(W(m)), where W(m) is the sum of the
+    distinct words of the sorted monomial m, and phi_table[m] is
+    d^|m| phi(W(m)); both are tuples of int rows.  Each is filled by
+    W(m) = sum_i x_i W(m - e_i) on its own route: theta multiplies by R_i
+    through kernels.matmul_int, phi contracts the coaction with index
     loops.  A degree-D sweep over n letters stores at most C(n+D, D)
     entries per table.  check_pbw_diagram keeps one on each representation
     it sees, so every check on that representation shares the tables.
+
+    theta(s) and phi(s) turn the tables back into the Fraction matrices
+    theta(rep, symmetrize(s)) and phi(rep, symmetrize(s)); only reports
+    that are read call them.
     """
 
-    __slots__ = ("rep", "lam", "theta_table", "phi_table")
+    __slots__ = ("rep", "d", "actions", "lam", "theta_table", "phi_table")
 
     def __init__(self, rep: Representation):
         dv = rep.dimV
+        lam = LambdaMap(rep).data
+        d = lcm(
+            *(x.denominator for m in rep.matrices for row in m.entries for x in row),
+            *(x.denominator for plane in lam for cell in plane for x in cell),
+        )
         self.rep = rep
-        self.lam = LambdaMap(rep).data
-        self.theta_table: dict[SymMonomial, Matrix] = {(): Matrix.identity(dv)}
-        self.phi_table: dict[SymMonomial, tuple] = {
-            (): tuple(tuple(Q(1) if o == i else Q(0) for i in range(dv)) for o in range(dv))
-        }
+        self.d = d
+        self.actions = tuple(
+            tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in m.entries)
+            for m in rep.matrices
+        )
+        self.lam = tuple(
+            tuple(tuple(x.numerator * (d // x.denominator) for x in cell) for cell in plane)
+            for plane in lam
+        )
+        ident = tuple(tuple(int(o == i) for i in range(dv)) for o in range(dv))
+        self.theta_table: dict[SymMonomial, tuple] = {(): ident}
+        self.phi_table: dict[SymMonomial, tuple] = {(): ident}
 
-    def theta_words(self, m: SymMonomial) -> Matrix:
+    def theta_words(self, m: SymMonomial) -> tuple:
         got = self.theta_table.get(m)
         if got is None:
-            mats = self.rep.matrices
-            for letter, rest in _splits(m):
-                term = mats[letter] @ self.theta_words(rest)
-                got = term if got is None else got + term
-            self.theta_table[m] = got
+            terms = [
+                matmul_int(self.actions[letter], self.theta_words(rest))
+                for letter, rest in _splits(m)
+            ]
+            got = self.theta_table[m] = tuple(
+                tuple(map(sum, zip(*rows))) for rows in zip(*terms)
+            )
         return got
 
     def phi_words(self, m: SymMonomial) -> tuple:
         got = self.phi_table.get(m)
         if got is None:
             dv, lam = self.rep.dimV, self.lam
-            acc = [[Q(0)] * dv for _ in range(dv)]
+            acc = [[0] * dv for _ in range(dv)]
             for g, rest in _splits(m):
                 table = self.phi_words(rest)
                 for o in range(dv):
                     row = acc[o]
                     for mid in range(dv):
                         a = lam[o][mid][g]
-                        if a != 0:
+                        if a:
                             for i, v in enumerate(table[mid]):
-                                if v != 0:
+                                if v:
                                     row[i] += a * v
             got = self.phi_table[m] = tuple(tuple(row) for row in acc)
         return got
 
-    def theta(self, s: SymElement) -> Matrix:
-        """theta(rep, symmetrize(s)), from the theta table."""
+    def weights(self, s: SymElement) -> tuple[list, int]:
+        """Integers k_m and a scale > 0 with k_m / scale = c_m prod(m_i!) / (|m|! d^|m|).
+
+        Then theta(rep, symmetrize(s)) is sum_m k_m theta_table[m] / scale,
+        and the same holds for phi.
+        """
+        ws = [(m, c * _word_weight(m) / self.d ** len(m)) for m, c in s.terms.items()]
+        scale = lcm(*(w.denominator for _, w in ws))
+        return [(m, w.numerator * (scale // w.denominator)) for m, w in ws], scale
+
+    def theta_sum(self, weights: list) -> tuple:
+        """sum_m k_m theta_table[m] over the (m, k_m) of weights."""
         dv = self.rep.dimV
-        acc = Matrix.zeros(dv, dv)
-        for m, c in s.terms.items():
-            acc = acc + self.theta_words(m).scale(c * _word_weight(m))
+        acc = ((0,) * dv,) * dv
+        for m, k in weights:
+            acc = tuple(
+                tuple(x + k * y for x, y in zip(ra, rb))
+                for ra, rb in zip(acc, self.theta_words(m))
+            )
         return acc
 
-    def phi(self, s: SymElement) -> Matrix:
-        """phi(rep, symmetrize(s)), from the phi table."""
+    def phi_sum(self, weights: list) -> tuple:
+        """sum_m k_m phi_table[m] over the (m, k_m) of weights."""
         dv = self.rep.dimV
-        acc = [[Q(0)] * dv for _ in range(dv)]
-        for m, c in s.terms.items():
-            w = c * _word_weight(m)
+        acc = [[0] * dv for _ in range(dv)]
+        for m, k in weights:
             table = self.phi_words(m)
             for o in range(dv):
                 for i in range(dv):
                     v = table[o][i]
-                    if v != 0:
-                        acc[o][i] += w * v
-        return Matrix(acc)
+                    if v:
+                        acc[o][i] += k * v
+        return tuple(tuple(row) for row in acc)
+
+    def theta(self, s: SymElement) -> Matrix:
+        """theta(rep, symmetrize(s)), from the theta table."""
+        weights, scale = self.weights(s)
+        return _over(self.theta_sum(weights), scale, self.rep.dimV)
+
+    def phi(self, s: SymElement) -> Matrix:
+        """phi(rep, symmetrize(s)), from the phi table."""
+        weights, scale = self.weights(s)
+        return _over(self.phi_sum(weights), scale, self.rep.dimV)
+
+
+def _over(rows: tuple, scale: int, cols: int) -> Matrix:
+    """The Fraction matrix rows / scale."""
+    return Matrix._of([[Fraction(x, scale) for x in row] for row in rows], cols)
 
 
 def derivation_apply(alg: LieAlgebra, i: int, s: SymElement) -> SymElement:
     """Extend ad(x_i) to symmetric elements as a derivation."""
     if isinstance(s, tuple):
         s = SymElement.monomial(s)
+    brackets = alg.bracket_terms[i]
     out: dict[SymMonomial, Fraction] = {}
     for m, coeff in s.terms.items():
-        for pos, letter in enumerate(m):
-            rest = m[:pos] + m[pos + 1:]
-            for k, c in enumerate(alg.bracket(i, letter)):
-                if c == 0:
-                    continue
+        for letter, rest in _splits(m):
+            terms = brackets[letter]
+            if not terms:
+                continue
+            # every copy of letter in m leaves the same rest
+            scale = coeff * m.count(letter)
+            for k, c in terms:
                 mono = tuple(sorted(rest + (k,)))
-                out[mono] = out.get(mono, Q(0)) + coeff * c
+                v = scale * c
+                out[mono] = out[mono] + v if mono in out else v
     return s._like(out)
 
 
@@ -347,14 +408,32 @@ def invariants_s(alg: LieAlgebra, degree: int) -> list[SymElement]:
     ]
 
 
-@dataclass
 class DiagramReport:
-    element: SymElement
-    path_theta: Matrix
-    path_contract: Matrix
-    equal: bool
-    difference: Matrix | None
-    central: bool | None  # image commutes with the action; None if not asked
+    """One diagram check: equal and central are decided in Z.
+
+    path_theta and path_contract are the two routes' images of the element
+    as Fraction matrices, and difference is path_theta - path_contract
+    (None when equal); all three are built from the integer tables when
+    first read.  central is None unless the check asked for it.
+    """
+
+    def __init__(self, images: SymImages, element: SymElement, equal: bool, central):
+        self.images = images
+        self.element = element
+        self.equal = equal
+        self.central: bool | None = central
+
+    @cached_property
+    def path_theta(self) -> Matrix:
+        return self.images.theta(self.element)
+
+    @cached_property
+    def path_contract(self) -> Matrix:
+        return self.images.phi(self.element)
+
+    @property
+    def difference(self) -> Matrix | None:
+        return None if self.equal else self.path_theta - self.path_contract
 
 
 def check_pbw_diagram(
@@ -369,11 +448,17 @@ def check_pbw_diagram(
     which is expected when s is invariant.
 
     The 1/n! sum is evaluated as sum_m c_m (prod(m_i!)/n!) W(m), where W(m)
-    is the sum of the distinct words of m, taken from the per-route tables
-    of the SymImages kept on rep (built on the first check of rep).  The
-    routes share only the weights and the splitting of m into
-    (i, m - e_i), both checked against symmetrize in the tests: theta's
-    table is built from matrix products and phi's from coaction index
+    is the sum of the distinct words of m, from the integer tables of the
+    SymImages kept on rep (built on the first check of rep), which hold
+    d^|m| times each route's image of W(m) for one common denominator d.
+    A one-term s = c m compares theta_table[m] with phi_table[m]: both
+    routes carry the same nonzero scale c prod(m_i!) / (|m|! d^|m|).  A
+    longer s combines each route's table entries with the integer weights
+    of SymImages.weights, over one positive scale.  Centrality is decided
+    on phi's integer image B as B R_i == R_i B for R_i = d rho(x_i).  The
+    routes share only the weights, the splitting of m into (i, m - e_i)
+    and d, all checked against symmetrize in the tests: theta's table is
+    built from integer matrix products and phi's from coaction index
     loops, so a fault in either route's arithmetic shows as a difference.
     """
     if isinstance(s, tuple):
@@ -381,20 +466,16 @@ def check_pbw_diagram(
     images = rep._sym_images
     if images is None:
         images = rep._sym_images = SymImages(rep)
-    a = images.theta(s)
-    b = images.phi(s)
-    equal = a == b
+    if len(s.terms) == 1:
+        (m,) = s.terms
+        a, b = images.theta_words(m), images.phi_words(m)
+    else:
+        weights, _ = images.weights(s)
+        a, b = images.theta_sum(weights), images.phi_sum(weights)
     central = None
     if check_central:
-        central = all(b.commutator(m).is_zero() for m in rep.matrices)
-    return DiagramReport(
-        element=s,
-        path_theta=a,
-        path_contract=b,
-        equal=equal,
-        difference=None if equal else a - b,
-        central=central,
-    )
+        central = all(matmul_int(b, r) == matmul_int(r, b) for r in images.actions)
+    return DiagramReport(images, s, a == b, central)
 
 
 @dataclass

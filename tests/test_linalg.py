@@ -129,7 +129,22 @@ def test_kernel_of_images_matches_dense_kernel():
 
 def test_kernel_of_images_without_coordinates_is_standard_basis():
     assert kernel_of_images([{}, {}, {}]) == kernel(Matrix.zeros(1, 3))
+    assert kernel_of_images([{}, {}, {}]) == kernel(Matrix.zeros(0, 3))
     assert kernel_of_images([{}, {}]) == [[1, 0], [0, 1]]
+
+
+def test_matrix_without_rows_keeps_its_columns():
+    assert Matrix.zeros(0, 3).shape == (0, 3)
+    assert Matrix([], 3).shape == (0, 3) and Matrix([]).shape == (0, 0)
+    product = mat_mul(Matrix.zeros(2, 0), Matrix.zeros(0, 3))
+    assert product.shape == (2, 3) and product == Matrix.zeros(2, 3)
+    assert mat_mul(Matrix.zeros(0, 2), Matrix.zeros(2, 3)).shape == (0, 3)
+    assert (Matrix.zeros(0, 3) + Matrix.zeros(0, 3)).shape == (0, 3)
+    assert Matrix.zeros(0, 3).scale(2).shape == (0, 3)
+    with pytest.raises(ShapeMismatch):
+        Matrix.zeros(0, 3) + Matrix.zeros(0, 2)
+    with pytest.raises(ValueError):
+        Matrix([[1, 2]], 3)
 
 
 def test_rational_roundtrip():

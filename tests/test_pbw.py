@@ -20,6 +20,8 @@ from duflo.pbw import (
     theta,
 )
 
+from test_stream_digests import dense_gl2
+
 
 def _sl2_standard():
     alg = catalog.sl2()
@@ -240,3 +242,46 @@ def test_sym_images_match_permutation_oracle():
             images = rep._sym_images
             assert len(images.theta_table) == comb(alg.dim + top, top)
             assert len(images.phi_table) == comb(alg.dim + top, top)
+
+
+def test_sym_images_clear_denominators_on_dense_gl2(tmp_path, monkeypatch):
+    # gl2 in a dense rational basis: its adjoint action has denominators,
+    # so both routes' sources are cleared by a common d > 1
+    alg = catalog.load_algebra(str(dense_gl2(tmp_path / "dense_gl2.json")))
+    rep = catalog.representations(alg)["adjoint"]
+    top = 3
+    monomials = [SymElement.monomial(m) for d in range(top + 1) for m in sym_basis(alg.dim, d)]
+    invariants = [s for d in range(top + 1) for s in invariants_s(alg, d)]
+    mixed = SymElement({(): -5, (0,): "1/2", (1, 3): "-7/3", (0, 2, 2): 3})
+    central = []
+    for s in monomials + invariants + [mixed]:
+        sym = symmetrize(s)
+        rpt = check_pbw_diagram(rep, s, check_central=True)
+        image = phi(rep, sym)
+        assert rpt.equal and rpt.difference is None
+        assert rpt.path_theta == theta(rep, sym), s
+        assert rpt.path_contract == image, s
+        # centrality decided in Z agrees with the Fraction commutators
+        central.append(all(image.commutator(m).is_zero() for m in rep.matrices))
+        assert rpt.central == central[-1], s
+    assert not all(central[: len(monomials)])
+    assert all(central[len(monomials): -1])
+    images = rep._sym_images
+    assert images.d > 1
+    for table in (images.theta_table, images.phi_table):
+        assert len(table) == comb(alg.dim + top, top)
+        assert all(type(x) is int for entry in table.values() for row in entry for x in row)
+
+    # once the representation has tables, a one-term check does no Fraction
+    # arithmetic, even where it fills new table entries
+    quartics = [SymElement.monomial(m) for m in sym_basis(alg.dim, top + 1)]
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in a one-term diagram check")
+
+    with monkeypatch.context() as patch:
+        for op in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__",
+                   "__truediv__", "__eq__", "__new__"):
+            patch.setattr(Q, op, refuse)
+        assert all(check_pbw_diagram(rep, s, check_central=True).equal for s in quartics)
+    assert check_pbw_diagram(rep, quartics[0]).path_theta == theta(rep, symmetrize(quartics[0]))

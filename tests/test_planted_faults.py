@@ -2,9 +2,9 @@
 
 verify-hodge builds the Mukai line once per c1 and compares the loci once
 per model, then shares them with every alpha checked against them.
-verify-lie fills one table per representation and route, shared by every
-diagram check on that representation, and checks each invariant it finds
-in one suite.  The Duflo round trip and the per-case first-order suite
+verify-lie fills one integer table per representation and route, shared
+by every diagram check on that representation, and checks each invariant
+it finds in one suite.  The Duflo round trip and the per-case first-order suite
 read the Todd root and its inverse from the graded recursions of
 duflo.sparse.  Each test plants one fault and checks that the sweep
 reports it: the suite's lines say "fail", the exit code is 1, and the
@@ -16,10 +16,10 @@ from fractions import Fraction
 
 from duflo import catalog, hodge, linalg, pbw
 from duflo.hodge import FormClass, HodgeModel, PolyClass
-from duflo.linalg import Matrix
 from duflo.pbw import SymElement, TensorElement, derivation_apply, phi, symmetrize, theta
 
 from test_cli import run_cli
+from test_stream_digests import dense_gl2
 
 ARGV = ["verify-hodge", "--dim", "2", "--seed", "0", "--cases", "1"]
 
@@ -212,14 +212,14 @@ def test_corrupt_coaction_fails_lie_diagram(monkeypatch):
 
 
 def test_dropped_letter_in_theta_recursion_fails_lie_diagram(monkeypatch):
-    e = _sl2_standard().matrices[0]
-    product = Matrix.__matmul__
+    e = pbw.SymImages(_sl2_standard()).actions[0]  # d = 1, so R_e is e itself
+    product = pbw.matmul_int
 
     def drop_e(a, b):
-        # only the theta table multiplies by an action matrix on the left
-        return Matrix.zeros(a.rows, b.cols) if a == e else product(a, b)
+        # the theta table multiplies by an integer action matrix on the left
+        return tuple((0,) * len(b[0]) for _ in a) if a == e else product(a, b)
 
-    monkeypatch.setattr(Matrix, "__matmul__", drop_e)
+    monkeypatch.setattr(pbw, "matmul_int", drop_e)
     code, out, _ = run_cli(LIE_ARGV)
     assert code == 1
     failed = _failed_diagrams(out)
@@ -237,6 +237,53 @@ def test_dropped_letter_in_theta_recursion_fails_lie_diagram(monkeypatch):
         assert witness["path_theta"] == theta(rep, kept).to_json()
         assert witness["path_contract"] == theta(rep, sym).to_json()
     assert run_cli(LIE_ARGV)[0] == 0
+
+
+def test_faulty_coaction_clearing_fails_lie_diagram_on_dense_gl2(monkeypatch, tmp_path):
+    path = str(dense_gl2(tmp_path / "dense_gl2.json"))
+    argv = ["verify-lie", "--algebra", path, "--rep", "adjoint", "--max-degree", "2"]
+    build = pbw.SymImages.__init__
+
+    def corrupt(self, rep):
+        build(self, rep)
+        lam = [[list(cell) for cell in plane] for plane in self.lam]
+        lam[0][1][0] += 1  # one coaction entry cleared as d*x + 1
+        self.lam = tuple(tuple(tuple(cell) for cell in plane) for plane in lam)
+
+    monkeypatch.setattr(pbw.SymImages, "__init__", corrupt)
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert "Traceback" not in err
+    failed = [r for r in _lines(out, "lie-diagram") if r["status"] == "fail"]
+    # the entry is the x1-coefficient of [x1, x2]: phi of x1, and of every
+    # quadratic monomial that contains x1
+    assert [r["instance"]["monomial"] for r in failed] == ["x1", "x1*x1", "x1*x2", "x1*x3", "x1*x4"]
+    assert "fail" in {r["status"] for r in _lines(out, "lie-invariant-image")}
+    # the adjunction check reads the rational coaction, which is intact
+    assert [r["status"] for r in _lines(out, "lie-adjunction")] == ["pass"]
+    monkeypatch.undo()
+
+    # recompute both routes with the rational entry the fault put into phi
+    rep = catalog.representations(catalog.load_algebra(path))["adjoint"]
+    shift = Fraction(1, pbw.SymImages(rep).d)
+    coaction = pbw.LambdaMap.__init__
+
+    def shifted(self, rep):
+        coaction(self, rep)
+        data = [[list(cell) for cell in plane] for plane in self.data]
+        data[0][1][0] += shift
+        self.data = tuple(tuple(tuple(cell) for cell in plane) for plane in data)
+
+    labels = catalog.load_algebra(path).labels
+    with monkeypatch.context() as patch:
+        patch.setattr(pbw.LambdaMap, "__init__", shifted)
+        for r in failed:
+            witness = r["witness"]
+            sym = symmetrize(tuple(labels.index(x) for x in witness["monomial"].split("*")))
+            assert witness["path_theta"] == theta(rep, sym).to_json()
+            assert witness["path_contract"] == phi(rep, sym).to_json()
+            assert witness["path_theta"] != witness["path_contract"]
+    assert run_cli(argv)[0] == 0
 
 
 def test_non_invariant_kernel_vector_fails_annihilation(monkeypatch):

@@ -65,16 +65,9 @@ def test_stream_digest(command):
     assert _sha(out) == DIGESTS[command]
 
 
-def dense_gl2(path):
-    """gl2 in the basis y_a = sum_i P[i][a] E_i, written as a JSON algebra.
-
-    P is a fixed dense rational matrix, so the structure constants in the
-    new basis have non-integer entries; the inverse is taken here by
-    Gauss-Jordan on Fractions, independently of duflo.linalg.
-    """
-    half, third = Fraction(1, 2), Fraction(1, 3)
-    p = [[1, half, 0, -2 * third], [0, 1, third, 0], [2, 0, 1, half], [third, -1, 0, 1]]
-    n = 4
+def rational_inverse(p):
+    """Inverse of an invertible matrix by Gauss-Jordan on Fractions."""
+    n = len(p)
     work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
             for i, row in enumerate(p)]
     for col in range(n):
@@ -85,7 +78,39 @@ def dense_gl2(path):
             if r != col:
                 f = work[r][col]
                 work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    pinv = [row[n:] for row in work]
+    return [row[n:] for row in work]
+
+
+def write_in_basis(path, c, p):
+    """Write the bracket c in the basis y_a = sum_i p[i][a] x_i as a JSON algebra.
+
+    c[i][j][k] is the x_k-coefficient of [x_i, x_j] and p is invertible;
+    returns the JSON object written.
+    """
+    n = len(c)
+    pinv = rational_inverse(p)
+    brackets = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            x = [sum(p[i][a] * p[j][b] * c[i][j][k] for i in range(n) for j in range(n))
+                 for k in range(n)]
+            coeffs = [sum(pinv[l][k] * x[k] for k in range(n)) for l in range(n)]
+            brackets.append({"i": a, "j": b, "coeffs": [str(q) for q in coeffs]})
+    obj = {"dim": n, "brackets": brackets}
+    path.write_text(json.dumps(obj))
+    return obj
+
+
+def dense_gl2(path):
+    """gl2 in the basis y_a = sum_i P[i][a] E_i, written as a JSON algebra.
+
+    P is a fixed dense rational matrix, so the structure constants in the
+    new basis have non-integer entries; the inverse is taken here by
+    Gauss-Jordan on Fractions, independently of duflo.linalg.
+    """
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    p = [[1, half, 0, -2 * third], [0, 1, third, 0], [2, 0, 1, half], [third, -1, 0, 1]]
+    n = 4
     # [E_ab, E_cd] = d_bc E_ad - d_da E_cb over E11, E12, E21, E22
     idx = {(1, 1): 0, (1, 2): 1, (2, 1): 2, (2, 2): 3}
     c = [[[0] * n for _ in range(n)] for _ in range(n)]
@@ -95,15 +120,8 @@ def dense_gl2(path):
                 c[i][j][idx[(a, d)]] += 1
             if d == a:
                 c[i][j][idx[(cc, b)]] -= 1
-    brackets = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            x = [sum(p[i][a] * p[j][b] * c[i][j][k] for i in range(n) for j in range(n))
-                 for k in range(n)]
-            coeffs = [sum(pinv[l][k] * x[k] for k in range(n)) for l in range(n)]
-            brackets.append({"i": a, "j": b, "coeffs": [str(q) for q in coeffs]})
-    assert any(Fraction(q).denominator > 1 for br in brackets for q in br["coeffs"])
-    path.write_text(json.dumps({"dim": n, "brackets": brackets}))
+    obj = write_in_basis(path, c, p)
+    assert any(Fraction(q).denominator > 1 for br in obj["brackets"] for q in br["coeffs"])
     return path
 
 
