@@ -8,7 +8,8 @@ Three subcommands:
 
 Reports go to stdout as one JSON object per line (canonical, deterministic
 for a fixed command line); a human summary goes to stderr.  Exit codes:
-0 all pass, 1 verification failure, 2 usage or input error.
+0 all pass, 1 verification failure, 2 usage or input error, 3 internal
+error (an unexpected exception, reported as one line on stderr).
 """
 
 import argparse
@@ -371,7 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    try:
+        return args.func(args, parser)
+    except Exception as exc:  # a fault of the verifier, not of the input
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Exact-arithmetic kernels: rational and integer matrix products, integer RREF.
+"""Exact-arithmetic kernels: rational and integer matrix products, sparse integer RREF.
 
 Numerators and denominators are arbitrary-precision Python ints;
 denominators are always positive and results are in lowest terms.
@@ -45,55 +45,74 @@ def matmul_int(a, b):
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
-def _reduce_row(row, ncols):
-    g = 0
-    for j in range(ncols):
-        if row[j]:
-            g = gcd(g, row[j])
-            if g == 1:
-                return
-    if g > 1:
-        for j in range(ncols):
-            row[j] //= g
+def _primitive(row: dict) -> dict:
+    """row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return row if g == 1 else {j: x // g for j, x in row.items()}
+
+
+def _eliminate(row: dict, pivot: dict, c: int) -> dict:
+    """A primitive row of the span of row and pivot with no entry in column c.
+
+    row is scaled by pivot[c] / gcd(pivot[c], row[c]), a positive factor
+    when pivot[c] > 0, so its entries where pivot is zero keep their signs.
+    """
+    p, f = pivot[c], row[c]
+    g = gcd(p, f)
+    p //= g
+    f //= g
+    out = {j: x * p for j, x in row.items()} if p != 1 else dict(row)
+    for j, y in pivot.items():
+        v = out.get(j, 0) - f * y
+        if v:
+            out[j] = v
+        else:
+            del out[j]
+    return _primitive(out)
 
 
 def rref_int(rows, nrows, ncols):
     """Fraction-free reduced row echelon form of an integer matrix.
 
-    Pivot choice is deterministic: columns are scanned left to right and
-    the first row with a nonzero entry becomes the pivot row.  Every row is
-    kept primitive (gcd 1) with a positive pivot, so the output is a
-    canonical representative of the row space.  Returns (pivot_columns,
-    pivot_rows).
+    The first nrows of rows are read as dense rows of ncols ints.  The
+    result is the canonical representative of the row space: pivot
+    columns ascending, each pivot row primitive (gcd 1) with a positive
+    pivot and zero in every other pivot column.  Returns (pivot_columns,
+    pivot_rows), the rows as dense lists.
+
+    Elimination runs on sparse {column: int} rows and never leaves Z; the
+    pivot rows found so far are kept in this reduced form throughout.
+    Each input row, sparsest first, is cleared at the pivot columns it
+    meets (a pivot row is zero in every other pivot column, so this adds
+    no new ones); a nonzero remainder leads in a new pivot column, which
+    is then cleared from the earlier pivot rows.  Every step divides the
+    row's content out, where Bareiss's integer-preserving elimination
+    divides out a known common factor, so entries stay small.  The output
+    depends only on the row space, not on the order of the steps.
     """
-    work = [list(r) for r in rows]
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        sel = -1
-        for i in range(r, nrows):
-            if work[i][c] != 0:
-                sel = i
-                break
-        if sel < 0:
-            continue
-        if sel != r:
-            work[r], work[sel] = work[sel], work[r]
-        if work[r][c] < 0:
-            work[r] = [-x for x in work[r]]
-        _reduce_row(work[r], ncols)
-        p = work[r][c]
-        for i in range(nrows):
-            if i == r or work[i][c] == 0:
-                continue
-            f = work[i][c]
-            wi = work[i]
-            wr = work[r]
-            for j in range(ncols):
-                wi[j] = wi[j] * p - wr[j] * f
-            _reduce_row(wi, ncols)
-        piv_cols.append(c)
-        r += 1
-        if r == nrows:
+    pivots: dict[int, dict] = {}
+    sparse = [{j: x for j, x in enumerate(dense) if x} for dense in rows[:nrows]]
+    sparse.sort(key=len)
+    for row in sparse:
+        if len(pivots) == ncols:
             break
-    return piv_cols, work[:r]
+        for c in [j for j in row if j in pivots]:
+            row = _eliminate(row, pivots[c], c)
+        if not row:
+            continue
+        c = min(row)
+        if row[c] < 0:
+            row = {j: -x for j, x in row.items()}
+        row = _primitive(row)
+        for lead, other in pivots.items():
+            if c in other:
+                pivots[lead] = _eliminate(other, row, c)
+        pivots[c] = row
+    piv_cols = sorted(pivots)
+    out = []
+    for c in piv_cols:
+        dense = [0] * ncols
+        for j, x in pivots[c].items():
+            dense[j] = x
+        out.append(dense)
+    return piv_cols, out

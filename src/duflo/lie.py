@@ -7,6 +7,7 @@ diagram checks never run on invalid data.
 """
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .linalg import Matrix, Q, parse_rational
@@ -45,11 +46,14 @@ class BracketMismatch(Exception):
 class LieAlgebra:
     """A Lie algebra over Q presented by structure constants.
 
-    constants[i][j][k] is the coefficient of x_k in [x_i, x_j], and
-    bracket_terms[i][j] lists the (k, constants[i][j][k]) that are nonzero.
+    constants[i][j][k] is the coefficient of x_k in [x_i, x_j].  delta is
+    the lcm of every denominator among the constants, and
+    cleared_brackets[i][j] lists the (k, delta * constants[i][j][k]) that
+    are nonzero, as Python ints: the bracket [x_i, -] on x_j cleared of
+    denominators, which is what the derivations of pbw read.
     """
 
-    __slots__ = ("dim", "labels", "constants", "bracket_terms", "name")
+    __slots__ = ("dim", "labels", "constants", "delta", "cleared_brackets", "name")
 
     def __init__(self, constants, labels: Sequence[str] | None = None, name: str = ""):
         c = tuple(
@@ -68,8 +72,12 @@ class LieAlgebra:
             raise ValueError("label count does not match dimension")
         self._check_antisymmetry()
         self._check_jacobi()
-        self.bracket_terms = tuple(
-            tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in plane)
+        delta = self.delta = lcm(*(x.denominator for plane in c for row in plane for x in row))
+        self.cleared_brackets = tuple(
+            tuple(
+                tuple((k, x.numerator * (delta // x.denominator)) for k, x in enumerate(row) if x)
+                for row in plane
+            )
             for plane in c
         )
 

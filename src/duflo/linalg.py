@@ -141,10 +141,16 @@ class Matrix:
     def commutator(self, other: "Matrix") -> "Matrix":
         return mat_mul(self, other) - mat_mul(other, self)
 
-    def to_int_rows(self) -> list[list[int]]:
-        """Clear denominators row by row (preserves the row space and kernel)."""
+    def to_int_rows(self) -> list:
+        """Clear denominators row by row (preserves the row space and kernel).
+
+        A row of ints, as kernel_of_images builds, is kept as it is.
+        """
         out = []
         for row in self.entries:
+            if all(type(x) is int for x in row):
+                out.append(row)
+                continue
             scale = lcm(*(x.denominator for x in row))
             out.append([x.numerator * (scale // x.denominator) for x in row])
         return out

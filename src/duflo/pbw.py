@@ -28,6 +28,13 @@ and d times the coaction, and each table entry is d^|m| times the image
 of W(m).  The check compares and tests centrality in Z; the Fraction
 matrices a report carries are built from the tables only when read.
 
+The derivations ad(x_i) of the symmetric algebra run in Z as well: they
+read LieAlgebra.cleared_brackets, the brackets times one lcm delta of the
+structure-constant denominators.  invariants_s takes the kernel of
+delta * ad, which has the same kernel as ad, from integer images, and
+derivation_apply clears its argument with one lcm and builds a Fraction
+only for each nonzero coefficient of the result.
+
 phi and the phi table are deliberately written with raw index loops over
 the coaction rather than the matrix backend, and the theta table with its
 own integer product, so the two diagram paths share no arithmetic code.
@@ -359,24 +366,42 @@ def _over(rows: tuple, scale: int, cols: int) -> Matrix:
     return Matrix._of([[Fraction(x, scale) for x in row] for row in rows], cols)
 
 
+def _derive(brackets: tuple, terms: dict) -> dict:
+    """delta * ad(x_i) on an integer combination of monomials, in Z.
+
+    brackets is LieAlgebra.cleared_brackets[i] and terms maps sorted
+    monomials to ints; returns {monomial: int}, zeros dropped.  ad(x_i) is
+    a derivation, so each distinct letter of m is replaced once by its
+    cleared bracket, weighted by the letter's multiplicity in m.
+    """
+    out: dict[SymMonomial, int] = {}
+    for m, a in terms.items():
+        for letter, rest in _splits(m):
+            row = brackets[letter]
+            if not row:
+                continue
+            scale = a * m.count(letter)
+            for k, c in row:
+                mono = tuple(sorted(rest + (k,)))
+                out[mono] = out.get(mono, 0) + scale * c
+    return {m: v for m, v in out.items() if v}
+
+
 def derivation_apply(alg: LieAlgebra, i: int, s: SymElement) -> SymElement:
-    """Extend ad(x_i) to symmetric elements as a derivation."""
+    """Extend ad(x_i) to symmetric elements as a derivation.
+
+    s is cleared with one lcm L of its denominators and the integer table
+    alg.cleared_brackets[i] is applied, so the result is computed in Z as
+    L * delta times ad(x_i)(s); a Fraction is built only for each nonzero
+    coefficient of the result.
+    """
     if isinstance(s, tuple):
         s = SymElement.monomial(s)
-    brackets = alg.bracket_terms[i]
-    out: dict[SymMonomial, Fraction] = {}
-    for m, coeff in s.terms.items():
-        for letter, rest in _splits(m):
-            terms = brackets[letter]
-            if not terms:
-                continue
-            # every copy of letter in m leaves the same rest
-            scale = coeff * m.count(letter)
-            for k, c in terms:
-                mono = tuple(sorted(rest + (k,)))
-                v = scale * c
-                out[mono] = out[mono] + v if mono in out else v
-    return s._like(out)
+    scale = lcm(*(c.denominator for c in s.terms.values()))
+    cleared = {m: c.numerator * (scale // c.denominator) for m, c in s.terms.items()}
+    den = scale * alg.delta
+    out = _derive(alg.cleared_brackets[i], cleared)
+    return s._like({m: Fraction(v, den) for m, v in out.items()})
 
 
 def sym_basis(dim: int, degree: int) -> list[SymMonomial]:
@@ -386,9 +411,12 @@ def sym_basis(dim: int, degree: int) -> list[SymMonomial]:
 def invariants_s(alg: LieAlgebra, degree: int) -> list[SymElement]:
     """Basis of the invariant subspace of degree-d symmetric elements.
 
-    The exact nullspace of the derivation action of every basis element,
-    with each monomial's image keyed by (letter, image monomial).  The
-    CLI's lie-invariant-annihilation suite applies every derivation to
+    The exact nullspace of the derivation action of every basis element.
+    Each monomial's image is read straight from the integer table
+    alg.cleared_brackets and keyed by (letter, image monomial); it is
+    delta * ad(x_i) rather than ad(x_i), which has the same kernel, so the
+    images are ints and no Fraction is built before the kernel vectors.
+    The CLI's lie-invariant-annihilation suite applies every derivation to
     each returned element and reports any that survives.
     """
     if degree == 0:
@@ -396,10 +424,9 @@ def invariants_s(alg: LieAlgebra, degree: int) -> list[SymElement]:
     basis = sym_basis(alg.dim, degree)
     images = []
     for m in basis:
-        s = SymElement.monomial(m)
         img = {}
-        for i in range(alg.dim):
-            for mono, c in derivation_apply(alg, i, s).terms.items():
+        for i, brackets in enumerate(alg.cleared_brackets):
+            for mono, c in _derive(brackets, {m: 1}).items():
                 img[(i, mono)] = c
         images.append(img)
     return [

@@ -228,3 +228,25 @@ def test_verify_hodge_seed_changes_stream():
 def test_no_command_is_usage_error():
     code, _, _ = run_cli([])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "module, name, argv",
+    [
+        ("duflo.series", "todd", ["series", "todd", "--weight", "2"]),
+        ("duflo.linalg", "kernel", ["verify-lie", "--algebra", "sl2", "--max-degree", "2"]),
+        ("duflo.hodge", "wedge", ["verify-hodge", "--dim", "2", "--cases", "1"]),
+    ],
+)
+def test_unexpected_exception_is_internal_error(monkeypatch, module, name, argv):
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("planted\nfault")
+
+    monkeypatch.setattr(sys.modules[module], name, broken)
+    code, out, err = run_cli(argv)
+    assert code == 3
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.splitlines() == ["internal error: ZeroDivisionError('planted\\nfault')"]
+    # argparse's own exit is left alone
+    assert run_cli(argv + ["--no-such-flag"])[0] == 2

@@ -285,3 +285,70 @@ def test_sym_images_clear_denominators_on_dense_gl2(tmp_path, monkeypatch):
             patch.setattr(Q, op, refuse)
         assert all(check_pbw_diagram(rep, s, check_central=True).equal for s in quartics)
     assert check_pbw_diagram(rep, quartics[0]).path_theta == theta(rep, symmetrize(quartics[0]))
+
+
+# -- derivations over the cleared bracket table -----------------------------------
+
+def _derivation_oracle(alg, i, s):
+    """ad(x_i) on s by the Leibniz rule over every letter position, in Fractions."""
+    out = {}
+    for m, coeff in s.terms.items():
+        for pos, letter in enumerate(m):
+            rest = m[:pos] + m[pos + 1:]
+            for k, c in enumerate(alg.constants[i][letter]):
+                if c:
+                    mono = tuple(sorted(rest + (k,)))
+                    out[mono] = out.get(mono, Q(0)) + coeff * c
+    return SymElement(out)
+
+
+def test_derivations_clear_denominators_on_dense_gl2(tmp_path):
+    alg = catalog.load_algebra(str(dense_gl2(tmp_path / "dense_gl2.json")))
+    assert alg.delta == 594
+    entries = [x for plane in alg.cleared_brackets for row in plane for term in row for x in term]
+    assert entries and all(type(x) is int for x in entries)
+    for i, plane in enumerate(alg.cleared_brackets):
+        for j, row in enumerate(plane):
+            assert dict(row) == {
+                k: c * alg.delta for k, c in enumerate(alg.constants[i][j]) if c
+            }
+    invariants = [s for d in range(4) for s in invariants_s(alg, d)]
+    elements = [SymElement.monomial(m) for d in range(4) for m in sym_basis(alg.dim, d)]
+    elements += invariants + [
+        SymElement(),
+        SymElement({(): Q(-5, 7)}),
+        SymElement({(): -5, (0,): "1/2", (1, 3): "-7/3", (0, 2, 2): 3, (1, 1, 2, 3): "5/11"}),
+    ]
+    zero = 0
+    for s in elements:
+        for i in range(alg.dim):
+            got = derivation_apply(alg, i, s)
+            assert got == _derivation_oracle(alg, i, s), (i, s)
+            zero += got.is_zero()
+    # the constants, the empty element and every invariant, under every derivation
+    assert zero >= alg.dim * (len(invariants) + 3)
+
+
+def test_invariants_and_annihilation_do_no_fraction_arithmetic(tmp_path, monkeypatch):
+    # invariants_s builds integer images and derivation_apply works on
+    # cleared integers; a Fraction is only built (never combined) for a
+    # kernel vector entry or a nonzero derivation coefficient
+    alg = catalog.load_algebra(str(dense_gl2(tmp_path / "dense_gl2.json")))
+    want = [[s.terms for s in invariants_s(alg, d)] for d in range(1, 4)]
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in invariants_s or derivation_apply")
+
+    with monkeypatch.context() as patch:
+        for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                   "__truediv__", "__rtruediv__", "__floordiv__", "__mod__", "__neg__",
+                   "__pow__", "__abs__"):
+            patch.setattr(Q, op, refuse)
+        found = [invariants_s(alg, d) for d in range(1, 4)]
+        killed = [
+            all(derivation_apply(alg, i, s).is_zero() for i in range(alg.dim))
+            for per_degree in found for s in per_degree
+        ]
+    assert [[s.terms for s in per_degree] for per_degree in found] == want
+    assert [len(per_degree) for per_degree in found] == [1, 2, 2]
+    assert all(killed)
