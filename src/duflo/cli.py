@@ -34,7 +34,7 @@ from .report import ReportSink
 from .rng import SplitMix64, derive
 
 DEFAULT_DEGREE_CAP = 4
-HODGE_DIM_CAP = 4
+HODGE_DIM_CAP = 5
 SEED_LIMIT = 1 << 64  # splitmix64 state width; larger seeds would alias
 
 

@@ -20,14 +20,22 @@ Sign conventions (fixed here, pinned by golden tests):
     the defining pairing <b*, b> = 1.  This is what makes the two mixed
     contractions agree on their common (1,1) x (1,1) -> (2,0) overlap.
 
+Every such sign is a parity read from one table per rank n: entry
+(first << n) | second is the parity of the inversions of merging the
+ascending blocks first and second, built on first use.  A wedge's sign is
+par[a1, a2] ^ par[b1, b2] ^ |b1||a2|; a word [a(a_act), dual(b_act)] on a
+target term has sign par[a_act, a_tgt] ^ par[b_act, b_tgt] ^ k(|a_tgt| + e)
+with k = |b_act| and e = 1 for the extra minus per pair, all mod 2.
+
 Everything is exact; no floats anywhere.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .linalg import Q, kernel_of_images, parse_rational
-from .sparse import LinComb, graded_exp, unit_inverse, unit_sqrt
+from .sparse import LinComb, cleared, graded_exp, unit_inverse, unit_sqrt
 
 
 class ModelMismatch(Exception):
@@ -52,12 +60,23 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def merge_sign(first: int, second: int) -> int:
-    """Permutation sign for merging two ascending disjoint index blocks."""
-    inv = 0
-    for i in _bits(first):
-        inv += (second & ((1 << i) - 1)).bit_count()
-    return -1 if inv & 1 else 1
+@cache
+def _parity(n: int) -> bytes:
+    """Inversion parities of merging ascending blocks, indexed (first << n) | second.
+
+    An inversion is a pair i in first, j in second with j < i; splitting
+    off first's lowest index l adds the indices of second below l.  The
+    table is immutable and depends on n alone, so every model of rank n
+    shares it.
+    """
+    size = 1 << n
+    par = bytearray(size * size)
+    for first in range(1, size):
+        low = first & -first
+        rest, row = (first ^ low) << n, first << n
+        for second in range(size):
+            par[row | second] = par[rest | second] ^ (second & (low - 1)).bit_count() & 1
+    return bytes(par)
 
 
 class _OnModel(LinComb):
@@ -240,7 +259,7 @@ class HodgeModel:
     identity.
     """
 
-    __slots__ = ("n", "todd", "_sqrt", "_inv_sqrt", "_loci_equal")
+    __slots__ = ("n", "todd", "_sqrt", "_inv_sqrt", "_loci_equal", "_c1_parts")
 
     def __init__(self, n: int, todd: "FormClass | dict | None" = None):
         if n < 1:
@@ -249,6 +268,7 @@ class HodgeModel:
         self._sqrt = None
         self._inv_sqrt = None
         self._loci_equal = None
+        self._c1_parts = None
         if todd is None:
             todd = FormClass(self, {(0, 0): 1})
         elif isinstance(todd, dict):
@@ -273,57 +293,53 @@ class HodgeModel:
 def wedge(u, v):
     """Graded-commutative product; same-kind classes only."""
     u._join(v)
+    n = u.model.n
+    par = _parity(n)
     out: dict[tuple[int, int], Fraction] = {}
     for (a1, b1), c1 in u.terms.items():
-        pb1 = b1.bit_count()
+        odd_b1 = b1.bit_count() & 1
+        ra, rb = a1 << n, b1 << n
         for (a2, b2), c2 in v.terms.items():
             if a1 & a2 or b1 & b2:
                 continue
-            sign = merge_sign(a1, a2) * merge_sign(b1, b2)
-            if (pb1 * a2.bit_count()) & 1:
-                sign = -sign
+            c = c1 * c2
+            if par[ra | a2] ^ par[rb | b2] ^ odd_b1 & a2.bit_count():
+                c = -c
             key = (a1 | a2, b1 | b2)
-            out[key] = out.get(key, Q(0)) + sign * c1 * c2
+            out[key] = out[key] + c if key in out else c
     return u._like(out)
 
 
-def _contract_term(a_act, b_act, a_tgt, b_tgt, pair_sign):
-    """One generator word acting on one target term.
+def _contract_terms(act: dict, tgt: dict, n: int, pair_sign: int) -> dict:
+    """Every term of act acting on every term of tgt, as term dicts of rank n.
 
-    The acting word is [a(a_act), dual(b_act)] and is applied right to
-    left: dual generators contract (left interior product, descending
-    index order), then the a-part wedges in.  pair_sign is the extra sign
-    per contracted pair (+1 for polyvectors on forms, -1 for forms on
-    polyvectors).  Returns (sign, amask, bmask) or None.
+    An acting word [a(a_act), dual(b_act)] is applied right to left: dual
+    generators contract (left interior product, descending index order),
+    then the a-part wedges in.  pair_sign is the extra sign per contracted
+    pair (+1 for polyvectors on forms, -1 for forms on polyvectors).
+    Coefficients may be Fractions or ints; zero sums are kept.
     """
-    if b_act & ~b_tgt or a_act & a_tgt:
-        return None
-    sign = 1
-    b = b_tgt
-    jumps_a = a_tgt.bit_count()
-    for j in reversed(_bits(b_act)):
-        jumps = jumps_a + (b & ((1 << j) - 1)).bit_count()
-        if jumps & 1:
-            sign = -sign
-        if pair_sign < 0:
-            sign = -sign
-        b &= ~(1 << j)
-    sign *= merge_sign(a_act, a_tgt)
-    return sign, a_act | a_tgt, b
+    par = _parity(n)
+    per_pair = int(pair_sign < 0)
+    out: dict = {}
+    for (a1, b1), c1 in act.items():
+        odd_k = b1.bit_count() & 1
+        ra, rb, keep = a1 << n, b1 << n, ~b1
+        for (a2, b2), c2 in tgt.items():
+            if b1 & ~b2 or a1 & a2:
+                continue
+            c = c1 * c2
+            if par[ra | a2] ^ par[rb | b2] ^ odd_k & (a2.bit_count() + per_pair):
+                c = -c
+            key = (a1 | a2, b2 & keep)
+            out[key] = out[key] + c if key in out else c
+    return out
 
 
 def _contract(act, tgt, pair_sign):
     """Every term of act acting on every term of tgt; the result has tgt's kind."""
     _same_model(act, tgt)
-    out: dict[tuple[int, int], Fraction] = {}
-    for (a1, b1), c1 in act.terms.items():
-        for (a2, b2), c2 in tgt.terms.items():
-            hit = _contract_term(a1, b1, a2, b2, pair_sign)
-            if hit is None:
-                continue
-            sign, a, b = hit
-            out[(a, b)] = out.get((a, b), Q(0)) + sign * c1 * c2
-    return tgt._like(out)
+    return tgt._like(_contract_terms(act.terms, tgt.terms, tgt.model.n, pair_sign))
 
 
 def contract_T_on_Omega(alpha: PolyClass, v: FormClass) -> FormClass:
@@ -410,12 +426,20 @@ class LineBundle:
     for a (1,1) class the part with k b-factors is the k-th wedge power
     over k!, so a polyvector term's b-mask alone selects the entries it
     can fully contract.  mukai is the Mukai vector exp(c1) ^ sqrt(Todd),
-    built from the same exponential.  contract_exp_atiyah,
-    exp_atiyah_kernel and check_mukai_implication take one, so a sweep
-    over many alphas against one c1 builds it once.
+    built from the same exponential.
+
+    Both maps of the Mukai sweep are linear in alpha and kept here as
+    operators on the 4^n polyvector basis terms: obstruction() for
+    alpha -| exp(c1), from contract_exp_atiyah of each basis term, and
+    moduli_action() for D(alpha) -| v(L), from sqrt_todd(model) and
+    mukai.  Each is built on its first use, not here, from the attributes
+    as they are then, and is held as integer images over one denominator
+    (see _apply).  contract_exp_atiyah, exp_atiyah_kernel and
+    check_mukai_implication take a LineBundle, so a sweep over many alphas
+    against one c1 builds all of this once.
     """
 
-    __slots__ = ("model", "exp_by_b", "mukai")
+    __slots__ = ("model", "exp_by_b", "mukai", "_obstruction", "_moduli")
 
     def __init__(self, model: HodgeModel, c1: FormClass):
         exp = exp_form(atiyah_line(model, c1))
@@ -424,6 +448,58 @@ class LineBundle:
         for (a, b), c in exp.terms.items():
             self.exp_by_b.setdefault(b, []).append((a, c))
         self.mukai = wedge(exp, sqrt_todd(model))
+        self._obstruction = None
+        self._moduli = None
+
+    def obstruction(self) -> tuple[list[dict], int]:
+        if self._obstruction is None:
+            basis = poly_basis(self.model)
+            self._obstruction = cleared(
+                [contract_exp_atiyah(beta, self).terms for beta in basis]
+            )
+        return self._obstruction
+
+    def moduli_action(self) -> tuple[list[dict], int]:
+        if self._moduli is None:
+            self._moduli = _moduli_operator(self)
+        return self._moduli
+
+
+def _moduli_operator(line: LineBundle) -> tuple[list[dict], int]:
+    """D(beta) -| v(L) for every basis term beta, as integer images over one denominator.
+
+    The Todd root and the Mukai vector are cleared of denominators once;
+    D(beta) and its contraction into v(L) are then integer term dicts.
+    """
+    n = line.model.n
+    size = 1 << n
+    (root,), rden = cleared([sqrt_todd(line.model).terms])
+    (mukai,), mden = cleared([line.mukai.terms])
+    images = []
+    for a in range(size):
+        for b in range(size):
+            d_beta = _contract_terms(root, {(a, b): 1}, n, -1)
+            img = _contract_terms(d_beta, mukai, n, +1)
+            images.append({k: x for k, x in img.items() if x})
+    return images, rden * mden
+
+
+def _apply(op: tuple[list[dict], int], alpha) -> dict:
+    """Image of alpha under an operator on the basis terms, as {key: Fraction}.
+
+    images[(a << n) | b] over den is the image of the term (a, b).  The
+    sum runs over integers, with alpha cleared of its denominators; a
+    Fraction is built only for a nonzero coefficient of the result.
+    """
+    images, den = op
+    n = alpha.model.n
+    (coeffs,), scale = cleared([alpha.terms])
+    acc: dict = {}
+    for (a, b), m in coeffs.items():
+        for k, x in images[(a << n) | b].items():
+            acc[k] = acc[k] + m * x if k in acc else m * x
+    den *= scale
+    return {k: Fraction(v, den) for k, v in acc.items() if v}
 
 
 def mukai_line(model: HodgeModel, c1: FormClass) -> FormClass:
@@ -440,15 +516,20 @@ def contract_exp_atiyah(alpha: PolyClass, line: LineBundle) -> ExtClass:
     contract_T_on_Omega(alpha, exp_form(c1)).
     """
     _same_model(alpha, line)
+    n = alpha.model.n
+    par = _parity(n)
     out: dict[int, Fraction] = {}
     for (aa, bs), ca in alpha.terms.items():
+        odd_k = bs.bit_count() & 1
+        ra, flip = aa << n, par[(bs << n) | bs]
         for av, cv in line.exp_by_b.get(bs, ()):
-            hit = _contract_term(aa, bs, av, bs, +1)
-            if hit is None:
+            if aa & av:
                 continue
-            sign, a, b = hit
-            assert b == 0
-            out[a] = out.get(a, Q(0)) + sign * ca * cv
+            c = ca * cv
+            if par[ra | av] ^ flip ^ odd_k & av.bit_count():
+                c = -c
+            a = aa | av
+            out[a] = out[a] + c if a in out else c
     return ExtClass(alpha.model, out)
 
 
@@ -480,15 +561,23 @@ def form_basis_11(model: HodgeModel) -> list[FormClass]:
     ]
 
 
+def _on_line(model: HodgeModel, line: LineBundle):
+    if line.model is not model:
+        raise ModelMismatch(
+            f"line bundle of another model (ranks {line.model.n} and {model.n})"
+        )
+
+
 def exp_atiyah_kernel(model: HodgeModel, line: LineBundle) -> list[PolyClass]:
     """Exact basis of {alpha : alpha -| exp(c1) = 0}.
 
-    Linear in alpha, so the kernel is computed from the contraction's
-    images of the canonical term basis.
+    Linear in alpha, so the kernel is computed from the line's
+    obstruction images of the canonical term basis.
     """
-    basis = poly_basis(model)
-    keys = [key for beta in basis for key in beta.terms]
-    images = [contract_exp_atiyah(beta, line).terms for beta in basis]
+    _on_line(model, line)
+    size = 1 << model.n
+    keys = [(a, b) for a in range(size) for b in range(size)]
+    images, _ = line.obstruction()
     return [
         PolyClass(model, {k: c for k, c in zip(keys, vec) if c})
         for vec in kernel_of_images(images)
@@ -513,8 +602,10 @@ def check_mukai_implication(
     A failed implication would mean the sign conventions above are
     inconsistent, so it is reported as critical rather than raised.
     """
-    h = contract_exp_atiyah(alpha, line)
-    m = contract_T_on_Omega(duflo(model, alpha), line.mukai)
+    _on_line(model, line)
+    _same_model(alpha, line)
+    h = ExtClass(model, _apply(line.obstruction(), alpha))
+    m = FormClass(model, _apply(line.moduli_action(), alpha))
     hyp = h.is_zero()
     concl = m.is_zero()
     ok = (not hyp) or concl
@@ -553,19 +644,22 @@ def first_order_check(model: HodgeModel, alpha: PolyClass) -> FirstOrderReport:
     rational multiples of wedge powers of c1); with independent higher
     (p,p) data the two loci genuinely differ, so callers sweeping (iii)
     must build the datum from c1.  (iii) depends only on the model, so it
-    is computed on the first call and kept on the model.
+    is computed on the first call and kept on the model, as are c1, c1/4
+    and c1/2.
     """
     for (a, b) in alpha.terms:
         if a.bit_count() != 1 or b.bit_count() != 1:
             raise BidegreeError("first_order_check needs a pure (1,1) polyvector")
-    c1 = model.todd.component(1, 1).scale(2)
+    if model._c1_parts is None:
+        c1 = model.todd.component(1, 1).scale(2)
+        model._c1_parts = (c1, c1.scale(Fraction(1, 4)), c1.scale(Fraction(1, 2)))
+    c1, quarter, half = model._c1_parts
     d_alpha = duflo(model, alpha)
 
-    move = contract_Omega_on_T(c1.scale(Fraction(1, 4)), alpha)
-    check_i = (d_alpha - alpha) == move
+    check_i = d_alpha == alpha + contract_Omega_on_T(quarter, alpha)
 
     lhs = contract_T_on_Omega(d_alpha, sqrt_todd(model)).component(2, 0)
-    rhs = contract_T_on_Omega(alpha, c1.scale(Fraction(1, 2))).component(2, 0)
+    rhs = contract_T_on_Omega(alpha, half).component(2, 0)
     check_ii = lhs == rhs
 
     if model._loci_equal is None:

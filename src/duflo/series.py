@@ -17,11 +17,12 @@ p_{k-i}, with no series product.
 """
 
 import operator
+from operator import itemgetter
 from fractions import Fraction
 from math import factorial
 
 from .linalg import Q
-from .sparse import LinComb, graded_exp, unit_inverse, unit_sqrt
+from .sparse import LinComb, cleared, graded_exp, unit_inverse, unit_sqrt
 
 Gen = tuple[str, int]
 Monomial = tuple[Gen, ...]
@@ -76,23 +77,24 @@ class GradedSeries(LinComb):
         return super().__add__(other)
 
     def __mul__(self, other):
+        """Truncated product, summed as integers over both operands' denominators."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._join(other)
-        out: dict[Monomial, Fraction] = {}
+        (left,), d1 = cleared([self.terms])
+        (right,), d2 = cleared([other.terms])
+        right = sorted(((_weight(m2), m2, c2) for m2, c2 in right.items()), key=lambda t: t[0])
         trunc = self.trunc
-        right = sorted(
-            ((_weight(m2), m2, c2) for m2, c2 in other.terms.items()),
-            key=lambda t: t[0],
-        )
-        for m1, c1 in self.terms.items():
+        acc: dict[Monomial, int] = {}
+        for m1, c1 in left.items():
             room = trunc - _weight(m1)
             for w2, m2, c2 in right:
                 if w2 > room:
                     break
                 m = tuple(sorted(m1 + m2))
-                out[m] = out[m] + c1 * c2 if m in out else c1 * c2
-        return self._like(out)
+                acc[m] = acc[m] + c1 * c2 if m in acc else c1 * c2
+        den = d1 * d2
+        return self._like({m: Fraction(c, den) for m, c in acc.items() if c})
 
     def constant(self) -> Fraction:
         return self.terms.get((), Q(0))
@@ -158,50 +160,56 @@ class GradedSeries(LinComb):
     # -- canonical text -----------------------------------------------------
     def text(self) -> str:
         """Canonical sorted-monomial rendering, e.g. '1 + 1/2*c1 + 1/12*c1^2'."""
-        if not self.terms:
-            return "0"
-        keyed = sorted(self.terms.items(), key=lambda mc: (_weight(mc[0]), mc[0]))
         chunks = []
-        for mono, c in keyed:
+        for _, mono, c in self._sorted():
             body = _mono_text(mono)
-            mag = abs(c)
+            num, den = c.numerator, c.denominator
+            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
             if body == "1":
-                piece = str(mag)
-            elif mag == 1:
+                piece = mag
+            elif mag == "1":
                 piece = body
             else:
                 piece = f"{mag}*{body}"
-            if not chunks:
-                chunks.append(piece if c > 0 else f"-{piece}")
-            else:
-                chunks.append(("+ " if c > 0 else "- ") + piece)
-        return " ".join(chunks)
+            if chunks:
+                piece = ("+ " if num > 0 else "- ") + piece
+            elif num < 0:
+                piece = "-" + piece
+            chunks.append(piece)
+        return " ".join(chunks) or "0"
 
     def to_obj(self):
-        keyed = sorted(self.terms.items(), key=lambda mc: (_weight(mc[0]), mc[0]))
         return [
-            {"monomial": _mono_text(m), "weight": _weight(m), "coeff": str(c)}
-            for m, c in keyed
+            {"monomial": _mono_text(m), "weight": w, "coeff": str(c)}
+            for w, m, c in self._sorted()
         ]
+
+    def _sorted(self) -> list[tuple[int, Monomial, Fraction]]:
+        """(weight, monomial, coefficient) of every term, by weight then monomial."""
+        return sorted((_weight(m), m, c) for m, c in self.terms.items())
 
     def __repr__(self):
         return f"GradedSeries[N={self.trunc}]({self.text()})"
 
 
 def _weight(mono: Monomial) -> int:
-    return sum(w for _, w in mono)
+    return sum(map(itemgetter(1), mono))
 
 
 def _mono_text(mono: Monomial) -> str:
+    """Runs of equal generator names as powers, e.g. 'c1^2*c3'; '1' if empty."""
     if not mono:
         return "1"
-    runs = []
-    for name, _ in mono:
-        if runs and runs[-1][0] == name:
-            runs[-1][1] += 1
-        else:
-            runs.append([name, 1])
-    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in runs)
+    out = []
+    name, e = mono[0][0], 0
+    for gen, _ in mono:
+        if gen == name:
+            e += 1
+            continue
+        out.append(name if e == 1 else f"{name}^{e}")
+        name, e = gen, 1
+    out.append(name if e == 1 else f"{name}^{e}")
+    return "*".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -217,20 +225,22 @@ def power_sums(trunc: int, family: str = "c") -> list[GradedSeries]:
 
     p_k = (-1)^(k-1) k e_k + sum_{i<k} (-1)^(i-1) e_i p_{k-i}; each product
     with the generator e_i = c_i only appends c_i to the monomials of
-    p_{k-i}, so all terms of p_k are added into one dict.
+    p_{k-i}, so all terms of p_k are added into one dict.  The coefficients
+    are integers and are summed as ints.
     """
-    p: list[GradedSeries] = [GradedSeries.scalar(trunc, 0)]
+    ints: list[dict] = [{}]
     for k in range(1, trunc + 1):
-        acc = {((f"{family}{k}", k),): Fraction((-1) ** (k - 1) * k)}
+        acc = {((f"{family}{k}", k),): (-1) ** (k - 1) * k}
         for i in range(1, k):
             gen = (f"{family}{i}", i)
-            for m, c in p[k - i].terms.items():
+            for m, c in ints[k - i].items():
                 if not i & 1:
                     c = -c
                 m = tuple(sorted(m + (gen,)))
                 acc[m] = acc[m] + c if m in acc else c
-        p.append(p[0]._like(acc))
-    return p
+        ints.append(acc)
+    zero = GradedSeries.scalar(trunc, 0)
+    return [zero._like({m: Fraction(c) for m, c in p.items() if c}) for p in ints]
 
 
 def _todd_root_series(trunc: int) -> GradedSeries:

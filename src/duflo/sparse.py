@@ -9,6 +9,9 @@ outside input through the _key hook, which may raise or drop a key;
 arithmetic results are canonical already and go through _like, which only
 drops zero coefficients.
 
+cleared writes rational maps as integer maps over one common denominator,
+so that sums of products run over ints with one Fraction per result.
+
 unit_inverse, unit_sqrt and graded_exp compute 1/a, sqrt(a) and exp(a)
 weight by weight over any commutative graded product, from the pieces
 a_0, a_1, ... of a by weight.  In each, the weight-w part of the result is
@@ -16,6 +19,7 @@ a sum of products of lower-weight parts, so no power of a is ever formed.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .linalg import parse_rational
 
@@ -34,13 +38,13 @@ class LinComb:
         tidy: dict = {}
         for key, c in (terms or {}).items():
             c = parse_rational(c)
-            if c == 0:
+            if not c:
                 continue
             key = self._key(key)
             if key is None:
                 continue
             tidy[key] = tidy[key] + c if key in tidy else c
-        self.terms = {k: c for k, c in tidy.items() if c != 0}
+        self.terms = {k: c for k, c in tidy.items() if c}
 
     def _key(self, key):
         """Canonical form of an outside key; None drops the term."""
@@ -51,7 +55,7 @@ class LinComb:
         out = object.__new__(type(self))
         for name in self._CONTEXT:
             setattr(out, name, getattr(self, name))
-        out.terms = {k: c for k, c in terms.items() if c != 0}
+        out.terms = {k: c for k, c in terms.items() if c}
         return out
 
     def _join(self, other) -> "LinComb":
@@ -100,6 +104,12 @@ class LinComb:
         return f"{type(self).__name__}({body or 0})"
 
 
+def cleared(maps: list[dict]) -> tuple[list[dict], int]:
+    """The rational maps as integer maps over their least common denominator."""
+    den = lcm(*(c.denominator for m in maps for c in m.values()))
+    return [{k: c.numerator * (den // c.denominator) for k, c in m.items()} for m in maps], den
+
+
 def unit_inverse(pieces: list, mul) -> LinComb:
     """1/a for a = sum of graded pieces, pieces[0] the unit.
 
@@ -132,17 +142,24 @@ def graded_exp(pieces: list, one: LinComb, mul) -> LinComb:
     """exp(a) for a = sum of graded pieces, pieces[0] zero.
 
     e_0 = one and w e_w = sum_{k=1..w} k a_k e_{w-k}, the weight-w part of
-    E' = A' E; empty pieces are skipped.  Returns sum of e_w, whose parts
-    share no key because each key has one weight.
+    E' = A' E; empty pieces are skipped.  The sum for e_w runs over integer
+    numerators on one common denominator of its products, with one Fraction
+    per key of e_w.  Returns sum of e_w, whose parts share no key because
+    each key has one weight.
     """
     e = [one]
     for w in range(1, len(pieces)):
+        products = [
+            (k, mul(pieces[k], e[w - k]).terms)
+            for k in range(1, w + 1)
+            if pieces[k].terms and e[w - k].terms
+        ]
+        ints, den = cleared([terms for _, terms in products])
         acc: dict = {}
-        for k in range(1, w + 1):
-            if not (pieces[k].terms and e[w - k].terms):
-                continue
-            for key, c in mul(pieces[k], e[w - k]).terms.items():
-                c *= k
-                acc[key] = acc[key] + c if key in acc else c
-        e.append(one._like({key: c / w for key, c in acc.items()}))
+        for (k, _), terms in zip(products, ints):
+            for key, x in terms.items():
+                x *= k
+                acc[key] = acc[key] + x if key in acc else x
+        den *= w
+        e.append(one._like({key: Fraction(x, den) for key, x in acc.items() if x}))
     return one._like({key: c for part in e for key, c in part.terms.items()})

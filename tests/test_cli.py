@@ -195,6 +195,13 @@ def test_verify_hodge_dim_out_of_range():
     assert code == 2
 
 
+def test_verify_hodge_dim_6_is_over_cap():
+    code, out, err = run_cli(["verify-hodge", "--dim", "6", "--cases", "1"])
+    assert code == 2
+    assert out == ""
+    assert "--dim must be between 1 and 5" in err
+
+
 def test_verify_hodge_seed_range():
     top = str(2**64 - 1)
     for seed in ("0", top):

@@ -437,6 +437,39 @@ def test_mukai_implication_vacuous_case():
     assert rpt.status == "vacuous" and rpt.ok
 
 
+def _todd_from_c1(c1, rng):
+    """Todd datum generated by c1: 1 + c1/2 + random multiples of its wedge powers."""
+    acc = FormClass.one(c1.model) + c1.scale(Q(1, 2))
+    power = c1
+    for _ in range(2, c1.model.n + 1):
+        power = wedge(power, c1)
+        acc = acc + power.scale(rng.rational())
+    return dict(acc.terms)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("todd", ["one", "from-c1"])
+def test_mukai_operators_match_direct_contractions(n, todd):
+    rng = SplitMix64(derive(41, n))
+    scratch = HodgeModel(n)
+    c1 = _random_11(scratch, rng, FormClass)
+    model = HodgeModel(n, None if todd == "one" else _todd_from_c1(c1, rng))
+    line = LineBundle(model, FormClass(model, dict(c1.terms)))
+    ker = exp_atiyah_kernel(model, line)
+    vacuous = [_random_class(model, rng, PolyClass) for _ in range(4)]
+    assert ker and all(not a.is_zero() for a in vacuous)
+    for alpha in ker + vacuous:
+        rpt = check_mukai_implication(model, alpha, line)
+        assert rpt.obstruction == contract_exp_atiyah(alpha, line)
+        assert rpt.moduli_action == contract_T_on_Omega(duflo(model, alpha), line.mukai)
+        assert rpt.hypothesis == (alpha in ker)
+    foreign = HodgeModel(n)
+    with pytest.raises(ModelMismatch):
+        check_mukai_implication(model, PolyClass(foreign, dict(ker[0].terms)), line)
+    with pytest.raises(ModelMismatch):
+        check_mukai_implication(foreign, PolyClass(foreign, dict(ker[0].terms)), line)
+
+
 # -- first-order checks ----------------------------------------------------------
 
 def test_first_order_zero_c1_degenerates():

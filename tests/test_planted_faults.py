@@ -1,7 +1,9 @@
 """Planted faults in the data the verifiers compute once and reuse.
 
-verify-hodge builds the Mukai line once per c1 and compares the loci once
-per model, then shares them with every alpha checked against them.
+verify-hodge builds the Mukai line once per c1, with its two basis
+operators (the obstruction and the moduli action, as integer images),
+and compares the loci once per model, then shares them with every alpha
+checked against them.
 verify-lie fills one integer table per representation and route, shared
 by every diagram check on that representation, and checks each invariant
 it finds in one suite.  The Duflo round trip and the per-case first-order suite
@@ -49,6 +51,41 @@ def test_corrupt_mukai_line_fails_mukai_implication(monkeypatch):
     rpt = hodge.check_mukai_implication(model, alpha, hodge.LineBundle(model, c1))
     assert rpt.hypothesis and not rpt.ok and rpt.status == "critical-fail"
     assert rpt.moduli_action.to_obj() == witness["moduli_action"]
+
+    monkeypatch.undo()
+    assert hodge.check_mukai_implication(model, alpha, hodge.LineBundle(model, c1)).ok
+
+
+def test_shifted_moduli_operator_fails_mukai_implication(monkeypatch):
+    build = hodge._moduli_operator
+
+    def shifted(line):
+        images, den = build(line)
+        n = line.model.n
+        # the term a1^..^an ^ b*1 (Todd = 1): every term of exp(c1) and of
+        # v(L) it can contract carries an a-index it already has, so both
+        # its images are 0 and it is a kernel basis vector of its own
+        index = (((1 << n) - 1) << n) | 1
+        image = dict(images[index])
+        image[(0, 0)] = image.get((0, 0), 0) + 1
+        return images[:index] + [image] + images[index + 1:], den
+
+    monkeypatch.setattr(hodge, "_moduli_operator", shifted)
+    code, out, _ = run_cli(ARGV)
+    assert code == 1
+    lines = _lines(out, "mukai-implication")
+    assert [r["status"] for r in lines] == ["fail"]
+
+    witness = lines[0]["witness"]
+    model = HodgeModel(2)
+    alpha = PolyClass.from_obj(model, witness["alpha"])
+    assert alpha.terms == {(0b11, 0b01): 1}
+    c1 = FormClass.from_obj(model, witness["c1"])
+    rpt = hodge.check_mukai_implication(model, alpha, hodge.LineBundle(model, c1))
+    assert rpt.hypothesis and not rpt.ok and rpt.status == "critical-fail"
+    assert witness["obstruction"] == rpt.obstruction.to_obj() == []
+    assert rpt.moduli_action.to_obj() == witness["moduli_action"]
+    assert list(rpt.moduli_action.terms) == [(0, 0)]
 
     monkeypatch.undo()
     assert hodge.check_mukai_implication(model, alpha, hodge.LineBundle(model, c1)).ok

@@ -3,7 +3,9 @@
 Each command runs in-process and its stdout sha256 is compared with a
 digest recorded at an earlier commit: the verify-hodge and series streams
 before the per-c1 and per-model work and the truncated product were
-restructured, the verify-lie streams before the diagram sweep moved from
+restructured (the dim-5 stream and the weight-16 mukai text before the
+Hodge signs came from a parity table and the Mukai sweep from basis
+operators, with the dim cap raised to 5 in process to record it), the verify-lie streams before the diagram sweep moved from
 the permutation sum to the multiset recursion, the weight-16 todd,
 sqrt-todd and mukai streams before the series exponential became a
 weight-graded recursion and the Todd root exp(log Todd / 2).  A change that is meant to
@@ -23,6 +25,8 @@ DIGESTS = {
         "922c281bd55ffa2be48bc0a55d88896bebf49884b0c3be001df3f42015440e9e",
     "verify-hodge --dim 4 --seed 0 --cases 1":
         "af8e6036eb124e564f14cebc1f9a8822eca079c8cc13ee338bced9438020847a",
+    "verify-hodge --dim 5 --seed 0 --cases 1":
+        "06bd600bd271a4c35738740be668b039ead9f9a402341560f50dd80ccf2e3a8a",
     "series todd --weight 13":
         "c62914f09193a14829d8038b5e1f18d1b32c1bea0151696c9e8599f83c4a027d",
     "series sqrt-todd --weight 13":
@@ -37,6 +41,8 @@ DIGESTS = {
         "750f75b6d68418b4c72b45c3fbc4d956f27a1cf646240650a4f75003d57661b9",
     "series mukai --weight 16 --format json":
         "63cc648eb7b28962db09cce12485820817b27650930c3bb19aedd0326d247598",
+    "series mukai --weight 16":
+        "3b1eaa00510a59015c08175334607ce96d2feff2f3d03b5522a25ad0c07b6b02",
 }
 
 # Run with VERIFIER_MAX_DEGREE=5; {dense} is the file dense_gl2 writes.
