@@ -4,12 +4,20 @@ axiom validation, plus representations given by explicit matrices.
 Constructors certify antisymmetry, the Jacobi identity, and the bracket
 relation of representations before any object escapes, so downstream
 diagram checks never run on invalid data.
+
+Jacobi and the bracket relation are decided in Z.  The structure
+constants are cleared once by the lcm delta of their denominators, and
+a representation's matrices once by the lcm d of theirs; both checks
+compare integer tables that are the rational identities times a fixed
+positive scale.  A Fraction is built only for the text of a raised
+JacobiViolation or BracketMismatch.
 """
 
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
+from .kernels import matmul_int
 from .linalg import Matrix, Q, parse_rational
 
 
@@ -50,7 +58,8 @@ class LieAlgebra:
     the lcm of every denominator among the constants, and
     cleared_brackets[i][j] lists the (k, delta * constants[i][j][k]) that
     are nonzero, as Python ints: the bracket [x_i, -] on x_j cleared of
-    denominators, which is what the derivations of pbw read.
+    denominators, which is what the Jacobi check, the bracket check of
+    Representation and the derivations of pbw read.
     """
 
     __slots__ = ("dim", "labels", "constants", "delta", "cleared_brackets", "name")
@@ -71,7 +80,6 @@ class LieAlgebra:
         if len(self.labels) != n:
             raise ValueError("label count does not match dimension")
         self._check_antisymmetry()
-        self._check_jacobi()
         delta = self.delta = lcm(*(x.denominator for plane in c for row in plane for x in row))
         self.cleared_brackets = tuple(
             tuple(
@@ -80,6 +88,7 @@ class LieAlgebra:
             )
             for plane in c
         )
+        self._check_jacobi()
 
     def _check_antisymmetry(self):
         c = self.constants
@@ -90,24 +99,24 @@ class LieAlgebra:
                         raise AntisymmetryViolation(i, j)
 
     def _check_jacobi(self):
-        c = self.constants
+        """Sum_m C_ijm C_mkl + C_jkm C_mil + C_kim C_mjl == 0 in Z, C = delta * c.
+
+        The cyclic sum of [[x_i, x_j], x_k] read from cleared_brackets is
+        delta^2 times the rational one; a defect is reported over delta^2.
+        """
+        cb = self.cleared_brackets
         n = self.dim
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    defect = []
-                    ok = True
-                    for l in range(n):
-                        s = Q(0)
-                        for m in range(n):
-                            s += c[i][j][m] * c[m][k][l]
-                            s += c[j][k][m] * c[m][i][l]
-                            s += c[k][i][m] * c[m][j][l]
-                        defect.append(s)
-                        if s != 0:
-                            ok = False
-                    if not ok:
-                        raise JacobiViolation((i, j, k), [str(x) for x in defect])
+                    acc = [0] * n
+                    for a, b, z in ((i, j, k), (j, k, i), (k, i, j)):
+                        for m, x in cb[a][b]:
+                            for l, y in cb[m][z]:
+                                acc[l] += x * y
+                    if any(acc):
+                        den = self.delta**2
+                        raise JacobiViolation((i, j, k), [str(Fraction(x, den)) for x in acc])
 
     def bracket(self, i: int, j: int) -> tuple[Fraction, ...]:
         """Coefficient vector of [x_i, x_j]."""
@@ -138,20 +147,44 @@ class Representation:
         self._check_brackets()
 
     def _check_brackets(self):
-        n = self.algebra.dim
+        """delta (R_i R_j - R_j R_i) == d sum_k C_ijk R_k in Z, for i < j.
+
+        d is the lcm of every denominator in the matrices, R_i = d rho(x_i)
+        and C = delta c is the algebra's cleared_brackets, so both sides
+        are d^2 delta times the two sides of [rho(x_i), rho(x_j)] =
+        sum_k c_ijk rho(x_k).  The Fraction matrices of a BracketMismatch
+        are built only when it is raised.
+        """
+        dv = self.dimV
+        if not dv:
+            return
+        d = lcm(*(x.denominator for m in self.matrices for row in m.entries for x in row))
+        acts = tuple(
+            tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in m.entries)
+            for m in self.matrices
+        )
+        alg = self.algebra
+        delta = alg.delta
+        n = alg.dim
         for i in range(n):
             for j in range(i + 1, n):
-                lhs = self._action_of_bracket(i, j)
-                rhs = self.matrices[i].commutator(self.matrices[j])
-                if lhs != rhs:
-                    raise BracketMismatch(i, j, lhs, rhs)
-
-    def _action_of_bracket(self, i: int, j: int) -> Matrix:
-        acc = Matrix.zeros(self.dimV, self.dimV)
-        for k, c in enumerate(self.algebra.bracket(i, j)):
-            if c != 0:
-                acc = acc + self.matrices[k].scale(c)
-        return acc
+                ab = matmul_int(acts[i], acts[j])
+                ba = matmul_int(acts[j], acts[i])
+                got = [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ab, ba)]
+                want = [[0] * dv for _ in range(dv)]
+                for k, c in alg.cleared_brackets[i][j]:
+                    for row, rk in zip(want, acts[k]):
+                        for col, x in enumerate(rk):
+                            if x:
+                                row[col] += c * x
+                if any(
+                    delta * x != d * y
+                    for rg, rw in zip(got, want)
+                    for x, y in zip(rg, rw)
+                ):
+                    raise BracketMismatch(
+                        i, j, Matrix.over(want, delta * d, dv), Matrix.over(got, d * d, dv)
+                    )
 
     def __repr__(self):
         tag = self.name or f"dimV={self.dimV}"
@@ -165,7 +198,7 @@ def adjoint_rep(alg: LieAlgebra) -> Representation:
     mats = []
     for i in range(n):
         mats.append(
-            Matrix([[alg.constants[i][j][k] for j in range(n)] for k in range(n)])
+            Matrix._of([[alg.constants[i][j][k] for j in range(n)] for k in range(n)], n)
         )
     return Representation(alg, mats, name="adjoint")
 

@@ -71,6 +71,11 @@ class Matrix:
         return out
 
     @classmethod
+    def over(cls, rows, den: int, cols: int) -> "Matrix":
+        """The Fraction matrix rows / den, from rows of ints."""
+        return cls._of([[Fraction(x, den) for x in row] for row in rows], cols)
+
+    @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 

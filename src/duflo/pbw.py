@@ -35,6 +35,10 @@ delta * ad, which has the same kernel as ad, from integer images, and
 derivation_apply clears its argument with one lcm and builds a Fraction
 only for each nonzero coefficient of the result.
 
+adjunction_check compares the coaction LambdaMap(rep).data entry by entry
+with the bilinear action map (g, o, j) -> rho(x_g)[o, j] read from the
+action matrices; no matrix is formed.
+
 phi and the phi table are deliberately written with raw index loops over
 the coaction rather than the matrix backend, and the theta table with its
 own integer product, so the two diagram paths share no arithmetic code.
@@ -170,9 +174,6 @@ class LambdaMap:
             )
             for o in range(dv)
         )
-
-    def contract_letter(self, g: int) -> Matrix:
-        return Matrix([[row[g] for row in plane] for plane in self.data])
 
 
 def theta(rep: Representation, t: TensorElement) -> Matrix:
@@ -353,17 +354,12 @@ class SymImages:
     def theta(self, s: SymElement) -> Matrix:
         """theta(rep, symmetrize(s)), from the theta table."""
         weights, scale = self.weights(s)
-        return _over(self.theta_sum(weights), scale, self.rep.dimV)
+        return Matrix.over(self.theta_sum(weights), scale, self.rep.dimV)
 
     def phi(self, s: SymElement) -> Matrix:
         """phi(rep, symmetrize(s)), from the phi table."""
         weights, scale = self.weights(s)
-        return _over(self.phi_sum(weights), scale, self.rep.dimV)
-
-
-def _over(rows: tuple, scale: int, cols: int) -> Matrix:
-    """The Fraction matrix rows / scale."""
-    return Matrix._of([[Fraction(x, scale) for x in row] for row in rows], cols)
+        return Matrix.over(self.phi_sum(weights), scale, self.rep.dimV)
 
 
 def _derive(brackets: tuple, terms: dict) -> dict:
@@ -514,23 +510,19 @@ class AdjunctionReport:
 def adjunction_check(rep: Representation) -> AdjunctionReport:
     """Re-derive the coaction from the bilinear action map and compare.
 
-    The action g (x) V -> V is laid out as one (dim*dimV) x dimV matrix by
-    applying each rho(x_g) to the basis of V; reshaping its entries along
-    the adjunction and contracting the g*-slot with x_i must reproduce
-    rho(x_i) entry for entry.
+    The action g (x) V -> V is the bilinear map (g, o, j) -> rho(x_g)[o, j],
+    read straight from the action matrices; reshaping it along the
+    adjunction must give LambdaMap(rep).data[o][j][g] entry for entry.
+    failures lists each g whose contraction with the coaction differs
+    from rho(x_g).
     """
-    alg, dv = rep.algebra, rep.dimV
-    bilinear = {}
-    for g in range(alg.dim):
-        for j in range(dv):
-            col = rep.matrices[g].apply([1 if t == j else 0 for t in range(dv)])
-            for o in range(dv):
-                bilinear[(g, o, j)] = col[o]
-    lam = LambdaMap(rep)
-    failures = []
-    for i in range(alg.dim):
-        contracted = lam.contract_letter(i)
-        direct = Matrix([[bilinear[(i, o, j)] for j in range(dv)] for o in range(dv)])
-        if contracted != direct:
-            failures.append(i)
+    data = LambdaMap(rep).data
+    failures = [
+        g
+        for g, m in enumerate(rep.matrices)
+        if any(
+            tuple(cell[g] for cell in plane) != row
+            for plane, row in zip(data, m.entries)
+        )
+    ]
     return AdjunctionReport(equal=not failures, failures=failures)

@@ -50,15 +50,15 @@ class ReportSink:
         """Print the canonical stream and summary; return the exit code."""
         out = out or sys.stdout
         err = err or sys.stderr
-        ordered = sorted(self.reports, key=lambda r: (r.suite, r.line()))
-        for r in ordered:
-            out.write(r.line() + "\n")
-        n_fail = sum(1 for r in ordered if r.status == "fail")
-        n_pass = sum(1 for r in ordered if r.status == "pass")
-        n_skip = len(ordered) - n_fail - n_pass
-        total = sum(r.seconds for r in ordered)
+        reports = self.reports
+        for _, line in sorted((r.suite, r.line()) for r in reports):
+            out.write(line + "\n")
+        n_fail = sum(1 for r in reports if r.status == "fail")
+        n_pass = sum(1 for r in reports if r.status == "pass")
+        n_skip = len(reports) - n_fail - n_pass
+        total = sum(r.seconds for r in reports)
         err.write(
-            f"{len(ordered)} reports: {n_pass} pass, {n_fail} fail, "
+            f"{len(reports)} reports: {n_pass} pass, {n_fail} fail, "
             f"{n_skip} skipped ({total:.2f}s)\n"
         )
         return 0 if n_fail == 0 else 1

@@ -23,6 +23,7 @@ tr.install()
 with contextlib.redirect_stdout(io.StringIO()):
     duflo.cli.main(["series", "todd", "--weight", "3"])
     duflo.cli.main(["verify-hodge", "--dim", "2", "--seed", "0", "--cases", "1"])
+    duflo.cli.main(["verify-lie", "--algebra", "sl2", "--max-degree", "2"])
 summary = tr.summary()
 print(json.dumps({"missing": tr.missing,
                   "calls": {k: v[0] for k, v in summary["spans"].items()}}))
@@ -41,4 +42,12 @@ def test_tracer_finds_every_span():
     assert got["missing"] == []
     # products reached through the shared graded recursions are still traced
     for span in ("series.mul", "hodge.wedge", "hodge.exp_form", "hodge.contract"):
+        assert got["calls"].get(span, 0) > 0, span
+    # the verify-lie spans are reached on their own names
+    for span in (
+        "catalog.representations",
+        "pbw.adjunction_check",
+        "pbw.check_pbw_diagram",
+        "pbw.invariants_s",
+    ):
         assert got["calls"].get(span, 0) > 0, span
