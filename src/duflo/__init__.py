@@ -2,8 +2,8 @@
 
 Subpackages:
 
-  linalg   exact rational matrices, products, nullspaces, kernels of basis images
-  kernels  the hot loops: rational matrix products, integer RREF
+  linalg   exact rational matrices and products; sparse kernels of basis images
+  kernels  the hot loops: matrix products, sparse integer RREF
   sparse   finite rational combinations and the graded unit recursions
   lie      Lie algebras from structure constants, representations
   catalog  built-in algebras and representations

@@ -575,11 +575,11 @@ def exp_atiyah_kernel(model: HodgeModel, line: LineBundle) -> list[PolyClass]:
     obstruction images of the canonical term basis.
     """
     _on_line(model, line)
-    size = 1 << model.n
-    keys = [(a, b) for a in range(size) for b in range(size)]
+    n = model.n
+    mask = (1 << n) - 1
     images, _ = line.obstruction()
     return [
-        PolyClass(model, {k: c for k, c in zip(keys, vec) if c})
+        PolyClass(model, {(c >> n, c & mask): v for c, v in vec.items()})
         for vec in kernel_of_images(images)
     ]
 

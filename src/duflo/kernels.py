@@ -1,4 +1,5 @@
-"""Exact-arithmetic kernels: rational and integer matrix products, sparse integer RREF.
+"""Exact-arithmetic kernels: rational and integer matrix products, and the
+fraction-free RREF of sparse {column: int} rows.
 
 Numerators and denominators are arbitrary-precision Python ints;
 denominators are always positive and results are in lowest terms.
@@ -71,29 +72,27 @@ def _eliminate(row: dict, pivot: dict, c: int) -> dict:
     return _primitive(out)
 
 
-def rref_int(rows, nrows, ncols):
-    """Fraction-free reduced row echelon form of an integer matrix.
+def rref_int(rows, ncols):
+    """Fraction-free reduced row echelon form of sparse integer rows.
 
-    The first nrows of rows are read as dense rows of ncols ints.  The
-    result is the canonical representative of the row space: pivot
-    columns ascending, each pivot row primitive (gcd 1) with a positive
-    pivot and zero in every other pivot column.  Returns (pivot_columns,
-    pivot_rows), the rows as dense lists.
+    rows are {column: int} maps with no zero entries and columns below
+    ncols.  The result is the canonical representative of their span:
+    pivot columns ascending, each pivot row primitive (gcd 1) with a
+    positive pivot and zero in every other pivot column.  Returns
+    (pivot_columns, pivot_rows), the rows as {column: int} maps.
 
-    Elimination runs on sparse {column: int} rows and never leaves Z; the
-    pivot rows found so far are kept in this reduced form throughout.
-    Each input row, sparsest first, is cleared at the pivot columns it
-    meets (a pivot row is zero in every other pivot column, so this adds
-    no new ones); a nonzero remainder leads in a new pivot column, which
-    is then cleared from the earlier pivot rows.  Every step divides the
-    row's content out, where Bareiss's integer-preserving elimination
-    divides out a known common factor, so entries stay small.  The output
-    depends only on the row space, not on the order of the steps.
+    Elimination never leaves Z; the pivot rows found so far are kept in
+    this reduced form throughout.  Each input row, sparsest first, is
+    cleared at the pivot columns it meets (a pivot row is zero in every
+    other pivot column, so this adds no new ones); a nonzero remainder
+    leads in a new pivot column, which is then cleared from the earlier
+    pivot rows.  Every step divides the row's content out, where Bareiss's
+    integer-preserving elimination divides out a known common factor, so
+    entries stay small.  The output depends only on the row space, not on
+    the order of the steps.
     """
     pivots: dict[int, dict] = {}
-    sparse = [{j: x for j, x in enumerate(dense) if x} for dense in rows[:nrows]]
-    sparse.sort(key=len)
-    for row in sparse:
+    for row in sorted(rows, key=len):
         if len(pivots) == ncols:
             break
         for c in [j for j in row if j in pivots]:
@@ -109,10 +108,4 @@ def rref_int(rows, nrows, ncols):
                 pivots[lead] = _eliminate(other, row, c)
         pivots[c] = row
     piv_cols = sorted(pivots)
-    out = []
-    for c in piv_cols:
-        dense = [0] * ncols
-        for j, x in pivots[c].items():
-            dense[j] = x
-        out.append(dense)
-    return piv_cols, out
+    return piv_cols, [pivots[c] for c in piv_cols]

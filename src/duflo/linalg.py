@@ -1,9 +1,10 @@
-"""Exact rational dense linear algebra.
+"""Exact rational linear algebra: dense matrices and sparse kernels.
 
 Scalars are fractions.Fraction (arbitrary precision, always in lowest
 terms, positive denominator), matrices are immutable tuples of tuples.
-Products and row reduction run through the integer kernels in
-duflo.kernels.
+Products run through the integer kernels in duflo.kernels.  Kernels are
+taken of maps given by their sparse images of a basis, from the sparse
+integer RREF of kernels.rref_int, and are returned as sparse vectors.
 """
 
 from fractions import Fraction
@@ -59,11 +60,7 @@ class Matrix:
 
     @classmethod
     def _of(cls, rows, cols: int) -> "Matrix":
-        """Matrix of cols-long rows from arithmetic; no parsing.
-
-        Entries are Fractions, or ints in the integer matrices that
-        kernel_of_images hands to kernel.
-        """
+        """Matrix of cols-long rows of Fractions from arithmetic; no parsing."""
         out = object.__new__(cls)
         out.entries = tuple(map(tuple, rows))
         out.rows = len(out.entries)
@@ -146,27 +143,6 @@ class Matrix:
     def commutator(self, other: "Matrix") -> "Matrix":
         return mat_mul(self, other) - mat_mul(other, self)
 
-    def to_int_rows(self) -> list:
-        """Clear denominators row by row (preserves the row space and kernel).
-
-        A row of ints, as kernel_of_images builds, is kept as it is.
-        """
-        out = []
-        for row in self.entries:
-            if all(type(x) is int for x in row):
-                out.append(row)
-                continue
-            scale = lcm(*(x.denominator for x in row))
-            out.append([x.numerator * (scale // x.denominator) for x in row])
-        return out
-
-    def rref(self) -> tuple[list[int], list[list[int]]]:
-        """Canonical integer RREF (pivot columns, primitive pivot rows)."""
-        return rref_int(self.to_int_rows(), self.rows, self.cols)
-
-    def rank(self) -> int:
-        return len(self.rref()[0])
-
     def to_json(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self.entries]
 
@@ -191,47 +167,37 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def kernel(m: Matrix) -> list[list[Fraction]]:
-    """Basis of the right nullspace {v : m v = 0}.
-
-    Deterministic: computed from the canonical RREF, one basis vector per
-    free column in ascending column order.  The zero matrix returns the
-    standard basis, a full-rank square matrix returns [].
-    """
-    piv_cols, red = m.rref()
-    piv_set = set(piv_cols)
-    basis = []
-    for f in range(m.cols):
-        if f in piv_set:
-            continue
-        v = [Q(0)] * m.cols
-        v[f] = Q(1)
-        for r, p in enumerate(piv_cols):
-            v[p] = Fraction(-red[r][f], red[r][p])
-        basis.append(v)
-    return basis
+    """Basis of the right nullspace {v : m v = 0}: kernel_of_images of m's
+    columns, each vector written out densely."""
+    cols = [{i: row[j] for i, row in enumerate(m.entries) if row[j]} for j in range(m.cols)]
+    return [[v.get(j, Q(0)) for j in range(m.cols)] for v in kernel_of_images(cols)]
 
 
-def kernel_of_images(images: Sequence[dict]) -> list[list[Fraction]]:
+def kernel_of_images(images: Sequence[dict]) -> list[dict[int, Fraction]]:
     """Kernel of the linear map sending basis vector j to images[j].
 
-    Each image is a {coordinate: coefficient} map.  The matrix has one row
-    per coordinate that occurs, in sorted order; kernel() depends only on
-    the row space, so this is the canonical basis of the dense matrix over
-    any larger set of coordinates.  Each row is cleared of denominators
-    from the sparse images alone, which scales it and keeps the kernel, so
-    kernel() receives an integer matrix.
+    Each image is a {coordinate: int or Fraction} map with no zero values,
+    as a LinComb's terms are.  Each coordinate gives one sparse row,
+    cleared of denominators by its own lcm, which keeps the kernel.  From
+    their canonical RREF comes one vector per free column f, ascending in
+    f: -row[f]/row[p] at each pivot p whose row meets f, then 1 at f.  So
+    each {column: Fraction} vector has ascending keys and no zero values.
     """
-    ncols = len(images)
     by_coord: dict = {}
     for col, img in enumerate(images):
         for k, c in img.items():
-            by_coord.setdefault(k, []).append((col, c))
+            by_coord.setdefault(k, {})[col] = c
     rows = []
-    for k in sorted(by_coord):
-        entries = by_coord[k]
-        scale = lcm(*(c.denominator for _, c in entries))
-        row = [0] * ncols
-        for col, c in entries:
-            row[col] = c.numerator * (scale // c.denominator)
-        rows.append(row)
-    return kernel(Matrix._of(rows, ncols))
+    for entries in by_coord.values():
+        scale = lcm(*(c.denominator for c in entries.values()))
+        rows.append({col: c.numerator * (scale // c.denominator) for col, c in entries.items()})
+    piv_cols, red = rref_int(rows, len(images))
+    pivots = set(piv_cols)
+    vecs = {f: {} for f in range(len(images)) if f not in pivots}
+    for p, row in zip(piv_cols, red):
+        lead = row.pop(p)
+        for f, x in row.items():
+            vecs[f][p] = Fraction(-x, lead)
+    for f, vec in vecs.items():
+        vec[f] = Q(1)
+    return list(vecs.values())

@@ -426,7 +426,7 @@ def invariants_s(alg: LieAlgebra, degree: int) -> list[SymElement]:
                 img[(i, mono)] = c
         images.append(img)
     return [
-        SymElement({basis[c]: v for c, v in enumerate(vec)})
+        SymElement({basis[c]: v for c, v in vec.items()})
         for vec in kernel_of_images(images)
     ]
 

@@ -241,7 +241,7 @@ def test_no_command_is_usage_error():
     "module, name, argv",
     [
         ("duflo.series", "todd", ["series", "todd", "--weight", "2"]),
-        ("duflo.linalg", "kernel", ["verify-lie", "--algebra", "sl2", "--max-degree", "2"]),
+        ("duflo.linalg", "rref_int", ["verify-lie", "--algebra", "sl2", "--max-degree", "2"]),
         ("duflo.hodge", "wedge", ["verify-hodge", "--dim", "2", "--cases", "1"]),
     ],
 )

@@ -9,6 +9,7 @@ degree-d piece has one basis element per multiset of generators of total
 degree d.
 
   * gl2: Chevalley, generators of degrees 1 and 2 (trace, determinant);
+  * gl3: generators of degrees 1, 2 and 3 (the traces of X, X^2 and X^3);
   * sl2: the Casimir, degree 2;
   * heisenberg3: the centre z, degree 1 (ad(x) = z d/dy, ad(y) = -z d/dx);
   * abelian3: every element is invariant, three generators of degree 1.
@@ -23,9 +24,10 @@ import os
 import pytest
 
 from duflo import catalog
-from duflo.lie import algebra_from_json
+from duflo.lie import LieAlgebra, algebra_from_json
 from duflo.pbw import invariants_s
 
+from test_lie import gl_constants
 from test_stream_digests import dense_gl2
 
 TOP = 5
@@ -64,6 +66,13 @@ def test_free_counts_are_the_known_series():
 @pytest.mark.parametrize("name", sorted(GENERATOR_DEGREES))
 def test_catalog_invariant_counts(name):
     assert counts(catalog.load_algebra(name)) == free_counts(GENERATOR_DEGREES[name], TOP)
+
+
+def test_gl3_invariant_counts():
+    gl3 = LieAlgebra(gl_constants(3))
+    want = free_counts((1, 2, 3), TOP)
+    assert want == [1, 2, 3, 4, 5]
+    assert counts(gl3) == want
 
 
 def _benchmark_dense_gl2():

@@ -2,10 +2,10 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from duflo.kernels import matmul_pairs, rref_int
-from duflo.linalg import Matrix
+from duflo.linalg import kernel_of_images
 
 
 def test_matmul_identity():
@@ -24,17 +24,22 @@ def test_matmul_lowest_terms():
 
 
 def test_rref_canonical():
-    piv, rows = rref_int([[2, 2, 0], [0, 0, 3]], 2, 3)
+    piv, rows = rref_int([{0: 2, 1: 2}, {2: 3}], 3)
     assert piv == [0, 2]
-    assert rows == [[1, 1, 0], [0, 0, 1]]
+    assert rows == [{0: 1, 1: 1}, {2: 1}]
 
 
 def test_rref_zero_and_identity():
-    piv, rows = rref_int([[0, 0], [0, 0]], 2, 2)
-    assert piv == [] and rows == []
-    piv, rows = rref_int([[5, 0], [0, -7]], 2, 2)
+    assert rref_int([{}, {}], 2) == ([], [])
+    piv, rows = rref_int([{0: 5}, {1: -7}], 2)
     assert piv == [0, 1]
-    assert rows == [[1, 0], [0, 1]]
+    assert rows == [{0: 1}, {1: 1}]
+
+
+def test_rref_without_rows_or_columns():
+    assert rref_int([], 3) == ([], [])
+    assert rref_int([], 0) == ([], [])
+    assert rref_int([{}], 0) == ([], [])
 
 
 # -- dense oracle ---------------------------------------------------------------
@@ -100,6 +105,14 @@ def _random_int_matrix(rnd, nrows, ncols):
     return rows
 
 
+def _sparse(row):
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def _dense(row, ncols):
+    return [row.get(j, 0) for j in range(ncols)]
+
+
 def test_sparse_rref_matches_dense_oracle():
     rnd = random.Random(20260418)
     shapes = [(1, n) for n in range(1, 7)] + [(n, 1) for n in range(1, 7)]
@@ -109,10 +122,11 @@ def test_sparse_rref_matches_dense_oracle():
     for nrows, ncols in shapes:
         rows = _random_int_matrix(rnd, nrows, ncols)
         negative_lead += any(next((x for x in r if x), 0) < 0 for r in rows)
-        want = dense_rref_int(rows, nrows, ncols)
-        assert rref_int(rows, nrows, ncols) == want, rows
-        # tuple rows, as Matrix entries hold them, give the same result
-        assert rref_int(tuple(map(tuple, rows)), nrows, ncols) == want
+        want_piv, want_rows = dense_rref_int(rows, nrows, ncols)
+        piv, red = rref_int([_sparse(r) for r in rows], ncols)
+        assert piv == want_piv, rows
+        assert [_dense(r, ncols) for r in red] == want_rows, rows
+        assert red == [_sparse(r) for r in want_rows]
     assert negative_lead > 50
 
 
@@ -120,24 +134,38 @@ def test_sparse_rref_output_is_canonical():
     rnd = random.Random(7)
     for _ in range(60):
         nrows, ncols = rnd.randrange(1, 8), rnd.randrange(1, 8)
-        rows = _random_int_matrix(rnd, nrows, ncols)
-        piv, red = rref_int(rows, nrows, ncols)
+        rows = [_sparse(r) for r in _random_int_matrix(rnd, nrows, ncols)]
+        piv, red = rref_int(rows, ncols)
         assert piv == sorted(piv) and len(red) == len(piv)
         for r, c in enumerate(piv):
-            assert red[r][c] > 0 and gcd(*red[r]) == 1
-            assert all(x == 0 for x in red[r][:c])
-            assert all(red[t][c] == 0 for t in range(len(piv)) if t != r)
+            assert min(red[r]) == c and red[r][c] > 0 and gcd(*red[r].values()) == 1
+            assert all(x for x in red[r].values())
+            assert all(c not in red[t] for t in range(len(piv)) if t != r)
         # the row space is kept: a row order change reduces to the same form
-        assert rref_int(rows[::-1], nrows, ncols) == (piv, red)
+        assert rref_int(rows[::-1], ncols) == (piv, red)
 
 
-def test_matrix_rref_clears_fraction_rows():
-    m = Matrix([[Fraction(1, 2), Fraction(1, 3), 0], [0, Fraction(-2, 5), Fraction(4, 5)]])
-    # rows cleared to [3, 2, 0] and [0, -2, 4] before reduction
-    assert m.rref() == dense_rref_int([[3, 2, 0], [0, -2, 4]], 2, 3)
-    assert m.rref() == ([0, 1], [[3, 0, 4], [0, 1, -2]])
-    assert m.to_int_rows() == [[3, 2, 0], [0, -2, 4]]
-    # integer rows, as kernel_of_images builds them, are reduced as they are
-    ints = Matrix._of([[3, 2, 0], [0, -2, 4]], 3)
-    assert ints.to_int_rows() == [(3, 2, 0), (0, -2, 4)]
-    assert ints.rref() == m.rref()
+def test_kernel_of_images_clears_fraction_rows():
+    # a Fraction image gives the same kernel as the same image with each
+    # coordinate row scaled to integers by any positive or negative factor
+    # rows [1/2, 1/3, 0] and [0, -2/5, 4/5] clear to [3, 2, 0] and [0, -2, 4]
+    images = [{0: Fraction(1, 2)}, {0: Fraction(1, 3), 1: Fraction(-2, 5)}, {1: Fraction(4, 5)}]
+    assert kernel_of_images(images) == [{0: Fraction(-4, 3), 1: 2, 2: 1}]
+    assert kernel_of_images([{0: 3}, {0: 2, 1: -2}, {1: 4}]) == kernel_of_images(images)
+    rnd = random.Random(11)
+    dens = (1, 2, 3, 5, 7, 12)
+    for _ in range(80):
+        ncols = rnd.randrange(1, 7)
+        coords = rnd.sample(range(8), rnd.randrange(1, 6))
+        rows = {
+            k: {j: Fraction(rnd.randrange(-9, 10), rnd.choice(dens)) for j in range(ncols)}
+            for k in coords
+        }
+        scaled = {}
+        for k, row in rows.items():
+            factor = rnd.choice((1, -1, 2)) * lcm(*(c.denominator for c in row.values()))
+            scaled[k] = {j: int(c * factor) for j, c in row.items()}
+        fractions = [{k: rows[k][j] for k in coords if rows[k][j]} for j in range(ncols)]
+        ints = [{k: scaled[k][j] for k in coords if scaled[k][j]} for j in range(ncols)]
+        assert all(type(c) is int for img in ints for c in img.values())
+        assert kernel_of_images(fractions) == kernel_of_images(ints)

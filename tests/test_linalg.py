@@ -1,11 +1,14 @@
 """Exact matrix arithmetic against independent oracles."""
 
 from fractions import Fraction as Q
+from math import lcm
 
 import pytest
 
 from duflo.linalg import Matrix, ShapeMismatch, kernel, kernel_of_images, mat_mul
 from duflo.rng import SplitMix64
+
+from test_kernels import dense_rref_int
 
 
 def _naive_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -18,6 +21,42 @@ def _naive_mul(a: Matrix, b: Matrix) -> Matrix:
                 s += a[i, t] * b[t, j]
             out[i][j] = s
     return Matrix(out)
+
+
+def _int_rows(rows):
+    """Each row scaled by the lcm of its denominators: the same row space."""
+    out = []
+    for row in rows:
+        scale = lcm(*(Q(x).denominator for x in row))
+        out.append([int(Q(x) * scale) for x in row])
+    return out
+
+
+def _rank(rows, cols):
+    return len(dense_rref_int(_int_rows(rows), len(rows), cols)[0])
+
+
+def _dense_kernel(rows, cols):
+    """{column: Fraction} kernel basis of a dense rational matrix, from dense_rref_int."""
+    piv, red = dense_rref_int(_int_rows(rows), len(rows), cols)
+    basis = []
+    for f in range(cols):
+        if f not in piv:
+            v = {p: Q(-r[f], r[p]) for p, r in zip(piv, red) if r[f]}
+            v[f] = Q(1)
+            basis.append(dict(sorted(v.items())))
+    return basis
+
+
+def _assert_canonical_shape(basis, cols):
+    """Ascending keys below cols, no zero value, 1 at the free column, which is
+    the largest key and ascends from vector to vector."""
+    free = [max(v) for v in basis]
+    assert free == sorted(set(free))
+    for v, f in zip(basis, free):
+        assert list(v) == sorted(v) and 0 <= min(v) and f < cols
+        assert all(x != 0 and type(x) is Q for x in v.values())
+        assert v[f] == 1
 
 
 def _random_matrix(rng, rows, cols):
@@ -103,34 +142,39 @@ def test_kernel_rank_nullity_and_annihilation():
         cols = rng.below(5) + 1
         m = _random_matrix(rng, rows, cols)
         basis = kernel(m)
-        assert len(basis) + m.rank() == cols
+        assert len(basis) + _rank(m.entries, cols) == cols
         for v in basis:
             assert all(x == 0 for x in m.apply(v))
-        # basis vectors are independent: stack them and check full rank
+        # basis vectors are independent
         if basis:
-            assert Matrix(basis).rank() == len(basis)
+            assert _rank(basis, cols) == len(basis)
 
 
 def test_kernel_of_images_matches_dense_kernel():
     # the dense matrix has every coordinate as a row, in reverse order, and
     # extra zero rows: the canonical kernel depends only on the row space
     rng = SplitMix64(505)
-    for _ in range(30):
+    for trial in range(60):
         cols = rng.below(6) + 1
         coords = [(rng.below(3), rng.below(4)) for _ in range(rng.below(6) + 1)]
-        images = [
-            {k: q for k in coords if rng.below(3) == 0 and (q := rng.rational())}
-            for _ in range(cols)
-        ]
+        value = rng.rational if trial % 2 else lambda: rng.below(11) - 5
+        images = [{k: q for k in coords if rng.below(3) == 0 and (q := value())} for _ in range(cols)]
         rows = [[img.get(k, 0) for img in images] for k in sorted(set(coords), reverse=True)]
         rows += [[0] * cols] * (rng.below(3) + 1)
-        assert kernel_of_images(images) == kernel(Matrix(rows))
+        basis = kernel_of_images(images)
+        assert basis == _dense_kernel(rows, cols)
+        _assert_canonical_shape(basis, cols)
+        assert len(basis) + _rank(rows, cols) == cols
+        for v in basis:
+            for k in coords:
+                assert sum(images[j].get(k, 0) * x for j, x in v.items()) == 0
 
 
 def test_kernel_of_images_without_coordinates_is_standard_basis():
-    assert kernel_of_images([{}, {}, {}]) == kernel(Matrix.zeros(1, 3))
-    assert kernel_of_images([{}, {}, {}]) == kernel(Matrix.zeros(0, 3))
-    assert kernel_of_images([{}, {}]) == [[1, 0], [0, 1]]
+    assert kernel_of_images([{}, {}, {}]) == [{0: 1}, {1: 1}, {2: 1}]
+    assert kernel_of_images([]) == []
+    assert kernel(Matrix.zeros(1, 3)) == kernel(Matrix.zeros(0, 3))
+    assert kernel(Matrix.zeros(0, 2)) == [[1, 0], [0, 1]]
 
 
 def test_matrix_without_rows_keeps_its_columns():

@@ -51,3 +51,5 @@ def test_tracer_finds_every_span():
         "pbw.invariants_s",
     ):
         assert got["calls"].get(span, 0) > 0, span
+    # every kernel of basis images, on both sides, is eliminated here
+    assert got["calls"].get("kernels.rref_int", 0) > 0

@@ -16,7 +16,7 @@ witness is reproduced by a direct recomputation.
 import json
 from fractions import Fraction
 
-from duflo import catalog, hodge, linalg, pbw
+from duflo import catalog, hodge, pbw
 from duflo.hodge import FormClass, HodgeModel, PolyClass
 from duflo.pbw import SymElement, TensorElement, derivation_apply, phi, symmetrize, theta
 
@@ -324,12 +324,12 @@ def test_faulty_coaction_clearing_fails_lie_diagram_on_dense_gl2(monkeypatch, tm
 
 
 def test_non_invariant_kernel_vector_fails_annihilation(monkeypatch):
-    kernel = linalg.kernel
+    kernel_of_images = pbw.kernel_of_images
 
-    def planted(m):
-        return kernel(m) + [[Fraction(1)] + [Fraction(0)] * (m.cols - 1)]
+    def planted(images):
+        return kernel_of_images(images) + [{0: Fraction(1)}]
 
-    monkeypatch.setattr(linalg, "kernel", planted)
+    monkeypatch.setattr(pbw, "kernel_of_images", planted)
     code, out, err = run_cli(
         ["verify-lie", "--algebra", "sl2", "--rep", "standard", "--max-degree", "1"]
     )
