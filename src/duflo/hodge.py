@@ -27,7 +27,13 @@ par[a1, a2] ^ par[b1, b2] ^ |b1||a2|; a word [a(a_act), dual(b_act)] on a
 target term has sign par[a_act, a_tgt] ^ par[b_act, b_tgt] ^ k(|a_tgt| + e)
 with k = |b_act| and e = 1 for the extra minus per pair, all mod 2.
 
-Everything is exact; no floats anywhere.
+The checks that are linear in alpha run in Z: the Mukai sweep, the Duflo
+round trip and the first-order loci clear their data once and contract
+integer term dicts, and exp_form multiplies integer terms; a Fraction is
+built only for a reported coefficient or a witness.  The per-alpha
+first-order identities (i) and (ii) stay on classes: each is a few
+contractions of one (1,1) class, and they keep the public contractions
+on the verify-hodge path.  Everything is exact; no floats anywhere.
 """
 
 from dataclasses import dataclass
@@ -265,10 +271,7 @@ class HodgeModel:
         if n < 1:
             raise ValueError("model rank must be at least 1")
         self.n = n
-        self._sqrt = None
-        self._inv_sqrt = None
-        self._loci_equal = None
-        self._c1_parts = None
+        self._sqrt = self._inv_sqrt = self._loci_equal = self._c1_parts = None
         if todd is None:
             todd = FormClass(self, {(0, 0): 1})
         elif isinstance(todd, dict):
@@ -293,13 +296,17 @@ class HodgeModel:
 def wedge(u, v):
     """Graded-commutative product; same-kind classes only."""
     u._join(v)
-    n = u.model.n
+    return u._like(_wedge_terms(u.terms, v.terms, u.model.n))
+
+
+def _wedge_terms(u: dict, v: dict, n: int) -> dict:
+    """Every term of u wedged with every term of v, of rank n; zero sums are kept."""
     par = _parity(n)
-    out: dict[tuple[int, int], Fraction] = {}
-    for (a1, b1), c1 in u.terms.items():
+    out: dict = {}
+    for (a1, b1), c1 in u.items():
         odd_b1 = b1.bit_count() & 1
         ra, rb = a1 << n, b1 << n
-        for (a2, b2), c2 in v.terms.items():
+        for (a2, b2), c2 in v.items():
             if a1 & a2 or b1 & b2:
                 continue
             c = c1 * c2
@@ -307,7 +314,7 @@ def wedge(u, v):
                 c = -c
             key = (a1 | a2, b1 | b2)
             out[key] = out[key] + c if key in out else c
-    return u._like(out)
+    return out
 
 
 def _contract_terms(act: dict, tgt: dict, n: int, pair_sign: int) -> dict:
@@ -368,8 +375,9 @@ def exp_form(v: FormClass) -> FormClass:
     """Exponential of a class of even total degree with zero constant term.
 
     Even forms commute, so exp is the graded recursion of sparse.graded_exp
-    on the pieces of total degree 2d; a term of odd total degree raises
-    BidegreeError, since odd forms anticommute and the recursion fails.
+    on the pieces of total degree 2d, over the integer term product
+    _wedge_terms; a term of odd total degree raises BidegreeError, since
+    odd forms anticommute and the recursion fails.
     """
     if (0, 0) in v.terms:
         raise NonzeroConstantTerm("exp_form needs a class with zero (0,0) part")
@@ -379,7 +387,7 @@ def exp_form(v: FormClass) -> FormClass:
         if degree & 1:
             raise BidegreeError(f"exp_form needs even total degree, got a degree-{degree} term")
         pieces[degree // 2][(a, b)] = c
-    return graded_exp([v._like(p) for p in pieces], FormClass.one(v.model), wedge)
+    return graded_exp(pieces, FormClass.one(v.model), lambda x, y: _wedge_terms(x, y, v.model.n))
 
 
 def atiyah_line(model: HodgeModel, c1: FormClass) -> FormClass:
@@ -419,6 +427,27 @@ def duflo_inverse(model: HodgeModel, alpha: PolyClass) -> PolyClass:
     return contract_Omega_on_T(inv_sqrt_todd(model), alpha)
 
 
+def check_duflo_roundtrip(model: HodgeModel, alpha: PolyClass) -> bool:
+    """Whether duflo_inverse(duflo(alpha)) and duflo(duflo_inverse(alpha)) are alpha.
+
+    With R/r and U/u the cleared Todd root and its inverse and A alpha's
+    cleared terms, U -| (R -| A) and R -| (U -| A) must both be r u A.
+    """
+    _same_model(model.todd, alpha)
+    n = model.n
+    (root,), r = cleared([sqrt_todd(model).terms])
+    (inv,), u = cleared([inv_sqrt_todd(model).terms])
+    (a,), _ = cleared([alpha.terms])
+    want = {k: r * u * x for k, x in a.items()}
+    back = _contract_terms(inv, _contract_terms(root, a, n, -1), n, -1)
+    forth = _contract_terms(root, _contract_terms(inv, a, n, -1), n, -1)
+    return _nonzero(back) == want == _nonzero(forth)
+
+
+def _nonzero(terms: dict) -> dict:
+    return {k: c for k, c in terms.items() if c}
+
+
 class LineBundle:
     """Per-c1 data shared by every alpha checked against one line bundle.
 
@@ -434,9 +463,9 @@ class LineBundle:
     moduli_action() for D(alpha) -| v(L), from sqrt_todd(model) and
     mukai.  Each is built on its first use, not here, from the attributes
     as they are then, and is held as integer images over one denominator
-    (see _apply).  contract_exp_atiyah, exp_atiyah_kernel and
-    check_mukai_implication take a LineBundle, so a sweep over many alphas
-    against one c1 builds all of this once.
+    (see _apply_int).  contract_exp_atiyah, exp_atiyah_kernel, mukai_sweep
+    and check_mukai_implication take a LineBundle, so a sweep over many
+    alphas against one c1 builds all of this once.
     """
 
     __slots__ = ("model", "exp_by_b", "mukai", "_obstruction", "_moduli")
@@ -453,10 +482,8 @@ class LineBundle:
 
     def obstruction(self) -> tuple[list[dict], int]:
         if self._obstruction is None:
-            basis = poly_basis(self.model)
-            self._obstruction = cleared(
-                [contract_exp_atiyah(beta, self).terms for beta in basis]
-            )
+            images = [contract_exp_atiyah(b, self).terms for b in poly_basis(self.model)]
+            self._obstruction = cleared(images)
         return self._obstruction
 
     def moduli_action(self) -> tuple[list[dict], int]:
@@ -472,34 +499,26 @@ def _moduli_operator(line: LineBundle) -> tuple[list[dict], int]:
     D(beta) and its contraction into v(L) are then integer term dicts.
     """
     n = line.model.n
-    size = 1 << n
     (root,), rden = cleared([sqrt_todd(line.model).terms])
     (mukai,), mden = cleared([line.mukai.terms])
-    images = []
-    for a in range(size):
-        for b in range(size):
-            d_beta = _contract_terms(root, {(a, b): 1}, n, -1)
-            img = _contract_terms(d_beta, mukai, n, +1)
-            images.append({k: x for k, x in img.items() if x})
-    return images, rden * mden
+    return _duflo_images(root, mukai, _keys(n), n), rden * mden
 
 
-def _apply(op: tuple[list[dict], int], alpha) -> dict:
-    """Image of alpha under an operator on the basis terms, as {key: Fraction}.
+def _duflo_images(root: dict, target: dict, keys: list, n: int) -> list[dict]:
+    """D(beta) -| target for each basis term beta in keys, root the cleared Todd root."""
+    return [
+        _nonzero(_contract_terms(_contract_terms(root, {k: 1}, n, -1), target, n, +1))
+        for k in keys
+    ]
 
-    images[(a << n) | b] over den is the image of the term (a, b).  The
-    sum runs over integers, with alpha cleared of its denominators; a
-    Fraction is built only for a nonzero coefficient of the result.
-    """
-    images, den = op
-    n = alpha.model.n
-    (coeffs,), scale = cleared([alpha.terms])
+
+def _apply_int(images: list[dict], coeffs: dict) -> dict:
+    """Sum of m * images[c] over coeffs {c: int m}, zeros dropped; c = (a << n) | b."""
     acc: dict = {}
-    for (a, b), m in coeffs.items():
-        for k, x in images[(a << n) | b].items():
+    for col, m in coeffs.items():
+        for k, x in images[col].items():
             acc[k] = acc[k] + m * x if k in acc else m * x
-    den *= scale
-    return {k: Fraction(v, den) for k, v in acc.items() if v}
+    return _nonzero(acc)
 
 
 def mukai_line(model: HodgeModel, c1: FormClass) -> FormClass:
@@ -537,28 +556,26 @@ def contract_exp_atiyah(alpha: PolyClass, line: LineBundle) -> ExtClass:
 # verification routines
 # ---------------------------------------------------------------------------
 
+def _keys(n: int) -> list[tuple[int, int]]:
+    """Every term (a, b) of rank n, in canonical order: index (a << n) | b."""
+    return [(a, b) for a in range(1 << n) for b in range(1 << n)]
+
+
+def _keys_11(n: int) -> list[tuple[int, int]]:
+    return [(1 << i, 1 << j) for i in range(n) for j in range(n)]
+
+
 def poly_basis(model: HodgeModel) -> list[PolyClass]:
     """Full term basis of the polyvector side, in canonical order."""
-    size = 1 << model.n
-    return [
-        PolyClass(model, {(a, b): 1}) for a in range(size) for b in range(size)
-    ]
+    return [PolyClass(model, {k: 1}) for k in _keys(model.n)]
 
 
 def poly_basis_11(model: HodgeModel) -> list[PolyClass]:
-    return [
-        PolyClass(model, {(1 << i, 1 << j): 1})
-        for i in range(model.n)
-        for j in range(model.n)
-    ]
+    return [PolyClass(model, {k: 1}) for k in _keys_11(model.n)]
 
 
 def form_basis_11(model: HodgeModel) -> list[FormClass]:
-    return [
-        FormClass(model, {(1 << i, 1 << j): 1})
-        for i in range(model.n)
-        for j in range(model.n)
-    ]
+    return [FormClass(model, {k: 1}) for k in _keys_11(model.n)]
 
 
 def _on_line(model: HodgeModel, line: LineBundle):
@@ -568,6 +585,12 @@ def _on_line(model: HodgeModel, line: LineBundle):
         )
 
 
+def _basis_poly(model: HodgeModel, vec: dict) -> PolyClass:
+    """The polyvector with coefficient vec[(a << n) | b] on the term (a, b)."""
+    n = model.n
+    return PolyClass(model, {(c >> n, c & ((1 << n) - 1)): v for c, v in vec.items()})
+
+
 def exp_atiyah_kernel(model: HodgeModel, line: LineBundle) -> list[PolyClass]:
     """Exact basis of {alpha : alpha -| exp(c1) = 0}.
 
@@ -575,13 +598,20 @@ def exp_atiyah_kernel(model: HodgeModel, line: LineBundle) -> list[PolyClass]:
     obstruction images of the canonical term basis.
     """
     _on_line(model, line)
-    n = model.n
-    mask = (1 << n) - 1
-    images, _ = line.obstruction()
-    return [
-        PolyClass(model, {(c >> n, c & mask): v for c, v in vec.items()})
-        for vec in kernel_of_images(images)
-    ]
+    return [_basis_poly(model, vec) for vec in kernel_of_images(line.obstruction()[0])]
+
+
+def mukai_sweep(model: HodgeModel, line: LineBundle) -> tuple[int, PolyClass | None]:
+    """Dimension of exp_atiyah_kernel, and its first vector whose obstruction or
+    moduli action is nonzero, decided on integers; only that one becomes a PolyClass.
+    """
+    _on_line(model, line)
+    ker = kernel_of_images(line.obstruction()[0])
+    for vec in ker:
+        (coeffs,), _ = cleared([vec])
+        if any(_apply_int(op()[0], coeffs) for op in (line.obstruction, line.moduli_action)):
+            return len(ker), _basis_poly(model, vec)
+    return len(ker), None
 
 
 @dataclass
@@ -604,17 +634,17 @@ def check_mukai_implication(
     """
     _on_line(model, line)
     _same_model(alpha, line)
-    h = ExtClass(model, _apply(line.obstruction(), alpha))
-    m = FormClass(model, _apply(line.moduli_action(), alpha))
+    n = model.n
+    (coeffs,), scale = cleared([{(a << n) | b: c for (a, b), c in alpha.terms.items()}])
+    h, m = (
+        {k: Fraction(v, den * scale) for k, v in _apply_int(images, coeffs).items()}
+        for images, den in (line.obstruction(), line.moduli_action())
+    )
+    h, m = ExtClass(model, h), FormClass(model, m)
     hyp = h.is_zero()
     concl = m.is_zero()
     ok = (not hyp) or concl
-    if not ok:
-        status = "critical-fail"
-    elif hyp:
-        status = "pass"
-    else:
-        status = "vacuous"
+    status = "critical-fail" if not ok else "pass" if hyp else "vacuous"
     return MukaiImplicationReport(h, m, hyp, concl, ok, status)
 
 
@@ -678,11 +708,12 @@ def first_order_check(model: HodgeModel, alpha: PolyClass) -> FirstOrderReport:
 
 
 def _first_order_loci(model: HodgeModel, c1: FormClass):
-    """Canonical kernel bases of alpha -| c1 and D(alpha) -| v(O) on (1,1)."""
-    basis = poly_basis_11(model)
-    v_sheaf = mukai_line(model, FormClass.zero(model))
-    k1 = kernel_of_images([contract_T_on_Omega(beta, c1).terms for beta in basis])
-    k2 = kernel_of_images(
-        [contract_T_on_Omega(duflo(model, beta), v_sheaf).terms for beta in basis]
-    )
-    return k1, k2
+    """Canonical kernel bases of alpha -| c1 and D(alpha) -| v(O) on (1,1), v(O) = R.
+
+    c1 and the Todd root R are cleared once, which scales each image set by one constant.
+    """
+    n = model.n
+    (c,), _ = cleared([c1.terms])
+    (root,), _ = cleared([sqrt_todd(model).terms])
+    k1 = kernel_of_images([_nonzero(_contract_terms({k: 1}, c, n, +1)) for k in _keys_11(n)])
+    return k1, kernel_of_images(_duflo_images(root, root, _keys_11(n), n))

@@ -11,9 +11,11 @@ through the elementary/power-sum conversion (Newton's identities), never
 from a hard-coded table; the printed low-weight coefficients are test
 targets, not inputs.  With l_k the coefficients of log(t/(1 - e^{-t})),
 Todd = exp(L) and its square root is exp(L/2) for L = sum_k l_k p_k; no
-series square root is taken.  Newton's identity for p_k adds
-each e_i p_{k-i} by appending the generator c_i to every monomial of
-p_{k-i}, with no series product.
+series square root is taken.  The l_k are read from -log((1 - e^{-t})/t),
+so no series inverse is taken either.  exp is sparse.graded_exp over
+_mul_terms, the integer term product that GradedSeries.__mul__ wraps.
+Newton's identity for p_k adds each e_i p_{k-i} by appending the
+generator c_i to every monomial of p_{k-i}, with no series product.
 """
 
 import operator
@@ -83,18 +85,8 @@ class GradedSeries(LinComb):
         self._join(other)
         (left,), d1 = cleared([self.terms])
         (right,), d2 = cleared([other.terms])
-        right = sorted(((_weight(m2), m2, c2) for m2, c2 in right.items()), key=lambda t: t[0])
-        trunc = self.trunc
-        acc: dict[Monomial, int] = {}
-        for m1, c1 in left.items():
-            room = trunc - _weight(m1)
-            for w2, m2, c2 in right:
-                if w2 > room:
-                    break
-                m = tuple(sorted(m1 + m2))
-                acc[m] = acc[m] + c1 * c2 if m in acc else c1 * c2
-        den = d1 * d2
-        return self._like({m: Fraction(c, den) for m, c in acc.items() if c})
+        acc = _mul_terms(left, right, self.trunc)
+        return self._like({m: Fraction(c, d1 * d2) for m, c in acc.items() if c})
 
     def constant(self) -> Fraction:
         return self.terms.get((), Q(0))
@@ -128,7 +120,8 @@ class GradedSeries(LinComb):
         """Exponential of a series with zero constant term."""
         if self.constant() != 0:
             raise NonUnitConstant("exp needs zero constant term")
-        return graded_exp(self.weight_parts(), GradedSeries.scalar(self.trunc), operator.mul)
+        trunc, parts = self.trunc, [p.terms for p in self.weight_parts()]
+        return graded_exp(parts, GradedSeries.scalar(trunc), lambda u, v: _mul_terms(u, v, trunc))
 
     def log(self) -> "GradedSeries":
         """Logarithm of a series with constant term 1."""
@@ -196,6 +189,20 @@ def _weight(mono: Monomial) -> int:
     return sum(map(itemgetter(1), mono))
 
 
+def _mul_terms(left: dict, right: dict, trunc: int) -> dict:
+    """Product of two term maps truncated at weight trunc; zero sums are kept."""
+    right = sorted(((_weight(m2), m2, c2) for m2, c2 in right.items()), key=itemgetter(0))
+    acc: dict[Monomial, int] = {}
+    for m1, c1 in left.items():
+        room = trunc - _weight(m1)
+        for w2, m2, c2 in right:
+            if w2 > room:
+                break
+            m = tuple(sorted(m1 + m2))
+            acc[m] = acc[m] + c1 * c2 if m in acc else c1 * c2
+    return acc
+
+
 def _mono_text(mono: Monomial) -> str:
     """Runs of equal generator names as powers, e.g. 'c1^2*c3'; '1' if empty."""
     if not mono:
@@ -243,23 +250,18 @@ def power_sums(trunc: int, family: str = "c") -> list[GradedSeries]:
     return [zero._like({m: Fraction(c) for m, c in p.items() if c}) for p in ints]
 
 
-def _todd_root_series(trunc: int) -> GradedSeries:
-    """The one-variable generating series t/(1 - e^{-t}) up to the cutoff."""
-    t = ("t", 1)
-    return GradedSeries(
-        trunc, {(t,) * k: Fraction((-1) ** k, factorial(k + 1)) for k in range(trunc + 1)}
-    ).inv()
-
-
 def _log_todd(trunc: int, family: str) -> GradedSeries:
-    """log Todd = sum_k l_k p_k, l_k the coefficients of log(t/(1 - e^{-t}))."""
+    """log Todd = sum_k l_k p_k, l_k the coefficients of -log((1 - e^{-t})/t)."""
     if trunc < 0:
         raise ValueError("weight must be nonnegative")
-    lq = _todd_root_series(trunc).log()
+    t = ("t", 1)
+    lq = GradedSeries(
+        trunc, {(t,) * k: Fraction((-1) ** k, factorial(k + 1)) for k in range(trunc + 1)}
+    ).log()
     p = power_sums(trunc, family)
     terms: dict = {}
     for k in range(1, trunc + 1):
-        lk = lq.coefficient((("t", 1),) * k)
+        lk = -lq.coefficient((t,) * k)
         for m, c in p[k].terms.items():
             terms[m] = lk * c
     return p[0]._like(terms)

@@ -16,6 +16,8 @@ unit_inverse, unit_sqrt and graded_exp compute 1/a, sqrt(a) and exp(a)
 weight by weight over any commutative graded product, from the pieces
 a_0, a_1, ... of a by weight.  In each, the weight-w part of the result is
 a sum of products of lower-weight parts, so no power of a is ever formed.
+graded_exp runs in Z: it clears its pieces once, multiplies integer term
+maps only, and builds one Fraction per key of the result.
 """
 
 from fractions import Fraction
@@ -138,28 +140,30 @@ def unit_sqrt(pieces: list, mul) -> LinComb:
     return sum(s[1:], s[0])
 
 
-def graded_exp(pieces: list, one: LinComb, mul) -> LinComb:
-    """exp(a) for a = sum of graded pieces, pieces[0] zero.
+def graded_exp(pieces: list[dict], one: LinComb, mul_terms) -> LinComb:
+    """exp(a) for a = sum of graded pieces (term maps), pieces[0] zero.
 
     e_0 = one and w e_w = sum_{k=1..w} k a_k e_{w-k}, the weight-w part of
-    E' = A' E; empty pieces are skipped.  The sum for e_w runs over integer
-    numerators on one common denominator of its products, with one Fraction
-    per key of e_w.  Returns sum of e_w, whose parts share no key because
-    each key has one weight.
+    E' = A' E.  With the pieces cleared once to integer maps A_k over one
+    denominator d, E_w = d^w w! e_w is the integer map
+    sum_k k d^(k-1) (w-1)!/(w-k)! A_k * E_{w-k}, * being mul_terms on two
+    integer term maps.  Empty pieces are skipped; one Fraction is built per
+    key of the result, whose parts share no key as each key has one weight.
     """
-    e = [one]
-    for w in range(1, len(pieces)):
-        products = [
-            (k, mul(pieces[k], e[w - k]).terms)
-            for k in range(1, w + 1)
-            if pieces[k].terms and e[w - k].terms
-        ]
-        ints, den = cleared([terms for _, terms in products])
+    ints, d = cleared(pieces)
+    big = [dict.fromkeys(one.terms, 1)]
+    out = dict(one.terms)
+    den = 1
+    for w in range(1, len(ints)):
         acc: dict = {}
-        for (k, _), terms in zip(products, ints):
-            for key, x in terms.items():
-                x *= k
-                acc[key] = acc[key] + x if key in acc else x
-        den *= w
-        e.append(one._like({key: Fraction(x, den) for key, x in acc.items() if x}))
-    return one._like({key: c for part in e for key, c in part.terms.items()})
+        g = 1  # d^(k-1) (w-1)!/(w-k)!
+        for k in range(1, w + 1):
+            if ints[k] and big[w - k]:
+                f = k * g
+                for key, x in mul_terms(ints[k], big[w - k]).items():
+                    acc[key] = acc[key] + f * x if key in acc else f * x
+            g *= d * (w - k)
+        big.append({key: x for key, x in acc.items() if x})
+        den *= d * w
+        out.update((key, Fraction(x, den)) for key, x in big[w].items())
+    return one._like(out)

@@ -1,21 +1,29 @@
-"""verify-lie at its input boundary: rational changes of basis and broken files.
+"""The input boundary: algebra files, class dumps and command lines.
 
 A Lie algebra stays a Lie algebra in any basis, and a bracket that breaks
 the Jacobi identity breaks it in every basis.  So random rational changes
 of basis of the catalog gl2, sl2 and heisenberg3, with large coprime
 denominators, must verify (exit 0), and the same changes applied to a
 bracket that is not Lie, or a well-formed file broken in one place, must
-be rejected as bad input (exit 2) without a traceback.  Examples are
-derandomized and few, so the suite stays fast and repeatable.
+be rejected as bad input (exit 2) without a traceback.
+
+A FormClass or PolyClass dump, loose or with one field broken, either
+loads, and then survives a to_obj round trip, or raises BidegreeError or
+ValueError.  Command lines of all three subcommands, well formed or with
+one word replaced, dropped or added, exit 0, 1 or 2 with no traceback;
+their sizes stay within dim 3, 2 cases, degree 3 and weight 6.  Examples
+are derandomized and few, so the suite stays fast and repeatable.
 """
 
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from duflo import catalog
+from duflo.hodge import BidegreeError, FormClass, HodgeModel, PolyClass
 
 from test_cli import run_cli
 from test_stream_digests import write_in_basis
@@ -108,3 +116,108 @@ def test_broken_file_is_input_error(tmp_path, drawn, how):
     code, out, err = _verify(path)
     assert code == 2 and out == "", how
     assert err.startswith("error: ") and "Traceback" not in err, how
+
+
+# -- class dumps ------------------------------------------------------------------
+
+JUNK = st.none() | st.booleans() | st.integers(-2, 4) | st.floats(-2, 4) | st.text(max_size=3)
+COEFFS = st.sampled_from(["1", "-1", "2/3", "-7/5", "0", "1/0", "0.5", "half", ""]) | JUNK
+INDICES = st.lists(st.integers(-1, 4) | JUNK, max_size=3) | JUNK
+TERM = st.fixed_dictionaries({}, optional={"a": INDICES, "b": INDICES, "coeff": COEFFS}) | JUNK
+GROUP = st.fixed_dictionaries(
+    {},
+    optional={
+        "bidegree": st.lists(st.integers(0, 3) | JUNK, max_size=3) | JUNK,
+        "terms": st.lists(TERM, max_size=3) | JUNK,
+    },
+) | JUNK
+KEYS = st.tuples(st.integers(0, 7), st.integers(0, 7))
+RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+@st.composite
+def class_dumps(draw):
+    """A loose JSON structure, or a rank-3 to_obj dump with perhaps one field replaced."""
+    if draw(st.booleans()):
+        return draw(st.lists(GROUP, max_size=3) | JUNK)
+    obj = FormClass(HodgeModel(3), draw(st.dictionaries(KEYS, RATIONALS, max_size=4))).to_obj()
+    if obj and draw(st.booleans()):
+        group = draw(st.sampled_from(obj))
+        field = draw(st.sampled_from(["bidegree", "a", "b", "coeff"]))
+        if field == "bidegree":
+            group[field] = draw(st.lists(st.integers(0, 3) | JUNK, max_size=3) | JUNK)
+        else:
+            term = draw(st.sampled_from(group["terms"]))
+            term[field] = draw(COEFFS if field == "coeff" else INDICES)
+    return obj
+
+
+@settings(SETTINGS, max_examples=60)
+@given(st.integers(1, 3), class_dumps())
+def test_class_dump_loads_or_is_input_error(n, obj):
+    model = HodgeModel(n)
+    for kind in (FormClass, PolyClass):
+        try:
+            got = kind.from_obj(model, obj)
+        except (BidegreeError, ValueError):
+            continue
+        assert kind.from_obj(model, got.to_obj()) == got
+
+
+# -- argv ---------------------------------------------------------------------------
+
+
+def _numbers(lo, hi):
+    return st.sampled_from([str(i) for i in range(lo, hi + 1)])
+
+
+# flag -> (values within the size bounds, whether the flag is always given);
+# a flag left out takes its default, so every size flag is always given
+ARGV_OPTIONS = {
+    "verify-lie": {
+        "--algebra": (st.sampled_from(["gl2", "sl2", "heisenberg3", "abelian2"]), True),
+        "--rep": (st.sampled_from(["all", "standard", "adjoint"]), False),
+        "--max-degree": (_numbers(0, 3), True),
+    },
+    "verify-hodge": {
+        "--dim": (_numbers(1, 3), True),
+        "--seed": (st.sampled_from(["0", "7", str(2**64 - 1)]), False),
+        "--cases": (_numbers(0, 2), True),
+    },
+    "series": {
+        "--weight": (_numbers(0, 6), True),
+        "--rank": (_numbers(0, 3), False),
+        "--format": (st.sampled_from(["text", "json"]), False),
+    },
+}
+SERIES_KINDS = st.sampled_from(["todd", "sqrt-todd", "ch", "mukai"])
+# a word in place of any other, or put between two: none of them widens a size bound
+STRAY = st.sampled_from(["", "x", "1.5", "0x1", "-", "-1", "99", "nope", "--bogus", str(2**64)])
+
+
+@st.composite
+def argvs(draw, command):
+    """A well-formed bounded command line, or one with a word replaced, dropped or added."""
+    argv = [command] + ([draw(SERIES_KINDS)] if command == "series" else [])
+    for flag, (values, always) in ARGV_OPTIONS[command].items():
+        if always or draw(st.booleans()):
+            argv += [flag, draw(values)]
+    how = draw(st.sampled_from(["keep", "keep", "replace", "drop", "add"]))
+    at = draw(st.integers(1, len(argv) - 1))
+    if how == "replace":
+        argv[at] = draw(STRAY)
+    elif how == "drop":
+        del argv[at]
+    elif how == "add":
+        argv.insert(at, draw(STRAY))
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(ARGV_OPTIONS))
+@settings(SETTINGS, max_examples=20)
+@given(data=st.data())
+def test_argv_exits_cleanly(command, data):
+    argv = data.draw(argvs(command))
+    code, _, err = run_cli(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err and "internal error" not in err, (argv, err)

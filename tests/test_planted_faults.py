@@ -3,14 +3,18 @@
 verify-hodge builds the Mukai line once per c1, with its two basis
 operators (the obstruction and the moduli action, as integer images),
 and compares the loci once per model, then shares them with every alpha
-checked against them.
+checked against them.  mukai_sweep pushes each kernel vector through both
+operators on integers and hands only a failing one to
+check_mukai_implication, which builds the witness: plants in the Mukai
+vector or the moduli operator corrupt the implication's conclusion, and a
+vector planted into the kernel corrupts its hypothesis.  The Duflo round
+trip, decided on integers, and the per-case first-order suite read the
+Todd root and its inverse from the graded recursions of duflo.sparse.
 verify-lie fills one integer table per representation and route, shared
 by every diagram check on that representation, and checks each invariant
-it finds in one suite.  The Duflo round trip and the per-case first-order suite
-read the Todd root and its inverse from the graded recursions of
-duflo.sparse.  Each test plants one fault and checks that the sweep
-reports it: the suite's lines say "fail", the exit code is 1, and the
-witness is reproduced by a direct recomputation.
+it finds in one suite.  Each test plants one fault and checks that the
+sweep reports it: the suite's lines say "fail", the exit code is 1, and
+the witness is reproduced by a direct recomputation.
 """
 
 import json
@@ -89,6 +93,33 @@ def test_shifted_moduli_operator_fails_mukai_implication(monkeypatch):
 
     monkeypatch.undo()
     assert hodge.check_mukai_implication(model, alpha, hodge.LineBundle(model, c1)).ok
+
+
+def test_non_kernel_vector_fails_mukai_implication(monkeypatch):
+    kernel_of_images = hodge.kernel_of_images
+
+    def planted(images):
+        return kernel_of_images(images) + [{0: Fraction(1)}]
+
+    monkeypatch.setattr(hodge, "kernel_of_images", planted)
+    code, out, err = run_cli(ARGV)
+    assert code == 1
+    assert "Traceback" not in err
+    lines = _lines(out, "mukai-implication")
+    assert [r["status"] for r in lines] == ["fail"]
+    assert lines[0]["instance"]["kernel_dim"] == 4**2 - 2**2 + 1
+    # both loci gain the same vector, so they still agree
+    assert _failing_suites(out) == {"mukai-implication"}
+
+    witness = lines[0]["witness"]
+    model = HodgeModel(2)
+    alpha = PolyClass.from_obj(model, witness["alpha"])
+    assert alpha.terms == {(0, 0): 1}
+    c1 = FormClass.from_obj(model, witness["c1"])
+    rpt = hodge.check_mukai_implication(model, alpha, hodge.LineBundle(model, c1))
+    assert not rpt.hypothesis and rpt.status == "vacuous"
+    assert rpt.obstruction.to_obj() == witness["obstruction"] != []
+    assert rpt.moduli_action.to_obj() == witness["moduli_action"]
 
 
 def test_corrupt_locus_kernel_fails_first_order_basis(monkeypatch):
