@@ -1,6 +1,6 @@
 """Exact rational verifier for symmetrization and contraction identities.
 
-Subpackages:
+Modules, imported by name (the package root re-exports nothing):
 
   linalg   exact rational matrices and products; sparse kernels of basis images
   kernels  the hot loops: matrix products, sparse integer RREF
@@ -10,48 +10,9 @@ Subpackages:
   pbw      symmetrization diagram evaluated in End(V)
   hodge    bi-exterior contraction calculus and the Duflo twist
   series   truncated Chern-variable series (Todd, Chern character, Mukai)
+  report   the canonical JSON report stream
+  rng      seeded generator for reproducible cases
   cli      the `duflo` command
 """
-
-from .linalg import Matrix, Q, ShapeMismatch, kernel, mat_mul
-from .lie import (
-    AntisymmetryViolation,
-    BracketMismatch,
-    JacobiViolation,
-    LieAlgebra,
-    Representation,
-    adjoint_rep,
-)
-from .pbw import (
-    SymElement,
-    TensorElement,
-    adjunction_check,
-    check_pbw_diagram,
-    invariants_s,
-    phi,
-    s_to_hom,
-    symmetrize,
-    theta,
-)
-from .hodge import (
-    ExtClass,
-    FormClass,
-    HodgeModel,
-    LineBundle,
-    PolyClass,
-    atiyah_line,
-    check_mukai_implication,
-    contract_Omega_on_T,
-    contract_T_on_Omega,
-    contract_exp_atiyah,
-    duflo,
-    duflo_inverse,
-    exp_atiyah_kernel,
-    exp_form,
-    first_order_check,
-    mukai_line,
-    wedge,
-)
-from .series import GradedSeries, chern_character, mukai_vector, sqrt_todd, todd
 
 __version__ = "0.1.0"

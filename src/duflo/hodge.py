@@ -29,11 +29,13 @@ with k = |b_act| and e = 1 for the extra minus per pair, all mod 2.
 
 The checks that are linear in alpha run in Z: the Mukai sweep, the Duflo
 round trip and the first-order loci clear their data once and contract
-integer term dicts, and exp_form multiplies integer terms; a Fraction is
-built only for a reported coefficient or a witness.  The per-alpha
-first-order identities (i) and (ii) stay on classes: each is a few
-contractions of one (1,1) class, and they keep the public contractions
-on the verify-hodge path.  Everything is exact; no floats anywhere.
+integer term dicts, and exp_form multiplies integer terms.  Both Mukai
+operators, the obstruction and the moduli action, and contract_exp_atiyah
+come from the one contraction loop _contract_terms.  A Fraction is built
+only for a reported coefficient or a witness.  The per-alpha first-order
+identities (i) and (ii) stay on classes: each is a few contractions of one
+(1,1) class, and they keep the public contractions on the verify-hodge
+path.  Everything is exact; no floats anywhere.
 """
 
 from dataclasses import dataclass
@@ -451,39 +453,39 @@ def _nonzero(terms: dict) -> dict:
 class LineBundle:
     """Per-c1 data shared by every alpha checked against one line bundle.
 
-    exp_by_b is exp(c1) indexed by b-mask, as bmask -> [(amask, coeff)]:
-    for a (1,1) class the part with k b-factors is the k-th wedge power
-    over k!, so a polyvector term's b-mask alone selects the entries it
-    can fully contract.  mukai is the Mukai vector exp(c1) ^ sqrt(Todd),
-    built from the same exponential.
+    exp is exp(c1), and mukai is the Mukai vector exp(c1) ^ sqrt(Todd).
 
     Both maps of the Mukai sweep are linear in alpha and kept here as
-    operators on the 4^n polyvector basis terms: obstruction() for
-    alpha -| exp(c1), from contract_exp_atiyah of each basis term, and
-    moduli_action() for D(alpha) -| v(L), from sqrt_todd(model) and
-    mukai.  Each is built on its first use, not here, from the attributes
-    as they are then, and is held as integer images over one denominator
-    (see _apply_int).  contract_exp_atiyah, exp_atiyah_kernel, mukai_sweep
-    and check_mukai_implication take a LineBundle, so a sweep over many
-    alphas against one c1 builds all of this once.
+    operators on the 4^n polyvector basis terms, each the contraction
+    _contract_terms of a basis term into a cleared form: obstruction()
+    for alpha -| exp(c1), keyed (amask, 0), and moduli_action() for
+    D(alpha) -| v(L), from sqrt_todd(model) and mukai.  Each is built on
+    its first use, not here, from the attributes as they are then, and is
+    held as integer images over one denominator (see _apply_int).
+    contract_exp_atiyah, exp_atiyah_kernel, mukai_sweep and
+    check_mukai_implication take a LineBundle, so a sweep over many alphas
+    against one c1 builds all of this once.
     """
 
-    __slots__ = ("model", "exp_by_b", "mukai", "_obstruction", "_moduli")
+    __slots__ = ("model", "exp", "mukai", "_obstruction", "_moduli")
 
     def __init__(self, model: HodgeModel, c1: FormClass):
-        exp = exp_form(atiyah_line(model, c1))
+        self.exp = exp_form(atiyah_line(model, c1))
         self.model = model
-        self.exp_by_b: dict[int, list[tuple[int, Fraction]]] = {}
-        for (a, b), c in exp.terms.items():
-            self.exp_by_b.setdefault(b, []).append((a, c))
-        self.mukai = wedge(exp, sqrt_todd(model))
+        self.mukai = wedge(self.exp, sqrt_todd(model))
         self._obstruction = None
         self._moduli = None
 
     def obstruction(self) -> tuple[list[dict], int]:
         if self._obstruction is None:
-            images = [contract_exp_atiyah(b, self).terms for b in poly_basis(self.model)]
-            self._obstruction = cleared(images)
+            n = self.model.n
+            (exp,), den = cleared([self.exp.terms])
+            # a basis term (a, b) fully contracts only the terms of b-mask b
+            by_b: dict[int, dict] = {}
+            for (a, b), c in exp.items():
+                by_b.setdefault(b, {})[(a, b)] = c
+            images = [_contract_terms({k: 1}, by_b.get(k[1], {}), n, +1) for k in _keys(n)]
+            self._obstruction = images, den
         return self._obstruction
 
     def moduli_action(self) -> tuple[list[dict], int]:
@@ -531,25 +533,12 @@ def contract_exp_atiyah(alpha: PolyClass, line: LineBundle) -> ExtClass:
 
     The (p,k) part of alpha pairs all k dual factors against the k-th
     wedge power of the (1,1) class c1 over k!; A-factors wedge.  The
-    result is graded by p+k and equals the leftover-free part of
+    result is graded by p+k: the b-free part of
     contract_T_on_Omega(alpha, exp_form(c1)).
     """
     _same_model(alpha, line)
-    n = alpha.model.n
-    par = _parity(n)
-    out: dict[int, Fraction] = {}
-    for (aa, bs), ca in alpha.terms.items():
-        odd_k = bs.bit_count() & 1
-        ra, flip = aa << n, par[(bs << n) | bs]
-        for av, cv in line.exp_by_b.get(bs, ()):
-            if aa & av:
-                continue
-            c = ca * cv
-            if par[ra | av] ^ flip ^ odd_k & av.bit_count():
-                c = -c
-            a = aa | av
-            out[a] = out[a] + c if a in out else c
-    return ExtClass(alpha.model, out)
+    terms = _contract_terms(alpha.terms, line.exp.terms, alpha.model.n, +1)
+    return ExtClass(alpha.model, {a: c for (a, b), c in terms.items() if not b})
 
 
 # ---------------------------------------------------------------------------
@@ -572,10 +561,6 @@ def poly_basis(model: HodgeModel) -> list[PolyClass]:
 
 def poly_basis_11(model: HodgeModel) -> list[PolyClass]:
     return [PolyClass(model, {k: 1}) for k in _keys_11(model.n)]
-
-
-def form_basis_11(model: HodgeModel) -> list[FormClass]:
-    return [FormClass(model, {k: 1}) for k in _keys_11(model.n)]
 
 
 def _on_line(model: HodgeModel, line: LineBundle):
@@ -640,7 +625,7 @@ def check_mukai_implication(
         {k: Fraction(v, den * scale) for k, v in _apply_int(images, coeffs).items()}
         for images, den in (line.obstruction(), line.moduli_action())
     )
-    h, m = ExtClass(model, h), FormClass(model, m)
+    h, m = ExtClass(model, {a: c for (a, _), c in h.items()}), FormClass(model, m)
     hyp = h.is_zero()
     concl = m.is_zero()
     ok = (not hyp) or concl

@@ -7,6 +7,7 @@ taken of maps given by their sparse images of a basis, from the sparse
 integer RREF of kernels.rref_int, and are returned as sparse vectors.
 """
 
+import re
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
@@ -14,6 +15,7 @@ from typing import Iterable, Sequence
 from .kernels import matmul_pairs, rref_int
 
 Q = Fraction
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 class ShapeMismatch(Exception):
@@ -27,12 +29,14 @@ class ShapeMismatch(Exception):
 
 
 def parse_rational(value) -> Fraction:
-    """Accept ints, Fractions and 'p/q' strings; bad strings raise ValueError."""
+    """Accept ints, Fractions and [+-]p[/q] ASCII digit strings; others raise ValueError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if not _RATIONAL.fullmatch(value):
+            raise ValueError(f"not a p/q rational literal: {value!r}")
         try:
             return Fraction(value)
         except ZeroDivisionError:

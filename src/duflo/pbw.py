@@ -60,34 +60,13 @@ Word = tuple[int, ...]
 SymMonomial = tuple[int, ...]  # sorted ascending
 
 
-class DegreeOverflow(Exception):
-    def __init__(self, length: int, max_degree: int):
-        super().__init__(f"word of length {length} exceeds declared max degree {max_degree}")
-
-
 class TensorElement(LinComb):
-    """Finite map from words to rational coefficients, zeros dropped.
+    """Finite map from words to rational coefficients, zeros dropped."""
 
-    max_degree, when given, bounds the word length the constructor
-    accepts; a sum or difference keeps it only when both operands share it.
-    """
-
-    __slots__ = ("max_degree",)
-    _CONTEXT = ("max_degree",)
-
-    def __init__(self, terms=None, max_degree: int | None = None):
-        self.max_degree = max_degree
-        super().__init__(terms)
+    __slots__ = ()
 
     def _key(self, w):
-        w = tuple(int(i) for i in w)
-        if self.max_degree is not None and len(w) > self.max_degree:
-            raise DegreeOverflow(len(w), self.max_degree)
-        return w
-
-    def _join(self, other):
-        super()._join(other)
-        return self if other.max_degree == self.max_degree else TensorElement()
+        return tuple(int(i) for i in w)
 
     @classmethod
     def word(cls, w, coeff=1) -> "TensorElement":
@@ -219,17 +198,6 @@ def phi(rep: Representation, t: TensorElement) -> Matrix:
                 if v != 0:
                     acc[o][i] += c * v
     return Matrix(acc)
-
-
-def s_to_hom(rep: Representation, s: SymElement) -> Matrix:
-    """Symmetric element to operator: symmetrize, then contract coactions.
-
-    Degree matching makes the exponential of the coaction a finite sum:
-    the degree-n component only ever meets the n-fold coaction over n!.
-    """
-    if isinstance(s, tuple):
-        s = SymElement.monomial(s)
-    return phi(rep, symmetrize(s))
 
 
 def _splits(m: SymMonomial):

@@ -3,8 +3,8 @@
 LinComb is a finite map key -> nonzero Fraction with its vector-space
 operations.  Tensor words and symmetric monomials (pbw), exterior terms
 (hodge) and Chern monomials (series) subclass it, adding only how a key is
-normalised, their context (a model, a truncation, a degree bound), their
-products and their printing.  The public constructor of each kind parses
+normalised, their context (a model, a truncation), their products and
+their printing.  The public constructor of each kind parses
 outside input through the _key hook, which may raise or drop a key;
 arithmetic results are canonical already and go through _like, which only
 drops zero coefficients.

@@ -28,7 +28,6 @@ from duflo.hodge import (
     exp_atiyah_kernel,
     exp_form,
     first_order_check,
-    form_basis_11,
     inv_sqrt_todd,
     mukai_line,
     poly_basis,
@@ -470,6 +469,22 @@ def test_mukai_operators_match_direct_contractions(n, todd):
         check_mukai_implication(foreign, PolyClass(foreign, dict(ker[0].terms)), line)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_obstruction_operator_matches_class_route(n):
+    # each integer image over den is the b-free part of beta -| exp(c1) on classes
+    rng = SplitMix64(derive(43, n))
+    model = HodgeModel(n)
+    for _ in range(2):
+        c1 = _random_11(model, rng, FormClass)
+        images, den = LineBundle(model, c1).obstruction()
+        exp = exp_form(c1)
+        for beta, image in zip(poly_basis(model), images, strict=True):
+            full = contract_T_on_Omega(beta, exp).terms
+            assert {k: Q(x, den) for k, x in image.items()} == {
+                k: c for k, c in full.items() if not k[1]
+            }
+
+
 # -- first-order checks ----------------------------------------------------------
 
 def test_first_order_zero_c1_degenerates():
@@ -560,6 +575,8 @@ def test_from_obj_rejects_bad_index_or_bidegree(obj):
         [{"bidegree": [1, 0], "terms": [{"a": [1], "b": []}]}],
         [{"bidegree": [1, 0], "terms": [{"a": [1], "b": [], "coeff": 0.5}]}],
         [{"bidegree": [1, 0], "terms": [{"a": [1], "b": [], "coeff": "1/0"}]}],
+        [{"bidegree": [1, 0], "terms": [{"a": [1], "b": [], "coeff": "1e999999999"}]}],
+        [{"bidegree": [1, 0], "terms": [{"a": [1], "b": [], "coeff": "0.5"}]}],
     ],
 )
 def test_from_obj_malformed_structure_is_value_error(obj):

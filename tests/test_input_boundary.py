@@ -5,7 +5,9 @@ the Jacobi identity breaks it in every basis.  So random rational changes
 of basis of the catalog gl2, sl2 and heisenberg3, with large coprime
 denominators, must verify (exit 0), and the same changes applied to a
 bracket that is not Lie, or a well-formed file broken in one place, must
-be rejected as bad input (exit 2) without a traceback.
+be rejected as bad input (exit 2) without a traceback.  A coefficient
+that is not a p/q literal, such as 1e999999999 or 0.5, is refused as
+such, at once, before any integer is built from it.
 
 A FormClass or PolyClass dump, loose or with one field broken, either
 loads, and then survives a to_obj round trip, or raises BidegreeError or
@@ -16,6 +18,7 @@ are derandomized and few, so the suite stays fast and repeatable.
 """
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -94,6 +97,9 @@ BREAKS = {
     "zero-denominator": lambda obj: obj["brackets"][0]["coeffs"].__setitem__(0, "1/0"),
     "float-coefficient": lambda obj: obj["brackets"][0]["coeffs"].__setitem__(0, 0.5),
     "word-coefficient": lambda obj: obj["brackets"][0]["coeffs"].__setitem__(0, "half"),
+    # Fraction would read both, the first as a multi-gigabit integer
+    "exponent-coefficient": lambda obj: obj["brackets"][0]["coeffs"].__setitem__(0, "1e999999999"),
+    "decimal-coefficient": lambda obj: obj["brackets"][0]["coeffs"].__setitem__(0, "0.5"),
     "short-coefficients": lambda obj: obj["brackets"][0]["coeffs"].pop(),
     "index-out-of-range": lambda obj: obj["brackets"][0].__setitem__("j", obj["dim"]),
     "duplicate-pair": lambda obj: obj["brackets"].append(dict(obj["brackets"][0])),
@@ -116,6 +122,21 @@ def test_broken_file_is_input_error(tmp_path, drawn, how):
     code, out, err = _verify(path)
     assert code == 2 and out == "", how
     assert err.startswith("error: ") and "Traceback" not in err, how
+
+
+@pytest.mark.parametrize("how", ["exponent-coefficient", "decimal-coefficient"])
+def test_non_literal_coefficient_is_input_error_at_once(tmp_path, how):
+    path = tmp_path / "alg.json"
+    identity = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    obj = write_in_basis(path, catalog.load_algebra("sl2").constants, identity)
+    BREAKS[how](obj)
+    path.write_text(json.dumps(obj))
+    t0 = time.perf_counter()
+    code, out, err = _verify(path)
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 2 and out == ""
+    # refused as a literal, not later as a bracket that breaks Jacobi
+    assert err.startswith("error: malformed bracket entry") and "Traceback" not in err
 
 
 # -- class dumps ------------------------------------------------------------------

@@ -7,7 +7,8 @@ checked against them.  mukai_sweep pushes each kernel vector through both
 operators on integers and hands only a failing one to
 check_mukai_implication, which builds the witness: plants in the Mukai
 vector or the moduli operator corrupt the implication's conclusion, and a
-vector planted into the kernel corrupts its hypothesis.  The Duflo round
+vector planted into the kernel or a blanked obstruction image corrupts
+its hypothesis.  The Duflo round
 trip, decided on integers, and the per-case first-order suite read the
 Todd root and its inverse from the graded recursions of duflo.sparse.
 verify-lie fills one integer table per representation and route, shared
@@ -120,6 +121,37 @@ def test_non_kernel_vector_fails_mukai_implication(monkeypatch):
     assert not rpt.hypothesis and rpt.status == "vacuous"
     assert rpt.obstruction.to_obj() == witness["obstruction"] != []
     assert rpt.moduli_action.to_obj() == witness["moduli_action"]
+
+
+def test_blanked_obstruction_image_fails_mukai_implication(monkeypatch):
+    build = hodge.LineBundle.obstruction
+
+    def blanked(self):
+        images, den = build(self)
+        # the first basis term with a nonzero moduli image loses its obstruction image
+        index = next(i for i, image in enumerate(self.moduli_action()[0]) if image)
+        return images[:index] + [{}] + images[index + 1:], den
+
+    monkeypatch.setattr(hodge.LineBundle, "obstruction", blanked)
+    code, out, err = run_cli(ARGV)
+    assert code == 1
+    assert "Traceback" not in err
+    lines = _lines(out, "mukai-implication")
+    assert [r["status"] for r in lines] == ["fail"]
+    assert lines[0]["instance"]["kernel_dim"] == 4**2 - 2**2 + 1
+
+    witness = lines[0]["witness"]
+    model = HodgeModel(2)
+    alpha = PolyClass.from_obj(model, witness["alpha"])
+    c1 = FormClass.from_obj(model, witness["c1"])
+    rpt = hodge.check_mukai_implication(model, alpha, hodge.LineBundle(model, c1))
+    assert rpt.hypothesis and rpt.status == "critical-fail"
+    assert witness["obstruction"] == []
+    assert rpt.moduli_action.to_obj() == witness["moduli_action"] != []
+
+    monkeypatch.undo()
+    rpt = hodge.check_mukai_implication(model, alpha, hodge.LineBundle(model, c1))
+    assert not rpt.hypothesis and not rpt.moduli_action.is_zero()
 
 
 def test_corrupt_locus_kernel_fails_first_order_basis(monkeypatch):

@@ -27,7 +27,7 @@ from duflo.hodge import (
     exp_form,
     wedge,
 )
-from duflo.pbw import DegreeOverflow, SymElement, TensorElement
+from duflo.pbw import SymElement, TensorElement
 from duflo.rng import SplitMix64
 from duflo.series import GradedSeries, TruncationMismatch
 
@@ -38,7 +38,7 @@ def _coeffs(rng, keys):
 
 def _tensors(rng):
     words = [(0,), (1, 0), (0, 1), (2, 2, 1), ()]
-    return [TensorElement(_coeffs(rng, words), max_degree=3) for _ in range(2)]
+    return [TensorElement(_coeffs(rng, words)) for _ in range(2)]
 
 
 def _syms(rng):
@@ -67,7 +67,7 @@ def _ext(rng):
 
 def _rebuild(x):
     if isinstance(x, TensorElement):
-        return TensorElement(x.terms, max_degree=x.max_degree)
+        return TensorElement(x.terms)
     if isinstance(x, SymElement):
         return SymElement(x.terms)
     if isinstance(x, GradedSeries):
@@ -116,19 +116,12 @@ def test_series_results_respect_truncation():
     assert (u - 1) == u - GradedSeries.scalar(3)
 
 
-def test_tensor_bound_kept_only_when_shared():
-    t = TensorElement({(0, 1): 1}, max_degree=2)
-    assert (t + t).max_degree == 2
-    assert (t - TensorElement({(1,): 1})).max_degree is None
-
-
 OTHER = HodgeModel(2)
 
 
 @pytest.mark.parametrize(
     "make, error",
     [
-        (lambda: TensorElement({(0, 1, 2): 1}, max_degree=2), DegreeOverflow),
         (lambda: FormClass(MODEL, {(4, 0): 1}), BidegreeError),
         (lambda: PolyClass(MODEL, {(0, 4): 1}), BidegreeError),
         (lambda: ExtClass(MODEL, {4: 1}), BidegreeError),
@@ -148,7 +141,6 @@ OTHER = HodgeModel(2)
         (lambda: exp_form(FormClass(MODEL, {(1, 1): 1, (1, 0): 1})), BidegreeError),
     ],
     ids=[
-        "tensor-degree",
         "form-range",
         "poly-range",
         "ext-range",
