@@ -1,6 +1,7 @@
 """Built-in algebras and representations used by the verification suites.
 
-Catalog algebras: abelian(n) (names "abelian2", "abelian3", ...),
+Catalog algebras: abelian(n) (names "abelian1" to "abelian16", capped at
+lie.MAX_JSON_DIM like a JSON algebra, since the constants take n^3 slots),
 heisenberg3, sl2, gl2.  Every algebra also exposes its adjoint
 representation; the named ones below are small faithful favorites.
 """
@@ -8,7 +9,7 @@ representation; the named ones below are small faithful favorites.
 import json
 import os
 
-from .lie import LieAlgebra, Representation, adjoint_rep, algebra_from_json
+from .lie import MAX_JSON_DIM, LieAlgebra, Representation, adjoint_rep, algebra_from_json
 
 
 def _zero_constants(n):
@@ -104,8 +105,8 @@ def _gl2_standard(alg):
     return Representation(alg, [units[i] for i in range(4)], name="standard")
 
 
-def _abelian_zero(alg, dimV=2):
-    z = [[0] * dimV for _ in range(dimV)]
+def _abelian_zero(alg):
+    z = [[0, 0], [0, 0]]
     return Representation(alg, [z] * alg.dim, name="zero")
 
 
@@ -127,8 +128,11 @@ def load_algebra(spec: str) -> LieAlgebra:
     """Resolve a catalog name, 'abelianN', or a path to a JSON definition."""
     if spec.startswith("abelian"):
         tail = spec[len("abelian"):]
-        if tail.isdigit() and int(tail) >= 1:
-            return abelian(int(tail))
+        if tail.isdigit():
+            n = int(tail)
+            if not 1 <= n <= MAX_JSON_DIM:
+                raise ValueError(f"abelianN needs N from 1 to {MAX_JSON_DIM}, got {spec!r}")
+            return abelian(n)
     if spec == "heisenberg3":
         return heisenberg3()
     if spec == "sl2":

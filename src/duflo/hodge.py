@@ -262,24 +262,19 @@ class HodgeModel:
     """Rank-n bi-exterior model together with its Todd datum.
 
     The Todd datum is a form with components only in bidegrees (p, p) and
-    constant term 1.  It is an input, not derived: the strictly torus-like
-    case is todd_terms = None (datum 1), which makes the Duflo twist the
-    identity.
+    constant term 1, given as its term dict {(amask, bmask): coeff}.  It is
+    an input, not derived: the strictly torus-like case is todd = None
+    (datum 1), which makes the Duflo twist the identity.
     """
 
     __slots__ = ("n", "todd", "_sqrt", "_inv_sqrt", "_loci_equal", "_c1_parts")
 
-    def __init__(self, n: int, todd: "FormClass | dict | None" = None):
+    def __init__(self, n: int, todd: dict | None = None):
         if n < 1:
             raise ValueError("model rank must be at least 1")
         self.n = n
         self._sqrt = self._inv_sqrt = self._loci_equal = self._c1_parts = None
-        if todd is None:
-            todd = FormClass(self, {(0, 0): 1})
-        elif isinstance(todd, dict):
-            todd = FormClass(self, todd)
-        if todd.model is not self:
-            raise ModelMismatch("todd datum must be built on this model")
+        todd = FormClass(self, {(0, 0): 1} if todd is None else todd)
         for (a, b), _ in todd.terms.items():
             if a.bit_count() != b.bit_count():
                 raise BidegreeError("todd datum must have only (p,p) components")
@@ -463,8 +458,8 @@ class LineBundle:
     its first use, not here, from the attributes as they are then, and is
     held as integer images over one denominator (see _apply_int).
     contract_exp_atiyah, exp_atiyah_kernel, mukai_sweep and
-    check_mukai_implication take a LineBundle, so a sweep over many alphas
-    against one c1 builds all of this once.
+    check_mukai_implication take a LineBundle and read the model from it,
+    so a sweep over many alphas against one c1 builds all of this once.
     """
 
     __slots__ = ("model", "exp", "mukai", "_obstruction", "_moduli")
@@ -554,20 +549,8 @@ def _keys_11(n: int) -> list[tuple[int, int]]:
     return [(1 << i, 1 << j) for i in range(n) for j in range(n)]
 
 
-def poly_basis(model: HodgeModel) -> list[PolyClass]:
-    """Full term basis of the polyvector side, in canonical order."""
-    return [PolyClass(model, {k: 1}) for k in _keys(model.n)]
-
-
 def poly_basis_11(model: HodgeModel) -> list[PolyClass]:
     return [PolyClass(model, {k: 1}) for k in _keys_11(model.n)]
-
-
-def _on_line(model: HodgeModel, line: LineBundle):
-    if line.model is not model:
-        raise ModelMismatch(
-            f"line bundle of another model (ranks {line.model.n} and {model.n})"
-        )
 
 
 def _basis_poly(model: HodgeModel, vec: dict) -> PolyClass:
@@ -576,26 +559,24 @@ def _basis_poly(model: HodgeModel, vec: dict) -> PolyClass:
     return PolyClass(model, {(c >> n, c & ((1 << n) - 1)): v for c, v in vec.items()})
 
 
-def exp_atiyah_kernel(model: HodgeModel, line: LineBundle) -> list[PolyClass]:
-    """Exact basis of {alpha : alpha -| exp(c1) = 0}.
+def exp_atiyah_kernel(line: LineBundle) -> list[PolyClass]:
+    """Exact basis of {alpha : alpha -| exp(c1) = 0} on line.model.
 
     Linear in alpha, so the kernel is computed from the line's
     obstruction images of the canonical term basis.
     """
-    _on_line(model, line)
-    return [_basis_poly(model, vec) for vec in kernel_of_images(line.obstruction()[0])]
+    return [_basis_poly(line.model, vec) for vec in kernel_of_images(line.obstruction()[0])]
 
 
-def mukai_sweep(model: HodgeModel, line: LineBundle) -> tuple[int, PolyClass | None]:
+def mukai_sweep(line: LineBundle) -> tuple[int, PolyClass | None]:
     """Dimension of exp_atiyah_kernel, and its first vector whose obstruction or
     moduli action is nonzero, decided on integers; only that one becomes a PolyClass.
     """
-    _on_line(model, line)
     ker = kernel_of_images(line.obstruction()[0])
     for vec in ker:
         (coeffs,), _ = cleared([vec])
         if any(_apply_int(op()[0], coeffs) for op in (line.obstruction, line.moduli_action)):
-            return len(ker), _basis_poly(model, vec)
+            return len(ker), _basis_poly(line.model, vec)
     return len(ker), None
 
 
@@ -609,16 +590,15 @@ class MukaiImplicationReport:
     status: str
 
 
-def check_mukai_implication(
-    model: HodgeModel, alpha: PolyClass, line: LineBundle
-) -> MukaiImplicationReport:
+def check_mukai_implication(alpha: PolyClass, line: LineBundle) -> MukaiImplicationReport:
     """One instance of: obstruction vanishing forces Mukai-pairing vanishing.
 
-    A failed implication would mean the sign conventions above are
-    inconsistent, so it is reported as critical rather than raised.
+    alpha must live on line.model.  A failed implication would mean the
+    sign conventions above are inconsistent, so it is reported as
+    critical rather than raised.
     """
-    _on_line(model, line)
     _same_model(alpha, line)
+    model = line.model
     n = model.n
     (coeffs,), scale = cleared([{(a << n) | b: c for (a, b), c in alpha.terms.items()}])
     h, m = (

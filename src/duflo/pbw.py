@@ -359,8 +359,6 @@ def derivation_apply(alg: LieAlgebra, i: int, s: SymElement) -> SymElement:
     L * delta times ad(x_i)(s); a Fraction is built only for each nonzero
     coefficient of the result.
     """
-    if isinstance(s, tuple):
-        s = SymElement.monomial(s)
     scale = lcm(*(c.denominator for c in s.terms.values()))
     cleared = {m: c.numerator * (scale // c.denominator) for m, c in s.terms.items()}
     den = scale * alg.delta
@@ -452,8 +450,6 @@ def check_pbw_diagram(
     built from integer matrix products and phi's from coaction index
     loops, so a fault in either route's arithmetic shows as a difference.
     """
-    if isinstance(s, tuple):
-        s = SymElement.monomial(s)
     images = rep._sym_images
     if images is None:
         images = rep._sym_images = SymImages(rep)

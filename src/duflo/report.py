@@ -1,64 +1,47 @@
 """Machine-readable verification reports.
 
-One JSON object per line on stdout, one human summary on stderr.  The
-stream is canonical: fixed key order, fixed separators, reports sorted by
-(suite, instance), and no volatile fields (timing lives only in the
-summary), so identical inputs produce byte-identical streams.
+One JSON object per line on stdout, one human summary on stderr.  A
+line's status is derived from its witness: "fail" exactly when a witness
+is given, "pass" otherwise, so no failure can be reported without the
+data that reproduces it.  The stream is canonical: fixed key order, fixed
+separators, lines sorted by (suite, line), and no volatile fields (timing
+lives only in the summary), so identical inputs produce byte-identical
+streams.
 """
 
 import json
 import sys
-from dataclasses import dataclass, field
+import time
 
 
-@dataclass
-class VerificationReport:
-    suite: str
-    instance: dict
-    status: str  # pass | fail | skipped
-    witness: dict | None = None
-    seconds: float = 0.0
-
-    def __post_init__(self):
-        if self.status not in ("pass", "fail", "skipped"):
-            raise ValueError(f"bad status {self.status!r}")
-        if self.status == "fail" and self.witness is None:
-            raise ValueError("fail reports must carry a witness")
-
-    def stream_obj(self) -> dict:
-        return {
-            "suite": self.suite,
-            "instance": self.instance,
-            "status": self.status,
-            "witness": self.witness,
-        }
-
-    def line(self) -> str:
-        return json.dumps(self.stream_obj(), sort_keys=True, separators=(",", ":"))
-
-
-@dataclass
 class ReportSink:
-    reports: list[VerificationReport] = field(default_factory=list)
+    def __init__(self):
+        self.reports = []  # (suite, instance, witness, seconds), in the order added
 
-    def add(self, suite, instance, status, witness=None, seconds=0.0):
-        self.reports.append(
-            VerificationReport(suite, instance, status, witness, seconds)
-        )
+    def add(self, suite, instance, witness=None, since=None):
+        """Record one check; since is the time.perf_counter() reading taken before it."""
+        seconds = 0.0 if since is None else time.perf_counter() - since
+        self.reports.append((suite, instance, witness, seconds))
 
     def emit(self, out=None, err=None) -> int:
         """Print the canonical stream and summary; return the exit code."""
         out = out or sys.stdout
         err = err or sys.stderr
-        reports = self.reports
-        for _, line in sorted((r.suite, r.line()) for r in reports):
+        lines = []
+        for suite, instance, witness, _ in self.reports:
+            obj = {
+                "suite": suite,
+                "instance": instance,
+                "status": "pass" if witness is None else "fail",
+                "witness": witness,
+            }
+            lines.append((suite, json.dumps(obj, sort_keys=True, separators=(",", ":"))))
+        for _, line in sorted(lines):
             out.write(line + "\n")
-        n_fail = sum(1 for r in reports if r.status == "fail")
-        n_pass = sum(1 for r in reports if r.status == "pass")
-        n_skip = len(reports) - n_fail - n_pass
-        total = sum(r.seconds for r in reports)
+        n_fail = sum(1 for r in self.reports if r[2] is not None)
+        total = sum(r[3] for r in self.reports)
         err.write(
-            f"{len(reports)} reports: {n_pass} pass, {n_fail} fail, "
-            f"{n_skip} skipped ({total:.2f}s)\n"
+            f"{len(self.reports)} reports: {len(self.reports) - n_fail} pass, "
+            f"{n_fail} fail ({total:.2f}s)\n"
         )
-        return 0 if n_fail == 0 else 1
+        return 1 if n_fail else 0

@@ -26,7 +26,6 @@ from duflo.hodge import (
     exp_atiyah_kernel,
     exp_form,
     first_order_check,
-    mukai_line,
     poly_basis_11,
     wedge,
 )
@@ -34,7 +33,6 @@ from duflo.linalg import Matrix, mat_mul
 from duflo.pbw import (
     SymElement,
     TensorElement,
-    check_pbw_diagram,
     derivation_apply,
     invariants_s,
     phi,
@@ -167,8 +165,8 @@ def test_criterion_6_mukai_implication_sweep():
                     if q:
                         terms[(1 << i, 1 << j)] = q
             line = LineBundle(model, FormClass(model, terms))
-            for alpha in exp_atiyah_kernel(model, line):
-                rpt = check_mukai_implication(model, alpha, line)
+            for alpha in exp_atiyah_kernel(line):
+                rpt = check_mukai_implication(alpha, line)
                 total_kernel_elements += 1
                 if not (rpt.hypothesis and rpt.ok):
                     failures += 1

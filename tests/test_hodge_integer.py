@@ -76,9 +76,9 @@ def test_first_order_loci_match_class_path(n):
 
 def _class_sweep(model, line):
     """The per-alpha loop: kernel dimension and first kernel vector that fails."""
-    ker = hodge.exp_atiyah_kernel(model, line)
+    ker = hodge.exp_atiyah_kernel(line)
     for alpha in ker:
-        rpt = hodge.check_mukai_implication(model, alpha, line)
+        rpt = hodge.check_mukai_implication(alpha, line)
         if not rpt.hypothesis or not rpt.ok:
             return len(ker), alpha
     return len(ker), None
@@ -118,7 +118,7 @@ def test_mukai_sweep_matches_per_alpha_loop(monkeypatch, plant, n):
     failures = 0
     for _ in range(3):
         line = hodge.LineBundle(model, FormClass(model, _random_11_terms(n, rng)))
-        got = hodge.mukai_sweep(model, line)
+        got = hodge.mukai_sweep(line)
         assert got == _class_sweep(model, line)
         assert got[0] == 4**n - 2**n
         failures += got[1] is not None
@@ -132,5 +132,5 @@ def test_mukai_sweep_reports_non_kernel_vector(monkeypatch):
     monkeypatch.setattr(hodge, "kernel_of_images", planted)
     model = HodgeModel(2)
     line = hodge.LineBundle(model, FormClass(model, {(1, 1): 1, (2, 2): Fraction(-1, 2)}))
-    got = hodge.mukai_sweep(model, line)
+    got = hodge.mukai_sweep(line)
     assert got == _class_sweep(model, line) == (13, PolyClass(model, {(0, 0): 1}))

@@ -7,7 +7,8 @@ denominators, must verify (exit 0), and the same changes applied to a
 bracket that is not Lie, or a well-formed file broken in one place, must
 be rejected as bad input (exit 2) without a traceback.  A coefficient
 that is not a p/q literal, such as 1e999999999 or 0.5, is refused as
-such, at once, before any integer is built from it.
+such, at once, before any integer is built from it.  So is a catalog
+name abelianN with N outside 1 to 16.
 
 A FormClass or PolyClass dump, loose or with one field broken, either
 loads, and then survives a to_obj round trip, or raises BidegreeError or
@@ -137,6 +138,21 @@ def test_non_literal_coefficient_is_input_error_at_once(tmp_path, how):
     assert code == 2 and out == ""
     # refused as a literal, not later as a bracket that breaks Jacobi
     assert err.startswith("error: malformed bracket entry") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["abelian0", "abelian17"])
+def test_abelian_size_outside_cap_is_input_error(name):
+    # abelianN allocates N^3 constants, so N is capped like a JSON algebra's dim
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["verify-lie", "--algebra", name, "--max-degree", "1"])
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: abelianN needs N from 1 to 16") and "Traceback" not in err
+
+
+def test_abelian_cap_is_inclusive():
+    assert catalog.load_algebra("abelian1").dim == 1
+    assert catalog.load_algebra("abelian16").dim == 16
 
 
 # -- class dumps ------------------------------------------------------------------

@@ -53,12 +53,12 @@ def test_corrupt_mukai_line_fails_mukai_implication(monkeypatch):
     model = HodgeModel(2)
     alpha = PolyClass.from_obj(model, witness["alpha"])
     c1 = FormClass.from_obj(model, witness["c1"])
-    rpt = hodge.check_mukai_implication(model, alpha, hodge.LineBundle(model, c1))
+    rpt = hodge.check_mukai_implication(alpha, hodge.LineBundle(model, c1))
     assert rpt.hypothesis and not rpt.ok and rpt.status == "critical-fail"
     assert rpt.moduli_action.to_obj() == witness["moduli_action"]
 
     monkeypatch.undo()
-    assert hodge.check_mukai_implication(model, alpha, hodge.LineBundle(model, c1)).ok
+    assert hodge.check_mukai_implication(alpha, hodge.LineBundle(model, c1)).ok
 
 
 def test_shifted_moduli_operator_fails_mukai_implication(monkeypatch):
@@ -86,14 +86,14 @@ def test_shifted_moduli_operator_fails_mukai_implication(monkeypatch):
     alpha = PolyClass.from_obj(model, witness["alpha"])
     assert alpha.terms == {(0b11, 0b01): 1}
     c1 = FormClass.from_obj(model, witness["c1"])
-    rpt = hodge.check_mukai_implication(model, alpha, hodge.LineBundle(model, c1))
+    rpt = hodge.check_mukai_implication(alpha, hodge.LineBundle(model, c1))
     assert rpt.hypothesis and not rpt.ok and rpt.status == "critical-fail"
     assert witness["obstruction"] == rpt.obstruction.to_obj() == []
     assert rpt.moduli_action.to_obj() == witness["moduli_action"]
     assert list(rpt.moduli_action.terms) == [(0, 0)]
 
     monkeypatch.undo()
-    assert hodge.check_mukai_implication(model, alpha, hodge.LineBundle(model, c1)).ok
+    assert hodge.check_mukai_implication(alpha, hodge.LineBundle(model, c1)).ok
 
 
 def test_non_kernel_vector_fails_mukai_implication(monkeypatch):
@@ -117,7 +117,7 @@ def test_non_kernel_vector_fails_mukai_implication(monkeypatch):
     alpha = PolyClass.from_obj(model, witness["alpha"])
     assert alpha.terms == {(0, 0): 1}
     c1 = FormClass.from_obj(model, witness["c1"])
-    rpt = hodge.check_mukai_implication(model, alpha, hodge.LineBundle(model, c1))
+    rpt = hodge.check_mukai_implication(alpha, hodge.LineBundle(model, c1))
     assert not rpt.hypothesis and rpt.status == "vacuous"
     assert rpt.obstruction.to_obj() == witness["obstruction"] != []
     assert rpt.moduli_action.to_obj() == witness["moduli_action"]
@@ -144,13 +144,13 @@ def test_blanked_obstruction_image_fails_mukai_implication(monkeypatch):
     model = HodgeModel(2)
     alpha = PolyClass.from_obj(model, witness["alpha"])
     c1 = FormClass.from_obj(model, witness["c1"])
-    rpt = hodge.check_mukai_implication(model, alpha, hodge.LineBundle(model, c1))
+    rpt = hodge.check_mukai_implication(alpha, hodge.LineBundle(model, c1))
     assert rpt.hypothesis and rpt.status == "critical-fail"
     assert witness["obstruction"] == []
     assert rpt.moduli_action.to_obj() == witness["moduli_action"] != []
 
     monkeypatch.undo()
-    rpt = hodge.check_mukai_implication(model, alpha, hodge.LineBundle(model, c1))
+    rpt = hodge.check_mukai_implication(alpha, hodge.LineBundle(model, c1))
     assert not rpt.hypothesis and not rpt.moduli_action.is_zero()
 
 
