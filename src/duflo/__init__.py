@@ -4,7 +4,7 @@ Modules, imported by name (the package root re-exports nothing):
 
   linalg   exact rational matrices and products; sparse kernels of basis images
   kernels  the hot loops: matrix products, sparse integer RREF
-  sparse   finite rational combinations and the graded unit recursions
+  sparse   LinComb (integer numerators over one denominator), graded recursions
   lie      Lie algebras from structure constants, representations
   catalog  built-in algebras and representations
   pbw      symmetrization diagram evaluated in End(V)

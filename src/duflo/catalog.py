@@ -128,7 +128,7 @@ def load_algebra(spec: str) -> LieAlgebra:
     """Resolve a catalog name, 'abelianN', or a path to a JSON definition."""
     if spec.startswith("abelian"):
         tail = spec[len("abelian"):]
-        if tail.isdigit():
+        if tail.isascii() and tail.isdigit():
             n = int(tail)
             if not 1 <= n <= MAX_JSON_DIM:
                 raise ValueError(f"abelianN needs N from 1 to {MAX_JSON_DIM}, got {spec!r}")

@@ -201,7 +201,7 @@ def cmd_verify_hodge(args, parser) -> int:
             for alpha in hodge.poly_basis_11(model):
                 t0 = time.perf_counter()
                 rpt = hodge.first_order_check(model, alpha)
-                (ak, bk), _ = next(iter(alpha.terms.items()))
+                ((ak, bk),) = alpha.num
                 inst = {
                     "dim": n,
                     "c1": c1_desc,

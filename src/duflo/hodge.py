@@ -27,15 +27,16 @@ par[a1, a2] ^ par[b1, b2] ^ |b1||a2|; a word [a(a_act), dual(b_act)] on a
 target term has sign par[a_act, a_tgt] ^ par[b_act, b_tgt] ^ k(|a_tgt| + e)
 with k = |b_act| and e = 1 for the extra minus per pair, all mod 2.
 
-The checks that are linear in alpha run in Z: the Mukai sweep, the Duflo
-round trip and the first-order loci clear their data once and contract
-integer term dicts, and exp_form multiplies integer terms.  Both Mukai
-operators, the obstruction and the moduli action, and contract_exp_atiyah
-come from the one contraction loop _contract_terms.  A Fraction is built
-only for a reported coefficient or a witness.  The per-alpha first-order
-identities (i) and (ii) stay on classes: each is a few contractions of one
-(1,1) class, and they keep the public contractions on the verify-hodge
-path.  Everything is exact; no floats anywhere.
+A class is a sparse.LinComb, integer numerators over one denominator, so
+every product and contraction runs in Z: it combines the numerator maps
+and multiplies the two denominators.  The Duflo round trip and the
+first-order identities compare classes.  Both Mukai operators, the
+obstruction and the moduli action, are integer images of the basis terms
+over one denominator, read from the numerators of exp(c1), the Todd root
+and the Mukai vector through the one contraction loop _contract_terms,
+which the class contractions also run.  A Fraction is built only for a
+reported coefficient or a witness.  Everything is exact; no floats
+anywhere.
 """
 
 from dataclasses import dataclass
@@ -43,7 +44,7 @@ from fractions import Fraction
 from functools import cache
 
 from .linalg import Q, kernel_of_images, parse_rational
-from .sparse import LinComb, cleared, graded_exp, unit_inverse, unit_sqrt
+from .sparse import LinComb, graded_exp, unit_inverse, unit_sqrt
 
 
 class ModelMismatch(Exception):
@@ -117,11 +118,8 @@ class _Exterior(_OnModel):
     # -- structure ---------------------------------------------------------
     def component(self, p: int, q: int):
         return self._like(
-            {
-                k: c
-                for k, c in self.terms.items()
-                if k[0].bit_count() == p and k[1].bit_count() == q
-            }
+            {k: x for k, x in self.num.items() if k[0].bit_count() == p and k[1].bit_count() == q},
+            self.den,
         )
 
     # -- literals ----------------------------------------------------------
@@ -132,13 +130,6 @@ class _Exterior(_OnModel):
     @classmethod
     def one(cls, model):
         return cls(model, {(0, 0): 1})
-
-    @classmethod
-    def term(cls, model, a_indices, b_indices, coeff=1):
-        """Build a single term from 1-based strictly increasing indices."""
-        a = _mask_from_indices(model.n, a_indices)
-        b = _mask_from_indices(model.n, b_indices)
-        return cls(model, {(a, b): coeff})
 
     def to_obj(self):
         by_bidegree: dict[tuple[int, int], list] = {}
@@ -246,9 +237,6 @@ class ExtClass(_OnModel):
             raise BidegreeError(f"term {a} outside rank-{self.model.n} model")
         return a
 
-    def degrees(self) -> set[int]:
-        return {a.bit_count() for a in self.terms}
-
     def to_obj(self):
         return [
             {"a": [i + 1 for i in _bits(a)], "coeff": str(c)}
@@ -275,10 +263,10 @@ class HodgeModel:
         self.n = n
         self._sqrt = self._inv_sqrt = self._loci_equal = self._c1_parts = None
         todd = FormClass(self, {(0, 0): 1} if todd is None else todd)
-        for (a, b), _ in todd.terms.items():
+        for a, b in todd.num:
             if a.bit_count() != b.bit_count():
                 raise BidegreeError("todd datum must have only (p,p) components")
-        if todd.terms.get((0, 0), Q(0)) != 1:
+        if todd.num.get((0, 0)) != todd.den:
             raise BidegreeError("todd datum must have constant term 1")
         self.todd = todd
 
@@ -293,17 +281,13 @@ class HodgeModel:
 def wedge(u, v):
     """Graded-commutative product; same-kind classes only."""
     u._join(v)
-    return u._like(_wedge_terms(u.terms, v.terms, u.model.n))
-
-
-def _wedge_terms(u: dict, v: dict, n: int) -> dict:
-    """Every term of u wedged with every term of v, of rank n; zero sums are kept."""
+    n = u.model.n
     par = _parity(n)
     out: dict = {}
-    for (a1, b1), c1 in u.items():
+    for (a1, b1), c1 in u.num.items():
         odd_b1 = b1.bit_count() & 1
         ra, rb = a1 << n, b1 << n
-        for (a2, b2), c2 in v.items():
+        for (a2, b2), c2 in v.num.items():
             if a1 & a2 or b1 & b2:
                 continue
             c = c1 * c2
@@ -311,17 +295,17 @@ def _wedge_terms(u: dict, v: dict, n: int) -> dict:
                 c = -c
             key = (a1 | a2, b1 | b2)
             out[key] = out[key] + c if key in out else c
-    return out
+    return u._like(out, u.den * v.den)
 
 
 def _contract_terms(act: dict, tgt: dict, n: int, pair_sign: int) -> dict:
-    """Every term of act acting on every term of tgt, as term dicts of rank n.
+    """Every term of act acting on every term of tgt, as integer term dicts of rank n.
 
     An acting word [a(a_act), dual(b_act)] is applied right to left: dual
     generators contract (left interior product, descending index order),
     then the a-part wedges in.  pair_sign is the extra sign per contracted
     pair (+1 for polyvectors on forms, -1 for forms on polyvectors).
-    Coefficients may be Fractions or ints; zero sums are kept.
+    Zero sums are kept.
     """
     par = _parity(n)
     per_pair = int(pair_sign < 0)
@@ -343,7 +327,7 @@ def _contract_terms(act: dict, tgt: dict, n: int, pair_sign: int) -> dict:
 def _contract(act, tgt, pair_sign):
     """Every term of act acting on every term of tgt; the result has tgt's kind."""
     _same_model(act, tgt)
-    return tgt._like(_contract_terms(act.terms, tgt.terms, tgt.model.n, pair_sign))
+    return tgt._like(_contract_terms(act.num, tgt.num, tgt.model.n, pair_sign), act.den * tgt.den)
 
 
 def contract_T_on_Omega(alpha: PolyClass, v: FormClass) -> FormClass:
@@ -372,26 +356,26 @@ def exp_form(v: FormClass) -> FormClass:
     """Exponential of a class of even total degree with zero constant term.
 
     Even forms commute, so exp is the graded recursion of sparse.graded_exp
-    on the pieces of total degree 2d, over the integer term product
-    _wedge_terms; a term of odd total degree raises BidegreeError, since
-    odd forms anticommute and the recursion fails.
+    over wedge on the pieces of total degree 2d; a term of odd total degree
+    raises BidegreeError, since odd forms anticommute and the recursion
+    fails.
     """
-    if (0, 0) in v.terms:
+    if (0, 0) in v.num:
         raise NonzeroConstantTerm("exp_form needs a class with zero (0,0) part")
     pieces: list[dict] = [{} for _ in range(v.model.n + 1)]
-    for (a, b), c in v.terms.items():
+    for (a, b), x in v.num.items():
         degree = a.bit_count() + b.bit_count()
         if degree & 1:
             raise BidegreeError(f"exp_form needs even total degree, got a degree-{degree} term")
-        pieces[degree // 2][(a, b)] = c
-    return graded_exp(pieces, FormClass.one(v.model), lambda x, y: _wedge_terms(x, y, v.model.n))
+        pieces[degree // 2][(a, b)] = x
+    return graded_exp([v._like(p, v.den) for p in pieces], FormClass.one(v.model), wedge)
 
 
 def atiyah_line(model: HodgeModel, c1: FormClass) -> FormClass:
     """Obstruction class of line-bundle data: its first Chern form."""
     if c1.model is not model:
         raise ModelMismatch("c1 built on a different model")
-    for (a, b) in c1.terms:
+    for a, b in c1.num:
         if a.bit_count() != 1 or b.bit_count() != 1:
             raise BidegreeError("line-bundle first Chern class must be pure (1,1)")
     return c1
@@ -425,24 +409,16 @@ def duflo_inverse(model: HodgeModel, alpha: PolyClass) -> PolyClass:
 
 
 def check_duflo_roundtrip(model: HodgeModel, alpha: PolyClass) -> bool:
-    """Whether duflo_inverse(duflo(alpha)) and duflo(duflo_inverse(alpha)) are alpha.
-
-    With R/r and U/u the cleared Todd root and its inverse and A alpha's
-    cleared terms, U -| (R -| A) and R -| (U -| A) must both be r u A.
-    """
-    _same_model(model.todd, alpha)
-    n = model.n
-    (root,), r = cleared([sqrt_todd(model).terms])
-    (inv,), u = cleared([inv_sqrt_todd(model).terms])
-    (a,), _ = cleared([alpha.terms])
-    want = {k: r * u * x for k, x in a.items()}
-    back = _contract_terms(inv, _contract_terms(root, a, n, -1), n, -1)
-    forth = _contract_terms(root, _contract_terms(inv, a, n, -1), n, -1)
-    return _nonzero(back) == want == _nonzero(forth)
+    """Whether duflo_inverse(duflo(alpha)) and duflo(duflo_inverse(alpha)) are alpha."""
+    return (
+        duflo_inverse(model, duflo(model, alpha))
+        == alpha
+        == duflo(model, duflo_inverse(model, alpha))
+    )
 
 
 def _nonzero(terms: dict) -> dict:
-    return {k: c for k, c in terms.items() if c}
+    return {k: x for k, x in terms.items() if x}
 
 
 class LineBundle:
@@ -452,11 +428,11 @@ class LineBundle:
 
     Both maps of the Mukai sweep are linear in alpha and kept here as
     operators on the 4^n polyvector basis terms, each the contraction
-    _contract_terms of a basis term into a cleared form: obstruction()
+    _contract_terms of a basis term into a form's numerators: obstruction()
     for alpha -| exp(c1), keyed (amask, 0), and moduli_action() for
     D(alpha) -| v(L), from sqrt_todd(model) and mukai.  Each is built on
     its first use, not here, from the attributes as they are then, and is
-    held as integer images over one denominator (see _apply_int).
+    held as integer images over the forms' denominator (see _act).
     contract_exp_atiyah, exp_atiyah_kernel, mukai_sweep and
     check_mukai_implication take a LineBundle and read the model from it,
     so a sweep over many alphas against one c1 builds all of this once.
@@ -474,13 +450,12 @@ class LineBundle:
     def obstruction(self) -> tuple[list[dict], int]:
         if self._obstruction is None:
             n = self.model.n
-            (exp,), den = cleared([self.exp.terms])
             # a basis term (a, b) fully contracts only the terms of b-mask b
             by_b: dict[int, dict] = {}
-            for (a, b), c in exp.items():
-                by_b.setdefault(b, {})[(a, b)] = c
+            for (a, b), x in self.exp.num.items():
+                by_b.setdefault(b, {})[(a, b)] = x
             images = [_contract_terms({k: 1}, by_b.get(k[1], {}), n, +1) for k in _keys(n)]
-            self._obstruction = images, den
+            self._obstruction = images, self.exp.den
         return self._obstruction
 
     def moduli_action(self) -> tuple[list[dict], int]:
@@ -492,30 +467,34 @@ class LineBundle:
 def _moduli_operator(line: LineBundle) -> tuple[list[dict], int]:
     """D(beta) -| v(L) for every basis term beta, as integer images over one denominator.
 
-    The Todd root and the Mukai vector are cleared of denominators once;
-    D(beta) and its contraction into v(L) are then integer term dicts.
+    D(beta) and its contraction into v(L) are integer term dicts, from the
+    numerators of the Todd root and the Mukai vector, over their two
+    denominators.
     """
-    n = line.model.n
-    (root,), rden = cleared([sqrt_todd(line.model).terms])
-    (mukai,), mden = cleared([line.mukai.terms])
-    return _duflo_images(root, mukai, _keys(n), n), rden * mden
+    root, mukai = sqrt_todd(line.model), line.mukai
+    return _duflo_images(root.num, mukai.num, _keys(line.model.n), line.model.n), root.den * mukai.den
 
 
 def _duflo_images(root: dict, target: dict, keys: list, n: int) -> list[dict]:
-    """D(beta) -| target for each basis term beta in keys, root the cleared Todd root."""
+    """D(beta) -| target for each basis term beta in keys, root the Todd root's numerators."""
     return [
         _nonzero(_contract_terms(_contract_terms(root, {k: 1}, n, -1), target, n, +1))
         for k in keys
     ]
 
 
-def _apply_int(images: list[dict], coeffs: dict) -> dict:
-    """Sum of m * images[c] over coeffs {c: int m}, zeros dropped; c = (a << n) | b."""
+def _act(op: tuple[list[dict], int], alpha: PolyClass) -> tuple[dict, int]:
+    """The operator op = (images, den) on alpha, as integer terms over one denominator.
+
+    The image of the term (a, b) is images[(a << n) | b]; zeros are dropped.
+    """
+    images, den = op
+    n = alpha.model.n
     acc: dict = {}
-    for col, m in coeffs.items():
-        for k, x in images[col].items():
+    for (a, b), m in alpha.num.items():
+        for k, x in images[(a << n) | b].items():
             acc[k] = acc[k] + m * x if k in acc else m * x
-    return _nonzero(acc)
+    return _nonzero(acc), den * alpha.den
 
 
 def mukai_line(model: HodgeModel, c1: FormClass) -> FormClass:
@@ -532,8 +511,9 @@ def contract_exp_atiyah(alpha: PolyClass, line: LineBundle) -> ExtClass:
     contract_T_on_Omega(alpha, exp_form(c1)).
     """
     _same_model(alpha, line)
-    terms = _contract_terms(alpha.terms, line.exp.terms, alpha.model.n, +1)
-    return ExtClass(alpha.model, {a: c for (a, b), c in terms.items() if not b})
+    terms = _contract_terms(alpha.num, line.exp.num, alpha.model.n, +1)
+    b_free = {a: x for (a, b), x in terms.items() if not b}
+    return ExtClass(alpha.model)._like(b_free, alpha.den * line.exp.den)
 
 
 # ---------------------------------------------------------------------------
@@ -570,47 +550,37 @@ def exp_atiyah_kernel(line: LineBundle) -> list[PolyClass]:
 
 def mukai_sweep(line: LineBundle) -> tuple[int, PolyClass | None]:
     """Dimension of exp_atiyah_kernel, and its first vector whose obstruction or
-    moduli action is nonzero, decided on integers; only that one becomes a PolyClass.
+    moduli action is nonzero, each decided on the vector's integer numerators.
     """
     ker = kernel_of_images(line.obstruction()[0])
     for vec in ker:
-        (coeffs,), _ = cleared([vec])
-        if any(_apply_int(op()[0], coeffs) for op in (line.obstruction, line.moduli_action)):
-            return len(ker), _basis_poly(line.model, vec)
+        alpha = _basis_poly(line.model, vec)
+        if any(_act(op(), alpha)[0] for op in (line.obstruction, line.moduli_action)):
+            return len(ker), alpha
     return len(ker), None
 
 
 @dataclass
 class MukaiImplicationReport:
+    """The implication holds unless obstruction is zero and moduli_action is not."""
+
     obstruction: ExtClass  # alpha -| exp(c1)
     moduli_action: FormClass  # D(alpha) -| v(L)
-    hypothesis: bool  # obstruction vanishes
-    conclusion: bool  # moduli action vanishes
-    ok: bool
-    status: str
 
 
 def check_mukai_implication(alpha: PolyClass, line: LineBundle) -> MukaiImplicationReport:
     """One instance of: obstruction vanishing forces Mukai-pairing vanishing.
 
     alpha must live on line.model.  A failed implication would mean the
-    sign conventions above are inconsistent, so it is reported as
-    critical rather than raised.
+    sign conventions above are inconsistent, so the report carries both
+    classes for the caller to judge rather than raising.
     """
     _same_model(alpha, line)
-    model = line.model
-    n = model.n
-    (coeffs,), scale = cleared([{(a << n) | b: c for (a, b), c in alpha.terms.items()}])
-    h, m = (
-        {k: Fraction(v, den * scale) for k, v in _apply_int(images, coeffs).items()}
-        for images, den in (line.obstruction(), line.moduli_action())
+    (h, hden), (m, mden) = _act(line.obstruction(), alpha), _act(line.moduli_action(), alpha)
+    return MukaiImplicationReport(
+        ExtClass(line.model)._like({a: x for (a, _), x in h.items()}, hden),
+        FormClass(line.model)._like(m, mden),
     )
-    h, m = ExtClass(model, {a: c for (a, _), c in h.items()}), FormClass(model, m)
-    hyp = h.is_zero()
-    concl = m.is_zero()
-    ok = (not hyp) or concl
-    status = "critical-fail" if not ok else "pass" if hyp else "vacuous"
-    return MukaiImplicationReport(h, m, hyp, concl, ok, status)
 
 
 @dataclass
@@ -642,7 +612,7 @@ def first_order_check(model: HodgeModel, alpha: PolyClass) -> FirstOrderReport:
     is computed on the first call and kept on the model, as are c1, c1/4
     and c1/2.
     """
-    for (a, b) in alpha.terms:
+    for a, b in alpha.num:
         if a.bit_count() != 1 or b.bit_count() != 1:
             raise BidegreeError("first_order_check needs a pure (1,1) polyvector")
     if model._c1_parts is None:
@@ -675,10 +645,10 @@ def first_order_check(model: HodgeModel, alpha: PolyClass) -> FirstOrderReport:
 def _first_order_loci(model: HodgeModel, c1: FormClass):
     """Canonical kernel bases of alpha -| c1 and D(alpha) -| v(O) on (1,1), v(O) = R.
 
-    c1 and the Todd root R are cleared once, which scales each image set by one constant.
+    The images are read from the numerators of c1 and of the Todd root R;
+    leaving out the denominators scales each image set by one constant.
     """
     n = model.n
-    (c,), _ = cleared([c1.terms])
-    (root,), _ = cleared([sqrt_todd(model).terms])
-    k1 = kernel_of_images([_nonzero(_contract_terms({k: 1}, c, n, +1)) for k in _keys_11(n)])
+    root = sqrt_todd(model).num
+    k1 = kernel_of_images([_nonzero(_contract_terms({k: 1}, c1.num, n, +1)) for k in _keys_11(n)])
     return k1, kernel_of_images(_duflo_images(root, root, _keys_11(n), n))

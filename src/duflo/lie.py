@@ -118,10 +118,6 @@ class LieAlgebra:
                         den = self.delta**2
                         raise JacobiViolation((i, j, k), [str(Fraction(x, den)) for x in acc])
 
-    def bracket(self, i: int, j: int) -> tuple[Fraction, ...]:
-        """Coefficient vector of [x_i, x_j]."""
-        return self.constants[i][j]
-
     def __repr__(self):
         return f"LieAlgebra({self.name or 'dim ' + str(self.dim)})"
 

@@ -137,16 +137,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
 
-    def apply(self, vec: Sequence) -> list[Fraction]:
-        """Matrix-vector product."""
-        if len(vec) != self.cols:
-            raise ShapeMismatch("apply", self.shape, (len(vec), 1))
-        vec = [parse_rational(x) for x in vec]
-        return [sum((a * x for a, x in zip(row, vec)), Q(0)) for row in self.entries]
-
-    def commutator(self, other: "Matrix") -> "Matrix":
-        return mat_mul(self, other) - mat_mul(other, self)
-
     def to_json(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self.entries]
 

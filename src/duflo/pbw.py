@@ -32,8 +32,8 @@ The derivations ad(x_i) of the symmetric algebra run in Z as well: they
 read LieAlgebra.cleared_brackets, the brackets times one lcm delta of the
 structure-constant denominators.  invariants_s takes the kernel of
 delta * ad, which has the same kernel as ad, from integer images, and
-derivation_apply clears its argument with one lcm and builds a Fraction
-only for each nonzero coefficient of the result.
+derivation_apply applies the table to its argument's numerators, so the
+result is those integers over the argument's denominator times delta.
 
 adjunction_check compares the coaction LambdaMap(rep).data entry by entry
 with the bilinear action map (g, o, j) -> rho(x_g)[o, j] read from the
@@ -75,11 +75,11 @@ class TensorElement(LinComb):
     def swap_letters(self, pos: int) -> "TensorElement":
         """Transpose letters pos and pos+1 in every word (symmetry probe)."""
         out = {}
-        for w, c in self.terms.items():
+        for w, x in self.num.items():
             if len(w) > pos + 1:
                 w = w[:pos] + (w[pos + 1], w[pos]) + w[pos + 2:]
-            out[w] = out.get(w, Q(0)) + c
-        return self._like(out)
+            out[w] = out.get(w, 0) + x
+        return self._like(out, self.den)
 
 
 class SymElement(LinComb):
@@ -97,14 +97,14 @@ class SymElement(LinComb):
     def __mul__(self, other: "SymElement") -> "SymElement":
         self._join(other)
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        for m1, x1 in self.num.items():
+            for m2, x2 in other.num.items():
                 m = tuple(sorted(m1 + m2))
-                out[m] = out.get(m, Q(0)) + c1 * c2
-        return self._like(out)
+                out[m] = out.get(m, 0) + x1 * x2
+        return self._like(out, self.den * other.den)
 
     def describe(self, alg: LieAlgebra) -> str:
-        if not self.terms:
+        if not self.num:
             return "0"
         parts = []
         for m, c in sorted(self.terms.items()):
@@ -122,16 +122,13 @@ def symmetrize(s) -> TensorElement:
     """
     if isinstance(s, tuple):
         s = SymElement.monomial(s)
-    out: dict[Word, Fraction] = {}
-    for m, coeff in s.terms.items():
-        n = len(m)
-        if n == 0:
-            out[()] = out.get((), Q(0)) + coeff
-            continue
-        share = coeff / factorial(n)
+    top = max(map(len, s.num), default=0)
+    out: dict[Word, int] = {}
+    for m, x in s.num.items():
+        share = x * (factorial(top) // factorial(len(m)))
         for perm in itertools.permutations(m):
-            out[perm] = out.get(perm, Q(0)) + share
-    return TensorElement(out)
+            out[perm] = out.get(perm, 0) + share
+    return TensorElement()._like(out, s.den * factorial(top))
 
 
 class LambdaMap:
@@ -159,12 +156,12 @@ def theta(rep: Representation, t: TensorElement) -> Matrix:
     """Word-to-operator map through composition of action matrices."""
     acc = Matrix.zeros(rep.dimV, rep.dimV)
     ident = Matrix.identity(rep.dimV)
-    for w, c in t.terms.items():
+    for w, x in t.num.items():
         m = ident
         for letter in w:
             m = m @ rep.matrices[letter]
-        acc = acc + m.scale(c)
-    return acc
+        acc = acc + m.scale(x)
+    return acc.scale(Fraction(1, t.den))
 
 
 def phi(rep: Representation, t: TensorElement) -> Matrix:
@@ -177,7 +174,7 @@ def phi(rep: Representation, t: TensorElement) -> Matrix:
     dv = rep.dimV
     lam = LambdaMap(rep).data
     acc = [[Q(0)] * dv for _ in range(dv)]
-    for w, c in t.terms.items():
+    for w, x in t.num.items():
         table = [[Q(1) if o == i else Q(0) for i in range(dv)] for o in range(dv)]
         for g in reversed(w):
             nxt = []
@@ -196,8 +193,8 @@ def phi(rep: Representation, t: TensorElement) -> Matrix:
             for i in range(dv):
                 v = table[o][i]
                 if v != 0:
-                    acc[o][i] += c * v
-    return Matrix(acc)
+                    acc[o][i] += x * v
+    return Matrix(acc).scale(Fraction(1, t.den))
 
 
 def _splits(m: SymMonomial):
@@ -207,9 +204,9 @@ def _splits(m: SymMonomial):
             yield letter, m[:pos] + m[pos + 1:]
 
 
-def _word_weight(m: SymMonomial) -> Fraction:
-    """prod(m_i!) / d!: the share of each distinct word in the 1/d! sum."""
-    return Fraction(prod(map(factorial, Counter(m).values())), factorial(len(m)))
+def _repeats(m: SymMonomial) -> int:
+    """prod(m_i!): how often the d! permutations of m give each distinct word."""
+    return prod(map(factorial, Counter(m).values()))
 
 
 class SymImages:
@@ -289,11 +286,15 @@ class SymImages:
         """Integers k_m and a scale > 0 with k_m / scale = c_m prod(m_i!) / (|m|! d^|m|).
 
         Then theta(rep, symmetrize(s)) is sum_m k_m theta_table[m] / scale,
-        and the same holds for phi.
+        and the same holds for phi.  With c_m = x_m / den and t the top
+        degree, scale = den t! d^t and k_m = x_m prod(m_i!) t!/|m|! d^(t-|m|).
         """
-        ws = [(m, c * _word_weight(m) / self.d ** len(m)) for m, c in s.terms.items()]
-        scale = lcm(*(w.denominator for _, w in ws))
-        return [(m, w.numerator * (scale // w.denominator)) for m, w in ws], scale
+        top = max(map(len, s.num), default=0)
+        weights = [
+            (m, x * _repeats(m) * (factorial(top) // factorial(len(m))) * self.d ** (top - len(m)))
+            for m, x in s.num.items()
+        ]
+        return weights, s.den * factorial(top) * self.d**top
 
     def theta_sum(self, weights: list) -> tuple:
         """sum_m k_m theta_table[m] over the (m, k_m) of weights."""
@@ -354,16 +355,10 @@ def _derive(brackets: tuple, terms: dict) -> dict:
 def derivation_apply(alg: LieAlgebra, i: int, s: SymElement) -> SymElement:
     """Extend ad(x_i) to symmetric elements as a derivation.
 
-    s is cleared with one lcm L of its denominators and the integer table
-    alg.cleared_brackets[i] is applied, so the result is computed in Z as
-    L * delta times ad(x_i)(s); a Fraction is built only for each nonzero
-    coefficient of the result.
+    The integer table alg.cleared_brackets[i] is applied to the numerators
+    of s, which gives ad(x_i)(s) in Z over s.den * alg.delta.
     """
-    scale = lcm(*(c.denominator for c in s.terms.values()))
-    cleared = {m: c.numerator * (scale // c.denominator) for m, c in s.terms.items()}
-    den = scale * alg.delta
-    out = _derive(alg.cleared_brackets[i], cleared)
-    return s._like({m: Fraction(v, den) for m, v in out.items()})
+    return s._like(_derive(alg.cleared_brackets[i], s.num), s.den * alg.delta)
 
 
 def sym_basis(dim: int, degree: int) -> list[SymMonomial]:
@@ -401,9 +396,8 @@ class DiagramReport:
     """One diagram check: equal and central are decided in Z.
 
     path_theta and path_contract are the two routes' images of the element
-    as Fraction matrices, and difference is path_theta - path_contract
-    (None when equal); all three are built from the integer tables when
-    first read.  central is None unless the check asked for it.
+    as Fraction matrices, built from the integer tables when first read.
+    central is None unless the check asked for it.
     """
 
     def __init__(self, images: SymImages, element: SymElement, equal: bool, central):
@@ -419,10 +413,6 @@ class DiagramReport:
     @cached_property
     def path_contract(self) -> Matrix:
         return self.images.phi(self.element)
-
-    @property
-    def difference(self) -> Matrix | None:
-        return None if self.equal else self.path_theta - self.path_contract
 
 
 def check_pbw_diagram(
@@ -453,8 +443,8 @@ def check_pbw_diagram(
     images = rep._sym_images
     if images is None:
         images = rep._sym_images = SymImages(rep)
-    if len(s.terms) == 1:
-        (m,) = s.terms
+    if len(s.num) == 1:
+        (m,) = s.num
         a, b = images.theta_words(m), images.phi_words(m)
     else:
         weights, _ = images.weights(s)

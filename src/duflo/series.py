@@ -12,8 +12,9 @@ from a hard-coded table; the printed low-weight coefficients are test
 targets, not inputs.  With l_k the coefficients of log(t/(1 - e^{-t})),
 Todd = exp(L) and its square root is exp(L/2) for L = sum_k l_k p_k; no
 series square root is taken.  The l_k are read from -log((1 - e^{-t})/t),
-so no series inverse is taken either.  exp is sparse.graded_exp over
-_mul_terms, the integer term product that GradedSeries.__mul__ wraps.
+so no series inverse is taken either.  exp is sparse.graded_exp over the
+series product, which multiplies the two numerator maps in Z (_mul_terms)
+over the product of the two denominators.
 Newton's identity for p_k adds each e_i p_{k-i} by appending the
 generator c_i to every monomial of p_{k-i}, with no series product.
 """
@@ -23,8 +24,7 @@ from operator import itemgetter
 from fractions import Fraction
 from math import factorial
 
-from .linalg import Q
-from .sparse import LinComb, cleared, graded_exp, unit_inverse, unit_sqrt
+from .sparse import LinComb, graded_exp, unit_inverse, unit_sqrt
 
 Gen = tuple[str, int]
 Monomial = tuple[Gen, ...]
@@ -79,29 +79,23 @@ class GradedSeries(LinComb):
         return super().__add__(other)
 
     def __mul__(self, other):
-        """Truncated product, summed as integers over both operands' denominators."""
+        """Truncated product: the numerators multiplied in Z, over both denominators."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._join(other)
-        (left,), d1 = cleared([self.terms])
-        (right,), d2 = cleared([other.terms])
-        acc = _mul_terms(left, right, self.trunc)
-        return self._like({m: Fraction(c, d1 * d2) for m, c in acc.items() if c})
+        return self._like(_mul_terms(self.num, other.num, self.trunc), self.den * other.den)
 
     def constant(self) -> Fraction:
-        return self.terms.get((), Q(0))
-
-    def weight_part(self, w: int) -> "GradedSeries":
-        return self._like({m: c for m, c in self.terms.items() if _weight(m) == w})
+        return self.coefficient(())
 
     def weight_parts(self) -> list["GradedSeries"]:
         parts: list[dict] = [{} for _ in range(self.trunc + 1)]
-        for m, c in self.terms.items():
-            parts[_weight(m)][m] = c
-        return [self._like(p) for p in parts]
+        for m, x in self.num.items():
+            parts[_weight(m)][m] = x
+        return [self._like(p, self.den) for p in parts]
 
     def coefficient(self, mono) -> Fraction:
-        return self.terms.get(tuple(sorted(mono)), Q(0))
+        return Fraction(self.num.get(tuple(sorted(mono)), 0), self.den)
 
     # -- series functions -------------------------------------------------
     def inv(self) -> "GradedSeries":
@@ -120,8 +114,7 @@ class GradedSeries(LinComb):
         """Exponential of a series with zero constant term."""
         if self.constant() != 0:
             raise NonUnitConstant("exp needs zero constant term")
-        trunc, parts = self.trunc, [p.terms for p in self.weight_parts()]
-        return graded_exp(parts, GradedSeries.scalar(trunc), lambda u, v: _mul_terms(u, v, trunc))
+        return graded_exp(self.weight_parts(), GradedSeries.scalar(self.trunc), operator.mul)
 
     def log(self) -> "GradedSeries":
         """Logarithm of a series with constant term 1."""
@@ -135,19 +128,6 @@ class GradedSeries(LinComb):
             if power.is_zero():
                 break
             acc = acc + power.scale(Fraction((-1) ** (k - 1), k))
-        return acc
-
-    def substitute(self, mapping: dict) -> "GradedSeries":
-        """Replace generators by whole series (name -> GradedSeries)."""
-        acc = GradedSeries(self.trunc)
-        for mono, c in self.terms.items():
-            term = GradedSeries.scalar(self.trunc, c)
-            for name, weight in mono:
-                rep = mapping.get(name)
-                if rep is None:
-                    rep = GradedSeries.gen(self.trunc, name, weight)
-                term = term * rep
-            acc = acc + term
         return acc
 
     # -- canonical text -----------------------------------------------------
@@ -223,10 +203,6 @@ def _mono_text(mono: Monomial) -> str:
 # symmetric-function machinery
 # ---------------------------------------------------------------------------
 
-def chern_gen(trunc: int, k: int, family: str = "c") -> GradedSeries:
-    return GradedSeries.gen(trunc, f"{family}{k}", k)
-
-
 def power_sums(trunc: int, family: str = "c") -> list[GradedSeries]:
     """p_1 .. p_trunc in the Chern generators, via Newton's identities.
 
@@ -247,7 +223,7 @@ def power_sums(trunc: int, family: str = "c") -> list[GradedSeries]:
                 acc[m] = acc[m] + c if m in acc else c
         ints.append(acc)
     zero = GradedSeries.scalar(trunc, 0)
-    return [zero._like({m: Fraction(c) for m, c in p.items() if c}) for p in ints]
+    return [zero._like(p) for p in ints]
 
 
 def _log_todd(trunc: int, family: str) -> GradedSeries:
@@ -259,12 +235,7 @@ def _log_todd(trunc: int, family: str) -> GradedSeries:
         trunc, {(t,) * k: Fraction((-1) ** k, factorial(k + 1)) for k in range(trunc + 1)}
     ).log()
     p = power_sums(trunc, family)
-    terms: dict = {}
-    for k in range(1, trunc + 1):
-        lk = -lq.coefficient((t,) * k)
-        for m, c in p[k].terms.items():
-            terms[m] = lk * c
-    return p[0]._like(terms)
+    return sum((p[k].scale(-lq.coefficient((t,) * k)) for k in range(1, trunc + 1)), p[0])
 
 
 def todd(trunc: int, family: str = "c") -> GradedSeries:

@@ -1,39 +1,41 @@
 """Finite rational combinations of keys, and the graded unit recursions.
 
-LinComb is a finite map key -> nonzero Fraction with its vector-space
-operations.  Tensor words and symmetric monomials (pbw), exterior terms
+LinComb is the one exact representation of a finite combination: integer
+numerators num = {key: int} over one denominator den > 0, kept canonical
+(no zero numerator, and gcd(den, every numerator) = 1), so two equal
+combinations have equal num and den.  terms is a read-only {key: Fraction}
+view for printing, witnesses and coefficient reads; arithmetic reads num
+and den only.  Tensor words and symmetric monomials (pbw), exterior terms
 (hodge) and Chern monomials (series) subclass it, adding only how a key is
 normalised, their context (a model, a truncation), their products and
-their printing.  The public constructor of each kind parses
-outside input through the _key hook, which may raise or drop a key;
-arithmetic results are canonical already and go through _like, which only
-drops zero coefficients.
-
-cleared writes rational maps as integer maps over one common denominator,
-so that sums of products run over ints with one Fraction per result.
+their printing.  A product of two combinations is the product of their
+numerator maps over the product of their denominators.  The public
+constructor of each kind parses outside input through the _key hook,
+which may raise or drop a key; arithmetic results go through _like, which
+drops zero numerators and divides out the common factor.
 
 unit_inverse, unit_sqrt and graded_exp compute 1/a, sqrt(a) and exp(a)
 weight by weight over any commutative graded product, from the pieces
 a_0, a_1, ... of a by weight.  In each, the weight-w part of the result is
 a sum of products of lower-weight parts, so no power of a is ever formed.
-graded_exp runs in Z: it clears its pieces once, multiplies integer term
-maps only, and builds one Fraction per key of the result.
+graded_exp scales its pieces once to integer combinations and multiplies
+those only.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .linalg import parse_rational
 
 
 class LinComb:
-    """Finite map from normalised keys to nonzero rational coefficients.
+    """Finite map from normalised keys to nonzero rationals, as num / den.
 
     Subclasses list their context attributes in _CONTEXT and set them
     before calling LinComb.__init__, because _key may read them.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("num", "den")
     _CONTEXT: tuple[str, ...] = ()
 
     def __init__(self, terms=None):
@@ -46,19 +48,32 @@ class LinComb:
             if key is None:
                 continue
             tidy[key] = tidy[key] + c if key in tidy else c
-        self.terms = {k: c for k, c in tidy.items() if c}
+        tidy = {k: c for k, c in tidy.items() if c}
+        # over the lcm of reduced denominators, the numerators share no factor with it
+        self.den = lcm(*(c.denominator for c in tidy.values()))
+        self.num = {k: c.numerator * (self.den // c.denominator) for k, c in tidy.items()}
 
     def _key(self, key):
         """Canonical form of an outside key; None drops the term."""
         return key
 
-    def _like(self, terms: dict) -> "LinComb":
-        """Same kind and context as self, from canonical terms."""
+    def _like(self, num: dict, den: int = 1) -> "LinComb":
+        """Same kind and context as self, num / den from canonical keys, den > 0."""
         out = object.__new__(type(self))
         for name in self._CONTEXT:
             setattr(out, name, getattr(self, name))
-        out.terms = {k: c for k, c in terms.items() if c}
+        num = {k: x for k, x in num.items() if x}
+        g = gcd(den, *num.values()) if den != 1 else 1
+        if g != 1:
+            num = {k: x // g for k, x in num.items()}
+            den //= g
+        out.num, out.den = num, den
         return out
+
+    @property
+    def terms(self) -> dict:
+        """The coefficients as a fresh {key: Fraction} dict."""
+        return {k: Fraction(x, self.den) for k, x in self.num.items()}
 
     def _join(self, other) -> "LinComb":
         """Check that other combines with self; return the context donor."""
@@ -70,10 +85,12 @@ class LinComb:
 
     def __add__(self, other):
         base = self._join(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out[k] + c if k in out else c
-        return base._like(out)
+        den = lcm(self.den, other.den)
+        f = den // other.den
+        out = {k: x * (den // self.den) for k, x in self.num.items()}
+        for k, x in other.num.items():
+            out[k] = out[k] + f * x if k in out else f * x
+        return base._like(out, den)
 
     def __sub__(self, other):
         return self + -other
@@ -83,7 +100,7 @@ class LinComb:
 
     def scale(self, c):
         c = parse_rational(c)
-        return self._like({k: c * v for k, v in self.terms.items()})
+        return self._like({k: c.numerator * x for k, x in self.num.items()}, self.den * c.denominator)
 
     def __rmul__(self, c):
         return self.scale(c)
@@ -92,11 +109,12 @@ class LinComb:
         return (
             type(other) is type(self)
             and all(getattr(self, n) == getattr(other, n) for n in self._CONTEXT)
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def _word(self, key) -> str:
         return str(key)
@@ -104,12 +122,6 @@ class LinComb:
     def __repr__(self):
         body = " + ".join(f"{c}*{self._word(k)}" for k, c in sorted(self.terms.items()))
         return f"{type(self).__name__}({body or 0})"
-
-
-def cleared(maps: list[dict]) -> tuple[list[dict], int]:
-    """The rational maps as integer maps over their least common denominator."""
-    den = lcm(*(c.denominator for m in maps for c in m.values()))
-    return [{k: c.numerator * (den // c.denominator) for k, c in m.items()} for m in maps], den
 
 
 def unit_inverse(pieces: list, mul) -> LinComb:
@@ -140,30 +152,29 @@ def unit_sqrt(pieces: list, mul) -> LinComb:
     return sum(s[1:], s[0])
 
 
-def graded_exp(pieces: list[dict], one: LinComb, mul_terms) -> LinComb:
-    """exp(a) for a = sum of graded pieces (term maps), pieces[0] zero.
+def graded_exp(pieces: list, one: LinComb, mul) -> LinComb:
+    """exp(a) for a = sum of graded pieces, pieces[0] zero, one the unit.
 
     e_0 = one and w e_w = sum_{k=1..w} k a_k e_{w-k}, the weight-w part of
-    E' = A' E.  With the pieces cleared once to integer maps A_k over one
-    denominator d, E_w = d^w w! e_w is the integer map
-    sum_k k d^(k-1) (w-1)!/(w-k)! A_k * E_{w-k}, * being mul_terms on two
-    integer term maps.  Empty pieces are skipped; one Fraction is built per
-    key of the result, whose parts share no key as each key has one weight.
+    E' = A' E.  With d the lcm of the pieces' denominators, A_k = d a_k is
+    an integer combination and so is E_w = d^w w! e_w =
+    sum_k k d^(k-1) (w-1)!/(w-k)! A_k E_{w-k}, each product taken by mul.
+    Empty pieces are skipped.  The parts share no key, as each key has one
+    weight, so the result is their numerators over the last d^w w!.
     """
-    ints, d = cleared(pieces)
-    big = [dict.fromkeys(one.terms, 1)]
-    out = dict(one.terms)
-    den = 1
+    d = lcm(*(p.den for p in pieces))
+    ints = [p.scale(d) for p in pieces]
+    big, dens = [one], [1]
     for w in range(1, len(ints)):
         acc: dict = {}
         g = 1  # d^(k-1) (w-1)!/(w-k)!
         for k in range(1, w + 1):
-            if ints[k] and big[w - k]:
+            if ints[k].num and big[w - k].num:
                 f = k * g
-                for key, x in mul_terms(ints[k], big[w - k]).items():
+                for key, x in mul(ints[k], big[w - k]).num.items():
                     acc[key] = acc[key] + f * x if key in acc else f * x
             g *= d * (w - k)
-        big.append({key: x for key, x in acc.items() if x})
-        den *= d * w
-        out.update((key, Fraction(x, den)) for key, x in big[w].items())
-    return one._like(out)
+        big.append(one._like(acc))
+        dens.append(dens[-1] * d * w)
+    top = dens[-1]
+    return one._like({k: x * (top // dw) for e, dw in zip(big, dens) for k, x in e.num.items()}, top)

@@ -8,7 +8,8 @@ bracket that is not Lie, or a well-formed file broken in one place, must
 be rejected as bad input (exit 2) without a traceback.  A coefficient
 that is not a p/q literal, such as 1e999999999 or 0.5, is refused as
 such, at once, before any integer is built from it.  So is a catalog
-name abelianN with N outside 1 to 16.
+name abelianN with N outside 1 to 16, and one whose N is not written in
+ASCII digits.
 
 A FormClass or PolyClass dump, loose or with one field broken, either
 loads, and then survives a to_obj round trip, or raises BidegreeError or
@@ -148,6 +149,14 @@ def test_abelian_size_outside_cap_is_input_error(name):
     assert time.perf_counter() - t0 < 5.0
     assert code == 2 and out == ""
     assert err.startswith("error: abelianN needs N from 1 to 16") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["abelian\u0663", "abelian\u00b2"])
+def test_abelian_with_non_ascii_digits_is_unknown_name(name):
+    # str.isdigit accepts the Arabic-Indic three and the superscript two
+    code, out, err = run_cli(["verify-lie", "--algebra", name, "--max-degree", "1"])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: \"unknown algebra {name!r}") and "Traceback" not in err
 
 
 def test_abelian_cap_is_inclusive():

@@ -43,9 +43,9 @@ def test_abelian_valid():
 def test_sl2_valid_and_brackets():
     alg = catalog.sl2()
     # [e, f] = h
-    assert alg.bracket(0, 1) == (0, 0, 1)
+    assert alg.constants[0][1] == (0, 0, 1)
     # [h, e] = 2e
-    assert alg.bracket(2, 0) == (2, 0, 0)
+    assert alg.constants[2][0] == (2, 0, 0)
 
 
 def test_antisymmetry_violation():
@@ -119,8 +119,8 @@ def test_algebra_from_json():
         "brackets": [{"i": 0, "j": 1, "coeffs": ["0", "0", "1"]}],
     }
     alg = algebra_from_json(obj)
-    assert alg.bracket(0, 1) == (0, 0, 1)
-    assert alg.bracket(1, 0) == (0, 0, -1)
+    assert alg.constants[0][1] == (0, 0, 1)
+    assert alg.constants[1][0] == (0, 0, -1)
 
 
 def test_algebra_from_json_rejects_duplicates():

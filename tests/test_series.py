@@ -9,7 +9,6 @@ from duflo.series import (
     GradedSeries,
     NonUnitConstant,
     chern_character,
-    chern_gen,
     mukai_vector,
     power_sums,
     sqrt_todd,
@@ -18,7 +17,18 @@ from duflo.series import (
 
 
 def _c(trunc, k):
-    return chern_gen(trunc, k)
+    return GradedSeries.gen(trunc, f"c{k}", k)
+
+
+def _substitute(s, mapping):
+    """s with generators replaced by whole series (name -> GradedSeries)."""
+    acc = GradedSeries(s.trunc)
+    for mono, c in s.terms.items():
+        term = GradedSeries.scalar(s.trunc, c)
+        for name, weight in mono:
+            term = term * mapping.get(name, GradedSeries.gen(s.trunc, name, weight))
+        acc = acc + term
+    return acc
 
 
 def _random_unit_series(trunc, rng, names=("u", "v")):
@@ -154,7 +164,7 @@ def test_todd_weight_three_from_root_oracle():
     e1 = roots[0] + roots[1] + roots[2]
     e2 = roots[0] * roots[1] + roots[0] * roots[2] + roots[1] * roots[2]
     e3 = roots[0] * roots[1] * roots[2]
-    substituted = todd(N).substitute({"c1": e1, "c2": e2, "c3": e3})
+    substituted = _substitute(todd(N), {"c1": e1, "c2": e2, "c3": e3})
     assert substituted == prod
     # and the printed weight-3 coefficient
     assert todd(3).coefficient((("c1", 1), ("c2", 2))) == Q(1, 24)
@@ -181,10 +191,9 @@ def test_todd_whitney_split_check():
     mapping = {"c1": x + y, "c2": x * y}
     for k in range(3, N + 1):
         mapping[f"c{k}"] = zero
-    lhs = todd(N).substitute(mapping)
-    rhs = todd(N).substitute(
-        {"c1": x, **{f"c{k}": zero for k in range(2, N + 1)}}
-    ) * todd(N).substitute({"c1": y, **{f"c{k}": zero for k in range(2, N + 1)}})
+    lhs = _substitute(todd(N), mapping)
+    rest = {f"c{k}": zero for k in range(2, N + 1)}
+    rhs = _substitute(todd(N), {"c1": x, **rest}) * _substitute(todd(N), {"c1": y, **rest})
     assert lhs == rhs
 
 
@@ -226,25 +235,24 @@ def test_newton_power_sum_weight_two():
 
 def test_chern_character_rank_one_line_bundle():
     # set c_{>=2} = 0: the line-bundle exponential
-    ch = chern_character(1, 2).substitute({"c2": GradedSeries(2)})
+    ch = _substitute(chern_character(1, 2), {"c2": GradedSeries(2)})
     want = GradedSeries.scalar(2) + _c(2, 1) + (_c(2, 1) * _c(2, 1)).scale(Q(1, 2))
     assert ch == want
 
 
 def test_chern_character_constant_rank():
-    ch = chern_character(3, 2).substitute({"c1": GradedSeries(2), "c2": GradedSeries(2)})
+    ch = _substitute(chern_character(3, 2), {"c1": GradedSeries(2), "c2": GradedSeries(2)})
     assert ch == GradedSeries.scalar(2, 3)
 
 
 def test_chern_character_weight_two_general():
     ch = chern_character(2, 2)
-    assert ch.weight_part(2) == (_c(2, 1) * _c(2, 1) - _c(2, 2).scale(2)).scale(Q(1, 2))
+    assert ch.weight_parts()[2] == (_c(2, 1) * _c(2, 1) - _c(2, 2).scale(2)).scale(Q(1, 2))
 
 
 def test_mukai_vector_trivial_bundle():
-    assert mukai_vector(1, 3).substitute(
-        {"f1": GradedSeries(3), "f2": GradedSeries(3), "f3": GradedSeries(3)}
-    ) == sqrt_todd(3)
+    zero = GradedSeries(3)
+    assert _substitute(mukai_vector(1, 3), {"f1": zero, "f2": zero, "f3": zero}) == sqrt_todd(3)
 
 
 def test_mukai_vector_weight_one_families():
@@ -256,7 +264,7 @@ def test_mukai_vector_weight_one_families():
 def test_mukai_vector_rank_zero_no_classes():
     v = mukai_vector(0, 2)
     sub = {f"f{k}": GradedSeries(2) for k in (1, 2)}
-    assert v.substitute(sub).is_zero()
+    assert _substitute(v, sub).is_zero()
 
 
 def test_mukai_matches_series_product():

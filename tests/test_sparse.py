@@ -5,15 +5,23 @@ scale and product is checked against a rebuild through its public
 constructor, for canonical keys, no zero coefficients and Fraction
 coefficients only.  The constructors' own validation errors must still
 fire.  The graded exponential is checked against the full-power series
-it replaced, on series and on even forms.
+it replaced, on series and on even forms.  A bounded Hypothesis test
+checks that the constructor, +, -, scale, wedge, both contractions,
+exp_form, the series product and derivation_apply leave num and den
+canonical (den > 0, no zero numerator, gcd 1), and that their terms
+equal plain-Fraction references computed here.
 """
 
 import operator
 from fractions import Fraction
 from itertools import count
-from math import factorial
+from math import factorial, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from duflo import catalog
 
 from duflo.hodge import (
     BidegreeError,
@@ -27,9 +35,12 @@ from duflo.hodge import (
     exp_form,
     wedge,
 )
-from duflo.pbw import SymElement, TensorElement
+from duflo.lie import LieAlgebra
+from duflo.pbw import SymElement, TensorElement, derivation_apply
 from duflo.rng import SplitMix64
 from duflo.series import GradedSeries, TruncationMismatch
+
+from test_hodge_integer import ref_contract, ref_wedge
 
 
 def _coeffs(rng, keys):
@@ -226,3 +237,135 @@ def test_exp_form_matches_power_series(n):
     for _ in range(12):
         v = _even_form(model, rng)
         assert exp_form(v) == power_series_exp(v, FormClass.one(model), wedge)
+
+
+# -- canonical form against plain-Fraction references ---------------------------
+
+FRACS = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6, 9, 35]))
+EXT_KEYS = [(a, b) for a in range(4) for b in range(4)]
+EVEN_KEYS = [k for k in EXT_KEYS if k != (0, 0) and (k[0].bit_count() + k[1].bit_count()) % 2 == 0]
+C1, C2, C3 = ("c1", 1), ("c2", 2), ("c3", 3)
+SERIES_KEYS = [(), (C1,), (C2,), (C1, C1), (C3,), (C1, C2), (C1, C1, C1)]
+SYM_KEYS = [(), (0,), (1,), (2,), (0, 0), (0, 2), (1, 2), (0, 1, 2), (2, 2, 2)]
+# sl2 with its brackets scaled by 2/3, so the cleared table has delta = 3
+SL2_THIRDS = LieAlgebra(
+    [[[c * Fraction(2, 3) for c in row] for row in plane] for plane in catalog.sl2().constants]
+)
+
+
+def _canonical(x) -> bool:
+    """num holds nonzero ints, den is a positive int, and they share no factor."""
+    values = list(x.num.values())
+    return (
+        type(x.den) is int
+        and x.den > 0
+        and all(type(v) is int and v for v in values)
+        and gcd(x.den, *values) == 1
+    )
+
+
+def _nonzero(terms: dict) -> dict:
+    return {k: c for k, c in terms.items() if c}
+
+
+def _fr_sum(*parts) -> dict:
+    out: dict = {}
+    for part in parts:
+        for k, c in part.items():
+            out[k] = out.get(k, 0) + c
+    return _nonzero(out)
+
+
+def _fr_scale(terms, c) -> dict:
+    return _nonzero({k: c * v for k, v in terms.items()})
+
+
+def _fr_exp(terms) -> dict:
+    """sum_k v^k / k! until a power vanishes, on the reference wedge."""
+    acc, power, k = {(0, 0): Fraction(1)}, {(0, 0): Fraction(1)}, 0
+    while power:
+        k += 1
+        power = ref_wedge(power, terms)
+        acc = _fr_sum(acc, _fr_scale(power, Fraction(1, factorial(k))))
+    return acc
+
+
+def _fr_series_mul(u, v, trunc) -> dict:
+    out: dict = {}
+    for m1, c1 in u.items():
+        for m2, c2 in v.items():
+            m = tuple(sorted(m1 + m2))
+            if sum(w for _, w in m) <= trunc:
+                out[m] = out.get(m, 0) + c1 * c2
+    return _nonzero(out)
+
+
+def _fr_derive(alg, i, terms) -> dict:
+    """ad(x_i) letter by letter: each occurrence is replaced by its bracket."""
+    out: dict = {}
+    for m, c in terms.items():
+        for pos, letter in enumerate(m):
+            for k, b in enumerate(alg.constants[i][letter]):
+                mono = tuple(sorted(m[:pos] + m[pos + 1:] + (k,)))
+                out[mono] = out.get(mono, 0) + c * b
+    return _nonzero(out)
+
+
+def _dicts(keys, data, max_size=6):
+    return data.draw(st.dictionaries(st.sampled_from(keys), FRACS, max_size=max_size))
+
+
+def _case_arithmetic(data):
+    u, v = _dicts(EXT_KEYS, data), _dicts(EXT_KEYS, data)
+    c = data.draw(FRACS)
+    x, y = FormClass(MODEL, u), FormClass(MODEL, v)
+    return [
+        (x, _nonzero(u)),
+        (x + y, _fr_sum(u, v)),
+        (x - y, _fr_sum(u, _fr_scale(v, -1))),
+        (x.scale(c), _fr_scale(u, c)),
+    ]
+
+
+def _case_products(data):
+    u, v = _dicts(EXT_KEYS, data), _dicts(EXT_KEYS, data)
+    return [
+        (wedge(FormClass(MODEL, u), FormClass(MODEL, v)), ref_wedge(u, v)),
+        (contract_T_on_Omega(PolyClass(MODEL, u), FormClass(MODEL, v)), ref_contract(u, v, +1)),
+        (contract_Omega_on_T(FormClass(MODEL, u), PolyClass(MODEL, v)), ref_contract(u, v, -1)),
+    ]
+
+
+def _case_exp_form(data):
+    u = _dicts(EVEN_KEYS, data, max_size=4)
+    return [(exp_form(FormClass(MODEL, u)), _fr_exp(u))]
+
+
+def _case_series(data):
+    u, v = _dicts(SERIES_KEYS, data), _dicts(SERIES_KEYS, data)
+    return [(GradedSeries(3, u) * GradedSeries(3, v), _fr_series_mul(u, v, 3))]
+
+
+def _case_derivation(data):
+    u = _dicts(SYM_KEYS, data)
+    alg = data.draw(st.sampled_from([catalog.sl2(), SL2_THIRDS]))
+    i = data.draw(st.integers(0, 2))
+    return [(derivation_apply(alg, i, SymElement(u)), _fr_derive(alg, i, u))]
+
+
+CASES = {
+    "arithmetic": _case_arithmetic,
+    "products": _case_products,
+    "exp-form": _case_exp_form,
+    "series-mul": _case_series,
+    "derivation": _case_derivation,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_results_are_canonical_and_match_fraction_reference(case, data):
+    for result, expected in CASES[case](data):
+        assert _canonical(result), (result.num, result.den)
+        assert result.terms == expected

@@ -1,0 +1,86 @@
+"""Every function and method of the package is referenced in the package.
+
+An ast scan over src/duflo/*.py: the name of each def must occur
+somewhere in src/duflo outside that def's own body, as a Name, as an
+attribute (x.name), or as a name imported by `from ... import`.  A def
+that only tests call is test surface and belongs in the test that uses it.
+Exempt are dunders, the functions the benchmark's span tracer wraps (the
+SPANS table of perfbench/tracer.py, read as data, not imported) and the
+names of ALLOWED, each with its reason.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted((ROOT / "src" / "duflo").glob("*.py"))
+
+ALLOWED = {
+    "from_obj": "reads a class dump back, so a witness can be replayed",
+    "inv": "unit_inverse on series, which the tests check on a second product besides wedge",
+    "sqrt": "unit_sqrt on series, which the tests check on a second product besides wedge",
+    "swap_letters": "symmetry probe of the d! oracle, which leaves src with symmetrize",
+    "word": "one-word constructor of the d! oracle, which leaves src with symmetrize",
+}
+
+
+def _references(tree) -> Counter:
+    refs: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(a.name for a in node.names)
+    return refs
+
+
+def unreferenced_defs(sources: dict[str, str]) -> list[str]:
+    """file:name of every def whose name is referenced only inside itself."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    refs = sum((_references(t) for t in trees.values()), Counter())
+    found = []
+    for file, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if refs[node.name] == _references(node)[node.name]:
+                    found.append(f"{file}:{node.name}")
+    return sorted(found)
+
+
+def span_names() -> set[str]:
+    """The function or method names in perfbench/tracer.py's SPANS."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    (table,) = (
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SPANS"]
+    )
+    return {span.elts[2].value.rsplit(".", 1)[-1] for span in table.elts}
+
+
+def test_scan_flags_only_unreferenced_names():
+    src = {
+        "a.py": "def used():\n    pass\n\ndef lonely(n):\n    return lonely(n - 1)\n",
+        "b.py": "from a import used\n\nclass K:\n    def method(self):\n        return self.method\n",
+        "c.py": "def called():\n    pass\n\nobj.called()\n",
+    }
+    assert unreferenced_defs(src) == ["a.py:lonely", "b.py:method"]
+
+
+def test_span_names_are_read():
+    names = span_names()
+    assert {"main", "symmetrize", "contract_T_on_Omega", "__mul__", "emit"} <= names
+
+
+def test_every_def_is_referenced_in_the_package():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in FILES}
+    unreferenced = unreferenced_defs(sources)
+    names = {entry.split(":")[1] for entry in unreferenced}
+    exempt = span_names() | set(ALLOWED) | {n for n in names if n.startswith("__") and n.endswith("__")}
+    found = [entry for entry in unreferenced if entry.split(":")[1] not in exempt]
+    assert not found, found
+    # every allowlisted name is still defined and still unreferenced
+    assert set(ALLOWED) <= names, set(ALLOWED) - names
