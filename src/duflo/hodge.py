@@ -39,7 +39,6 @@ reported coefficient or a witness.  Everything is exact; no floats
 anywhere.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -533,10 +532,12 @@ def poly_basis_11(model: HodgeModel) -> list[PolyClass]:
     return [PolyClass(model, {k: 1}) for k in _keys_11(model.n)]
 
 
-def _basis_poly(model: HodgeModel, vec: dict) -> PolyClass:
-    """The polyvector with coefficient vec[(a << n) | b] on the term (a, b)."""
+def _basis_polys(model: HodgeModel, vecs: list[tuple[dict, int]]):
+    """Each (num, den) vector as the polyvector num[(a << n) | b] / den on the term (a, b)."""
     n = model.n
-    return PolyClass(model, {(c >> n, c & ((1 << n) - 1)): v for c, v in vec.items()})
+    zero = PolyClass(model)
+    for num, den in vecs:
+        yield zero._like({(c >> n, c & ((1 << n) - 1)): x for c, x in num.items()}, den)
 
 
 def exp_atiyah_kernel(line: LineBundle) -> list[PolyClass]:
@@ -545,7 +546,7 @@ def exp_atiyah_kernel(line: LineBundle) -> list[PolyClass]:
     Linear in alpha, so the kernel is computed from the line's
     obstruction images of the canonical term basis.
     """
-    return [_basis_poly(line.model, vec) for vec in kernel_of_images(line.obstruction()[0])]
+    return list(_basis_polys(line.model, kernel_of_images(line.obstruction()[0])))
 
 
 def mukai_sweep(line: LineBundle) -> tuple[int, PolyClass | None]:
@@ -553,19 +554,20 @@ def mukai_sweep(line: LineBundle) -> tuple[int, PolyClass | None]:
     moduli action is nonzero, each decided on the vector's integer numerators.
     """
     ker = kernel_of_images(line.obstruction()[0])
-    for vec in ker:
-        alpha = _basis_poly(line.model, vec)
+    for alpha in _basis_polys(line.model, ker):
         if any(_act(op(), alpha)[0] for op in (line.obstruction, line.moduli_action)):
             return len(ker), alpha
     return len(ker), None
 
 
-@dataclass
 class MukaiImplicationReport:
     """The implication holds unless obstruction is zero and moduli_action is not."""
 
-    obstruction: ExtClass  # alpha -| exp(c1)
-    moduli_action: FormClass  # D(alpha) -| v(L)
+    __slots__ = ("obstruction", "moduli_action")
+
+    def __init__(self, obstruction: ExtClass, moduli_action: FormClass):
+        self.obstruction = obstruction  # alpha -| exp(c1)
+        self.moduli_action = moduli_action  # D(alpha) -| v(L)
 
 
 def check_mukai_implication(alpha: PolyClass, line: LineBundle) -> MukaiImplicationReport:
@@ -583,12 +585,20 @@ def check_mukai_implication(alpha: PolyClass, line: LineBundle) -> MukaiImplicat
     )
 
 
-@dataclass
 class FirstOrderReport:
-    quarter_identity: bool  # D(alpha) - alpha = (c1/4) -| alpha
-    h2_component: bool  # top-left component identity against the Todd root
-    loci_equal: bool | None  # vanishing loci of the two pairings coincide
-    witness: dict | None
+    __slots__ = ("quarter_identity", "h2_component", "loci_equal", "witness")
+
+    def __init__(
+        self,
+        quarter_identity: bool,
+        h2_component: bool,
+        loci_equal: bool | None,
+        witness: dict | None,
+    ):
+        self.quarter_identity = quarter_identity  # D(alpha) - alpha = (c1/4) -| alpha
+        self.h2_component = h2_component  # top-left component identity against the Todd root
+        self.loci_equal = loci_equal  # vanishing loci of the two pairings coincide
+        self.witness = witness
 
 
 def first_order_check(model: HodgeModel, alpha: PolyClass) -> FirstOrderReport:

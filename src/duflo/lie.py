@@ -13,9 +13,9 @@ positive scale.  A Fraction is built only for the text of a raised
 JacobiViolation or BracketMismatch.
 """
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
 
 from .kernels import matmul_int
 from .linalg import Matrix, Q, parse_rational

@@ -4,13 +4,14 @@ Scalars are fractions.Fraction (arbitrary precision, always in lowest
 terms, positive denominator), matrices are immutable tuples of tuples.
 Products run through the integer kernels in duflo.kernels.  Kernels are
 taken of maps given by their sparse images of a basis, from the sparse
-integer RREF of kernels.rref_int, and are returned as sparse vectors.
+integer RREF of kernels.rref_int, and are returned as sparse integer
+vectors over one denominator.
 """
 
 import re
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Sequence
+from math import gcd, lcm
 
 from .kernels import matmul_pairs, rref_int
 
@@ -162,36 +163,50 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def kernel(m: Matrix) -> list[list[Fraction]]:
     """Basis of the right nullspace {v : m v = 0}: kernel_of_images of m's
-    columns, each vector written out densely."""
-    cols = [{i: row[j] for i, row in enumerate(m.entries) if row[j]} for j in range(m.cols)]
-    return [[v.get(j, Q(0)) for j in range(m.cols)] for v in kernel_of_images(cols)]
+    columns, each row of m first cleared of denominators by its own lcm,
+    which keeps the kernel, and each vector written out densely."""
+    cols: list[dict] = [{} for _ in range(m.cols)]
+    for i, row in enumerate(m.entries):
+        scale = lcm(*(x.denominator for x in row))
+        for j, x in enumerate(row):
+            if x:
+                cols[j][i] = x.numerator * (scale // x.denominator)
+    return [
+        [Fraction(num.get(j, 0), den) for j in range(m.cols)]
+        for num, den in kernel_of_images(cols)
+    ]
 
 
-def kernel_of_images(images: Sequence[dict]) -> list[dict[int, Fraction]]:
+def kernel_of_images(images: Sequence[dict]) -> list[tuple[dict[int, int], int]]:
     """Kernel of the linear map sending basis vector j to images[j].
 
-    Each image is a {coordinate: int or Fraction} map with no zero values,
-    as a LinComb's terms are.  Each coordinate gives one sparse row,
-    cleared of denominators by its own lcm, which keeps the kernel.  From
-    their canonical RREF comes one vector per free column f, ascending in
-    f: -row[f]/row[p] at each pivot p whose row meets f, then 1 at f.  So
-    each {column: Fraction} vector has ascending keys and no zero values.
+    Each image is a {coordinate: int} map with no zero values, as a
+    LinComb's numerators are; each coordinate gives one sparse integer
+    row.  From their canonical RREF comes one vector per free column f,
+    ascending in f: -row[f]/row[p] at each pivot p whose row meets f, then
+    1 at f.  Each vector is a pair (num, den): {column: int} numerators
+    with ascending keys and no zero value over one denominator den > 0,
+    the lcm of the pivots met, with their common factor divided out.  So
+    equal vectors are equal pairs.
     """
     by_coord: dict = {}
     for col, img in enumerate(images):
         for k, c in img.items():
             by_coord.setdefault(k, {})[col] = c
-    rows = []
-    for entries in by_coord.values():
-        scale = lcm(*(c.denominator for c in entries.values()))
-        rows.append({col: c.numerator * (scale // c.denominator) for col, c in entries.items()})
-    piv_cols, red = rref_int(rows, len(images))
+    piv_cols, red = rref_int(by_coord.values(), len(images))
     pivots = set(piv_cols)
-    vecs = {f: {} for f in range(len(images)) if f not in pivots}
+    hits: dict = {f: [] for f in range(len(images)) if f not in pivots}
     for p, row in zip(piv_cols, red):
         lead = row.pop(p)
         for f, x in row.items():
-            vecs[f][p] = Fraction(-x, lead)
-    for f, vec in vecs.items():
-        vec[f] = Q(1)
-    return list(vecs.values())
+            hits[f].append((p, x, lead))
+    vecs = []
+    for f, entries in hits.items():
+        den = lcm(*(lead for _, _, lead in entries))
+        num = {p: -x * (den // lead) for p, x, lead in entries}
+        num[f] = den
+        g = gcd(*num.values())
+        if g != 1:
+            num = {p: x // g for p, x in num.items()}
+        vecs.append((num, den // g))
+    return vecs

@@ -46,7 +46,6 @@ own integer product, so the two diagram paths share no arithmetic code.
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, lcm, prod
@@ -372,7 +371,8 @@ def invariants_s(alg: LieAlgebra, degree: int) -> list[SymElement]:
     Each monomial's image is read straight from the integer table
     alg.cleared_brackets and keyed by (letter, image monomial); it is
     delta * ad(x_i) rather than ad(x_i), which has the same kernel, so the
-    images are ints and no Fraction is built before the kernel vectors.
+    images are ints, and each kernel vector, integers over one
+    denominator, becomes a SymElement without a Fraction.
     The CLI's lie-invariant-annihilation suite applies every derivation to
     each returned element and reports any that survives.
     """
@@ -386,9 +386,10 @@ def invariants_s(alg: LieAlgebra, degree: int) -> list[SymElement]:
             for mono, c in _derive(brackets, {m: 1}).items():
                 img[(i, mono)] = c
         images.append(img)
+    zero = SymElement()
     return [
-        SymElement({basis[c]: v for c, v in vec.items()})
-        for vec in kernel_of_images(images)
+        zero._like({basis[c]: x for c, x in num.items()}, den)
+        for num, den in kernel_of_images(images)
     ]
 
 
@@ -455,10 +456,12 @@ def check_pbw_diagram(
     return DiagramReport(images, s, a == b, central)
 
 
-@dataclass
 class AdjunctionReport:
-    equal: bool
-    failures: list[int]
+    __slots__ = ("equal", "failures")
+
+    def __init__(self, equal: bool, failures: list[int]):
+        self.equal = equal
+        self.failures = failures
 
 
 def adjunction_check(rep: Representation) -> AdjunctionReport:

@@ -22,7 +22,7 @@ generator c_i to every monomial of p_{k-i}, with no series product.
 import operator
 from operator import itemgetter
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from .sparse import LinComb, graded_exp, unit_inverse, unit_sqrt
 
@@ -134,9 +134,8 @@ class GradedSeries(LinComb):
     def text(self) -> str:
         """Canonical sorted-monomial rendering, e.g. '1 + 1/2*c1 + 1/12*c1^2'."""
         chunks = []
-        for _, mono, c in self._sorted():
+        for _, mono, num, den in self._sorted():
             body = _mono_text(mono)
-            num, den = c.numerator, c.denominator
             mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
             if body == "1":
                 piece = mag
@@ -153,13 +152,19 @@ class GradedSeries(LinComb):
 
     def to_obj(self):
         return [
-            {"monomial": _mono_text(m), "weight": w, "coeff": str(c)}
-            for w, m, c in self._sorted()
+            {"monomial": _mono_text(m), "weight": w, "coeff": str(n) if d == 1 else f"{n}/{d}"}
+            for w, m, n, d in self._sorted()
         ]
 
-    def _sorted(self) -> list[tuple[int, Monomial, Fraction]]:
-        """(weight, monomial, coefficient) of every term, by weight then monomial."""
-        return sorted((_weight(m), m, c) for m, c in self.terms.items())
+    def _sorted(self) -> list[tuple[int, Monomial, int, int]]:
+        """(weight, monomial, numerator, denominator) of every term, the
+        coefficient in lowest terms, by weight then monomial."""
+        den = self.den
+        out = []
+        for w, m, x in sorted((_weight(m), m, x) for m, x in self.num.items()):
+            g = gcd(x, den)
+            out.append((w, m, x // g, den // g))
+        return out
 
     def __repr__(self):
         return f"GradedSeries[N={self.trunc}]({self.text()})"

@@ -7,10 +7,10 @@ and mukai_sweep all run on those integers.  The references below work on
 test_sign_table, so they share no arithmetic with the package: the Todd
 root and its inverse are checked by squaring and multiplying out, exp(c1)
 against its power series, the round trip by four contractions, the loci
-as kernels of Fraction images, and the operators and the sweep by
-contracting basis terms and kernel vectors.  The class path of a test
-name is this Fraction reference on the classes' terms.  Each pair must
-agree, also under planted faults.
+as kernels of Fraction images cleared row by row, and the operators and
+the sweep by contracting basis terms and kernel vectors.  The class path
+of a test name is this Fraction reference on the classes' terms.  Each
+pair must agree, also under planted faults.
 """
 
 from fractions import Fraction
@@ -24,6 +24,7 @@ from duflo.hodge import FormClass, HodgeModel, PolyClass
 from duflo.linalg import kernel_of_images
 from duflo.rng import SplitMix64, derive
 
+from test_linalg import cleared_images
 from test_planted_faults import _inverse_missing_last_term
 from test_sign_table import contract_term, wedge_term
 
@@ -112,11 +113,9 @@ def _keys_11(n):
 def _ref_loci(model, c1):
     """The kernel bases of alpha -| c1 and D(alpha) -| v(O), v(O) the Todd root, on (1,1)."""
     root = hodge.sqrt_todd(model).terms
-    k1 = kernel_of_images([ref_contract({k: 1}, c1.terms, +1) for k in _keys_11(model.n)])
-    k2 = kernel_of_images(
-        [ref_contract(ref_contract(root, {k: 1}, -1), root, +1) for k in _keys_11(model.n)]
-    )
-    return k1, k2
+    images1 = [ref_contract({k: 1}, c1.terms, +1) for k in _keys_11(model.n)]
+    images2 = [ref_contract(ref_contract(root, {k: 1}, -1), root, +1) for k in _keys_11(model.n)]
+    return kernel_of_images(cleared_images(images1)), kernel_of_images(cleared_images(images2))
 
 
 def _loci_models(n):
@@ -178,6 +177,26 @@ def _ref_apply(op, alpha) -> dict:
     return {key: c for key, c in out.items() if c}
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exp_atiyah_kernel_is_the_canonical_basis(n):
+    # in the kernel, of full dimension, 1 at each vector's last term and 0 at
+    # every other vector's last term: the one reduced echelon basis
+    rng = SplitMix64(derive(61, n))
+    model = HodgeModel(n)
+    dens = []
+    for _ in range(3):
+        line = hodge.LineBundle(model, FormClass(model, _random_11_terms(n, rng)))
+        ker = hodge.exp_atiyah_kernel(line)
+        assert len(ker) == 4**n - 2**n
+        last = [max(alpha.terms) for alpha in ker]
+        assert last == sorted(set(last))
+        for alpha, key in zip(ker, last):
+            assert alpha.terms[key] == 1 and set(alpha.terms) & set(last) == {key}
+            assert _ref_apply(line.obstruction(), alpha) == {}
+            dens.append(alpha.den)
+    assert max(dens) > 1
+
+
 def _ref_sweep(line):
     """Kernel dimension and the first kernel vector either operator does not kill."""
     ker = hodge.exp_atiyah_kernel(line)
@@ -234,7 +253,7 @@ def test_mukai_sweep_matches_per_alpha_loop(monkeypatch, plant, n):
 
 def test_mukai_sweep_reports_non_kernel_vector(monkeypatch):
     def planted(images):
-        return kernel_of_images(images) + [{0: Fraction(1)}]
+        return kernel_of_images(images) + [({0: 1}, 1)]
 
     monkeypatch.setattr(hodge, "kernel_of_images", planted)
     model = HodgeModel(2)

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from duflo.kernels import matmul_pairs, rref_int
-from duflo.linalg import kernel_of_images
+from duflo.linalg import Matrix, kernel, kernel_of_images
 
 
 def test_matmul_identity():
@@ -145,13 +145,13 @@ def test_sparse_rref_output_is_canonical():
         assert rref_int(rows[::-1], ncols) == (piv, red)
 
 
-def test_kernel_of_images_clears_fraction_rows():
-    # a Fraction image gives the same kernel as the same image with each
-    # coordinate row scaled to integers by any positive or negative factor
+def test_dense_kernel_clears_fraction_rows():
+    # the dense kernel of a Fraction matrix is kernel_of_images of its rows
+    # scaled to integers by any positive or negative factor
     # rows [1/2, 1/3, 0] and [0, -2/5, 4/5] clear to [3, 2, 0] and [0, -2, 4]
-    images = [{0: Fraction(1, 2)}, {0: Fraction(1, 3), 1: Fraction(-2, 5)}, {1: Fraction(4, 5)}]
-    assert kernel_of_images(images) == [{0: Fraction(-4, 3), 1: 2, 2: 1}]
-    assert kernel_of_images([{0: 3}, {0: 2, 1: -2}, {1: 4}]) == kernel_of_images(images)
+    m = Matrix([[Fraction(1, 2), Fraction(1, 3), 0], [0, Fraction(-2, 5), Fraction(4, 5)]])
+    assert kernel(m) == [[Fraction(-4, 3), 2, 1]]
+    assert kernel_of_images([{0: 3}, {0: 2, 1: -2}, {1: 4}]) == [({0: -4, 1: 6, 2: 3}, 3)]
     rnd = random.Random(11)
     dens = (1, 2, 3, 5, 7, 12)
     for _ in range(80):
@@ -165,7 +165,10 @@ def test_kernel_of_images_clears_fraction_rows():
         for k, row in rows.items():
             factor = rnd.choice((1, -1, 2)) * lcm(*(c.denominator for c in row.values()))
             scaled[k] = {j: int(c * factor) for j, c in row.items()}
-        fractions = [{k: rows[k][j] for k in coords if rows[k][j]} for j in range(ncols)]
         ints = [{k: scaled[k][j] for k in coords if scaled[k][j]} for j in range(ncols)]
         assert all(type(c) is int for img in ints for c in img.values())
-        assert kernel_of_images(fractions) == kernel_of_images(ints)
+        dense = kernel(Matrix([[rows[k][j] for j in range(ncols)] for k in coords]))
+        assert dense == [
+            [Fraction(num.get(j, 0), den) for j in range(ncols)]
+            for num, den in kernel_of_images(ints)
+        ]

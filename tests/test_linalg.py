@@ -1,7 +1,7 @@
 """Exact matrix arithmetic against independent oracles."""
 
 from fractions import Fraction as Q
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -48,15 +48,32 @@ def _dense_kernel(rows, cols):
     return basis
 
 
+def _as_fractions(basis):
+    """(num, den) kernel vectors as {column: Fraction} dicts."""
+    return [{j: Q(x, den) for j, x in num.items()} for num, den in basis]
+
+
+def cleared_images(images):
+    """Rational images with each coordinate row scaled to integers by its lcm:
+    the same kernel, in the integer form kernel_of_images takes."""
+    scale: dict = {}
+    for img in images:
+        for k, c in img.items():
+            scale[k] = lcm(scale.get(k, 1), Q(c).denominator)
+    return [{k: int(c * scale[k]) for k, c in img.items()} for img in images]
+
+
 def _assert_canonical_shape(basis, cols):
-    """Ascending keys below cols, no zero value, 1 at the free column, which is
-    the largest key and ascends from vector to vector."""
-    free = [max(v) for v in basis]
+    """Integer numerators with ascending keys below cols and no zero value over
+    a positive denominator, sharing no factor with it; den at the free column,
+    which is the largest key and ascends from vector to vector."""
+    free = [max(num) for num, _ in basis]
     assert free == sorted(set(free))
-    for v, f in zip(basis, free):
-        assert list(v) == sorted(v) and 0 <= min(v) and f < cols
-        assert all(x != 0 and type(x) is Q for x in v.values())
-        assert v[f] == 1
+    for (num, den), f in zip(basis, free):
+        assert list(num) == sorted(num) and 0 <= min(num) and f < cols
+        assert all(x != 0 and type(x) is int for x in num.values())
+        assert type(den) is int and den > 0 and gcd(den, *num.values()) == 1
+        assert num[f] == den
 
 
 def _random_matrix(rng, rows, cols):
@@ -166,17 +183,19 @@ def test_kernel_of_images_matches_dense_kernel():
         images = [{k: q for k in coords if rng.below(3) == 0 and (q := value())} for _ in range(cols)]
         rows = [[img.get(k, 0) for img in images] for k in sorted(set(coords), reverse=True)]
         rows += [[0] * cols] * (rng.below(3) + 1)
-        basis = kernel_of_images(images)
-        assert basis == _dense_kernel(rows, cols)
+        basis = kernel_of_images(cleared_images(images))
+        assert _as_fractions(basis) == _dense_kernel(rows, cols)
         _assert_canonical_shape(basis, cols)
         assert len(basis) + _rank(rows, cols) == cols
-        for v in basis:
+        for num, _ in basis:
             for k in coords:
-                assert sum(images[j].get(k, 0) * x for j, x in v.items()) == 0
+                assert sum(images[j].get(k, 0) * x for j, x in num.items()) == 0
+        dense = [[v.get(j, 0) for j in range(cols)] for v in _dense_kernel(rows, cols)]
+        assert kernel(Matrix(rows, cols)) == dense
 
 
 def test_kernel_of_images_without_coordinates_is_standard_basis():
-    assert kernel_of_images([{}, {}, {}]) == [{0: 1}, {1: 1}, {2: 1}]
+    assert kernel_of_images([{}, {}, {}]) == [({j: 1}, 1) for j in range(3)]
     assert kernel_of_images([]) == []
     assert kernel(Matrix.zeros(1, 3)) == kernel(Matrix.zeros(0, 3))
     assert kernel(Matrix.zeros(0, 2)) == [[1, 0], [0, 1]]

@@ -328,9 +328,8 @@ def test_derivations_clear_denominators_on_dense_gl2(tmp_path):
 
 
 def test_invariants_and_annihilation_do_no_fraction_arithmetic(tmp_path, monkeypatch):
-    # invariants_s builds integer images and derivation_apply works on the
-    # integer numerators; a Fraction is only built (never combined) for a
-    # kernel vector entry or the constructor's parse of one
+    # invariants_s builds integer images and integer kernel vectors, and
+    # derivation_apply works on the integer numerators: no Fraction is built
     alg = catalog.load_algebra(str(dense_gl2(tmp_path / "dense_gl2.json")))
     want = [[s.terms for s in invariants_s(alg, d)] for d in range(1, 4)]
 
@@ -340,7 +339,7 @@ def test_invariants_and_annihilation_do_no_fraction_arithmetic(tmp_path, monkeyp
     with monkeypatch.context() as patch:
         for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                    "__truediv__", "__rtruediv__", "__floordiv__", "__mod__", "__neg__",
-                   "__pow__", "__abs__"):
+                   "__pow__", "__abs__", "__new__"):
             patch.setattr(Q, op, refuse)
         found = [invariants_s(alg, d) for d in range(1, 4)]
         killed = [
@@ -350,3 +349,7 @@ def test_invariants_and_annihilation_do_no_fraction_arithmetic(tmp_path, monkeyp
     assert [[s.terms for s in per_degree] for per_degree in found] == want
     assert [len(per_degree) for per_degree in found] == [1, 2, 2]
     assert all(killed)
+    # the canonical kernel basis: 1 at each vector's last monomial, over
+    # denominators up to 6,264,000
+    assert all(s.terms[max(s.terms)] == 1 for per_degree in found for s in per_degree)
+    assert max(s.den for per_degree in found for s in per_degree) > 1

@@ -105,7 +105,7 @@ def test_non_kernel_vector_fails_mukai_implication(monkeypatch):
     kernel_of_images = hodge.kernel_of_images
 
     def planted(images):
-        return kernel_of_images(images) + [{0: Fraction(1)}]
+        return kernel_of_images(images) + [({0: 1}, 1)]
 
     monkeypatch.setattr(hodge, "kernel_of_images", planted)
     code, out, err = run_cli(ARGV)
@@ -395,7 +395,7 @@ def test_non_invariant_kernel_vector_fails_annihilation(monkeypatch):
     kernel_of_images = pbw.kernel_of_images
 
     def planted(images):
-        return kernel_of_images(images) + [{0: Fraction(1)}]
+        return kernel_of_images(images) + [({0: 1}, 1)]
 
     monkeypatch.setattr(pbw, "kernel_of_images", planted)
     code, out, err = run_cli(

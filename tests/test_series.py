@@ -284,3 +284,52 @@ def test_canonical_text_signs_and_units():
 
 def test_canonical_text_zero():
     assert GradedSeries(3).text() == "0"
+
+
+# -- rendering against the Fraction view ------------------------------------------
+
+def _ref_sorted(s):
+    """(weight, monomial, Fraction) of every term, by weight then monomial."""
+    return sorted((sum(w for _, w in m), m, c) for m, c in s.terms.items())
+
+
+def _ref_mono(mono):
+    """Runs of equal generator names as powers; '1' if empty."""
+    runs = []
+    for name, _ in mono:
+        if runs and runs[-1][0] == name:
+            runs[-1][1] += 1
+        else:
+            runs.append([name, 1])
+    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in runs) or "1"
+
+
+def _ref_text(s):
+    """The canonical text rendered from the {monomial: Fraction} view."""
+    chunks = []
+    for _, mono, c in _ref_sorted(s):
+        body = _ref_mono(mono)
+        num, den = c.numerator, c.denominator
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        piece = mag if body == "1" else body if mag == "1" else f"{mag}*{body}"
+        if chunks:
+            piece = ("+ " if num > 0 else "- ") + piece
+        elif num < 0:
+            piece = "-" + piece
+        chunks.append(piece)
+    return " ".join(chunks) or "0"
+
+
+def _ref_obj(s):
+    return [{"monomial": _ref_mono(m), "weight": w, "coeff": str(c)} for w, m, c in _ref_sorted(s)]
+
+
+def test_text_and_obj_match_fraction_rendering():
+    # every kind at every weight <= 8 and ranks 0-2, and random signed series
+    rng = SplitMix64(707)
+    for w in range(9):
+        kinds = [todd(w), sqrt_todd(w), _random_series(w, rng)]
+        kinds += [f(rank, w) for rank in range(3) for f in (chern_character, mukai_vector)]
+        for s in kinds:
+            assert s.text() == _ref_text(s)
+            assert s.to_obj() == _ref_obj(s)
