@@ -3,11 +3,13 @@
 Catalog algebras: abelian(n) (names "abelian1" to "abelian16", capped at
 lie.MAX_JSON_DIM like a JSON algebra, since the constants take n^3 slots),
 heisenberg3, sl2, gl2.  Every algebra also exposes its adjoint
-representation; the named ones below are small faithful favorites.
+representation; the named ones below are small faithful favorites, and
+only a catalog algebra, looked up by its exact name, gets them.
 """
 
 import json
 import os
+from functools import partial
 
 from .lie import MAX_JSON_DIM, LieAlgebra, Representation, adjoint_rep, algebra_from_json
 
@@ -17,6 +19,8 @@ def _zero_constants(n):
 
 
 def abelian(n: int) -> LieAlgebra:
+    if not 1 <= n <= MAX_JSON_DIM:
+        raise ValueError(f"abelianN needs N from 1 to {MAX_JSON_DIM}, got 'abelian{n}'")
     return LieAlgebra(
         _zero_constants(n),
         labels=[f"x{i+1}" for i in range(n)],
@@ -120,45 +124,51 @@ def _abelian_diag(alg):
     return Representation(alg, mats, name="diag")
 
 
+# name -> (algebra builder, {representation name: builder}); _entry adds
+# the abelian family, one entry per canonical abelianN.
+CATALOG = {
+    "heisenberg3": (heisenberg3, {"standard": _heisenberg_standard}),
+    "sl2": (sl2, {"standard": _sl2_standard, "sym3": _sl2_sym3}),
+    "gl2": (gl2, {"standard": _gl2_standard}),
+}
+
+
+def _entry(name: str):
+    """The CATALOG entry of name, or abelianN's with N in ASCII digits and
+    no leading zero; None for any other name."""
+    tail = name.removeprefix("abelian")
+    if tail != name and tail.isascii() and tail.isdigit() and str(int(tail)) == tail:
+        return partial(abelian, int(tail)), {"zero": _abelian_zero, "diag": _abelian_diag}
+    return CATALOG.get(name)
+
+
 def algebra_names() -> list[str]:
-    return ["abelian2", "abelian3", "heisenberg3", "sl2", "gl2"]
+    return ["abelian2", "abelian3", *CATALOG]
 
 
 def load_algebra(spec: str) -> LieAlgebra:
-    """Resolve a catalog name, 'abelianN', or a path to a JSON definition."""
-    if spec.startswith("abelian"):
-        tail = spec[len("abelian"):]
-        if tail.isascii() and tail.isdigit():
-            n = int(tail)
-            if not 1 <= n <= MAX_JSON_DIM:
-                raise ValueError(f"abelianN needs N from 1 to {MAX_JSON_DIM}, got {spec!r}")
-            return abelian(n)
-    if spec == "heisenberg3":
-        return heisenberg3()
-    if spec == "sl2":
-        return sl2()
-    if spec == "gl2":
-        return gl2()
+    """Resolve a catalog name, 'abelianN', or a path to a JSON definition.
+
+    A JSON algebra is named by its file's basename, which must not be a
+    catalog name: its lines would claim to be that algebra's.
+    """
+    entry = _entry(spec)
+    if entry:
+        return entry[0]()
     if spec.endswith(".json") or os.path.sep in spec or os.path.exists(spec):
+        name = os.path.basename(spec)
+        if _entry(name):
+            raise ValueError(f"JSON algebra {spec!r} is named like the catalog algebra {name!r}")
         with open(spec, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        return algebra_from_json(obj, name=os.path.basename(spec))
+        return algebra_from_json(obj, name=name)
     raise KeyError(f"unknown algebra {spec!r}; try one of {algebra_names()} or a JSON file")
 
 
 def representations(alg: LieAlgebra) -> dict[str, Representation]:
-    """All named representations of a catalog algebra (plus the adjoint)."""
-    reps: dict[str, Representation] = {}
-    if alg.name.startswith("abelian"):
-        reps["zero"] = _abelian_zero(alg)
-        reps["diag"] = _abelian_diag(alg)
-    elif alg.name == "heisenberg3":
-        reps["standard"] = _heisenberg_standard(alg)
-    elif alg.name == "sl2":
-        reps["standard"] = _sl2_standard(alg)
-        reps["sym3"] = _sl2_sym3(alg)
-    elif alg.name == "gl2":
-        reps["standard"] = _gl2_standard(alg)
+    """The named representations of a catalog algebra, plus the adjoint."""
+    _, builders = _entry(alg.name) or (None, {})
+    reps = {name: build(alg) for name, build in builders.items()}
     reps["adjoint"] = adjoint_rep(alg)
     return reps
 

@@ -89,9 +89,8 @@ def cmd_verify_lie(args, parser) -> int:
         rep = reps[rep_name]
         base = {"algebra": alg_name, "rep": rep_name}
         t0 = time.perf_counter()
-        adj = adjunction_check(rep)
-        witness = None if adj.equal else {"basis_indices": adj.failures}
-        sink.add("lie-adjunction", base, witness, t0)
+        failures = adjunction_check(rep)
+        sink.add("lie-adjunction", base, {"basis_indices": failures} if failures else None, t0)
         for degree in range(1, args.max_degree + 1):
             for m in sym_basis(alg.dim, degree):
                 t0 = time.perf_counter()

@@ -123,10 +123,6 @@ class _Exterior(_OnModel):
 
     # -- literals ----------------------------------------------------------
     @classmethod
-    def zero(cls, model):
-        return cls(model, {})
-
-    @classmethod
     def one(cls, model):
         return cls(model, {(0, 0): 1})
 
@@ -532,32 +528,30 @@ def poly_basis_11(model: HodgeModel) -> list[PolyClass]:
     return [PolyClass(model, {k: 1}) for k in _keys_11(model.n)]
 
 
-def _basis_polys(model: HodgeModel, vecs: list[tuple[dict, int]]):
-    """Each (num, den) vector as the polyvector num[(a << n) | b] / den on the term (a, b)."""
-    n = model.n
-    zero = PolyClass(model)
-    for num, den in vecs:
-        yield zero._like({(c >> n, c & ((1 << n) - 1)): x for c, x in num.items()}, den)
-
-
 def exp_atiyah_kernel(line: LineBundle) -> list[PolyClass]:
     """Exact basis of {alpha : alpha -| exp(c1) = 0} on line.model.
 
     Linear in alpha, so the kernel is computed from the line's
-    obstruction images of the canonical term basis.
+    obstruction images of the canonical term basis; each (num, den)
+    vector is the polyvector num[(a << n) | b] / den on the term (a, b).
     """
-    return list(_basis_polys(line.model, kernel_of_images(line.obstruction()[0])))
+    n = line.model.n
+    zero = PolyClass(line.model)
+    return [
+        zero._like({(c >> n, c & ((1 << n) - 1)): x for c, x in num.items()}, den)
+        for num, den in kernel_of_images(line.obstruction()[0])
+    ]
 
 
 def mukai_sweep(line: LineBundle) -> tuple[int, PolyClass | None]:
     """Dimension of exp_atiyah_kernel, and its first vector whose obstruction or
     moduli action is nonzero, each decided on the vector's integer numerators.
     """
-    ker = kernel_of_images(line.obstruction()[0])
-    for alpha in _basis_polys(line.model, ker):
+    kernel = exp_atiyah_kernel(line)
+    for alpha in kernel:
         if any(_act(op(), alpha)[0] for op in (line.obstruction, line.moduli_action)):
-            return len(ker), alpha
-    return len(ker), None
+            return len(kernel), alpha
+    return len(kernel), None
 
 
 class MukaiImplicationReport:

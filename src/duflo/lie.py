@@ -7,9 +7,10 @@ diagram checks never run on invalid data.
 
 Jacobi and the bracket relation are decided in Z.  The structure
 constants are cleared once by the lcm delta of their denominators, and
-a representation's matrices once by the lcm d of theirs; both checks
-compare integer tables that are the rational identities times a fixed
-positive scale.  A Fraction is built only for the text of a raised
+a representation's matrices once, when it is built, by the lcm d of
+theirs, which it keeps with the integer actions for pbw to read; both
+checks compare integer tables that are the rational identities times a
+fixed positive scale.  A Fraction is built only for the text of a raised
 JacobiViolation or BracketMismatch.
 """
 
@@ -123,9 +124,13 @@ class LieAlgebra:
 
 
 class Representation:
-    """A Lie algebra acting on Q^dimV by one matrix per basis element."""
+    """A Lie algebra acting on Q^dimV by one matrix per basis element.
 
-    __slots__ = ("algebra", "dimV", "matrices", "name", "_sym_images")
+    d is the lcm of every denominator in the matrices and actions[g] is
+    R_g = d rho(x_g) as int rows, which every check of pbw reads.
+    """
+
+    __slots__ = ("algebra", "dimV", "matrices", "name", "d", "actions", "_sym_images")
 
     def __init__(self, algebra: LieAlgebra, matrices: Sequence, name: str = ""):
         mats = tuple(m if isinstance(m, Matrix) else Matrix(m) for m in matrices)
@@ -139,26 +144,27 @@ class Representation:
         self.dimV = dv
         self.matrices = mats
         self.name = name
-        self._sym_images = None  # pbw.SymImages, filled on first diagram check
+        d = self.d = lcm(*(x.denominator for m in mats for row in m.entries for x in row))
+        self.actions = tuple(
+            tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in m.entries)
+            for m in mats
+        )
+        self._sym_images = None  # filled by pbw.sym_images
         self._check_brackets()
 
     def _check_brackets(self):
         """delta (R_i R_j - R_j R_i) == d sum_k C_ijk R_k in Z, for i < j.
 
-        d is the lcm of every denominator in the matrices, R_i = d rho(x_i)
-        and C = delta c is the algebra's cleared_brackets, so both sides
-        are d^2 delta times the two sides of [rho(x_i), rho(x_j)] =
-        sum_k c_ijk rho(x_k).  The Fraction matrices of a BracketMismatch
-        are built only when it is raised.
+        R_i = d rho(x_i) are the integer actions and C = delta c is the
+        algebra's cleared_brackets, so both sides are d^2 delta times the
+        two sides of [rho(x_i), rho(x_j)] = sum_k c_ijk rho(x_k).  The
+        Fraction matrices of a BracketMismatch are built only when it is
+        raised.
         """
         dv = self.dimV
         if not dv:
             return
-        d = lcm(*(x.denominator for m in self.matrices for row in m.entries for x in row))
-        acts = tuple(
-            tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in m.entries)
-            for m in self.matrices
-        )
+        d, acts = self.d, self.actions
         alg = self.algebra
         delta = alg.delta
         n = alg.dim

@@ -22,11 +22,13 @@ word of m exactly prod(m_i!) times, and the sum W(m) of the distinct words
 obeys W(m) = sum over letters i of m of x_i W(m - e_i), so each route
 memoizes the image of W on sorted monomials, one entry per monomial.
 
-The tables are integer matrices.  One lcm d of every denominator in the
-action matrices and the coaction clears both routes' sources, d*rho(x_i)
-and d times the coaction, and each table entry is d^|m| times the image
-of W(m).  The check compares and tests centrality in Z; the Fraction
-matrices a report carries are built from the tables only when read.
+The tables are integer matrices.  Both routes start from the integer
+actions R_i = d*rho(x_i) that Representation clears once, with d the lcm
+of the matrices' denominators: theta multiplies by R_i, and phi contracts
+the integer coaction, the reshape of the R_i, so each table entry is
+d^|m| times the image of W(m).  The check compares and tests centrality
+in Z; the Fraction matrices a report carries are built from the tables
+only when read.
 
 The derivations ad(x_i) of the symmetric algebra run in Z as well: they
 read LieAlgebra.cleared_brackets, the brackets times one lcm delta of the
@@ -35,9 +37,9 @@ delta * ad, which has the same kernel as ad, from integer images, and
 derivation_apply applies the table to its argument's numerators, so the
 result is those integers over the argument's denominator times delta.
 
-adjunction_check compares the coaction LambdaMap(rep).data entry by entry
-with the bilinear action map (g, o, j) -> rho(x_g)[o, j] read from the
-action matrices; no matrix is formed.
+adjunction_check compares the integer coaction that phi contracts entry by
+entry with the integer actions that theta multiplies; no matrix is
+formed.  LambdaMap, the Fraction coaction, is read only by the oracle phi.
 
 phi and the phi table are deliberately written with raw index loops over
 the coaction rather than the matrix backend, and the theta table with its
@@ -48,7 +50,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, lcm, prod
+from math import factorial, prod
 
 from .kernels import matmul_int
 from .lie import LieAlgebra, Representation
@@ -134,8 +136,8 @@ class LambdaMap:
     """The representation reshaped as a coaction V -> V (x) g*.
 
     data[out][in][g] is the matrix entry of rho(x_g); contracting the
-    g*-slot with x_i reproduces rho(x_i) by construction, and
-    adjunction_check re-derives the reshape from the bilinear action map.
+    g*-slot with x_i reproduces rho(x_i) by construction.  The oracle phi
+    reads it; the diagram check reads the integer reshape of SymImages.
     """
 
     __slots__ = ("rep", "data")
@@ -211,41 +213,28 @@ def _repeats(m: SymMonomial) -> int:
 class SymImages:
     """Both routes' images of symmetric elements, memoized per monomial, in Z.
 
-    d is the lcm of every denominator in the action matrices and in the
-    coaction, so each route clears its own source exactly: theta reads the
-    integer matrices R_i = d*rho(x_i), phi the coaction entries times d.
+    Both read the representation's d and integer actions R_i = d*rho(x_i).
     theta_table[m] is d^|m| theta(W(m)), where W(m) is the sum of the
     distinct words of the sorted monomial m, and phi_table[m] is
     d^|m| phi(W(m)); both are tuples of int rows.  Each is filled by
     W(m) = sum_i x_i W(m - e_i) on its own route: theta multiplies by R_i
-    through kernels.matmul_int, phi contracts the coaction with index
-    loops.  A degree-D sweep over n letters stores at most C(n+D, D)
-    entries per table.  check_pbw_diagram keeps one on each representation
-    it sees, so every check on that representation shares the tables.
+    through kernels.matmul_int, phi contracts lam, the integer coaction
+    lam[o][i][g] = R_g[o][i], with index loops.  A degree-D sweep over n
+    letters stores at most C(n+D, D) entries per table.  sym_images keeps
+    one on each representation, so every check on it shares the tables.
 
     theta(s) and phi(s) turn the tables back into the Fraction matrices
     theta(rep, symmetrize(s)) and phi(rep, symmetrize(s)); only reports
     that are read call them.
     """
 
-    __slots__ = ("rep", "d", "actions", "lam", "theta_table", "phi_table")
+    __slots__ = ("rep", "lam", "theta_table", "phi_table")
 
     def __init__(self, rep: Representation):
-        dv = rep.dimV
-        lam = LambdaMap(rep).data
-        d = lcm(
-            *(x.denominator for m in rep.matrices for row in m.entries for x in row),
-            *(x.denominator for plane in lam for cell in plane for x in cell),
-        )
+        dv, acts = rep.dimV, rep.actions
         self.rep = rep
-        self.d = d
-        self.actions = tuple(
-            tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in m.entries)
-            for m in rep.matrices
-        )
         self.lam = tuple(
-            tuple(tuple(x.numerator * (d // x.denominator) for x in cell) for cell in plane)
-            for plane in lam
+            tuple(tuple(r[o][i] for r in acts) for i in range(dv)) for o in range(dv)
         )
         ident = tuple(tuple(int(o == i) for i in range(dv)) for o in range(dv))
         self.theta_table: dict[SymMonomial, tuple] = {(): ident}
@@ -255,7 +244,7 @@ class SymImages:
         got = self.theta_table.get(m)
         if got is None:
             terms = [
-                matmul_int(self.actions[letter], self.theta_words(rest))
+                matmul_int(self.rep.actions[letter], self.theta_words(rest))
                 for letter, rest in _splits(m)
             ]
             got = self.theta_table[m] = tuple(
@@ -288,12 +277,12 @@ class SymImages:
         and the same holds for phi.  With c_m = x_m / den and t the top
         degree, scale = den t! d^t and k_m = x_m prod(m_i!) t!/|m|! d^(t-|m|).
         """
-        top = max(map(len, s.num), default=0)
+        top, d = max(map(len, s.num), default=0), self.rep.d
         weights = [
-            (m, x * _repeats(m) * (factorial(top) // factorial(len(m))) * self.d ** (top - len(m)))
+            (m, x * _repeats(m) * (factorial(top) // factorial(len(m))) * d ** (top - len(m)))
             for m, x in s.num.items()
         ]
-        return weights, s.den * factorial(top) * self.d**top
+        return weights, s.den * factorial(top) * d**top
 
     def theta_sum(self, weights: list) -> tuple:
         """sum_m k_m theta_table[m] over the (m, k_m) of weights."""
@@ -393,6 +382,13 @@ def invariants_s(alg: LieAlgebra, degree: int) -> list[SymElement]:
     ]
 
 
+def sym_images(rep: Representation) -> SymImages:
+    """The SymImages kept on rep, built on its first use."""
+    if rep._sym_images is None:
+        rep._sym_images = SymImages(rep)
+    return rep._sym_images
+
+
 class DiagramReport:
     """One diagram check: equal and central are decided in Z.
 
@@ -428,9 +424,9 @@ def check_pbw_diagram(
     which is expected when s is invariant.
 
     The 1/n! sum is evaluated as sum_m c_m (prod(m_i!)/n!) W(m), where W(m)
-    is the sum of the distinct words of m, from the integer tables of the
-    SymImages kept on rep (built on the first check of rep), which hold
-    d^|m| times each route's image of W(m) for one common denominator d.
+    is the sum of the distinct words of m, from the integer tables of
+    sym_images(rep), which hold d^|m| times each route's image of W(m),
+    d the representation's common denominator.
     A one-term s = c m compares theta_table[m] with phi_table[m]: both
     routes carry the same nonzero scale c prod(m_i!) / (|m|! d^|m|).  A
     longer s combines each route's table entries with the integer weights
@@ -441,9 +437,7 @@ def check_pbw_diagram(
     built from integer matrix products and phi's from coaction index
     loops, so a fault in either route's arithmetic shows as a difference.
     """
-    images = rep._sym_images
-    if images is None:
-        images = rep._sym_images = SymImages(rep)
+    images = sym_images(rep)
     if len(s.num) == 1:
         (m,) = s.num
         a, b = images.theta_words(m), images.phi_words(m)
@@ -452,34 +446,21 @@ def check_pbw_diagram(
         a, b = images.theta_sum(weights), images.phi_sum(weights)
     central = None
     if check_central:
-        central = all(matmul_int(b, r) == matmul_int(r, b) for r in images.actions)
+        central = all(matmul_int(b, r) == matmul_int(r, b) for r in rep.actions)
     return DiagramReport(images, s, a == b, central)
 
 
-class AdjunctionReport:
-    __slots__ = ("equal", "failures")
+def adjunction_check(rep: Representation) -> list[int]:
+    """The basis indices g whose coaction, as phi reads it, is not R_g.
 
-    def __init__(self, equal: bool, failures: list[int]):
-        self.equal = equal
-        self.failures = failures
-
-
-def adjunction_check(rep: Representation) -> AdjunctionReport:
-    """Re-derive the coaction from the bilinear action map and compare.
-
-    The action g (x) V -> V is the bilinear map (g, o, j) -> rho(x_g)[o, j],
-    read straight from the action matrices; reshaping it along the
-    adjunction must give LambdaMap(rep).data[o][j][g] entry for entry.
-    failures lists each g whose contraction with the coaction differs
-    from rho(x_g).
+    phi contracts the integer coaction lam of sym_images(rep) and theta
+    multiplies by the integer actions R_g = d rho(x_g); the adjunction
+    says lam[o][i][g] == R_g[o][i] for every o and i.  An empty list is
+    a pass.
     """
-    data = LambdaMap(rep).data
-    failures = [
+    lam = sym_images(rep).lam
+    return [
         g
-        for g, m in enumerate(rep.matrices)
-        if any(
-            tuple(cell[g] for cell in plane) != row
-            for plane, row in zip(data, m.entries)
-        )
+        for g, r in enumerate(rep.actions)
+        if any(tuple(cell[g] for cell in plane) != row for plane, row in zip(lam, r))
     ]
-    return AdjunctionReport(equal=not failures, failures=failures)

@@ -68,10 +68,6 @@ class GradedSeries(LinComb):
     def scalar(cls, trunc: int, value=1) -> "GradedSeries":
         return cls(trunc, {(): value})
 
-    @classmethod
-    def gen(cls, trunc: int, name: str, weight: int, coeff=1) -> "GradedSeries":
-        return cls(trunc, {((name, weight),): coeff})
-
     # -- ring structure -------------------------------------------------
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):

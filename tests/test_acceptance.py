@@ -115,13 +115,13 @@ def test_criterion_3_invariants():
 
 
 def test_criterion_4_todd_coefficients():
-    c1 = GradedSeries.gen(2, "c1", 1)
-    c2 = GradedSeries.gen(2, "c2", 2)
+    c1 = GradedSeries(2, {(("c1", 1),): 1})
+    c2 = GradedSeries(2, {(("c2", 2),): 1})
     t2 = todd(2)
     ok_w1 = t2.weight_parts()[1] == c1.scale(Q(1, 2))
     ok_w2 = t2.weight_parts()[2] == (c1 * c1 + c2).scale(Q(1, 12))
     s1 = sqrt_todd(1)
-    ok_sqrt1 = s1.weight_parts()[1] == GradedSeries.gen(1, "c1", 1).scale(Q(1, 4))
+    ok_sqrt1 = s1.weight_parts()[1] == GradedSeries(1, {(("c1", 1),): 1}).scale(Q(1, 4))
     s6 = sqrt_todd(6)
     ok_square = s6 * s6 == todd(6)
     _report(
@@ -262,7 +262,7 @@ def test_criterion_7_structural_suites():
         for w in range(1, 6):
             q = srng.rational()
             if q:
-                s = s + GradedSeries.gen(5, f"g{w}", w, q)
+                s = s + GradedSeries(5, {((f"g{w}", w),): q})
         assert s.sqrt() * s.sqrt() == s
         assert s * s.inv() == GradedSeries.scalar(5)
 

@@ -258,14 +258,14 @@ def test_atiyah_line_passthrough_and_validation():
     m = HodgeModel(2)
     c1 = _term(FormClass, m, [1], [1])
     assert atiyah_line(m, c1) == c1
-    assert atiyah_line(m, FormClass.zero(m)).is_zero()
+    assert atiyah_line(m, FormClass(m)).is_zero()
     with pytest.raises(BidegreeError):
         atiyah_line(m, _term(FormClass, m, [1, 2], [1]))
 
 
 def test_exp_form_zero_and_rank_one():
     m = HodgeModel(2)
-    assert exp_form(FormClass.zero(m)) == FormClass.one(m)
+    assert exp_form(FormClass(m)) == FormClass.one(m)
     v = _term(FormClass, m, [1], [1])
     assert exp_form(v) == FormClass.one(m) + v
 
@@ -315,7 +315,7 @@ def test_contract_exp_atiyah_equals_collapse():
     for n in (1, 2, 3):
         m = HodgeModel(n)
         rng = SplitMix64(derive(34, n))
-        ats = [FormClass.zero(m), _term(FormClass, m, [1], [n])]
+        ats = [FormClass(m), _term(FormClass, m, [1], [n])]
         ats += [_random_11(m, rng, FormClass) for _ in range(3)]
         for at in ats:
             for alpha in _poly_basis(m):
@@ -383,7 +383,7 @@ def test_sqrt_todd_squares_back():
 
 def test_mukai_trivial_bundle_on_trivial_todd():
     m = HodgeModel(2)
-    assert mukai_line(m, FormClass.zero(m)) == FormClass.one(m)
+    assert mukai_line(m, FormClass(m)) == FormClass.one(m)
 
 
 def test_mukai_rank_one_c1():
@@ -410,7 +410,7 @@ def test_mukai_matches_wedge_expansion():
 def test_mukai_implication_zero_alpha():
     m = HodgeModel(2)
     c1 = _term(FormClass, m, [1], [1])
-    rpt = check_mukai_implication(PolyClass.zero(m), LineBundle(m, c1))
+    rpt = check_mukai_implication(PolyClass(m), LineBundle(m, c1))
     assert rpt.obstruction.is_zero() and rpt.moduli_action.is_zero()
 
 
@@ -433,7 +433,7 @@ def test_line_bundle_validates_c1_and_model():
     line = LineBundle(m, _term(FormClass, m, [1], [1]))
     other = HodgeModel(2)
     with pytest.raises(ModelMismatch):
-        check_mukai_implication(PolyClass.zero(other), line)
+        check_mukai_implication(PolyClass(other), line)
 
 
 def test_mukai_implication_vacuous_case():

@@ -9,7 +9,9 @@ be rejected as bad input (exit 2) without a traceback.  A coefficient
 that is not a p/q literal, such as 1e999999999 or 0.5, is refused as
 such, at once, before any integer is built from it.  So is a catalog
 name abelianN with N outside 1 to 16, and one whose N is not written in
-ASCII digits.
+canonical ASCII digits.  A JSON algebra gets only the adjoint, whatever
+its file is called, and a file whose basename is a catalog name is
+refused, since its lines would claim that algebra's name.
 
 A FormClass or PolyClass dump, loose or with one field broken, either
 loads, and then survives a to_obj round trip, or raises BidegreeError or
@@ -157,6 +159,41 @@ def test_abelian_with_non_ascii_digits_is_unknown_name(name):
     code, out, err = run_cli(["verify-lie", "--algebra", name, "--max-degree", "1"])
     assert code == 2 and out == ""
     assert err.startswith(f"error: \"unknown algebra {name!r}") and "Traceback" not in err
+
+
+def test_abelian_with_leading_zero_is_unknown_name():
+    # abelian01 once ran abelian1 and streamed a name other than the one given
+    code, out, err = run_cli(["verify-lie", "--algebra", "abelian01", "--max-degree", "1"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: \"unknown algebra 'abelian01'") and "Traceback" not in err
+
+
+# [x, y] = z: a valid algebra with no catalog representation of its own
+XY_Z = {"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": ["0", "0", "1"]}]}
+
+
+def test_json_algebra_named_like_abelian_gets_only_the_adjoint(tmp_path):
+    path = tmp_path / "abelian_h.json"
+    path.write_text(json.dumps(XY_Z))
+    assert list(catalog.representations(catalog.load_algebra(str(path)))) == ["adjoint"]
+    code, out, err = run_cli(
+        ["verify-lie", "--algebra", str(path), "--rep", "adjoint", "--max-degree", "2"]
+    )
+    assert code == 0, err
+    reps = {r["instance"].get("rep") for r in map(json.loads, out.splitlines())}
+    assert reps == {"adjoint", None}  # None: the annihilation lines name no rep
+
+
+@pytest.mark.parametrize("name", ["gl2", "abelian3"])
+def test_json_algebra_named_like_catalog_is_input_error(tmp_path, name):
+    # a 3-dim d/gl2 once got gl2's 2x2 standard representation and exited 3
+    path = tmp_path / "d" / name
+    path.parent.mkdir()
+    path.write_text(json.dumps(XY_Z))
+    code, out, err = run_cli(["verify-lie", "--algebra", str(path), "--max-degree", "1"])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: JSON algebra {str(path)!r} is named like the catalog")
+    assert "Traceback" not in err
 
 
 def test_abelian_cap_is_inclusive():

@@ -2,11 +2,12 @@
 
 import itertools
 from fractions import Fraction as Q
-from math import comb
+from math import comb, lcm
 
 from duflo import catalog
 from duflo.linalg import Matrix
 from duflo.pbw import (
+    LambdaMap,
     SymElement,
     TensorElement,
     adjunction_check,
@@ -207,15 +208,35 @@ def test_adjunction_zero_rep():
     from duflo.lie import Representation
 
     rep = Representation(alg, [zero, zero, zero])
-    assert adjunction_check(rep).equal
+    assert adjunction_check(rep) == []
 
 
 def test_adjunction_standard_and_heisenberg():
     _, rep = _sl2_standard()
-    assert adjunction_check(rep).equal
+    assert adjunction_check(rep) == []
     h3 = catalog.heisenberg3()
     for rep in catalog.representations(h3).values():
-        assert adjunction_check(rep).equal
+        assert adjunction_check(rep) == []
+
+
+def test_representation_clears_matrices_and_coaction_by_one_lcm(tmp_path):
+    # the coaction's entries are the matrices' own, so the lcm over both,
+    # which the diagram routes once took, is the d the representation keeps
+    algebras = [catalog.load_algebra(name) for name in catalog.algebra_names()]
+    algebras.append(catalog.load_algebra(str(dense_gl2(tmp_path / "dense_gl2.json"))))
+    for alg in algebras:
+        for rep in catalog.representations(alg).values():
+            data = LambdaMap(rep).data
+            d = lcm(
+                *(x.denominator for m in rep.matrices for row in m.entries for x in row),
+                *(x.denominator for plane in data for cell in plane for x in cell),
+            )
+            assert rep.d == d, (alg.name, rep.name)
+            assert rep.actions == tuple(
+                tuple(tuple(x * d for x in row) for row in m.entries) for m in rep.matrices
+            )
+            assert all(type(x) is int for r in rep.actions for row in r for x in row)
+    assert rep.d > 1  # the dense gl2 adjoint
 
 
 # -- the multiset recursion against the permutation sum ----------------------------
@@ -264,8 +285,8 @@ def test_sym_images_clear_denominators_on_dense_gl2(tmp_path, monkeypatch):
         assert rpt.central == central[-1], s
     assert not all(central[: len(monomials)])
     assert all(central[len(monomials): -1])
+    assert rep.d > 1
     images = rep._sym_images
-    assert images.d > 1
     for table in (images.theta_table, images.phi_table):
         assert len(table) == comb(alg.dim + top, top)
         assert all(type(x) is int for entry in table.values() for row in entry for x in row)

@@ -26,7 +26,7 @@ from duflo.hodge import FormClass, HodgeModel, PolyClass
 from duflo.pbw import SymElement, TensorElement, derivation_apply, phi, symmetrize, theta
 
 from test_cli import run_cli
-from test_stream_digests import dense_gl2
+from test_stream_digests import LIE_DIGESTS, _sha, dense_gl2
 
 ARGV = ["verify-hodge", "--dim", "2", "--seed", "0", "--cases", "1"]
 
@@ -283,16 +283,34 @@ def _failed_diagrams(out):
     return [r for r in lines if r["status"] == "fail"]
 
 
-def test_corrupt_coaction_fails_lie_diagram(monkeypatch):
-    build = pbw.LambdaMap.__init__
+def _corrupt_coaction(monkeypatch):
+    """Add 1 to lam[0][1][0] = R_0[0][1], an entry of the integer coaction phi reads."""
+    build = pbw.SymImages.__init__
 
     def corrupt(self, rep):
         build(self, rep)
+        lam = [[list(cell) for cell in plane] for plane in self.lam]
+        lam[0][1][0] += 1
+        self.lam = tuple(tuple(tuple(cell) for cell in plane) for plane in lam)
+
+    monkeypatch.setattr(pbw.SymImages, "__init__", corrupt)
+
+
+def _shift_coaction(patch, shift):
+    """Make the oracle phi read the rational coaction entry (0, 1, 0) plus shift."""
+    coaction = pbw.LambdaMap.__init__
+
+    def shifted(self, rep):
+        coaction(self, rep)
         data = [[list(cell) for cell in plane] for plane in self.data]
-        data[0][1][0] += 1  # the (0, 1) entry of rho(e), seen only by phi
+        data[0][1][0] += shift
         self.data = tuple(tuple(tuple(cell) for cell in plane) for plane in data)
 
-    monkeypatch.setattr(pbw.LambdaMap, "__init__", corrupt)
+    patch.setattr(pbw.LambdaMap, "__init__", shifted)
+
+
+def test_corrupt_coaction_fails_lie_diagram(monkeypatch):
+    _corrupt_coaction(monkeypatch)  # the (0, 1) entry of rho(e), seen only by phi
     code, out, _ = run_cli(LIE_ARGV)
     assert code == 1
     failed = _failed_diagrams(out)
@@ -300,24 +318,43 @@ def test_corrupt_coaction_fails_lie_diagram(monkeypatch):
     images = _lines(out, "lie-invariant-image")
     assert [r["status"] for r in images] == ["fail"]  # the Casimir
     assert images[0]["witness"]["diagram_equal"] is False
-    # the adjunction check re-derives the coaction and sees the same fault
-    assert [r["status"] for r in _lines(out, "lie-adjunction")] == ["fail"]
+    # the adjunction check compares the coaction phi reads with the actions
+    # theta reads, and names e
+    adjunction = _lines(out, "lie-adjunction")
+    assert [r["status"] for r in adjunction] == ["fail"]
+    assert adjunction[0]["witness"] == {"basis_indices": [0]}
+    monkeypatch.undo()
 
     rep = _sl2_standard()
-    for r in failed:
-        witness = r["witness"]
-        sym = symmetrize(_sl2_monomial(witness["monomial"]))
-        assert witness["path_theta"] != witness["path_contract"]
-        assert witness["path_theta"] == theta(rep, sym).to_json()
-        # the permutation-sum phi reads the same corrupted coaction
-        assert witness["path_contract"] == phi(rep, sym).to_json()
-
-    monkeypatch.undo()
+    assert rep.d == 1  # so the integer fault is a shift by 1 in Q
+    with monkeypatch.context() as patch:
+        _shift_coaction(patch, 1)
+        for r in failed:
+            witness = r["witness"]
+            sym = symmetrize(_sl2_monomial(witness["monomial"]))
+            assert witness["path_theta"] != witness["path_contract"]
+            assert witness["path_theta"] == theta(rep, sym).to_json()
+            # the permutation-sum phi over the shifted rational coaction
+            assert witness["path_contract"] == phi(rep, sym).to_json()
     assert run_cli(LIE_ARGV)[0] == 0
 
 
+def test_command_path_builds_no_rational_coaction(monkeypatch):
+    # only the d! oracle phi reads LambdaMap; the sweep reads the integer
+    # actions the representation cleared once, and its stream is unchanged
+    def refuse(self, rep):
+        raise AssertionError("LambdaMap built on the command path")
+
+    monkeypatch.setattr(pbw.LambdaMap, "__init__", refuse)
+    monkeypatch.setenv("VERIFIER_MAX_DEGREE", "5")
+    command = "verify-lie --algebra sl2 --rep all --max-degree 5"
+    code, out, err = run_cli(command.split())
+    assert code == 0, err
+    assert _sha(out) == LIE_DIGESTS[command]
+
+
 def test_dropped_letter_in_theta_recursion_fails_lie_diagram(monkeypatch):
-    e = pbw.SymImages(_sl2_standard()).actions[0]  # d = 1, so R_e is e itself
+    e = _sl2_standard().actions[0]  # d = 1, so R_e is e itself
     product = pbw.matmul_int
 
     def drop_e(a, b):
@@ -347,15 +384,7 @@ def test_dropped_letter_in_theta_recursion_fails_lie_diagram(monkeypatch):
 def test_faulty_coaction_clearing_fails_lie_diagram_on_dense_gl2(monkeypatch, tmp_path):
     path = str(dense_gl2(tmp_path / "dense_gl2.json"))
     argv = ["verify-lie", "--algebra", path, "--rep", "adjoint", "--max-degree", "2"]
-    build = pbw.SymImages.__init__
-
-    def corrupt(self, rep):
-        build(self, rep)
-        lam = [[list(cell) for cell in plane] for plane in self.lam]
-        lam[0][1][0] += 1  # one coaction entry cleared as d*x + 1
-        self.lam = tuple(tuple(tuple(cell) for cell in plane) for plane in lam)
-
-    monkeypatch.setattr(pbw.SymImages, "__init__", corrupt)
+    _corrupt_coaction(monkeypatch)  # one coaction entry cleared as d*x + 1
     code, out, err = run_cli(argv)
     assert code == 1
     assert "Traceback" not in err
@@ -364,27 +393,18 @@ def test_faulty_coaction_clearing_fails_lie_diagram_on_dense_gl2(monkeypatch, tm
     # quadratic monomial that contains x1
     assert [r["instance"]["monomial"] for r in failed] == ["x1", "x1*x1", "x1*x2", "x1*x3", "x1*x4"]
     assert "fail" in {r["status"] for r in _lines(out, "lie-invariant-image")}
-    # the adjunction check reads the rational coaction, which is intact
-    assert [r["status"] for r in _lines(out, "lie-adjunction")] == ["pass"]
+    # the adjunction check reads the same integer coaction as phi
+    assert [r["status"] for r in _lines(out, "lie-adjunction")] == ["fail"]
     monkeypatch.undo()
 
     # recompute both routes with the rational entry the fault put into phi
-    rep = catalog.representations(catalog.load_algebra(path))["adjoint"]
-    shift = Fraction(1, pbw.SymImages(rep).d)
-    coaction = pbw.LambdaMap.__init__
-
-    def shifted(self, rep):
-        coaction(self, rep)
-        data = [[list(cell) for cell in plane] for plane in self.data]
-        data[0][1][0] += shift
-        self.data = tuple(tuple(tuple(cell) for cell in plane) for plane in data)
-
-    labels = catalog.load_algebra(path).labels
+    alg = catalog.load_algebra(path)
+    rep = catalog.representations(alg)["adjoint"]
     with monkeypatch.context() as patch:
-        patch.setattr(pbw.LambdaMap, "__init__", shifted)
+        _shift_coaction(patch, Fraction(1, rep.d))
         for r in failed:
             witness = r["witness"]
-            sym = symmetrize(tuple(labels.index(x) for x in witness["monomial"].split("*")))
+            sym = symmetrize(tuple(alg.labels.index(x) for x in witness["monomial"].split("*")))
             assert witness["path_theta"] == theta(rep, sym).to_json()
             assert witness["path_contract"] == phi(rep, sym).to_json()
             assert witness["path_theta"] != witness["path_contract"]

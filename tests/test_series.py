@@ -17,7 +17,7 @@ from duflo.series import (
 
 
 def _c(trunc, k):
-    return GradedSeries.gen(trunc, f"c{k}", k)
+    return GradedSeries(trunc, {((f"c{k}", k),): 1})
 
 
 def _substitute(s, mapping):
@@ -26,7 +26,7 @@ def _substitute(s, mapping):
     for mono, c in s.terms.items():
         term = GradedSeries.scalar(s.trunc, c)
         for name, weight in mono:
-            term = term * mapping.get(name, GradedSeries.gen(s.trunc, name, weight))
+            term = term * mapping.get(name, GradedSeries(s.trunc, {((name, weight),): 1}))
         acc = acc + term
     return acc
 
@@ -37,7 +37,7 @@ def _random_unit_series(trunc, rng, names=("u", "v")):
         for w in range(1, trunc + 1):
             q = rng.rational()
             if q:
-                s = s + GradedSeries.gen(trunc, f"{name}{w}", w, q)
+                s = s + GradedSeries(trunc, {((f"{name}{w}", w),): q})
     return s
 
 
@@ -147,7 +147,7 @@ def test_todd_weight_three_from_root_oracle():
     # independent route: three explicit roots x1, x2, x3, the product of
     # the one-variable series, then elementary-symmetric substitution
     N = 3
-    roots = [GradedSeries.gen(N, f"x{i}", 1) for i in range(1, 4)]
+    roots = [GradedSeries(N, {((f"x{i}", 1),): 1}) for i in range(1, 4)]
 
     def q_series(x):
         # t/(1 - e^{-t}) at t = x, truncated: inverse of sum (-x)^k/(k+1)!
@@ -185,8 +185,8 @@ def test_todd_whitney_split_check():
     # split rank-2 data: c1 -> x + y, c2 -> xy, higher -> 0 factors the
     # Todd series into the two one-variable series
     N = 5
-    x = GradedSeries.gen(N, "x", 1)
-    y = GradedSeries.gen(N, "y", 1)
+    x = GradedSeries(N, {(("x", 1),): 1})
+    y = GradedSeries(N, {(("y", 1),): 1})
     zero = GradedSeries(N)
     mapping = {"c1": x + y, "c2": x * y}
     for k in range(3, N + 1):

@@ -145,8 +145,8 @@ OTHER = HodgeModel(2)
         (lambda: wedge(FormClass(MODEL, {(1, 0): 1}), PolyClass(MODEL, {(2, 0): 1})), TypeError),
         (lambda: SymElement({(0,): 1}) - TensorElement({(0,): 1}), TypeError),
         (lambda: SymElement({(0,): 1}) * TensorElement({(0,): 1}), TypeError),
-        (lambda: GradedSeries.gen(3, "x", 0), ValueError),
-        (lambda: GradedSeries.gen(3, "x", -1), ValueError),
+        (lambda: GradedSeries(3, {(("x", 0),): 1}), ValueError),
+        (lambda: GradedSeries(3, {(("x", -1),): 1}), ValueError),
         (lambda: GradedSeries(3, {(("c1", 1), ("x", True)): 1}), ValueError),
         (lambda: GradedSeries(3, {(("x", 1.0),): 1}), ValueError),
         (lambda: exp_form(FormClass(MODEL, {(1, 1): 1, (1, 0): 1})), BidegreeError),
