@@ -135,9 +135,14 @@ CATALOG = {
 
 def _entry(name: str):
     """The CATALOG entry of name, or abelianN's with N in ASCII digits and
-    no leading zero; None for any other name."""
+    no leading zero (ValueError if N has more digits than the bound);
+    None for any other name."""
     tail = name.removeprefix("abelian")
-    if tail != name and tail.isascii() and tail.isdigit() and str(int(tail)) == tail:
+    if tail != name and tail.isascii() and tail.isdigit() and (tail == "0" or tail[0] != "0"):
+        if len(tail) > len(str(MAX_JSON_DIM)):  # before int(), which refuses 4,301 digits
+            raise ValueError(
+                f"abelianN needs N from 1 to {MAX_JSON_DIM}, got a {len(tail)}-digit N"
+            )
         return partial(abelian, int(tail)), {"zero": _abelian_zero, "diag": _abelian_diag}
     return CATALOG.get(name)
 

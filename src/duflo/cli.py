@@ -26,11 +26,12 @@ from . import catalog, hodge, series
 from .hodge import FormClass, HodgeModel, PolyClass
 from .lie import AntisymmetryViolation, BracketMismatch, JacobiViolation
 from .pbw import (
-    SymElement,
     adjunction_check,
+    check_invariant_image,
     check_pbw_diagram,
     derivation_apply,
     invariants_s,
+    monomial_name,
     sym_basis,
 )
 from .report import ReportSink
@@ -44,10 +45,6 @@ SEED_LIMIT = 1 << 64  # splitmix64 state width; larger seeds would alias
 # ---------------------------------------------------------------------------
 # verify-lie
 # ---------------------------------------------------------------------------
-
-def _monomial_name(alg, m) -> str:
-    return "*".join(alg.labels[i] for i in m) if m else "1"
-
 
 def cmd_verify_lie(args, parser) -> int:
     cap = DEFAULT_DEGREE_CAP
@@ -89,21 +86,12 @@ def cmd_verify_lie(args, parser) -> int:
         rep = reps[rep_name]
         base = {"algebra": alg_name, "rep": rep_name}
         t0 = time.perf_counter()
-        failures = adjunction_check(rep)
-        sink.add("lie-adjunction", base, {"basis_indices": failures} if failures else None, t0)
+        sink.add("lie-adjunction", base, adjunction_check(rep), t0)
         for degree in range(1, args.max_degree + 1):
             for m in sym_basis(alg.dim, degree):
+                inst = dict(base, monomial=monomial_name(alg, m))
                 t0 = time.perf_counter()
-                rpt = check_pbw_diagram(rep, SymElement.monomial(m))
-                name = _monomial_name(alg, m)
-                witness = None
-                if not rpt.equal:
-                    witness = {
-                        "monomial": name,
-                        "path_theta": rpt.path_theta.to_json(),
-                        "path_contract": rpt.path_contract.to_json(),
-                    }
-                sink.add("lie-diagram", dict(base, monomial=name), witness, t0)
+                sink.add("lie-diagram", inst, check_pbw_diagram(rep, m), t0)
 
     for degree in range(1, args.max_degree + 1):
         invs = invariants_s(alg, degree)
@@ -117,14 +105,7 @@ def cmd_verify_lie(args, parser) -> int:
             sink.add("lie-invariant-annihilation", inst, witness, t0)
             for rep_name in sorted(reps):
                 t0 = time.perf_counter()
-                rpt = check_pbw_diagram(reps[rep_name], s, check_central=True)
-                witness = None
-                if not (rpt.equal and rpt.central):
-                    witness = {
-                        "element": s.describe(alg),
-                        "diagram_equal": rpt.equal,
-                        "central": rpt.central,
-                    }
+                witness = check_invariant_image(reps[rep_name], s)
                 sink.add("lie-invariant-image", dict(inst, rep=rep_name), witness, t0)
     return sink.emit()
 
@@ -198,15 +179,14 @@ def cmd_verify_hodge(args, parser) -> int:
             model = HodgeModel(n, {(0, 0): 1, key: Fraction(1, 2)})
             c1_desc = {"a": i + 1, "b": j + 1}
             for alpha in hodge.poly_basis_11(model):
-                t0 = time.perf_counter()
-                rpt = hodge.first_order_check(model, alpha)
                 ((ak, bk),) = alpha.num
                 inst = {
                     "dim": n,
                     "c1": c1_desc,
                     "alpha": {"a": ak.bit_length(), "b": bk.bit_length()},
                 }
-                sink.add("first-order-basis", inst, rpt.witness, t0)
+                t0 = time.perf_counter()
+                sink.add("first-order-basis", inst, hodge.first_order_check(model, alpha), t0)
 
     for case in range(args.cases):
         rng = SplitMix64(derive(args.seed, case))
@@ -214,27 +194,14 @@ def cmd_verify_hodge(args, parser) -> int:
         # 1. kernel sweep of the obstruction-to-Mukai implication (Todd = 1)
         t0 = time.perf_counter()
         c1 = FormClass(plain, _random_11_terms(n, rng))
-        line = hodge.LineBundle(plain, c1)
-        kernel_dim, alpha = hodge.mukai_sweep(line)
-        witness = None
-        if alpha is not None:
-            rpt = hodge.check_mukai_implication(alpha, line)
-            witness = {
-                "c1": c1.to_obj(),
-                "alpha": alpha.to_obj(),
-                "obstruction": rpt.obstruction.to_obj(),
-                "moduli_action": rpt.moduli_action.to_obj(),
-            }
+        kernel_dim, witness = hodge.mukai_sweep(hodge.LineBundle(plain, c1))
         inst = {"dim": n, "case": case, "kernel_dim": kernel_dim}
         sink.add("mukai-implication", inst, witness, t0)
 
         # 2. Duflo round trip on an independent random Todd datum
         t0 = time.perf_counter()
         model2 = HodgeModel(n, _random_todd_terms(n, rng))
-        alpha2 = _random_poly(model2, rng)
-        witness = None
-        if not hodge.check_duflo_roundtrip(model2, alpha2):
-            witness = {"alpha": alpha2.to_obj(), "todd": model2.todd.to_obj()}
+        witness = hodge.check_duflo_roundtrip(model2, _random_poly(model2, rng))
         sink.add("duflo-roundtrip", {"dim": n, "case": case}, witness, t0)
 
         # 3. first-order identities on a c1-generated Todd datum
@@ -243,8 +210,8 @@ def cmd_verify_hodge(args, parser) -> int:
         c1s = FormClass(scratch, _random_11_terms(n, rng))
         model3 = HodgeModel(n, _todd_terms_from_c1(scratch, c1s, rng))
         alpha3 = PolyClass(model3, _random_11_terms(n, rng))
-        rpt3 = hodge.first_order_check(model3, alpha3)
-        sink.add("first-order", {"dim": n, "case": case}, rpt3.witness, t0)
+        witness = hodge.first_order_check(model3, alpha3)
+        sink.add("first-order", {"dim": n, "case": case}, witness, t0)
 
     return sink.emit()
 

@@ -403,13 +403,12 @@ def duflo_inverse(model: HodgeModel, alpha: PolyClass) -> PolyClass:
     return contract_Omega_on_T(inv_sqrt_todd(model), alpha)
 
 
-def check_duflo_roundtrip(model: HodgeModel, alpha: PolyClass) -> bool:
-    """Whether duflo_inverse(duflo(alpha)) and duflo(duflo_inverse(alpha)) are alpha."""
-    return (
-        duflo_inverse(model, duflo(model, alpha))
-        == alpha
-        == duflo(model, duflo_inverse(model, alpha))
-    )
+def check_duflo_roundtrip(model: HodgeModel, alpha: PolyClass) -> dict | None:
+    """None if both round trips give alpha back, else the witness: alpha and the Todd datum."""
+    back = duflo_inverse(model, duflo(model, alpha))
+    if back == alpha == duflo(model, duflo_inverse(model, alpha)):
+        return None
+    return {"alpha": alpha.to_obj(), "todd": model.todd.to_obj()}
 
 
 def _nonzero(terms: dict) -> dict:
@@ -419,7 +418,8 @@ def _nonzero(terms: dict) -> dict:
 class LineBundle:
     """Per-c1 data shared by every alpha checked against one line bundle.
 
-    exp is exp(c1), and mukai is the Mukai vector exp(c1) ^ sqrt(Todd).
+    c1 is the first Chern form, kept for a failing sweep's witness; exp is
+    exp(c1), and mukai is the Mukai vector exp(c1) ^ sqrt(Todd).
 
     Both maps of the Mukai sweep are linear in alpha and kept here as
     operators on the 4^n polyvector basis terms, each the contraction
@@ -433,11 +433,12 @@ class LineBundle:
     so a sweep over many alphas against one c1 builds all of this once.
     """
 
-    __slots__ = ("model", "exp", "mukai", "_obstruction", "_moduli")
+    __slots__ = ("model", "c1", "exp", "mukai", "_obstruction", "_moduli")
 
     def __init__(self, model: HodgeModel, c1: FormClass):
         self.exp = exp_form(atiyah_line(model, c1))
         self.model = model
+        self.c1 = c1
         self.mukai = wedge(self.exp, sqrt_todd(model))
         self._obstruction = None
         self._moduli = None
@@ -543,14 +544,21 @@ def exp_atiyah_kernel(line: LineBundle) -> list[PolyClass]:
     ]
 
 
-def mukai_sweep(line: LineBundle) -> tuple[int, PolyClass | None]:
-    """Dimension of exp_atiyah_kernel, and its first vector whose obstruction or
-    moduli action is nonzero, each decided on the vector's integer numerators.
+def mukai_sweep(line: LineBundle) -> tuple[int, dict | None]:
+    """Dimension of exp_atiyah_kernel, and None or the witness of its first vector
+    whose obstruction or moduli action is nonzero, decided by _act on the
+    vector's integer numerators; check_mukai_implication builds the witness.
     """
     kernel = exp_atiyah_kernel(line)
     for alpha in kernel:
         if any(_act(op(), alpha)[0] for op in (line.obstruction, line.moduli_action)):
-            return len(kernel), alpha
+            rpt = check_mukai_implication(alpha, line)
+            return len(kernel), {
+                "c1": line.c1.to_obj(),
+                "alpha": alpha.to_obj(),
+                "obstruction": rpt.obstruction.to_obj(),
+                "moduli_action": rpt.moduli_action.to_obj(),
+            }
     return len(kernel), None
 
 
@@ -579,23 +587,7 @@ def check_mukai_implication(alpha: PolyClass, line: LineBundle) -> MukaiImplicat
     )
 
 
-class FirstOrderReport:
-    __slots__ = ("quarter_identity", "h2_component", "loci_equal", "witness")
-
-    def __init__(
-        self,
-        quarter_identity: bool,
-        h2_component: bool,
-        loci_equal: bool | None,
-        witness: dict | None,
-    ):
-        self.quarter_identity = quarter_identity  # D(alpha) - alpha = (c1/4) -| alpha
-        self.h2_component = h2_component  # top-left component identity against the Todd root
-        self.loci_equal = loci_equal  # vanishing loci of the two pairings coincide
-        self.witness = witness
-
-
-def first_order_check(model: HodgeModel, alpha: PolyClass) -> FirstOrderReport:
+def first_order_check(model: HodgeModel, alpha: PolyClass) -> dict | None:
     """Identities for (1,1) polyvectors when the Todd datum designates c1.
 
     The designated first Chern form is twice the (1,1) part of the Todd
@@ -614,7 +606,7 @@ def first_order_check(model: HodgeModel, alpha: PolyClass) -> FirstOrderReport:
     (p,p) data the two loci genuinely differ, so callers sweeping (iii)
     must build the datum from c1.  (iii) depends only on the model, so it
     is computed on the first call and kept on the model, as are c1, c1/4
-    and c1/2.
+    and c1/2.  Returns None, or the witness: alpha, the Todd datum, D(alpha).
     """
     for a, b in alpha.num:
         if a.bit_count() != 1 or b.bit_count() != 1:
@@ -634,16 +626,9 @@ def first_order_check(model: HodgeModel, alpha: PolyClass) -> FirstOrderReport:
     if model._loci_equal is None:
         k1, k2 = _first_order_loci(model, c1)
         model._loci_equal = k1 == k2
-    check_iii = model._loci_equal
-
-    witness = None
-    if not (check_i and check_ii and check_iii):
-        witness = {
-            "alpha": alpha.to_obj(),
-            "todd": model.todd.to_obj(),
-            "duflo_alpha": d_alpha.to_obj(),
-        }
-    return FirstOrderReport(check_i, check_ii, check_iii, witness)
+    if check_i and check_ii and model._loci_equal:
+        return None
+    return {"alpha": alpha.to_obj(), "todd": model.todd.to_obj(), "duflo_alpha": d_alpha.to_obj()}
 
 
 def _first_order_loci(model: HodgeModel, c1: FormClass):

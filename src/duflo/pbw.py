@@ -26,9 +26,10 @@ The tables are integer matrices.  Both routes start from the integer
 actions R_i = d*rho(x_i) that Representation clears once, with d the lcm
 of the matrices' denominators: theta multiplies by R_i, and phi contracts
 the integer coaction, the reshape of the R_i, so each table entry is
-d^|m| times the image of W(m).  The check compares and tests centrality
-in Z; the Fraction matrices a report carries are built from the tables
-only when read.
+d^|m| times the image of W(m).  check_pbw_diagram compares a monomial's
+two entries, and check_invariant_image weighs an invariant's entries and
+tests centrality, both in Z; each returns None or its line's witness,
+and a diagram witness's Fraction matrices come from the tables.
 
 The derivations ad(x_i) of the symmetric algebra run in Z as well: they
 read LieAlgebra.cleared_brackets, the brackets times one lcm delta of the
@@ -49,7 +50,6 @@ own integer product, so the two diagram paths share no arithmetic code.
 import itertools
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
 from math import factorial, prod
 
 from .kernels import matmul_int
@@ -107,12 +107,12 @@ class SymElement(LinComb):
     def describe(self, alg: LieAlgebra) -> str:
         if not self.num:
             return "0"
-        parts = []
-        for m, c in sorted(self.terms.items()):
-            mono = "*".join(alg.labels[i] for i in m) or "1"
-            parts.append(f"{c}*{mono}")
-        return " + ".join(parts)
+        return " + ".join(f"{c}*{monomial_name(alg, m)}" for m, c in sorted(self.terms.items()))
 
+
+def monomial_name(alg: LieAlgebra, m: SymMonomial) -> str:
+    """The labels of m joined by "*", or "1" for the empty monomial."""
+    return "*".join(alg.labels[i] for i in m) or "1"
 
 
 def symmetrize(s) -> TensorElement:
@@ -224,8 +224,8 @@ class SymImages:
     one on each representation, so every check on it shares the tables.
 
     theta(s) and phi(s) turn the tables back into the Fraction matrices
-    theta(rep, symmetrize(s)) and phi(rep, symmetrize(s)); only reports
-    that are read call them.
+    theta(rep, symmetrize(s)) and phi(rep, symmetrize(s)); only a failing
+    diagram check calls them, for its witness.
     """
 
     __slots__ = ("rep", "lam", "theta_table", "phi_table")
@@ -389,78 +389,62 @@ def sym_images(rep: Representation) -> SymImages:
     return rep._sym_images
 
 
-class DiagramReport:
-    """One diagram check: equal and central are decided in Z.
-
-    path_theta and path_contract are the two routes' images of the element
-    as Fraction matrices, built from the integer tables when first read.
-    central is None unless the check asked for it.
-    """
-
-    def __init__(self, images: SymImages, element: SymElement, equal: bool, central):
-        self.images = images
-        self.element = element
-        self.equal = equal
-        self.central: bool | None = central
-
-    @cached_property
-    def path_theta(self) -> Matrix:
-        return self.images.theta(self.element)
-
-    @cached_property
-    def path_contract(self) -> Matrix:
-        return self.images.phi(self.element)
-
-
-def check_pbw_diagram(
-    rep: Representation, s: SymElement, check_central: bool = False
-) -> DiagramReport:
-    """Compare the two routes from a symmetric element to End(V).
+def check_pbw_diagram(rep: Representation, m: SymMonomial) -> dict | None:
+    """Compare the two routes from the sorted monomial m to End(V).
 
     Route one symmetrizes and composes matrices (theta); route two
     symmetrizes and contracts iterated coactions (phi).  Exact equality is
-    the commutativity of the square.  With check_central=True the report
-    also records whether the image commutes with every action matrix,
-    which is expected when s is invariant.
-
-    The 1/n! sum is evaluated as sum_m c_m (prod(m_i!)/n!) W(m), where W(m)
-    is the sum of the distinct words of m, from the integer tables of
-    sym_images(rep), which hold d^|m| times each route's image of W(m),
-    d the representation's common denominator.
-    A one-term s = c m compares theta_table[m] with phi_table[m]: both
-    routes carry the same nonzero scale c prod(m_i!) / (|m|! d^|m|).  A
-    longer s combines each route's table entries with the integer weights
-    of SymImages.weights, over one positive scale.  Centrality is decided
-    on phi's integer image B as B R_i == R_i B for R_i = d rho(x_i).  The
-    routes share only the weights, the splitting of m into (i, m - e_i)
-    and d, all checked against symmetrize in the tests: theta's table is
-    built from integer matrix products and phi's from coaction index
-    loops, so a fault in either route's arithmetic shows as a difference.
+    the commutativity of the square.  The 1/n! sum of m is
+    (prod(m_i!)/n!) W(m), W(m) the sum of the distinct words of m, and
+    sym_images(rep) holds d^|m| times each route's image of W(m), so
+    theta_table[m] and phi_table[m] carry the same nonzero scale and are
+    compared in Z.  The routes share only the splitting of m into
+    (i, m - e_i) and d, both checked against symmetrize in the tests:
+    theta's table is built from integer matrix products and phi's from
+    coaction index loops, so a fault in either route's arithmetic shows.
+    Returns None, or the witness: m's name and both routes' JSON images.
     """
     images = sym_images(rep)
-    if len(s.num) == 1:
-        (m,) = s.num
-        a, b = images.theta_words(m), images.phi_words(m)
-    else:
-        weights, _ = images.weights(s)
-        a, b = images.theta_sum(weights), images.phi_sum(weights)
-    central = None
-    if check_central:
-        central = all(matmul_int(b, r) == matmul_int(r, b) for r in rep.actions)
-    return DiagramReport(images, s, a == b, central)
+    if images.theta_words(m) == images.phi_words(m):
+        return None
+    s = SymElement.monomial(m)
+    return {
+        "monomial": monomial_name(rep.algebra, m),
+        "path_theta": images.theta(s).to_json(),
+        "path_contract": images.phi(s).to_json(),
+    }
 
 
-def adjunction_check(rep: Representation) -> list[int]:
+def check_invariant_image(rep: Representation, s: SymElement) -> dict | None:
+    """Both routes' images of an invariant s agree and commute with the action.
+
+    Each route combines its table entries with the integer weights of
+    SymImages.weights, over one positive scale; centrality is decided on
+    phi's integer image B as B R_i == R_i B for R_i = d rho(x_i).  Returns
+    None, or the witness: s and the two outcomes.
+    """
+    images = sym_images(rep)
+    weights, _ = images.weights(s)
+    b = images.phi_sum(weights)
+    equal = images.theta_sum(weights) == b
+    central = all(matmul_int(b, r) == matmul_int(r, b) for r in rep.actions)
+    if equal and central:
+        return None
+    return {"element": s.describe(rep.algebra), "diagram_equal": equal, "central": central}
+
+
+def adjunction_check(rep: Representation) -> dict | None:
     """The basis indices g whose coaction, as phi reads it, is not R_g.
 
     phi contracts the integer coaction lam of sym_images(rep) and theta
     multiplies by the integer actions R_g = d rho(x_g); the adjunction
-    says lam[o][i][g] == R_g[o][i] for every o and i.  An empty list is
-    a pass.
+    says lam[o][i][g] == R_g[o][i] for every o and i.  Returns None when
+    it holds, else the witness {"basis_indices": [g, ...]}.
     """
     lam = sym_images(rep).lam
-    return [
+    failures = [
         g
         for g, r in enumerate(rep.actions)
         if any(tuple(cell[g] for cell in plane) != row for plane, row in zip(lam, r))
     ]
+    return {"basis_indices": failures} if failures else None

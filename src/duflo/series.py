@@ -227,7 +227,7 @@ def power_sums(trunc: int, family: str = "c") -> list[GradedSeries]:
     return [zero._like(p) for p in ints]
 
 
-def _log_todd(trunc: int, family: str) -> GradedSeries:
+def _log_todd(trunc: int) -> GradedSeries:
     """log Todd = sum_k l_k p_k, l_k the coefficients of -log((1 - e^{-t})/t)."""
     if trunc < 0:
         raise ValueError("weight must be nonnegative")
@@ -235,18 +235,18 @@ def _log_todd(trunc: int, family: str) -> GradedSeries:
     lq = GradedSeries(
         trunc, {(t,) * k: Fraction((-1) ** k, factorial(k + 1)) for k in range(trunc + 1)}
     ).log()
-    p = power_sums(trunc, family)
+    p = power_sums(trunc)
     return sum((p[k].scale(-lq.coefficient((t,) * k)) for k in range(1, trunc + 1)), p[0])
 
 
-def todd(trunc: int, family: str = "c") -> GradedSeries:
+def todd(trunc: int) -> GradedSeries:
     """Universal Todd polynomial in c_1 .. c_trunc, as exp(log Todd)."""
-    return _log_todd(trunc, family).exp()
+    return _log_todd(trunc).exp()
 
 
-def sqrt_todd(trunc: int, family: str = "c") -> GradedSeries:
+def sqrt_todd(trunc: int) -> GradedSeries:
     """Square root of the Todd class, as exp(log Todd / 2)."""
-    return _log_todd(trunc, family).scale(Fraction(1, 2)).exp()
+    return _log_todd(trunc).scale(Fraction(1, 2)).exp()
 
 
 def chern_character(rank: int, trunc: int, family: str = "c") -> GradedSeries:
@@ -269,4 +269,4 @@ def mukai_vector(rank: int, trunc: int) -> GradedSeries:
     classes as c1, c2, ...; the two families are independent generators.
     """
     ch = chern_character(rank, trunc, family="f")
-    return ch * sqrt_todd(trunc, family="c")
+    return ch * sqrt_todd(trunc)

@@ -6,10 +6,12 @@ per-criterion lines.
 
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction as Q
+from pathlib import Path
 
 from duflo import catalog, hodge
 from duflo.hodge import (
@@ -42,6 +44,8 @@ from duflo.pbw import (
 )
 from duflo.rng import SplitMix64, derive
 from duflo.series import GradedSeries, sqrt_todd, todd
+
+from test_hodge import first_order_identities
 
 CATALOG = ["abelian2", "heisenberg3", "sl2", "gl2"]
 
@@ -139,9 +143,10 @@ def test_criterion_5_first_order_identities():
             for j in range(n):
                 model = HodgeModel(n, {(0, 0): 1, (1 << i, 1 << j): Q(1, 2)})
                 for alpha in poly_basis_11(model):
-                    rpt = first_order_check(model, alpha)
-                    assert rpt.quarter_identity, (n, i, j)
-                    assert rpt.h2_component, (n, i, j)
+                    quarter, h2, _ = first_order_identities(model, alpha)
+                    assert quarter, (n, i, j)
+                    assert h2, (n, i, j)
+                    assert first_order_check(model, alpha) is None, (n, i, j)
                     checked += 1
     _report(
         5,
@@ -312,8 +317,10 @@ def test_criterion_8_report_determinism():
         "--cases",
         "100",
     ]
-    r1 = subprocess.run(cmd, capture_output=True)
-    r2 = subprocess.run(cmd, capture_output=True)
+    # the command imports duflo from this checkout, as the test process does
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    r1 = subprocess.run(cmd, capture_output=True, env=env)
+    r2 = subprocess.run(cmd, capture_output=True, env=env)
     ok = (
         r1.returncode == 0
         and r2.returncode == 0

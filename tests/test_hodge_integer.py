@@ -91,7 +91,8 @@ def _ref_roundtrip(model, alpha):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_duflo_roundtrip_matches_class_path(n):
     for model, alpha in _random_models(n, 51):
-        assert hodge.check_duflo_roundtrip(model, alpha) is _ref_roundtrip(model, alpha) is True
+        assert _ref_roundtrip(model, alpha) is True
+        assert hodge.check_duflo_roundtrip(model, alpha) is None
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -103,7 +104,9 @@ def test_faulty_inverse_root_fails_both_roundtrips(monkeypatch, n):
     for _ in range(3):
         # b*1 makes the weight-1 part of the root act on alpha
         alpha = PolyClass(model, {**_random_poly(model, rng).terms, (0, 1): 1})
-        assert hodge.check_duflo_roundtrip(model, alpha) is _ref_roundtrip(model, alpha) is False
+        assert _ref_roundtrip(model, alpha) is False
+        witness = {"alpha": alpha.to_obj(), "todd": model.todd.to_obj()}
+        assert hodge.check_duflo_roundtrip(model, alpha) == witness
 
 
 def _keys_11(n):
@@ -197,8 +200,9 @@ def test_exp_atiyah_kernel_is_the_canonical_basis(n):
     assert max(dens) > 1
 
 
-def _ref_sweep(line):
-    """Kernel dimension and the first kernel vector either operator does not kill."""
+def _ref_sweep(line, c1):
+    """Kernel dimension and the witness of the first kernel vector either
+    operator does not kill: c1, the vector and both of its images."""
     ker = hodge.exp_atiyah_kernel(line)
     for alpha in ker:
         hits = [_ref_apply(op(), alpha) for op in (line.obstruction, line.moduli_action)]
@@ -206,7 +210,12 @@ def _ref_sweep(line):
             rpt = hodge.check_mukai_implication(alpha, line)
             assert {(a, 0): c for a, c in rpt.obstruction.terms.items()} == hits[0]
             assert rpt.moduli_action.terms == hits[1]
-            return len(ker), alpha
+            return len(ker), {
+                "c1": c1.to_obj(),
+                "alpha": alpha.to_obj(),
+                "obstruction": rpt.obstruction.to_obj(),
+                "moduli_action": rpt.moduli_action.to_obj(),
+            }
     return len(ker), None
 
 
@@ -243,9 +252,9 @@ def test_mukai_sweep_matches_per_alpha_loop(monkeypatch, plant, n):
     model = HodgeModel(n)
     failures = 0
     for _ in range(3):
-        line = hodge.LineBundle(model, FormClass(model, _random_11_terms(n, rng)))
-        got = hodge.mukai_sweep(line)
-        assert got == _ref_sweep(line)
+        c1 = FormClass(model, _random_11_terms(n, rng))
+        got = hodge.mukai_sweep(hodge.LineBundle(model, c1))
+        assert got == _ref_sweep(hodge.LineBundle(model, c1), c1)
         assert got[0] == 4**n - 2**n
         failures += got[1] is not None
     assert (failures > 0) == (plant is not None)
@@ -257,6 +266,7 @@ def test_mukai_sweep_reports_non_kernel_vector(monkeypatch):
 
     monkeypatch.setattr(hodge, "kernel_of_images", planted)
     model = HodgeModel(2)
-    line = hodge.LineBundle(model, FormClass(model, {(1, 1): 1, (2, 2): Fraction(-1, 2)}))
-    got = hodge.mukai_sweep(line)
-    assert got == _ref_sweep(line) == (13, PolyClass(model, {(0, 0): 1}))
+    c1 = FormClass(model, {(1, 1): 1, (2, 2): Fraction(-1, 2)})
+    got = hodge.mukai_sweep(hodge.LineBundle(model, c1))
+    assert got == _ref_sweep(hodge.LineBundle(model, c1), c1)
+    assert got[0] == 13 and got[1]["alpha"] == PolyClass(model, {(0, 0): 1}).to_obj()

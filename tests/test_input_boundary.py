@@ -8,8 +8,8 @@ bracket that is not Lie, or a well-formed file broken in one place, must
 be rejected as bad input (exit 2) without a traceback.  A coefficient
 that is not a p/q literal, such as 1e999999999 or 0.5, is refused as
 such, at once, before any integer is built from it.  So is a catalog
-name abelianN with N outside 1 to 16, and one whose N is not written in
-canonical ASCII digits.  A JSON algebra gets only the adjoint, whatever
+name abelianN with N outside 1 to 16, however many digits N has, and
+one whose N is not written in canonical ASCII digits.  A JSON algebra gets only the adjoint, whatever
 its file is called, and a file whose basename is a catalog name is
 refused, since its lines would claim that algebra's name.
 
@@ -151,6 +151,15 @@ def test_abelian_size_outside_cap_is_input_error(name):
     assert time.perf_counter() - t0 < 5.0
     assert code == 2 and out == ""
     assert err.startswith("error: abelianN needs N from 1 to 16") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("digits", [3, 5000])
+def test_abelian_with_long_n_names_the_bound(digits):
+    # int() refuses strings over 4,300 digits; the length is tested first
+    name = "abelian" + "9" * digits
+    code, out, err = run_cli(["verify-lie", "--algebra", name, "--max-degree", "1"])
+    assert code == 2 and out == ""
+    assert err == f"error: abelianN needs N from 1 to 16, got a {digits}-digit N\n"
 
 
 @pytest.mark.parametrize("name", ["abelian\u0663", "abelian\u00b2"])

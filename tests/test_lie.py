@@ -145,7 +145,7 @@ def test_catalog_rep_dimensions_within_cap():
 def test_zero_dimensional_rep_is_valid():
     rep = Representation(catalog.abelian(2), [Matrix([]), Matrix([])])
     assert rep.dimV == 0
-    assert adjunction_check(rep) == []
+    assert adjunction_check(rep) is None
 
 
 # -- Fraction references for the integer checks --------------------------------
@@ -325,11 +325,11 @@ def test_gl3_validates_and_a_flipped_constant_breaks_jacobi():
     c = gl_constants(3)
     alg = LieAlgebra(c)
     rep = adjoint_rep(alg)
-    assert adjunction_check(rep) == []
+    assert adjunction_check(rep) is None
     assert alg.dim == 9 and rep.dimV == 9
     units = [[[int(o == a and p == b) for p in range(3)] for o in range(3)]
              for a in range(3) for b in range(3)]
-    assert adjunction_check(Representation(alg, units, name="standard")) == []
+    assert adjunction_check(Representation(alg, units, name="standard")) is None
     # [E11, E12] = E12; flip it and its antisymmetric partner
     c[0][1][1] = -c[0][1][1]
     c[1][0][1] = -c[1][0][1]

@@ -11,11 +11,13 @@ from duflo.pbw import (
     SymElement,
     TensorElement,
     adjunction_check,
+    check_invariant_image,
     check_pbw_diagram,
     derivation_apply,
     invariants_s,
     phi,
     sym_basis,
+    sym_images,
     symmetrize,
     theta,
 )
@@ -183,23 +185,22 @@ def test_diagram_commutes_for_commuting_actions():
     rep = catalog.representations(alg)["diag"]
     for d in range(1, 5):
         for m in sym_basis(2, d):
-            assert check_pbw_diagram(rep, SymElement.monomial(m)).equal
+            assert check_pbw_diagram(rep, m) is None
 
 
 def test_diagram_casimir_central():
     alg, rep = _sl2_standard()
     (cas,) = invariants_s(alg, 2)
-    rpt = check_pbw_diagram(rep, cas, check_central=True)
-    assert rpt.equal and rpt.central
+    assert check_invariant_image(rep, cas) is None
 
 
 def test_diagram_reports_difference_shape():
-    # a non-example cannot be produced by valid inputs, but the report
-    # structure for equal paths should carry both path matrices
+    # valid inputs give no failing diagram, but both routes' matrices, which
+    # a failure's witness would carry, agree with each other
     _, rep = _sl2_standard()
-    rpt = check_pbw_diagram(rep, SymElement.monomial((0, 1)))
-    assert rpt.equal
-    assert rpt.path_theta == rpt.path_contract
+    assert check_pbw_diagram(rep, (0, 1)) is None
+    s = SymElement.monomial((0, 1))
+    assert sym_images(rep).theta(s) == sym_images(rep).phi(s)
 
 
 def test_adjunction_zero_rep():
@@ -208,15 +209,15 @@ def test_adjunction_zero_rep():
     from duflo.lie import Representation
 
     rep = Representation(alg, [zero, zero, zero])
-    assert adjunction_check(rep) == []
+    assert adjunction_check(rep) is None
 
 
 def test_adjunction_standard_and_heisenberg():
     _, rep = _sl2_standard()
-    assert adjunction_check(rep) == []
+    assert adjunction_check(rep) is None
     h3 = catalog.heisenberg3()
     for rep in catalog.representations(h3).values():
-        assert adjunction_check(rep) == []
+        assert adjunction_check(rep) is None
 
 
 def test_representation_clears_matrices_and_coaction_by_one_lcm(tmp_path):
@@ -251,11 +252,17 @@ def test_sym_images_match_permutation_oracle():
             monomials = [
                 SymElement.monomial(m) for d in range(top + 1) for m in sym_basis(alg.dim, d)
             ]
+            images = sym_images(rep)
             for s in monomials + invariants + [mixed]:
                 sym = symmetrize(s)
-                rpt = check_pbw_diagram(rep, s)
-                assert rpt.path_theta == theta(rep, sym), (name, rep.name, s)
-                assert rpt.path_contract == phi(rep, sym), (name, rep.name, s)
+                assert images.theta(s) == theta(rep, sym), (name, rep.name, s)
+                assert images.phi(s) == phi(rep, sym), (name, rep.name, s)
+            assert all(
+                check_pbw_diagram(rep, m) is None
+                for d in range(top + 1)
+                for m in sym_basis(alg.dim, d)
+            )
+            assert all(check_invariant_image(rep, s) is None for s in invariants)
             # one entry per monomial of degree <= top, kept on rep and shared
             # by every check of the sweep
             images = rep._sym_images
@@ -273,16 +280,16 @@ def test_sym_images_clear_denominators_on_dense_gl2(tmp_path, monkeypatch):
     invariants = [s for d in range(top + 1) for s in invariants_s(alg, d)]
     mixed = SymElement({(): -5, (0,): "1/2", (1, 3): "-7/3", (0, 2, 2): 3})
     central = []
+    images = sym_images(rep)
     for s in monomials + invariants + [mixed]:
         sym = symmetrize(s)
-        rpt = check_pbw_diagram(rep, s, check_central=True)
         image = phi(rep, sym)
-        assert rpt.equal
-        assert rpt.path_theta == theta(rep, sym), s
-        assert rpt.path_contract == image, s
+        assert images.theta(s) == theta(rep, sym), s
+        assert images.phi(s) == image, s
         # centrality decided in Z agrees with the Fraction commutators
         central.append(all(_commutator(image, m).is_zero() for m in rep.matrices))
-        assert rpt.central == central[-1], s
+        witness = {"element": s.describe(alg), "diagram_equal": True, "central": False}
+        assert check_invariant_image(rep, s) == (None if central[-1] else witness), s
     assert not all(central[: len(monomials)])
     assert all(central[len(monomials): -1])
     assert rep.d > 1
@@ -291,19 +298,23 @@ def test_sym_images_clear_denominators_on_dense_gl2(tmp_path, monkeypatch):
         assert len(table) == comb(alg.dim + top, top)
         assert all(type(x) is int for entry in table.values() for row in entry for x in row)
 
-    # once the representation has tables, a one-term check does no Fraction
+    # once the representation has tables, a passing check does no Fraction
     # arithmetic, even where it fills new table entries
-    quartics = [SymElement.monomial(m) for m in sym_basis(alg.dim, top + 1)]
+    quartics = sym_basis(alg.dim, top + 1)
+    invariants = invariants_s(alg, top + 1)
 
     def refuse(*args):
-        raise AssertionError("Fraction arithmetic in a one-term diagram check")
+        raise AssertionError("Fraction arithmetic in a passing diagram check")
 
     with monkeypatch.context() as patch:
         for op in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__",
                    "__truediv__", "__eq__", "__new__"):
             patch.setattr(Q, op, refuse)
-        assert all(check_pbw_diagram(rep, s, check_central=True).equal for s in quartics)
-    assert check_pbw_diagram(rep, quartics[0]).path_theta == theta(rep, symmetrize(quartics[0]))
+        assert all(check_pbw_diagram(rep, m) is None for m in quartics)
+        assert all(check_invariant_image(rep, s) is None for s in invariants)
+    assert len(images.theta_table) == comb(alg.dim + top + 1, top + 1)
+    quartic = SymElement.monomial(quartics[0])
+    assert images.theta(quartic) == theta(rep, symmetrize(quartic))
 
 
 # -- derivations over the cleared bracket table -----------------------------------

@@ -26,6 +26,7 @@ from duflo.hodge import FormClass, HodgeModel, PolyClass
 from duflo.pbw import SymElement, TensorElement, derivation_apply, phi, symmetrize, theta
 
 from test_cli import run_cli
+from test_hodge import first_order_identities
 from test_stream_digests import LIE_DIGESTS, _sha, dense_gl2
 
 ARGV = ["verify-hodge", "--dim", "2", "--seed", "0", "--cases", "1"]
@@ -178,15 +179,14 @@ def test_corrupt_locus_kernel_fails_first_order_basis(monkeypatch):
     todd = FormClass.from_obj(HodgeModel(2), witness["todd"])
     model = HodgeModel(2, dict(todd.terms))
     alpha = PolyClass.from_obj(model, witness["alpha"])
-    rpt = hodge.first_order_check(model, alpha)
-    assert rpt.quarter_identity and rpt.h2_component
-    assert rpt.loci_equal is False
-    assert rpt.witness == witness
+    assert first_order_identities(model, alpha) == (True, True, False)
+    assert hodge.first_order_check(model, alpha) == witness
 
     monkeypatch.undo()
     model = HodgeModel(2, dict(todd.terms))
     alpha = PolyClass.from_obj(model, witness["alpha"])
-    assert hodge.first_order_check(model, alpha).loci_equal
+    assert first_order_identities(model, alpha) == (True, True, True)
+    assert hodge.first_order_check(model, alpha) is None
 
 
 def _failing_suites(out):
@@ -254,13 +254,12 @@ def test_faulty_unit_sqrt_fails_first_order(monkeypatch):
     assert "duflo-roundtrip" not in _failing_suites(out)
 
     witness = lines[0]["witness"]
-    rpt = hodge.first_order_check(*_model_from_witness(witness))
-    assert not rpt.quarter_identity
-    assert rpt.witness == witness
+    assert not first_order_identities(*_model_from_witness(witness))[0]
+    assert hodge.first_order_check(*_model_from_witness(witness)) == witness
 
     monkeypatch.undo()
-    rpt = hodge.first_order_check(*_model_from_witness(witness))
-    assert rpt.quarter_identity and rpt.h2_component and rpt.loci_equal
+    assert first_order_identities(*_model_from_witness(witness)) == (True, True, True)
+    assert hodge.first_order_check(*_model_from_witness(witness)) is None
 
 
 # -- verify-lie ------------------------------------------------------------------
