@@ -404,9 +404,11 @@ def duflo_inverse(model: HodgeModel, alpha: PolyClass) -> PolyClass:
 
 
 def check_duflo_roundtrip(model: HodgeModel, alpha: PolyClass) -> dict | None:
-    """None if both round trips give alpha back, else the witness: alpha and the Todd datum."""
-    back = duflo_inverse(model, duflo(model, alpha))
-    if back == alpha == duflo(model, duflo_inverse(model, alpha)):
+    """None if D^-1(D(alpha)) == alpha, else the witness: alpha and the Todd datum.
+
+    D(D^-1(alpha)) = (s ^ u) -| alpha for the Todd root s and its inverse u
+    is the same class: s ^ u = u ^ s for even (p,p) forms (README)."""
+    if duflo_inverse(model, duflo(model, alpha)) == alpha:
         return None
     return {"alpha": alpha.to_obj(), "todd": model.todd.to_obj()}
 

@@ -1,10 +1,18 @@
 """Truncated graded power series in weighted commuting variables.
 
-A generator is a (name, weight) pair; a monomial is a sorted tuple of
-generators and its weight is the sum of the generator weights.  Series are
-truncated at a fixed total weight, with exact rational coefficients.
-The Chern-variable generators c_k carry weight k, so the Todd class, its
-square root, Chern characters, and Mukai vectors all live here.
+A generator is a (name, weight) pair, weight >= 1.  A series is truncated
+at total weight trunc <= 255, with exact rational coefficients; the Chern
+generators c_k carry weight k, so the Todd class, its square root, Chern
+characters, and Mukai vectors all live here.  A monomial is one int key:
+its weight in the low 8 bits (WMASK) and, above them, an 8-bit exponent
+field per generator, in the order generators are first seen (_GENS), so a
+product of monomials is the sum of their keys.  A kept monomial's weight,
+and so each exponent, is at most trunc <= 255: no field carries.  terms
+decodes keys to sorted generator tuples.  Within one weight, tuple order
+is descending exponent vectors in sorted generator order: at the first
+generator g where two monomials differ, the one with more g has g where
+the other has a later generator (equal weights keep either tuple from
+being a prefix of the other).  _sorted sorts on those vectors.
 
 The Todd class is produced from the generating series t/(1 - e^{-t})
 through the elementary/power-sum conversion (Newton's identities), never
@@ -13,23 +21,23 @@ targets, not inputs.  With l_k the coefficients of log(t/(1 - e^{-t})),
 Todd = exp(L) and its square root is exp(L/2) for L = sum_k l_k p_k; no
 series square root is taken.  The l_k are read from -log((1 - e^{-t})/t),
 so no series inverse is taken either.  exp is sparse.graded_exp over the
-series product, which multiplies the two numerator maps in Z (_mul_terms)
-over the product of the two denominators.
-Newton's identity for p_k adds each e_i p_{k-i} by appending the
-generator c_i to every monomial of p_{k-i}, with no series product.
+series product: _mul_terms on the numerators, over both denominators.
 """
 
 import operator
-from operator import itemgetter
+from operator import getitem, itemgetter
 from fractions import Fraction
+from functools import cache
 from math import factorial, gcd
 
 from .sparse import LinComb, graded_exp, unit_inverse, unit_sqrt
 
 Gen = tuple[str, int]
-Monomial = tuple[Gen, ...]
 
 MAX_WEIGHT = 16
+WMASK = 0xFF
+_CODES: dict[Gen, int] = {}  # generator -> unit code: its weight plus a one in its field
+_GENS: list[Gen] = []  # _GENS[j] has the exponent field at bits 8(j+1)..8(j+1)+7
 
 
 class TruncationMismatch(Exception):
@@ -47,6 +55,8 @@ class GradedSeries(LinComb):
     _CONTEXT = ("trunc",)
 
     def __init__(self, trunc: int, terms=None):
+        if not 0 <= trunc <= WMASK:
+            raise ValueError(f"truncation {trunc} is outside 0..{WMASK}")
         self.trunc = trunc
         super().__init__(terms)
 
@@ -55,8 +65,7 @@ class GradedSeries(LinComb):
             w = gen[1]
             if type(w) is not int or w < 1:
                 raise ValueError(f"generator {gen!r} needs a positive int weight")
-        mono = tuple(sorted(mono))
-        return mono if _weight(mono) <= self.trunc else None
+        return sum(map(_code, mono)) if sum(map(itemgetter(1), mono)) <= self.trunc else None
 
     def _join(self, other):
         if isinstance(other, GradedSeries) and self.trunc != other.trunc:
@@ -87,11 +96,18 @@ class GradedSeries(LinComb):
     def weight_parts(self) -> list["GradedSeries"]:
         parts: list[dict] = [{} for _ in range(self.trunc + 1)]
         for m, x in self.num.items():
-            parts[_weight(m)][m] = x
+            parts[m & WMASK][m] = x
         return [self._like(p, self.den) for p in parts]
 
     def coefficient(self, mono) -> Fraction:
-        return Fraction(self.num.get(tuple(sorted(mono)), 0), self.den)
+        """The coefficient of mono; 0 for a generator never seen, which stays unseen."""
+        seen = all(g in _CODES for g in mono) and sum(map(itemgetter(1), mono)) <= self.trunc
+        return Fraction(self.num.get(sum(map(_CODES.get, mono)), 0) if seen else 0, self.den)
+
+    @property
+    def terms(self) -> dict:
+        """The coefficients as a fresh {sorted generator tuple: Fraction} dict."""
+        return {_decode(m): c for m, c in super().terms.items()}
 
     # -- series functions -------------------------------------------------
     def inv(self) -> "GradedSeries":
@@ -130,15 +146,9 @@ class GradedSeries(LinComb):
     def text(self) -> str:
         """Canonical sorted-monomial rendering, e.g. '1 + 1/2*c1 + 1/12*c1^2'."""
         chunks = []
-        for _, mono, num, den in self._sorted():
-            body = _mono_text(mono)
+        for _, body, num, den in self._sorted():
             mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
-            if body == "1":
-                piece = mag
-            elif mag == "1":
-                piece = body
-            else:
-                piece = f"{mag}*{body}"
+            piece = mag if body == "1" else body if mag == "1" else f"{mag}*{body}"
             if chunks:
                 piece = ("+ " if num > 0 else "- ") + piece
             elif num < 0:
@@ -148,56 +158,59 @@ class GradedSeries(LinComb):
 
     def to_obj(self):
         return [
-            {"monomial": _mono_text(m), "weight": w, "coeff": str(n) if d == 1 else f"{n}/{d}"}
+            {"monomial": m, "weight": w, "coeff": str(n) if d == 1 else f"{n}/{d}"}
             for w, m, n, d in self._sorted()
         ]
 
-    def _sorted(self) -> list[tuple[int, Monomial, int, int]]:
-        """(weight, monomial, numerator, denominator) of every term, the
-        coefficient in lowest terms, by weight then monomial."""
-        den = self.den
+    def _sorted(self) -> list[tuple[int, str, int, int]]:
+        """(weight, monomial text, numerator, denominator) of every term, the
+        coefficient in lowest terms, by weight then by descending exponents
+        in generator order; the text of each half of those is built once."""
+        gens = sorted(_GENS)
+        fields = [_GENS.index(g) + 1 for g in gens]
+        get = itemgetter(*fields) if len(fields) > 1 else lambda b: [b[j] for j in fields]
+        pieces = [("", n, *(f"{n}^{e}" for e in range(2, self.trunc // w + 1))) for n, w in gens]
+        h, size, den = len(fields) // 2, len(_GENS) + 1, self.den
+        text = cache(lambda lo, e: "*".join(filter(None, map(getitem, pieces[lo:], e))))
         out = []
-        for w, m, x in sorted((_weight(m), m, x) for m, x in self.num.items()):
+        for w, e, x in sorted(
+            ((-(m & WMASK), bytes(get(m.to_bytes(size, "little"))), x) for m, x in self.num.items()),
+            reverse=True,
+        ):
             g = gcd(x, den)
-            out.append((w, m, x // g, den // g))
+            body = "*".join(filter(None, (text(0, e[:h]), text(h, e[h:])))) or "1"
+            out.append((-w, body, x // g, den // g))
         return out
 
     def __repr__(self):
         return f"GradedSeries[N={self.trunc}]({self.text()})"
 
 
-def _weight(mono: Monomial) -> int:
-    return sum(map(itemgetter(1), mono))
+def _code(gen: Gen) -> int:
+    """The unit code of gen; a new generator gets the next field."""
+    if gen not in _CODES:
+        _GENS.append(gen)
+        _CODES[gen] = (1 << 8 * len(_GENS)) + gen[1]
+    return _CODES[gen]
+
+
+def _decode(key: int) -> tuple[Gen, ...]:
+    exps = key.to_bytes(len(_GENS) + 1, "little")[1:]
+    return tuple(sorted(g for g, e in zip(_GENS, exps) for _ in range(e)))
 
 
 def _mul_terms(left: dict, right: dict, trunc: int) -> dict:
     """Product of two term maps truncated at weight trunc; zero sums are kept."""
-    right = sorted(((_weight(m2), m2, c2) for m2, c2 in right.items()), key=itemgetter(0))
-    acc: dict[Monomial, int] = {}
+    right = sorted(((m2 & WMASK, m2, c2) for m2, c2 in right.items()), key=itemgetter(0))
+    acc: dict[int, int] = {}
     for m1, c1 in left.items():
-        room = trunc - _weight(m1)
+        room = trunc - (m1 & WMASK)
         for w2, m2, c2 in right:
             if w2 > room:
                 break
-            m = tuple(sorted(m1 + m2))
+            m = m1 + m2
             acc[m] = acc[m] + c1 * c2 if m in acc else c1 * c2
     return acc
-
-
-def _mono_text(mono: Monomial) -> str:
-    """Runs of equal generator names as powers, e.g. 'c1^2*c3'; '1' if empty."""
-    if not mono:
-        return "1"
-    out = []
-    name, e = mono[0][0], 0
-    for gen, _ in mono:
-        if gen == name:
-            e += 1
-            continue
-        out.append(name if e == 1 else f"{name}^{e}")
-        name, e = gen, 1
-    out.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -208,29 +221,27 @@ def power_sums(trunc: int, family: str = "c") -> list[GradedSeries]:
     """p_1 .. p_trunc in the Chern generators, via Newton's identities.
 
     p_k = (-1)^(k-1) k e_k + sum_{i<k} (-1)^(i-1) e_i p_{k-i}; each product
-    with the generator e_i = c_i only appends c_i to the monomials of
+    with the generator e_i = c_i only adds the code of c_i to the keys of
     p_{k-i}, so all terms of p_k are added into one dict.  The coefficients
     are integers and are summed as ints.
     """
+    zero = GradedSeries.scalar(trunc, 0)
     ints: list[dict] = [{}]
     for k in range(1, trunc + 1):
-        acc = {((f"{family}{k}", k),): (-1) ** (k - 1) * k}
+        acc = {_code((f"{family}{k}", k)): (-1) ** (k - 1) * k}
         for i in range(1, k):
-            gen = (f"{family}{i}", i)
+            gen = _code((f"{family}{i}", i))
             for m, c in ints[k - i].items():
                 if not i & 1:
                     c = -c
-                m = tuple(sorted(m + (gen,)))
+                m += gen
                 acc[m] = acc[m] + c if m in acc else c
         ints.append(acc)
-    zero = GradedSeries.scalar(trunc, 0)
     return [zero._like(p) for p in ints]
 
 
 def _log_todd(trunc: int) -> GradedSeries:
     """log Todd = sum_k l_k p_k, l_k the coefficients of -log((1 - e^{-t})/t)."""
-    if trunc < 0:
-        raise ValueError("weight must be nonnegative")
     t = ("t", 1)
     lq = GradedSeries(
         trunc, {(t,) * k: Fraction((-1) ** k, factorial(k + 1)) for k in range(trunc + 1)}

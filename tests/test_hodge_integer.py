@@ -95,6 +95,22 @@ def test_duflo_roundtrip_matches_class_path(n):
         assert hodge.check_duflo_roundtrip(model, alpha) is None
 
 
+@pytest.mark.parametrize("faulty", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_both_roundtrip_orders_agree(monkeypatch, n, faulty):
+    # D(D^-1 a) = (s ^ u) -| a and D^-1(D a) = (u ^ s) -| a with s, u even:
+    # the orders agree even for a wrong inverse root, so one check suffices
+    if faulty:
+        monkeypatch.setattr(hodge, "unit_inverse", _inverse_missing_last_term)
+    broken = 0
+    for model, alpha in _random_models(n, 51):
+        root, inv, a = hodge.sqrt_todd(model).terms, hodge.inv_sqrt_todd(model).terms, alpha.terms
+        forth = ref_contract(root, ref_contract(inv, a, -1), -1)
+        assert forth == ref_contract(inv, ref_contract(root, a, -1), -1)
+        broken += forth != a
+    assert (broken > 0) == (faulty and n > 1)  # the rank-1 draws never reach the fault
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_faulty_inverse_root_fails_both_roundtrips(monkeypatch, n):
     monkeypatch.setattr(hodge, "unit_inverse", _inverse_missing_last_term)

@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from duflo import series
 from duflo.rng import SplitMix64
 from duflo.series import (
     GradedSeries,
@@ -333,3 +334,76 @@ def test_text_and_obj_match_fraction_rendering():
         for s in kinds:
             assert s.text() == _ref_text(s)
             assert s.to_obj() == _ref_obj(s)
+
+
+def _mixed_monomial(rng, weight, gens):
+    """A random sorted monomial of exactly the given weight over gens."""
+    mono = []
+    while weight:
+        name, w = gens[rng.below(len(gens))]
+        if w <= weight:
+            mono.append((name, w))
+            weight -= w
+    return tuple(sorted(mono))
+
+
+MIXED = [(f"{f}{k}", k) for f in "cf" for k in (1, 2, 3, 10, 11, 12)] + [("t", 1)]
+
+
+def test_tuple_order_is_descending_exponents_in_generator_order():
+    # the ordering lemma the packed keys are rendered by, on c1 < c10 < c2
+    # string order and the c/f/t families
+    rng = SplitMix64(909)
+    order = sorted(MIXED)
+    for _ in range(3000):
+        w = 1 + rng.below(14)
+        m1, m2 = _mixed_monomial(rng, w, MIXED), _mixed_monomial(rng, w, MIXED)
+        e1, e2 = ([m.count(g) for g in order] for m in (m1, m2))
+        assert (m1 < m2) == (e1 > e2) and (m1 == m2) == (e1 == e2)
+
+
+def test_mixed_family_rendering_matches_tuple_order():
+    rng = SplitMix64(910)
+    for trunc in (12, 14):
+        terms = {}
+        for _ in range(150):
+            terms[_mixed_monomial(rng, rng.below(trunc + 1), MIXED)] = rng.rational()
+        s = GradedSeries(trunc, terms)
+        assert s.text() == _ref_text(s)
+        assert s.to_obj() == _ref_obj(s)
+
+
+def test_coefficient_leaves_generator_table_alone():
+    s = GradedSeries(3, {(("c1", 1),): 5})
+    gens, codes = list(series._GENS), dict(series._CODES)
+    assert s.coefficient((("never-seen", 1),)) == 0
+    assert s.coefficient((("c1", 1), ("never-seen", 2))) == 0
+    assert s.coefficient((("c1", 1),) * 300) == 0  # past the truncation, no field overflow
+    assert (series._GENS, series._CODES) == (gens, codes)
+    assert s.coefficient((("c1", 1),)) == 5
+
+
+def test_truncation_bound():
+    for make in (
+        lambda: GradedSeries(256),
+        lambda: GradedSeries.scalar(-1),
+        lambda: todd(-1),
+        lambda: todd(256),
+    ):
+        with pytest.raises(ValueError):
+            make()
+    assert GradedSeries.scalar(255).trunc == 255
+
+
+@pytest.mark.parametrize("trunc", [16, 255])
+def test_full_exponent_field_survives(trunc):
+    # c1^trunc fills its exponent field as far as the truncation lets it
+    mono = (("c1", 1),) * trunc
+    s = GradedSeries(trunc, {mono: Q(3, 7)})
+    assert s.terms == {mono: Q(3, 7)}
+    assert s.coefficient(mono) == Q(3, 7)
+    assert s.coefficient(mono[1:]) == 0
+    assert s * GradedSeries.scalar(trunc) == s
+    assert (s * _c(trunc, 1)).is_zero()  # weight trunc + 1 is truncated, not carried
+    assert s.weight_parts()[trunc] == s
+    assert s.text() == f"3/7*c1^{trunc}"

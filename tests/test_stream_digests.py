@@ -14,7 +14,11 @@ alter a stream must re-record its digest here and say why.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -138,3 +142,42 @@ def test_verify_lie_stream_digest(command, monkeypatch, tmp_path):
     code, out, _ = run_cli(command.format(dense=dense).split())
     assert code == 0
     assert _sha(out) == LIE_DIGESTS[command]
+
+
+# Registers generators in an order no series command uses (a high-weight
+# f before any c, c13 before c2, an x from no command), then prints the
+# sha256 of each command's stdout.
+FRESH_SCRIPT = """
+import hashlib, io, json, sys
+from contextlib import redirect_stdout
+from duflo import series
+from duflo.cli import main
+for gen in (("f9", 9), ("c13", 13), ("x", 1), ("c2", 2)):
+    series.GradedSeries(13, {(gen,): 1})
+out = {"first": [list(g) for g in series._GENS[:4]]}
+for command in sys.argv[1:]:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert main(command.split()) == 0
+    out[command] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+print(json.dumps(out))
+"""
+
+
+def test_series_streams_ignore_generator_order():
+    root = Path(__file__).resolve().parent.parent
+    bench = json.loads((root / "perfbench" / "reference.json").read_text())["hodge-series"]
+    want = {
+        "series mukai --weight 13 --format json": bench["series-mukai"],
+        "series ch --weight 16 --format json": bench["series-ch"],
+        "series todd --weight 13": DIGESTS["series todd --weight 13"],
+        "series mukai --weight 13": DIGESTS["series mukai --weight 13"],
+        "series ch --weight 16": DIGESTS["series ch --weight 16"],
+    }
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    run = subprocess.run(
+        [sys.executable, "-c", FRESH_SCRIPT, *want], capture_output=True, env=env, check=True
+    )
+    got = json.loads(run.stdout)
+    assert got.pop("first") == [["f9", 9], ["c13", 13], ["x", 1], ["c2", 2]]
+    assert got == want
