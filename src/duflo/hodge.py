@@ -42,8 +42,8 @@ anywhere.
 from fractions import Fraction
 from functools import cache
 
-from .linalg import Q, kernel_of_images, parse_rational
-from .sparse import LinComb, graded_exp, unit_inverse, unit_sqrt
+from .linalg import Q, kernel_of_images
+from .sparse import LinComb, graded_exp, graded_power, parse_rational
 
 
 class ModelMismatch(Exception):
@@ -347,23 +347,27 @@ def contract_Omega_on_T(v: FormClass, alpha: PolyClass) -> PolyClass:
 # exponentials, square roots, line-bundle classes
 # ---------------------------------------------------------------------------
 
-def exp_form(v: FormClass) -> FormClass:
-    """Exponential of a class of even total degree with zero constant term.
-
-    Even forms commute, so exp is the graded recursion of sparse.graded_exp
-    over wedge on the pieces of total degree 2d; a term of odd total degree
-    raises BidegreeError, since odd forms anticommute and the recursion
-    fails.
-    """
-    if (0, 0) in v.num:
-        raise NonzeroConstantTerm("exp_form needs a class with zero (0,0) part")
+def _weight_pieces(v: FormClass) -> list[FormClass]:
+    """The parts of v by weight, half the total degree, in one pass over its terms;
+    odd forms anticommute, so a term of odd total degree raises BidegreeError."""
     pieces: list[dict] = [{} for _ in range(v.model.n + 1)]
     for (a, b), x in v.num.items():
         degree = a.bit_count() + b.bit_count()
         if degree & 1:
             raise BidegreeError(f"exp_form needs even total degree, got a degree-{degree} term")
         pieces[degree // 2][(a, b)] = x
-    return graded_exp([v._like(p, v.den) for p in pieces], FormClass.one(v.model), wedge)
+    return [v._like(p, v.den) for p in pieces]
+
+
+def exp_form(v: FormClass) -> FormClass:
+    """Exponential of a class of even total degree with zero constant term.
+
+    Even forms commute, so exp is the graded recursion of sparse.graded_exp
+    over wedge on the pieces of total degree 2d.
+    """
+    if (0, 0) in v.num:
+        raise NonzeroConstantTerm("exp_form needs a class with zero (0,0) part")
+    return graded_exp(_weight_pieces(v), FormClass.one(v.model), wedge)
 
 
 def atiyah_line(model: HodgeModel, c1: FormClass) -> FormClass:
@@ -376,21 +380,18 @@ def atiyah_line(model: HodgeModel, c1: FormClass) -> FormClass:
     return c1
 
 
-def _even_pieces(f: FormClass, n: int) -> list[FormClass]:
-    return [f.component(p, p) for p in range(n + 1)]
-
-
 def sqrt_todd(model: HodgeModel) -> FormClass:
-    """Formal square root of the Todd datum, constant term 1, exact."""
+    """Formal square root T^(1/2) of the Todd datum T, constant term 1, exact."""
     if model._sqrt is None:
-        model._sqrt = unit_sqrt(_even_pieces(model.todd, model.n), wedge)
+        model._sqrt = graded_power(_weight_pieces(model.todd), wedge, Fraction(1, 2))
     return model._sqrt
 
 
 def inv_sqrt_todd(model: HodgeModel) -> FormClass:
-    """Formal inverse of sqrt_todd: the unique series with s*u = 1."""
+    """T^(-1/2), taken from the Todd datum T as sqrt_todd is, so the Duflo
+    round trip checks s ^ u = 1 for the two roots instead of building on it."""
     if model._inv_sqrt is None:
-        model._inv_sqrt = unit_inverse(_even_pieces(sqrt_todd(model), model.n), wedge)
+        model._inv_sqrt = graded_power(_weight_pieces(model.todd), wedge, Fraction(-1, 2))
     return model._inv_sqrt
 
 
@@ -406,8 +407,9 @@ def duflo_inverse(model: HodgeModel, alpha: PolyClass) -> PolyClass:
 def check_duflo_roundtrip(model: HodgeModel, alpha: PolyClass) -> dict | None:
     """None if D^-1(D(alpha)) == alpha, else the witness: alpha and the Todd datum.
 
-    D(D^-1(alpha)) = (s ^ u) -| alpha for the Todd root s and its inverse u
-    is the same class: s ^ u = u ^ s for even (p,p) forms (README)."""
+    D^-1(D(alpha)) = (u ^ s) -| alpha checks u ^ s = 1 for the roots s and u,
+    each taken from the Todd datum; D(D^-1(alpha)) = (s ^ u) -| alpha is the
+    same class, as s ^ u = u ^ s for even (p,p) forms (README)."""
     if duflo_inverse(model, duflo(model, alpha)) == alpha:
         return None
     return {"alpha": alpha.to_obj(), "todd": model.todd.to_obj()}

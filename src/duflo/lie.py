@@ -19,7 +19,8 @@ from fractions import Fraction
 from math import lcm
 
 from .kernels import matmul_int
-from .linalg import Matrix, Q, parse_rational
+from .linalg import Matrix, Q
+from .sparse import parse_rational
 
 
 class AntisymmetryViolation(Exception):

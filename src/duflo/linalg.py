@@ -8,15 +8,14 @@ integer RREF of kernels.rref_int, and are returned as sparse integer
 vectors over one denominator.
 """
 
-import re
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
 from .kernels import matmul_pairs, rref_int
+from .sparse import parse_rational
 
 Q = Fraction
-_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 class ShapeMismatch(Exception):
@@ -27,22 +26,6 @@ class ShapeMismatch(Exception):
         self.a_shape = a_shape
         self.b_shape = b_shape
         super().__init__(f"{op}: incompatible shapes {a_shape} and {b_shape}")
-
-
-def parse_rational(value) -> Fraction:
-    """Accept ints, Fractions and [+-]p[/q] ASCII digit strings; others raise ValueError."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        if not _RATIONAL.fullmatch(value):
-            raise ValueError(f"not a p/q rational literal: {value!r}")
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
-    raise TypeError(f"not an exact rational literal: {value!r}")
 
 
 class Matrix:

@@ -18,19 +18,17 @@ The Todd class is produced from the generating series t/(1 - e^{-t})
 through the elementary/power-sum conversion (Newton's identities), never
 from a hard-coded table; the printed low-weight coefficients are test
 targets, not inputs.  With l_k the coefficients of log(t/(1 - e^{-t})),
-Todd = exp(L) and its square root is exp(L/2) for L = sum_k l_k p_k; no
-series square root is taken.  The l_k are read from -log((1 - e^{-t})/t),
-so no series inverse is taken either.  exp is sparse.graded_exp over the
-series product: _mul_terms on the numerators, over both denominators.
+read from -log((1 - e^{-t})/t), Todd = exp(L) and its square root is
+exp(L/2) for L = sum_k l_k p_k.  exp is sparse.graded_exp over the series
+product: _mul_terms on the numerators, over both denominators.
 """
 
-import operator
-from operator import getitem, itemgetter
+from operator import getitem, itemgetter, mul
 from fractions import Fraction
 from functools import cache
 from math import factorial, gcd
 
-from .sparse import LinComb, graded_exp, unit_inverse, unit_sqrt
+from .sparse import LinComb, graded_exp
 
 Gen = tuple[str, int]
 
@@ -110,23 +108,11 @@ class GradedSeries(LinComb):
         return {_decode(m): c for m, c in super().terms.items()}
 
     # -- series functions -------------------------------------------------
-    def inv(self) -> "GradedSeries":
-        """Reciprocal of a series with constant term 1."""
-        if self.constant() != 1:
-            raise NonUnitConstant("inv needs constant term 1")
-        return unit_inverse(self.weight_parts(), operator.mul)
-
-    def sqrt(self) -> "GradedSeries":
-        """Square root with constant term 1, weight by weight."""
-        if self.constant() != 1:
-            raise NonUnitConstant("sqrt needs constant term 1")
-        return unit_sqrt(self.weight_parts(), operator.mul)
-
     def exp(self) -> "GradedSeries":
         """Exponential of a series with zero constant term."""
         if self.constant() != 0:
             raise NonUnitConstant("exp needs zero constant term")
-        return graded_exp(self.weight_parts(), GradedSeries.scalar(self.trunc), operator.mul)
+        return graded_exp(self.weight_parts(), GradedSeries.scalar(self.trunc), mul)
 
     def log(self) -> "GradedSeries":
         """Logarithm of a series with constant term 1."""

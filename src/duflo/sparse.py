@@ -1,4 +1,4 @@
-"""Finite rational combinations of keys, and the graded unit recursions.
+"""Finite rational combinations of keys, and one graded recursion.
 
 LinComb is the one exact representation of a finite combination: integer
 numerators num = {key: int} over one denominator den > 0, kept canonical
@@ -10,22 +10,39 @@ and den only.  Tensor words and symmetric monomials (pbw), exterior terms
 normalised, their context (a model, a truncation), their products and
 their printing.  A product of two combinations is the product of their
 numerator maps over the product of their denominators.  The public
-constructor of each kind parses outside input through the _key hook,
-which may raise or drop a key; arithmetic results go through _like, which
-drops zero numerators and divides out the common factor.
+constructor of each kind reads outside coefficients with parse_rational
+and keys through the _key hook, which may raise or drop a key; arithmetic
+results go through _like, which drops zero numerators and divides out the
+common factor.
 
-unit_inverse, unit_sqrt and graded_exp compute 1/a, sqrt(a) and exp(a)
-weight by weight over any commutative graded product, from the pieces
-a_0, a_1, ... of a by weight.  In each, the weight-w part of the result is
-a sum of products of lower-weight parts, so no power of a is ever formed.
-graded_exp scales its pieces once to integer combinations and multiplies
-those only.
+graded_exp and graded_power compute exp(a) and a^r, r rational, weight
+by weight over any commutative graded product on which weight acts as a
+derivation, from the pieces a_0, a_1, ... of a by weight.  Both run the
+one recursion _graded, which forms no power of a, scales the pieces once
+to integer combinations and multiplies those only.
 """
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from .linalg import parse_rational
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def parse_rational(value) -> Fraction:
+    """Accept ints, Fractions and [+-]p[/q] ASCII digit strings; others raise ValueError."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        if not _RATIONAL.fullmatch(value):
+            raise ValueError(f"not a p/q rational literal: {value!r}")
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
+    raise TypeError(f"not an exact rational literal: {value!r}")
 
 
 class LinComb:
@@ -124,57 +141,47 @@ class LinComb:
         return f"{type(self).__name__}({body or 0})"
 
 
-def unit_inverse(pieces: list, mul) -> LinComb:
-    """1/a for a = sum of graded pieces, pieces[0] the unit.
-
-    u_0 = 1 and u_w = -sum_{i=1..w} a_i u_{w-i}; returns sum of u_w.
-    """
-    u = [pieces[0]]
-    for w in range(1, len(pieces)):
-        acc = pieces[0]._like({})
-        for i in range(1, w + 1):
-            acc = acc + mul(pieces[i], u[w - i])
-        u.append(acc.scale(-1))
-    return sum(u[1:], u[0])
-
-
-def unit_sqrt(pieces: list, mul) -> LinComb:
-    """sqrt(a) with constant term 1 for a = sum of graded pieces.
-
-    s_0 = 1 and s_w = (a_w - sum_{i=1..w-1} s_i s_{w-i}) / 2.
-    """
-    s = [pieces[0]]
-    for w in range(1, len(pieces)):
-        acc = pieces[w]
-        for i in range(1, w):
-            acc = acc - mul(s[i], s[w - i])
-        s.append(acc.scale(Fraction(1, 2)))
-    return sum(s[1:], s[0])
-
-
 def graded_exp(pieces: list, one: LinComb, mul) -> LinComb:
-    """exp(a) for a = sum of graded pieces, pieces[0] zero, one the unit.
+    """exp(a) for a = sum of graded pieces, pieces[0] zero, one the unit:
+    w e_w = sum_{k=1..w} k a_k e_{w-k}, the weight-w part of E' = A' E."""
+    return _graded(pieces, one, mul, lambda k, w: k, 1)
 
-    e_0 = one and w e_w = sum_{k=1..w} k a_k e_{w-k}, the weight-w part of
-    E' = A' E.  With d the lcm of the pieces' denominators, A_k = d a_k is
-    an integer combination and so is E_w = d^w w! e_w =
-    sum_k k d^(k-1) (w-1)!/(w-k)! A_k E_{w-k}, each product taken by mul.
-    Empty pieces are skipped.  The parts share no key, as each key has one
-    weight, so the result is their numerators over the last d^w w!.
+
+def graded_power(pieces: list, mul, r: Fraction) -> LinComb:
+    """a^r for a = sum of graded pieces, pieces[0] the unit, r = p/q.
+
+    f_0 = 1 and w f_w = sum_{k=1..w} ((r + 1) k - w) a_k f_{w-k}, the
+    weight-w part of A F' = r A' F (J. C. P. Miller); _graded takes q times
+    each coefficient, (p + q) k - q w.
+    """
+    p, q = r.numerator, r.denominator
+    return _graded(pieces, pieces[0], mul, lambda k, w: (p + q) * k - q * w, q)
+
+
+def _graded(pieces: list, one: LinComb, mul, coeff, q: int) -> LinComb:
+    """f_0 = one and q w f_w = sum_{k=1..w} coeff(k, w) a_k f_{w-k}.
+
+    With d the lcm of the pieces' denominators and D = q d, A_k = d a_k is
+    an integer combination and so is F_w = D^w w! f_w =
+    sum_k coeff(k, w) D^(k-1) (w-1)!/(w-k)! A_k F_{w-k}, each product
+    taken by mul.  Empty pieces and zero coefficients are skipped.  The
+    parts share no key, as each key has one weight, so the result is their
+    numerators over the last D^w w!.
     """
     d = lcm(*(p.den for p in pieces))
+    step = q * d
     ints = [p.scale(d) for p in pieces]
     big, dens = [one], [1]
     for w in range(1, len(ints)):
         acc: dict = {}
-        g = 1  # d^(k-1) (w-1)!/(w-k)!
+        g = 1  # D^(k-1) (w-1)!/(w-k)!
         for k in range(1, w + 1):
-            if ints[k].num and big[w - k].num:
-                f = k * g
+            f = coeff(k, w) * g
+            if f and ints[k].num and big[w - k].num:
                 for key, x in mul(ints[k], big[w - k]).num.items():
                     acc[key] = acc[key] + f * x if key in acc else f * x
-            g *= d * (w - k)
+            g *= step * (w - k)
         big.append(one._like(acc))
-        dens.append(dens[-1] * d * w)
+        dens.append(dens[-1] * step * w)
     top = dens[-1]
     return one._like({k: x * (top // dw) for e, dw in zip(big, dens) for k, x in e.num.items()}, top)

@@ -101,7 +101,7 @@ def test_both_roundtrip_orders_agree(monkeypatch, n, faulty):
     # D(D^-1 a) = (s ^ u) -| a and D^-1(D a) = (u ^ s) -| a with s, u even:
     # the orders agree even for a wrong inverse root, so one check suffices
     if faulty:
-        monkeypatch.setattr(hodge, "unit_inverse", _inverse_missing_last_term)
+        monkeypatch.setattr(hodge, "graded_power", _inverse_missing_last_term)
     broken = 0
     for model, alpha in _random_models(n, 51):
         root, inv, a = hodge.sqrt_todd(model).terms, hodge.inv_sqrt_todd(model).terms, alpha.terms
@@ -113,9 +113,9 @@ def test_both_roundtrip_orders_agree(monkeypatch, n, faulty):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_faulty_inverse_root_fails_both_roundtrips(monkeypatch, n):
-    monkeypatch.setattr(hodge, "unit_inverse", _inverse_missing_last_term)
+    monkeypatch.setattr(hodge, "graded_power", _inverse_missing_last_term)
     rng = SplitMix64(derive(52, n))
-    # a Todd root with a (1,1) part: its inverse loses -a_1 at weight 1
+    # a Todd datum with a (1,1) part a_1: its inverse root loses -a_1/2 at weight 1
     model = HodgeModel(n, {(0, 0): 1, (1, 1): Fraction(1, 3)})
     for _ in range(3):
         # b*1 makes the weight-1 part of the root act on alpha

@@ -1,4 +1,5 @@
-"""Importing duflo.cli loads no stdlib module that the commands do not use.
+"""Importing duflo.cli loads no stdlib module that the commands do not use,
+and importing duflo.series loads no linear algebra.
 
 Each command runs as one short process, so its start-up is mostly this
 import.  dataclasses alone pulls in inspect, ast, dis and tokenize.  The
@@ -43,3 +44,9 @@ def test_cli_import_loads_no_unused_stdlib_module():
 def test_guard_flags_a_dataclasses_import():
     loaded = _loaded("import duflo.cli, dataclasses")
     assert "dataclasses" in loaded & UNWANTED
+
+
+def test_series_import_loads_no_linear_algebra():
+    loaded = _loaded("import duflo.series")
+    assert "duflo.series" in loaded
+    assert sorted(loaded & {"duflo.linalg", "duflo.kernels"}) == []

@@ -21,7 +21,7 @@ the witness is reproduced by a direct recomputation.
 import json
 from fractions import Fraction
 
-from duflo import catalog, hodge, pbw
+from duflo import catalog, hodge, pbw, sparse
 from duflo.hodge import FormClass, HodgeModel, PolyClass
 from duflo.pbw import SymElement, TensorElement, derivation_apply, phi, symmetrize, theta
 
@@ -193,26 +193,17 @@ def _failing_suites(out):
     return {r["suite"] for r in map(json.loads, out.splitlines()) if r["status"] == "fail"}
 
 
-def _inverse_missing_last_term(pieces, mul):
-    """unit_inverse with u_w = -sum_{i<w} a_i u_{w-i}: the a_w u_0 term is lost."""
-    u = [pieces[0]]
-    for w in range(1, len(pieces)):
-        acc = pieces[0]._like({})
-        for i in range(1, w):
-            acc = acc + mul(pieces[i], u[w - i])
-        u.append(acc.scale(-1))
-    return sum(u[1:], u[0])
+def _inverse_missing_last_term(pieces, mul, r):
+    """graded_power that drops the k = w term for r < 0: the inverse root loses a_w f_0."""
+    if r >= 0:
+        return sparse.graded_power(pieces, mul, r)
+    p, q = r.numerator, r.denominator
+    return sparse._graded(pieces, pieces[0], mul, lambda k, w: (k < w) * ((p + q) * k - q * w), q)
 
 
-def _sqrt_without_half(pieces, mul):
-    """unit_sqrt with s_w = a_w - sum s_i s_{w-i}: the halving is lost."""
-    s = [pieces[0]]
-    for w in range(1, len(pieces)):
-        acc = pieces[w]
-        for i in range(1, w):
-            acc = acc - mul(s[i], s[w - i])
-        s.append(acc)
-    return sum(s[1:], s[0])
+def _sqrt_without_half(pieces, mul, r):
+    """graded_power with 2r for r > 0: the root's halving is lost, T^(1/2) reads T."""
+    return sparse.graded_power(pieces, mul, 2 * r if r > 0 else r)
 
 
 def _model_from_witness(witness):
@@ -228,7 +219,7 @@ def _roundtrips(model, alpha):
 
 
 def test_faulty_unit_inverse_fails_duflo_roundtrip(monkeypatch):
-    monkeypatch.setattr(hodge, "unit_inverse", _inverse_missing_last_term)
+    monkeypatch.setattr(hodge, "graded_power", _inverse_missing_last_term)
     code, out, _ = run_cli(ARGV[:-1] + ["3"])
     assert code == 1
     lines = _lines(out, "duflo-roundtrip")
@@ -245,13 +236,18 @@ def test_faulty_unit_inverse_fails_duflo_roundtrip(monkeypatch):
 
 
 def test_faulty_unit_sqrt_fails_first_order(monkeypatch):
-    monkeypatch.setattr(hodge, "unit_sqrt", _sqrt_without_half)
+    monkeypatch.setattr(hodge, "graded_power", _sqrt_without_half)
     code, out, _ = run_cli(ARGV)
     assert code == 1
     lines = _lines(out, "first-order")
     assert [r["status"] for r in lines] == ["fail"]
-    # the round trip inverts whatever root it is given, so it still passes
+    # case 0 draws the Todd datum 1, whose roots are 1 however the recursion errs
     assert "duflo-roundtrip" not in _failing_suites(out)
+    # the inverse root is taken from the datum, not from the faulty root, so
+    # the round trip fails once a case draws a datum other than 1
+    trips = _lines(run_cli(ARGV[:-1] + ["3"])[1], "duflo-roundtrip")
+    assert [r["status"] for r in trips] == ["pass", "pass", "fail"]
+    assert not _roundtrips(*_model_from_witness(trips[2]["witness"]))
 
     witness = lines[0]["witness"]
     assert not first_order_identities(*_model_from_witness(witness))[0]
@@ -260,6 +256,7 @@ def test_faulty_unit_sqrt_fails_first_order(monkeypatch):
     monkeypatch.undo()
     assert first_order_identities(*_model_from_witness(witness)) == (True, True, True)
     assert hodge.first_order_check(*_model_from_witness(witness)) is None
+    assert _roundtrips(*_model_from_witness(trips[2]["witness"]))
 
 
 # -- verify-lie ------------------------------------------------------------------

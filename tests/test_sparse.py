@@ -5,7 +5,8 @@ scale and product is checked against a rebuild through its public
 constructor, for canonical keys, no zero coefficients and Fraction
 coefficients only.  The constructors' own validation errors must still
 fire.  The graded exponential is checked against the full-power series
-it replaced, on series and on even forms.  A bounded Hypothesis test
+it replaced, on series and on even forms, and graded_power's a^(p/q)
+against a^p by repeated products, on unit series and on Todd data.  A bounded Hypothesis test
 checks that the constructor, +, -, scale, wedge, both contractions,
 exp_form, the series product and derivation_apply leave num and den
 canonical (den > 0, no zero numerator, gcd 1), and that their terms
@@ -22,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duflo import catalog
+from duflo.cli import _random_todd_terms
 
 from duflo.hodge import (
     BidegreeError,
@@ -38,6 +40,7 @@ from duflo.hodge import (
 from duflo.lie import LieAlgebra
 from duflo.pbw import SymElement, TensorElement, derivation_apply
 from duflo.rng import SplitMix64
+from duflo.sparse import graded_power
 from duflo.series import GradedSeries, TruncationMismatch
 
 from test_hodge_integer import ref_contract, ref_wedge
@@ -218,6 +221,48 @@ def test_series_exp_matches_power_series():
             parts = s.weight_parts()
             gapped += any(not parts[w].terms for w in range(1, trunc)) and not s.is_zero()
     assert gapped > 0
+
+
+def _by_products(x, e, one, mul):
+    """x^e for e >= 0 by repeated products."""
+    acc = one
+    for _ in range(e):
+        acc = mul(acc, x)
+    return acc
+
+
+def _unit_cases():
+    """(a, its pieces, one, mul): unit series, gapped ones too, and Todd data at n <= 4."""
+    rng = SplitMix64(408)
+    for trunc in range(7):
+        for _ in range(4):
+            one = GradedSeries.scalar(trunc)
+            a = one + _gapped_series(trunc, rng)
+            yield a, a.weight_parts(), one, operator.mul
+    for n in range(1, 5):
+        for _ in range(4 if n < 4 else 2):
+            a = HodgeModel(n, _random_todd_terms(n, rng)).todd
+            yield a, [a.component(p, p) for p in range(n + 1)], FormClass.one(a.model), wedge
+
+
+@pytest.mark.parametrize("r", ["-1", "-1/2", "1/2", "1/3", "-2/3", "2"])
+def test_graded_power_to_the_q_is_a_to_the_p(r):
+    r = Fraction(r)
+    p, q = r.numerator, r.denominator
+    gapped = 0
+    for a, pieces, one, mul in _unit_cases():
+        # f^q = a^p, written f^q a^(-p) = 1 for p < 0
+        f = graded_power(pieces, mul, r)
+        lhs = mul(_by_products(f, q, one, mul), _by_products(a, max(-p, 0), one, mul))
+        assert lhs == _by_products(a, max(p, 0), one, mul)
+        gapped += any(not x.num for x in pieces[1:-1]) and len(a.num) > 1
+    assert gapped > 0
+
+
+def test_graded_power_zero_and_one():
+    for a, pieces, one, mul in _unit_cases():
+        assert graded_power(pieces, mul, Fraction(0)) == one
+        assert graded_power(pieces, mul, Fraction(1)) == a
 
 
 def _even_form(model, rng):
