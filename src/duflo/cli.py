@@ -6,21 +6,31 @@ Three subcommands:
   verify-hodge  sweep the contraction identities on bi-exterior models
   series        print Todd / Chern / Mukai series in canonical text or JSON
 
+Each command's positional argument and flags are one entry of COMMANDS,
+from which argv is parsed and usage and help are printed.  A flag takes
+its value as `--flag value` or `--flag=value`, may be shortened to any
+unique prefix, and, when repeated, keeps its last value; `series`' kind
+may stand anywhere among the flags.  A separate value may start with '-'
+only as a negative number.  `-h` or `--help`, before or after the
+command, prints help to stdout and exits 0 when every other word parses.
+
 Reports go to stdout as one JSON object per line (canonical, deterministic
 for a fixed command line); a human summary goes to stderr.  Each check
 hands the report sink only its witness (None when it holds) and the
 perf_counter reading taken before it; the sink derives the status from
 the witness.  Exit codes: 0 all pass, 1 verification failure, 2 usage or
 input error, 3 internal error (an unexpected exception, reported as one
-line on stderr).
+line on stderr).  main raises no SystemExit: on a usage error it prints
+the command's usage line and `duflo <command>: error: ...` to stderr and
+returns 2.
 """
 
-import argparse
 import json
 import os
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import catalog, hodge, series
 from .hodge import FormClass, HodgeModel, PolyClass
@@ -40,22 +50,27 @@ from .rng import SplitMix64, derive
 DEFAULT_DEGREE_CAP = 4
 HODGE_DIM_CAP = 5
 SEED_LIMIT = 1 << 64  # splitmix64 state width; larger seeds would alias
+REQUIRED = object()  # the default of a flag that must be given
+
+
+class UsageError(Exception):
+    """A command line the command table rejects, or a flag value out of range."""
 
 
 # ---------------------------------------------------------------------------
 # verify-lie
 # ---------------------------------------------------------------------------
 
-def cmd_verify_lie(args, parser) -> int:
+def cmd_verify_lie(args) -> int:
     cap = DEFAULT_DEGREE_CAP
     env = os.environ.get("VERIFIER_MAX_DEGREE")
     if env:
         try:
             cap = int(env)
         except ValueError:
-            parser.error(f"VERIFIER_MAX_DEGREE must be an integer, got {env!r}")
+            raise UsageError(f"VERIFIER_MAX_DEGREE must be an integer, got {env!r}") from None
     if not (0 <= args.max_degree <= cap):
-        parser.error(
+        raise UsageError(
             f"--max-degree must be between 0 and {cap} "
             f"(cap set by VERIFIER_MAX_DEGREE)"
         )
@@ -161,13 +176,13 @@ def _todd_terms_from_c1(model: HodgeModel, c1: FormClass, rng: SplitMix64) -> di
     return dict(acc.terms)
 
 
-def cmd_verify_hodge(args, parser) -> int:
+def cmd_verify_hodge(args) -> int:
     if not (1 <= args.dim <= HODGE_DIM_CAP):
-        parser.error(f"--dim must be between 1 and {HODGE_DIM_CAP}")
+        raise UsageError(f"--dim must be between 1 and {HODGE_DIM_CAP}")
     if args.cases < 0:
-        parser.error("--cases must be nonnegative")
+        raise UsageError("--cases must be nonnegative")
     if not (0 <= args.seed < SEED_LIMIT):
-        parser.error("--seed must be between 0 and 2**64 - 1")
+        raise UsageError("--seed must be between 0 and 2**64 - 1")
     n = args.dim
     sink = ReportSink()
     plain = HodgeModel(n)
@@ -220,11 +235,11 @@ def cmd_verify_hodge(args, parser) -> int:
 # series
 # ---------------------------------------------------------------------------
 
-def cmd_series(args, parser) -> int:
+def cmd_series(args) -> int:
     if not (0 <= args.weight <= series.MAX_WEIGHT):
-        parser.error(f"--weight must be between 0 and {series.MAX_WEIGHT}")
+        raise UsageError(f"--weight must be between 0 and {series.MAX_WEIGHT}")
     if args.rank < 0:
-        parser.error("--rank must be nonnegative")
+        raise UsageError("--rank must be nonnegative")
     if args.kind == "todd":
         s = series.todd(args.weight)
     elif args.kind == "sqrt-todd":
@@ -247,52 +262,156 @@ def cmd_series(args, parser) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="duflo",
-        description="Exact verifier for symmetrization and contraction identities.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# name -> (handler, help, positional, flags).  The positional is
+# (dest, choices, help) or None.  Each flag maps to (type, default or
+# REQUIRED, choices or None, help); its dest is its name without the
+# leading dashes, '-' read as '_'.  Parsing, usage and help read only this.
+COMMANDS = {
+    "verify-lie": (cmd_verify_lie, "sweep the symmetrization diagram over an algebra", None, {
+        "--algebra": (str, REQUIRED, None, "abelianN, heisenberg3, sl2, gl2, or a JSON file"),
+        "--rep": (str, "all", None, "representation name from the catalog, or 'all'"),
+        "--max-degree": (int, 4, None, "highest degree swept, capped by VERIFIER_MAX_DEGREE"),
+    }),
+    "verify-hodge": (cmd_verify_hodge, "sweep contraction identities on bi-exterior models", None, {
+        "--dim": (int, REQUIRED, None, f"rank n of the model, 1 to {HODGE_DIM_CAP}"),
+        "--seed": (int, 0, None, "splitmix64 seed, 0 to 2**64 - 1"),
+        "--cases": (int, 100, None, "number of seeded cases"),
+    }),
+    "series": (cmd_series, "print characteristic-class series", (
+        "kind", ("todd", "sqrt-todd", "ch", "mukai"), "the series to print"
+    ), {
+        "--weight": (int, REQUIRED, None, f"truncation weight, 0 to {series.MAX_WEIGHT}"),
+        "--rank": (int, 1, None, "rank of the bundle, for ch and mukai"),
+        "--format": (str, "text", ("text", "json"), "output format"),
+    }),
+}
 
-    p_lie = sub.add_parser(
-        "verify-lie", help="sweep the symmetrization diagram over an algebra"
-    )
-    p_lie.add_argument(
-        "--algebra",
-        required=True,
-        help="catalog name (abelianN, heisenberg3, sl2, gl2) or JSON file",
-    )
-    p_lie.add_argument(
-        "--rep",
-        default="all",
-        help="representation name from the catalog, or 'all' (default)",
-    )
-    p_lie.add_argument("--max-degree", type=int, default=4)
-    p_lie.set_defaults(func=cmd_verify_lie)
 
-    p_hodge = sub.add_parser(
-        "verify-hodge", help="sweep contraction identities on bi-exterior models"
-    )
-    p_hodge.add_argument("--dim", type=int, required=True)
-    p_hodge.add_argument("--seed", type=int, default=0)
-    p_hodge.add_argument("--cases", type=int, default=100)
-    p_hodge.set_defaults(func=cmd_verify_hodge)
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
-    p_series = sub.add_parser("series", help="print characteristic-class series")
-    p_series.add_argument("kind", choices=["todd", "sqrt-todd", "ch", "mukai"])
-    p_series.add_argument("--weight", type=int, required=True)
-    p_series.add_argument("--rank", type=int, default=1)
-    p_series.add_argument("--format", choices=["text", "json"], default="text")
-    p_series.set_defaults(func=cmd_series)
 
-    return parser
+def _metavar(dest: str, choices) -> str:
+    return "{" + ",".join(choices) + "}" if choices else dest.upper()
+
+
+def _usage(command) -> str:
+    if command is None:
+        return "usage: duflo [-h] " + _metavar("", COMMANDS) + " ..."
+    _, _, positional, flags = COMMANDS[command]
+    words = ["usage: duflo", command, "[-h]"]
+    if positional:
+        words.append(_metavar(*positional[:2]))
+    for flag, (_, default, choices, _) in flags.items():
+        word = f"{flag} {_metavar(_dest(flag), choices)}"
+        words.append(word if default is REQUIRED else f"[{word}]")
+    return " ".join(words)
+
+
+def _help(command) -> str:
+    """Usage, description and one row per word of the command, from the table."""
+    if command is None:
+        about = "Exact verifier for symmetrization and contraction identities."
+        rows = [(name, entry[1]) for name, entry in COMMANDS.items()]
+    else:
+        _, about, positional, flags = COMMANDS[command]
+        rows = [positional[::2]] if positional else []
+        for flag, (_, default, choices, text) in flags.items():
+            extra = "required" if default is REQUIRED else f"default: {default}"
+            rows.append((f"{flag} {_metavar(_dest(flag), choices)}", f"{text} ({extra})"))
+    rows.append(("-h, --help", "print this help and exit"))
+    width = max(len(label) for label, _ in rows) + 2
+    lines = [_usage(command), "", about, ""]
+    lines += [f"  {label:<{width}}{text}" for label, text in rows]
+    return "\n".join(lines)
+
+
+def _flag(word: str, flags) -> tuple:
+    """(flag, value after '=' or None) of a word starting with '--': the
+    flag it names exactly or by a unique prefix, --help among them."""
+    name, eq, value = word.partition("=")
+    names = [*flags, "--help"]
+    hits = [name] if name in names else [f for f in names if f.startswith(name)]
+    if len(hits) != 1 or name == "--":
+        raise UsageError(f"{'ambiguous' if len(hits) > 1 else 'unrecognized'} flag {name!r}")
+    if hits[0] == "--help" and eq:
+        raise UsageError("--help takes no value")
+    return hits[0], value if eq else None
+
+
+def _convert(name: str, word: str, kind, choices):
+    try:
+        value = kind(word)
+    except ValueError:
+        raise UsageError(f"{name}: invalid {kind.__name__} value {word!r}") from None
+    if choices and value not in choices:
+        raise UsageError(f"{name}: invalid choice {word!r} (choose from {', '.join(choices)})")
+    return value
+
+
+def _parse(command: str, words: list):
+    """The values of one command's words, or None when they ask for help.
+
+    Any word the table rejects raises UsageError, also beside -h.  A
+    separate value may start with '-' only as a negative number, so a
+    forgotten value never swallows the next flag.
+    """
+    _, _, positional, flags = COMMANDS[command]
+    values = {}
+    asked = False
+    rest = iter(words)
+    for word in rest:
+        if word == "-h":
+            asked = True
+            continue
+        if not word.startswith("--"):
+            if not positional or positional[0] in values:
+                raise UsageError(f"unrecognized argument {word!r}")
+            values[positional[0]] = _convert(positional[0], word, str, positional[1])
+            continue
+        flag, value = _flag(word, flags)
+        if flag == "--help":
+            asked = True
+            continue
+        if value is None:
+            value = next(rest, None)
+            if value is None or value[:1] == "-" and not value[1:].isdecimal():
+                raise UsageError(f"{flag} expects a value")
+        kind, _, choices, _ = flags[flag]
+        values[_dest(flag)] = _convert(flag, value, kind, choices)
+    if asked:
+        return None
+    missing = [positional[0]] if positional and positional[0] not in values else []
+    for flag, (_, default, _, _) in flags.items():
+        if default is REQUIRED and _dest(flag) not in values:
+            missing.append(flag)
+        values.setdefault(_dest(flag), default)
+    if missing:
+        raise UsageError("missing " + ", ".join(missing))
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    words = sys.argv[1:] if argv is None else argv
+    command = words[0] if words and words[0] in COMMANDS else None
     try:
-        return args.func(args, parser)
+        if command is None:
+            # with no flags of its own, _flag names --help or raises
+            if words and (words[0] == "-h" or words[0][:2] == "--" and _flag(words[0], ())):
+                print(_help(None))
+                return 0
+            raise UsageError(
+                f"invalid command {words[0]!r}" if words else "a command is required"
+            )
+        args = _parse(command, words[1:])
+        if args is None:
+            print(_help(command))
+            return 0
+        return COMMANDS[command][0](args)
+    except UsageError as exc:
+        print(_usage(command), file=sys.stderr)
+        print(f"duflo{' ' + command if command else ''}: error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # a fault of the verifier, not of the input
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3

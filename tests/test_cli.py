@@ -12,11 +12,8 @@ from duflo.cli import main
 
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
-    except SystemExit as exc:  # argparse usage errors
-        code = exc.code
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -237,6 +234,68 @@ def test_no_command_is_usage_error():
     assert code == 2
 
 
+FLAGS = {
+    "verify-lie": ["--algebra", "--rep", "--max-degree"],
+    "verify-hodge": ["--dim", "--seed", "--cases"],
+    "series": ["--weight", "--rank", "--format"],
+}
+LIE = ["verify-lie", "--algebra", "sl2", "--rep", "standard"]
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        # same exit code and stdout as the spelled-out command line
+        (["series", "todd", "--weight=2"], ["series", "todd", "--weight", "2"]),
+        (LIE + ["--max", "2"], LIE + ["--max-degree", "2"]),
+        (LIE + ["--max-degree=2", "--rep=adjoint"], ["verify-lie", "--algebra", "sl2",
+                                                     "--rep", "adjoint", "--max-degree", "2"]),
+        (["verify-hodge", "--dim", "1", "--cases", "2", "--dim", "2", "--c=1"],
+         ["verify-hodge", "--dim", "2", "--cases", "1"]),
+        (["series", "--weight", "2", "todd"], ["series", "todd", "--weight", "2"]),
+        (["series", "--weight", "-1", "--weight", "2", "ch"], ["series", "ch", "--weight", "2"]),
+        # usage errors: exit 2, nothing on stdout
+        (["series", "todd", "--weight", "2", "--"], 2),
+        (["series", "todd", "--weight", "2", "--=json"], 2),
+        (["series", "todd", "--weight"], 2),
+        (LIE[:3] + ["--rep", "--bogus"], 2),
+        (LIE[:3] + ["--rep", "-h"], 2),
+        (["series", "todd", "--weight", "2", "--format", "xml"], 2),
+        (["series", "todd", "--weight", "two"], 2),
+        (["series", "todd", "ch", "--weight", "2"], 2),
+        (["verify-hodge", "--cases", "1"], 2),
+        (["series", "--weight", "2"], 2),
+        (["series", "todd", "--weight", "2", "--help=1"], 2),
+        (["series", "todd", "--weight", "2", "--bogus", "-h"], 2),
+        (["series", "-h", "--=1"], 2),
+        (["--"], 2),
+        (["--bogus"], 2),
+        (["verify"], 2),
+        # help: exit 0, its usage line names every flag of the command
+        (["-h"], "help"),
+        (["--he"], "help"),
+        (["verify-lie", "-h"], "help"),
+        (["verify-hodge", "--help"], "help"),
+        (["series", "todd", "--weight", "2", "--h"], "help"),
+    ],
+)
+def test_argv_grammar(argv, want):
+    code, out, err = run_cli(argv)
+    if want == 2:
+        assert code == 2 and out == ""
+        prog = f"duflo {argv[0]}" if argv[0] in FLAGS else "duflo"
+        assert err.splitlines()[-1].startswith(prog + ": error: ")
+    elif want == "help":
+        assert code == 0 and err == ""
+        usage = out.splitlines()[0]
+        assert usage.startswith("usage: duflo") and "-h" in usage
+        for name in FLAGS.get(argv[0], FLAGS):  # top-level usage names each command
+            assert name in usage
+    else:
+        assert code == 0
+        assert (code, out) == run_cli(want)[:2]
+
+
 @pytest.mark.parametrize(
     "module, name, argv",
     [
@@ -255,5 +314,5 @@ def test_unexpected_exception_is_internal_error(monkeypatch, module, name, argv)
     assert out == ""
     assert "Traceback" not in err
     assert err.splitlines() == ["internal error: ZeroDivisionError('planted\\nfault')"]
-    # argparse's own exit is left alone
+    # a usage error is found before the command runs, and is not internal
     assert run_cli(argv + ["--no-such-flag"])[0] == 2

@@ -2,7 +2,8 @@
 and importing duflo.series loads no linear algebra.
 
 Each command runs as one short process, so its start-up is mostly this
-import.  dataclasses alone pulls in inspect, ast, dis and tokenize.  The
+import.  dataclasses alone pulls in inspect, ast, dis and tokenize;
+argparse pulls in gettext, and locale on its first message.  The
 import runs in a fresh `python -S -B`: without site, no .pth file preloads
 typing, and no bytecode is written.  The modules it adds to sys.modules
 are checked against UNWANTED.
@@ -13,7 +14,10 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-UNWANTED = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+UNWANTED = {
+    "dataclasses", "inspect", "ast", "dis", "tokenize", "typing",
+    "argparse", "gettext", "locale",
+}
 
 PROBE = """
 import sys

@@ -284,7 +284,10 @@ ARGV_OPTIONS = {
 }
 SERIES_KINDS = st.sampled_from(["todd", "sqrt-todd", "ch", "mukai"])
 # a word in place of any other, or put between two: none of them widens a size bound
-STRAY = st.sampled_from(["", "x", "1.5", "0x1", "-", "-1", "99", "nope", "--bogus", str(2**64)])
+STRAY = st.sampled_from(
+    ["", "x", "1.5", "0x1", "-", "-1", "99", "nope", "--bogus", str(2**64),
+     "--", "-h", "--rep=", "--ca"]
+)
 
 
 @st.composite
