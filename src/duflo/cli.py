@@ -16,25 +16,23 @@ command, prints help to stdout and exits 0 when every other word parses.
 
 Reports go to stdout as one JSON object per line (canonical, deterministic
 for a fixed command line); a human summary goes to stderr.  Each check
-hands the report sink only its witness (None when it holds) and the
-perf_counter reading taken before it; the sink derives the status from
-the witness.  Exit codes: 0 all pass, 1 verification failure, 2 usage or
-input error, 3 internal error (an unexpected exception, reported as one
-line on stderr).  main raises no SystemExit: on a usage error it prints
+hands the report sink only its witness (None when it holds); the sink
+derives the status from the witness and times the whole sweep.  A bad
+input file or name is a KeyError, ValueError or OSError of the loader.
+Exit codes: 0 all pass, 1 verification failure, 2 usage or input error,
+3 internal error (an unexpected exception, reported as one line on
+stderr).  main raises no SystemExit: on a usage error it prints
 the command's usage line and `duflo <command>: error: ...` to stderr and
 returns 2.
 """
 
-import json
 import os
 import sys
-import time
 from fractions import Fraction
 from types import SimpleNamespace
 
 from . import catalog, hodge, series
 from .hodge import FormClass, HodgeModel, PolyClass
-from .lie import AntisymmetryViolation, BracketMismatch, JacobiViolation
 from .pbw import (
     adjunction_check,
     check_invariant_image,
@@ -44,7 +42,7 @@ from .pbw import (
     monomial_name,
     sym_basis,
 )
-from .report import ReportSink
+from .report import ReportSink, canonical
 from .rng import SplitMix64, derive
 
 DEFAULT_DEGREE_CAP = 4
@@ -76,22 +74,11 @@ def cmd_verify_lie(args) -> int:
         )
     try:
         alg = catalog.load_algebra(args.algebra)
-    except (
-        KeyError,
-        ValueError,
-        OSError,
-        json.JSONDecodeError,
-        AntisymmetryViolation,
-        JacobiViolation,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         if args.rep == "all":
             reps = catalog.representations(alg)
         else:
             reps = {args.rep: catalog.load_representation(alg, args.rep)}
-    except (KeyError, BracketMismatch) as exc:
+    except (KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -100,28 +87,24 @@ def cmd_verify_lie(args) -> int:
     for rep_name in sorted(reps):
         rep = reps[rep_name]
         base = {"algebra": alg_name, "rep": rep_name}
-        t0 = time.perf_counter()
-        sink.add("lie-adjunction", base, adjunction_check(rep), t0)
+        sink.add("lie-adjunction", base, adjunction_check(rep))
         for degree in range(1, args.max_degree + 1):
             for m in sym_basis(alg.dim, degree):
                 inst = dict(base, monomial=monomial_name(alg, m))
-                t0 = time.perf_counter()
-                sink.add("lie-diagram", inst, check_pbw_diagram(rep, m), t0)
+                sink.add("lie-diagram", inst, check_pbw_diagram(rep, m))
 
     for degree in range(1, args.max_degree + 1):
         invs = invariants_s(alg, degree)
         for idx, s in enumerate(invs):
             inst = {"algebra": alg_name, "degree": degree, "index": idx}
-            t0 = time.perf_counter()
             killed = all(
                 derivation_apply(alg, i, s).is_zero() for i in range(alg.dim)
             )
             witness = None if killed else {"element": s.describe(alg)}
-            sink.add("lie-invariant-annihilation", inst, witness, t0)
+            sink.add("lie-invariant-annihilation", inst, witness)
             for rep_name in sorted(reps):
-                t0 = time.perf_counter()
                 witness = check_invariant_image(reps[rep_name], s)
-                sink.add("lie-invariant-image", dict(inst, rep=rep_name), witness, t0)
+                sink.add("lie-invariant-image", dict(inst, rep=rep_name), witness)
     return sink.emit()
 
 
@@ -129,39 +112,33 @@ def cmd_verify_lie(args) -> int:
 # verify-hodge
 # ---------------------------------------------------------------------------
 
-def _random_11_terms(n: int, rng: SplitMix64) -> dict:
-    terms = {}
-    for i in range(n):
-        for j in range(n):
+def _draw(rng: SplitMix64, keys, sparse: bool, terms=None) -> dict:
+    """Add to terms (a new dict when None) one rng.rational() per key, in
+    order, keeping the nonzero ones; when sparse, a key is drawn only
+    after rng.below(3) == 0.  Every seeded case draws through here."""
+    terms = {} if terms is None else terms
+    for key in keys:
+        if not sparse or rng.below(3) == 0:
             q = rng.rational()
             if q:
-                terms[(1 << i, 1 << j)] = q
+                terms[key] = q
     return terms
 
 
+def _random_11_terms(n: int, rng: SplitMix64) -> dict:
+    return _draw(rng, [(1 << i, 1 << j) for i in range(n) for j in range(n)], False)
+
+
 def _random_poly(model: HodgeModel, rng: SplitMix64) -> PolyClass:
-    size = 1 << model.n
-    terms = {}
-    for a in range(size):
-        for b in range(size):
-            if rng.below(3) == 0:
-                q = rng.rational()
-                if q:
-                    terms[(a, b)] = q
-    return PolyClass(model, terms)
+    masks = range(1 << model.n)
+    return PolyClass(model, _draw(rng, [(a, b) for a in masks for b in masks], True))
 
 
 def _random_todd_terms(n: int, rng: SplitMix64) -> dict:
     """Independent (p,p) data with constant term 1."""
-    size = 1 << n
-    terms = {(0, 0): Fraction(1)}
-    for a in range(1, size):
-        for b in range(1, size):
-            if a.bit_count() == b.bit_count() and rng.below(3) == 0:
-                q = rng.rational()
-                if q:
-                    terms[(a, b)] = q
-    return terms
+    masks = range(1, 1 << n)
+    keys = [(a, b) for a in masks for b in masks if a.bit_count() == b.bit_count()]
+    return _draw(rng, keys, True, {(0, 0): Fraction(1)})
 
 
 def _todd_terms_from_c1(model: HodgeModel, c1: FormClass, rng: SplitMix64) -> dict:
@@ -200,33 +177,29 @@ def cmd_verify_hodge(args) -> int:
                     "c1": c1_desc,
                     "alpha": {"a": ak.bit_length(), "b": bk.bit_length()},
                 }
-                t0 = time.perf_counter()
-                sink.add("first-order-basis", inst, hodge.first_order_check(model, alpha), t0)
+                sink.add("first-order-basis", inst, hodge.first_order_check(model, alpha))
 
     for case in range(args.cases):
         rng = SplitMix64(derive(args.seed, case))
 
         # 1. kernel sweep of the obstruction-to-Mukai implication (Todd = 1)
-        t0 = time.perf_counter()
         c1 = FormClass(plain, _random_11_terms(n, rng))
         kernel_dim, witness = hodge.mukai_sweep(hodge.LineBundle(plain, c1))
         inst = {"dim": n, "case": case, "kernel_dim": kernel_dim}
-        sink.add("mukai-implication", inst, witness, t0)
+        sink.add("mukai-implication", inst, witness)
 
         # 2. Duflo round trip on an independent random Todd datum
-        t0 = time.perf_counter()
         model2 = HodgeModel(n, _random_todd_terms(n, rng))
         witness = hodge.check_duflo_roundtrip(model2, _random_poly(model2, rng))
-        sink.add("duflo-roundtrip", {"dim": n, "case": case}, witness, t0)
+        sink.add("duflo-roundtrip", {"dim": n, "case": case}, witness)
 
         # 3. first-order identities on a c1-generated Todd datum
-        t0 = time.perf_counter()
         scratch = HodgeModel(n)
         c1s = FormClass(scratch, _random_11_terms(n, rng))
         model3 = HodgeModel(n, _todd_terms_from_c1(scratch, c1s, rng))
         alpha3 = PolyClass(model3, _random_11_terms(n, rng))
         witness = hodge.first_order_check(model3, alpha3)
-        sink.add("first-order", {"dim": n, "case": case}, witness, t0)
+        sink.add("first-order", {"dim": n, "case": case}, witness)
 
     return sink.emit()
 
@@ -252,7 +225,7 @@ def cmd_series(args) -> int:
         obj = {"kind": args.kind, "weight": args.weight, "terms": s.to_obj()}
         if args.kind in ("ch", "mukai"):
             obj["rank"] = args.rank
-        print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+        print(canonical(obj))
     else:
         print(s.text())
     return 0

@@ -556,36 +556,28 @@ def mukai_sweep(line: LineBundle) -> tuple[int, dict | None]:
     kernel = exp_atiyah_kernel(line)
     for alpha in kernel:
         if any(_act(op(), alpha)[0] for op in (line.obstruction, line.moduli_action)):
-            rpt = check_mukai_implication(alpha, line)
+            obstruction, moduli_action = check_mukai_implication(alpha, line)
             return len(kernel), {
                 "c1": line.c1.to_obj(),
                 "alpha": alpha.to_obj(),
-                "obstruction": rpt.obstruction.to_obj(),
-                "moduli_action": rpt.moduli_action.to_obj(),
+                "obstruction": obstruction.to_obj(),
+                "moduli_action": moduli_action.to_obj(),
             }
     return len(kernel), None
 
 
-class MukaiImplicationReport:
-    """The implication holds unless obstruction is zero and moduli_action is not."""
-
-    __slots__ = ("obstruction", "moduli_action")
-
-    def __init__(self, obstruction: ExtClass, moduli_action: FormClass):
-        self.obstruction = obstruction  # alpha -| exp(c1)
-        self.moduli_action = moduli_action  # D(alpha) -| v(L)
-
-
-def check_mukai_implication(alpha: PolyClass, line: LineBundle) -> MukaiImplicationReport:
+def check_mukai_implication(alpha: PolyClass, line: LineBundle) -> tuple[ExtClass, FormClass]:
     """One instance of: obstruction vanishing forces Mukai-pairing vanishing.
 
-    alpha must live on line.model.  A failed implication would mean the
-    sign conventions above are inconsistent, so the report carries both
-    classes for the caller to judge rather than raising.
+    alpha must live on line.model.  Returns (obstruction, moduli_action),
+    alpha -| exp(c1) and D(alpha) -| v(L); the implication holds unless
+    the first is zero and the second is not.  A failed implication would
+    mean the sign conventions above are inconsistent, so both classes go
+    to the caller to judge rather than raising.
     """
     _same_model(alpha, line)
     (h, hden), (m, mden) = _act(line.obstruction(), alpha), _act(line.moduli_action(), alpha)
-    return MukaiImplicationReport(
+    return (
         ExtClass(line.model)._like({a: x for (a, _), x in h.items()}, hden),
         FormClass(line.model)._like(m, mden),
     )

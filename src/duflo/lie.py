@@ -23,7 +23,7 @@ from .linalg import Matrix, Q
 from .sparse import parse_rational
 
 
-class AntisymmetryViolation(Exception):
+class AntisymmetryViolation(ValueError):
     def __init__(self, i: int, j: int):
         self.pair = (i, j)
         super().__init__(
@@ -31,7 +31,7 @@ class AntisymmetryViolation(Exception):
         )
 
 
-class JacobiViolation(Exception):
+class JacobiViolation(ValueError):
     def __init__(self, triple: tuple[int, int, int], defect):
         self.triple = triple
         self.defect = defect
@@ -42,7 +42,7 @@ class JacobiViolation(Exception):
         )
 
 
-class BracketMismatch(Exception):
+class BracketMismatch(ValueError):
     def __init__(self, i: int, j: int, expected: Matrix, got: Matrix):
         self.pair = (i, j)
         self.expected = expected
@@ -216,8 +216,10 @@ def algebra_from_json(obj, name: str = "") -> LieAlgebra:
          "brackets": [{"i": i, "j": j, "coeffs": ["p/q", ...]}]}
 
     dim is an integer from 1 to MAX_JSON_DIM; labels, if given, are n
-    distinct strings; brackets is a list of objects with integer indices
-    and a list of coefficients.  Indices are 0-based.
+    distinct nonempty strings without "*", so that no two monomials'
+    names (labels joined by "*", "1" for none) coincide; brackets is a
+    list of objects with integer indices and a list of coefficients.
+    Indices are 0-based.
     Each unordered pair may appear once; the opposite order is filled in by
     antisymmetry.  Omitted brackets are zero.  Any violation, including a
     zero denominator, raises ValueError.
@@ -229,10 +231,10 @@ def algebra_from_json(obj, name: str = "") -> LieAlgebra:
         raise ValueError(f"algebra definition needs an integer 'dim' from 1 to {MAX_JSON_DIM}")
     labels = obj.get("labels")
     if labels is not None and not (
-        isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+        isinstance(labels, list) and all(isinstance(x, str) and x and "*" not in x for x in labels)
         and len(set(labels)) == n == len(labels)
     ):
-        raise ValueError(f"'labels' must be a list of {n} distinct strings")
+        raise ValueError(f"'labels' must be a list of {n} distinct nonempty strings without '*'")
     brackets = obj.get("brackets", [])
     if not isinstance(brackets, list) or not all(isinstance(e, dict) for e in brackets):
         raise ValueError("'brackets' must be a list of objects")

@@ -30,10 +30,14 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_rational(value) -> Fraction:
-    """Accept ints, Fractions and [+-]p[/q] ASCII digit strings; others raise ValueError."""
+    """Accept ints, Fractions and [+-]p[/q] ASCII digit strings.
+
+    A malformed string raises ValueError; anything else, a bool among
+    them (JSON true is not a coefficient), raises TypeError.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         if not _RATIONAL.fullmatch(value):

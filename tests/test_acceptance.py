@@ -173,9 +173,9 @@ def test_criterion_6_mukai_implication_sweep():
                         terms[(1 << i, 1 << j)] = q
             line = LineBundle(model, FormClass(model, terms))
             for alpha in exp_atiyah_kernel(line):
-                rpt = check_mukai_implication(alpha, line)
+                obstruction, moduli_action = check_mukai_implication(alpha, line)
                 total_kernel_elements += 1
-                if not (rpt.obstruction.is_zero() and rpt.moduli_action.is_zero()):
+                if not (obstruction.is_zero() and moduli_action.is_zero()):
                     failures += 1
     _report(
         6,

@@ -116,6 +116,9 @@ def test_verify_lie_bad_structure_file(tmp_path):
         {"dim": 2, "labels": ["a", "a"]},
         {"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": ["1/0", "0"]}]},
         {"dim": 2, "brackets": [{"i": 0.9, "j": 1, "coeffs": ["0", "1"]}]},
+        {"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": [False, False, True]}]},
+        {"dim": 2, "labels": ["a", "a*a"]},
+        {"dim": 2, "labels": ["1", ""]},
     ],
     ids=[
         "dim-zero",
@@ -129,6 +132,9 @@ def test_verify_lie_bad_structure_file(tmp_path):
         "labels-repeated",
         "zero-denominator",
         "index-float",
+        "coeffs-bool",
+        "label-with-star",
+        "label-empty",
     ],
 )
 def test_verify_lie_malformed_json_is_input_error(tmp_path, obj):

@@ -411,8 +411,8 @@ def test_mukai_matches_wedge_expansion():
 def test_mukai_implication_zero_alpha():
     m = HodgeModel(2)
     c1 = _term(FormClass, m, [1], [1])
-    rpt = check_mukai_implication(PolyClass(m), LineBundle(m, c1))
-    assert rpt.obstruction.is_zero() and rpt.moduli_action.is_zero()
+    obstruction, moduli_action = check_mukai_implication(PolyClass(m), LineBundle(m, c1))
+    assert obstruction.is_zero() and moduli_action.is_zero()
 
 
 def test_mukai_implication_kernel_membership():
@@ -422,9 +422,9 @@ def test_mukai_implication_kernel_membership():
     ker = exp_atiyah_kernel(LineBundle(m, c1))
     assert ker  # never empty: the map drops dimension
     for alpha in ker:
-        rpt = check_mukai_implication(alpha, LineBundle(m, c1))
-        assert rpt.obstruction.is_zero(), "kernel element must satisfy the hypothesis"
-        assert rpt.moduli_action.is_zero()
+        obstruction, moduli_action = check_mukai_implication(alpha, LineBundle(m, c1))
+        assert obstruction.is_zero(), "kernel element must satisfy the hypothesis"
+        assert moduli_action.is_zero()
 
 
 def test_line_bundle_validates_c1_and_model():
@@ -441,8 +441,8 @@ def test_mukai_implication_vacuous_case():
     m = HodgeModel(2)
     c1 = _term(FormClass, m, [2], [1])
     alpha = _term(PolyClass, m, [1], [1])  # pairs to -a1^a2, so h != 0
-    rpt = check_mukai_implication(alpha, LineBundle(m, c1))
-    assert not rpt.obstruction.is_zero()  # vacuous: the implication holds
+    obstruction, moduli_action = check_mukai_implication(alpha, LineBundle(m, c1))
+    assert not obstruction.is_zero()  # vacuous: the implication holds
 
 
 def _todd_from_c1(c1, rng):
@@ -467,10 +467,10 @@ def test_mukai_operators_match_direct_contractions(n, todd):
     vacuous = [_random_class(model, rng, PolyClass) for _ in range(4)]
     assert ker and all(not a.is_zero() for a in vacuous)
     for alpha in ker + vacuous:
-        rpt = check_mukai_implication(alpha, line)
-        assert rpt.obstruction == contract_exp_atiyah(alpha, line)
-        assert rpt.moduli_action == contract_T_on_Omega(duflo(model, alpha), line.mukai)
-        assert rpt.obstruction.is_zero() == (alpha in ker)
+        obstruction, moduli_action = check_mukai_implication(alpha, line)
+        assert obstruction == contract_exp_atiyah(alpha, line)
+        assert moduli_action == contract_T_on_Omega(duflo(model, alpha), line.mukai)
+        assert obstruction.is_zero() == (alpha in ker)
     foreign = HodgeModel(n)
     with pytest.raises(ModelMismatch):
         check_mukai_implication(PolyClass(foreign, dict(ker[0].terms)), line)

@@ -223,14 +223,14 @@ def _ref_sweep(line, c1):
     for alpha in ker:
         hits = [_ref_apply(op(), alpha) for op in (line.obstruction, line.moduli_action)]
         if any(hits):
-            rpt = hodge.check_mukai_implication(alpha, line)
-            assert {(a, 0): c for a, c in rpt.obstruction.terms.items()} == hits[0]
-            assert rpt.moduli_action.terms == hits[1]
+            obstruction, moduli_action = hodge.check_mukai_implication(alpha, line)
+            assert {(a, 0): c for a, c in obstruction.terms.items()} == hits[0]
+            assert moduli_action.terms == hits[1]
             return len(ker), {
                 "c1": c1.to_obj(),
                 "alpha": alpha.to_obj(),
-                "obstruction": rpt.obstruction.to_obj(),
-                "moduli_action": rpt.moduli_action.to_obj(),
+                "obstruction": obstruction.to_obj(),
+                "moduli_action": moduli_action.to_obj(),
             }
     return len(ker), None
 

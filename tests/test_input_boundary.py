@@ -100,6 +100,8 @@ def test_non_lie_bracket_is_input_error_in_every_basis(tmp_path, p):
 BREAKS = {
     "zero-denominator": lambda obj: obj["brackets"][0]["coeffs"].__setitem__(0, "1/0"),
     "float-coefficient": lambda obj: obj["brackets"][0]["coeffs"].__setitem__(0, 0.5),
+    # JSON true is an int to Python, but no coefficient
+    "bool-coefficient": lambda obj: obj["brackets"][0]["coeffs"].__setitem__(0, True),
     "word-coefficient": lambda obj: obj["brackets"][0]["coeffs"].__setitem__(0, "half"),
     # Fraction would read both, the first as a multi-gigabit integer
     "exponent-coefficient": lambda obj: obj["brackets"][0]["coeffs"].__setitem__(0, "1e999999999"),

@@ -86,6 +86,12 @@ def test_swapped_rep_rejected():
     assert exc.value.pair == (0, 1)
 
 
+def test_axiom_violations_are_value_errors():
+    # the CLI reads every bad input as a KeyError, ValueError or OSError
+    for exc in (AntisymmetryViolation, JacobiViolation, BracketMismatch):
+        assert issubclass(exc, ValueError)
+
+
 def test_zero_rep_of_abelian_valid():
     alg = catalog.abelian(2)
     rep = catalog.representations(alg)["zero"]

@@ -36,9 +36,10 @@ def _lines(out, suite):
     return [r for r in map(json.loads, out.splitlines()) if r["suite"] == suite]
 
 
-def _implication_holds(rpt):
+def _implication_holds(pair):
     """A vanishing obstruction forces a vanishing moduli action."""
-    return not rpt.obstruction.is_zero() or rpt.moduli_action.is_zero()
+    obstruction, moduli_action = pair
+    return not obstruction.is_zero() or moduli_action.is_zero()
 
 
 def test_corrupt_mukai_line_fails_mukai_implication(monkeypatch):
@@ -59,9 +60,9 @@ def test_corrupt_mukai_line_fails_mukai_implication(monkeypatch):
     model = HodgeModel(2)
     alpha = PolyClass.from_obj(model, witness["alpha"])
     c1 = FormClass.from_obj(model, witness["c1"])
-    rpt = hodge.check_mukai_implication(alpha, hodge.LineBundle(model, c1))
-    assert rpt.obstruction.is_zero() and not rpt.moduli_action.is_zero()
-    assert rpt.moduli_action.to_obj() == witness["moduli_action"]
+    obstruction, moduli_action = hodge.check_mukai_implication(alpha, hodge.LineBundle(model, c1))
+    assert obstruction.is_zero() and not moduli_action.is_zero()
+    assert moduli_action.to_obj() == witness["moduli_action"]
 
     monkeypatch.undo()
     assert _implication_holds(hodge.check_mukai_implication(alpha, hodge.LineBundle(model, c1)))
@@ -92,11 +93,11 @@ def test_shifted_moduli_operator_fails_mukai_implication(monkeypatch):
     alpha = PolyClass.from_obj(model, witness["alpha"])
     assert alpha.terms == {(0b11, 0b01): 1}
     c1 = FormClass.from_obj(model, witness["c1"])
-    rpt = hodge.check_mukai_implication(alpha, hodge.LineBundle(model, c1))
-    assert rpt.obstruction.is_zero() and not rpt.moduli_action.is_zero()
-    assert witness["obstruction"] == rpt.obstruction.to_obj() == []
-    assert rpt.moduli_action.to_obj() == witness["moduli_action"]
-    assert list(rpt.moduli_action.terms) == [(0, 0)]
+    obstruction, moduli_action = hodge.check_mukai_implication(alpha, hodge.LineBundle(model, c1))
+    assert obstruction.is_zero() and not moduli_action.is_zero()
+    assert witness["obstruction"] == obstruction.to_obj() == []
+    assert moduli_action.to_obj() == witness["moduli_action"]
+    assert list(moduli_action.terms) == [(0, 0)]
 
     monkeypatch.undo()
     assert _implication_holds(hodge.check_mukai_implication(alpha, hodge.LineBundle(model, c1)))
@@ -123,10 +124,10 @@ def test_non_kernel_vector_fails_mukai_implication(monkeypatch):
     alpha = PolyClass.from_obj(model, witness["alpha"])
     assert alpha.terms == {(0, 0): 1}
     c1 = FormClass.from_obj(model, witness["c1"])
-    rpt = hodge.check_mukai_implication(alpha, hodge.LineBundle(model, c1))
-    assert not rpt.obstruction.is_zero()  # vacuous
-    assert rpt.obstruction.to_obj() == witness["obstruction"] != []
-    assert rpt.moduli_action.to_obj() == witness["moduli_action"]
+    obstruction, moduli_action = hodge.check_mukai_implication(alpha, hodge.LineBundle(model, c1))
+    assert not obstruction.is_zero()  # vacuous
+    assert obstruction.to_obj() == witness["obstruction"] != []
+    assert moduli_action.to_obj() == witness["moduli_action"]
 
 
 def test_blanked_obstruction_image_fails_mukai_implication(monkeypatch):
@@ -150,14 +151,14 @@ def test_blanked_obstruction_image_fails_mukai_implication(monkeypatch):
     model = HodgeModel(2)
     alpha = PolyClass.from_obj(model, witness["alpha"])
     c1 = FormClass.from_obj(model, witness["c1"])
-    rpt = hodge.check_mukai_implication(alpha, hodge.LineBundle(model, c1))
-    assert rpt.obstruction.is_zero() and not rpt.moduli_action.is_zero()
+    obstruction, moduli_action = hodge.check_mukai_implication(alpha, hodge.LineBundle(model, c1))
+    assert obstruction.is_zero() and not moduli_action.is_zero()
     assert witness["obstruction"] == []
-    assert rpt.moduli_action.to_obj() == witness["moduli_action"] != []
+    assert moduli_action.to_obj() == witness["moduli_action"] != []
 
     monkeypatch.undo()
-    rpt = hodge.check_mukai_implication(alpha, hodge.LineBundle(model, c1))
-    assert not rpt.obstruction.is_zero() and not rpt.moduli_action.is_zero()
+    obstruction, moduli_action = hodge.check_mukai_implication(alpha, hodge.LineBundle(model, c1))
+    assert not obstruction.is_zero() and not moduli_action.is_zero()
 
 
 def test_corrupt_locus_kernel_fails_first_order_basis(monkeypatch):

@@ -2,12 +2,12 @@
 
 A line's status is derived from its witness, so these tests pin the
 stream bytes a few hand-built lines produce, the (suite, line) sort over
-lines added out of order, the exit code, and the stderr summary.
+lines added out of order, the exit code, and the stderr summary with
+the sweep's wall time, from the sink's creation to its emit.
 """
 
 import io
 import json
-import time
 
 from duflo.report import ReportSink
 
@@ -51,13 +51,14 @@ def test_exit_code():
     assert _emit(sink)[0] == 1
 
 
-def test_summary_counts_and_seconds():
-    assert _emit(ReportSink())[2] == "0 reports: 0 pass, 0 fail (0.00s)\n"
-    sink = ReportSink()
-    now = time.perf_counter()
-    sink.add("s", {"k": 1}, since=now - 1.0)
-    sink.add("s", {"k": 2}, {"w": 1}, since=now - 0.5)
-    sink.add("s", {"k": 3})  # no reading taken: counts 0 s
-    _, lines, err = _emit(sink)
+def test_summary_counts_and_seconds(monkeypatch):
+    clock = iter([10.0, 11.5, 4.0, 4.0])
+    monkeypatch.setattr("duflo.report.time.perf_counter", lambda: next(clock))
+    sink = ReportSink()  # reads 10.0
+    sink.add("s", {"k": 1})
+    sink.add("s", {"k": 2}, {"w": 1})
+    sink.add("s", {"k": 3})
+    _, lines, err = _emit(sink)  # reads 11.5
     assert len(lines) == 3
     assert err == "3 reports: 2 pass, 1 fail (1.50s)\n"
+    assert _emit(ReportSink())[2] == "0 reports: 0 pass, 0 fail (0.00s)\n"
