@@ -2,7 +2,9 @@
 
 Catalog algebras: abelian(n) (names "abelian1" to "abelian16", capped at
 lie.MAX_JSON_DIM like a JSON algebra, since the constants take n^3 slots),
-heisenberg3, sl2, gl2.  Every algebra also exposes its adjoint
+heisenberg3, sl2, gl2.  Each is a JSON algebra definition, every bracket
+written once with i < j, that lie.algebra_from_json completes by
+antisymmetry and checks.  Every algebra also exposes its adjoint
 representation; the named ones below are small faithful favorites, and
 only a catalog algebra, looked up by its exact name, gets them.
 """
@@ -14,51 +16,43 @@ from functools import partial
 from .lie import MAX_JSON_DIM, LieAlgebra, Representation, adjoint_rep, algebra_from_json
 
 
-def _zero_constants(n):
-    return [[[0] * n for _ in range(n)] for _ in range(n)]
-
-
 def abelian(n: int) -> LieAlgebra:
     if not 1 <= n <= MAX_JSON_DIM:
         raise ValueError(f"abelianN needs N from 1 to {MAX_JSON_DIM}, got 'abelian{n}'")
-    return LieAlgebra(
-        _zero_constants(n),
-        labels=[f"x{i+1}" for i in range(n)],
-        name=f"abelian{n}",
-    )
+    labels = [f"x{i+1}" for i in range(n)]
+    return algebra_from_json({"dim": n, "labels": labels, "brackets": []}, name=f"abelian{n}")
 
 
 def heisenberg3() -> LieAlgebra:
     # [x, y] = z, z central
-    c = _zero_constants(3)
-    c[0][1][2] = 1
-    c[1][0][2] = -1
-    return LieAlgebra(c, labels=["x", "y", "z"], name="heisenberg3")
+    obj = {"dim": 3, "labels": ["x", "y", "z"], "brackets": [{"i": 0, "j": 1, "coeffs": [0, 0, 1]}]}
+    return algebra_from_json(obj, name="heisenberg3")
 
 
 def sl2() -> LieAlgebra:
-    # basis (e, f, h): [h,e] = 2e, [h,f] = -2f, [e,f] = h
-    c = _zero_constants(3)
-    c[2][0][0] = 2
-    c[0][2][0] = -2
-    c[2][1][1] = -2
-    c[1][2][1] = 2
-    c[0][1][2] = 1
-    c[1][0][2] = -1
-    return LieAlgebra(c, labels=["e", "f", "h"], name="sl2")
+    # basis (e, f, h): [e,f] = h, [e,h] = -2e, [f,h] = 2f
+    obj = {"dim": 3, "labels": ["e", "f", "h"], "brackets": [
+        {"i": 0, "j": 1, "coeffs": [0, 0, 1]},
+        {"i": 0, "j": 2, "coeffs": [-2, 0, 0]},
+        {"i": 1, "j": 2, "coeffs": [0, 2, 0]},
+    ]}
+    return algebra_from_json(obj, name="sl2")
 
 
 def gl2() -> LieAlgebra:
     # basis (E11, E12, E21, E22): [E_ab, E_cd] = d_bc E_ad - d_da E_cb
-    idx = {(1, 1): 0, (1, 2): 1, (2, 1): 2, (2, 2): 3}
-    c = _zero_constants(4)
-    for (a, b), i in idx.items():
-        for (cc, d), j in idx.items():
-            if b == cc:
-                c[i][j][idx[(a, d)]] += 1
+    units = [(1, 1), (1, 2), (2, 1), (2, 2)]
+    brackets = []
+    for i, (a, b) in enumerate(units):
+        for j, (c, d) in enumerate(units[i + 1 :], i + 1):
+            coeffs = [0] * 4
+            if b == c:
+                coeffs[units.index((a, d))] += 1
             if d == a:
-                c[i][j][idx[(cc, b)]] -= 1
-    return LieAlgebra(c, labels=["E11", "E12", "E21", "E22"], name="gl2")
+                coeffs[units.index((c, b))] -= 1
+            brackets.append({"i": i, "j": j, "coeffs": coeffs})
+    obj = {"dim": 4, "labels": [f"E{a}{b}" for a, b in units], "brackets": brackets}
+    return algebra_from_json(obj, name="gl2")
 
 
 def _sl2_standard(alg):
@@ -100,13 +94,8 @@ def _heisenberg_standard(alg):
 
 
 def _gl2_standard(alg):
-    units = {
-        0: [[1, 0], [0, 0]],
-        1: [[0, 1], [0, 0]],
-        2: [[0, 0], [1, 0]],
-        3: [[0, 0], [0, 1]],
-    }
-    return Representation(alg, [units[i] for i in range(4)], name="standard")
+    units = [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 1]]]
+    return Representation(alg, units, name="standard")
 
 
 def _abelian_zero(alg):
@@ -125,25 +114,19 @@ def _abelian_diag(alg):
 
 
 # name -> (algebra builder, {representation name: builder}); _entry adds
-# the abelian family, one entry per canonical abelianN.
+# the abelian family, one entry per name in _ABELIAN.
 CATALOG = {
     "heisenberg3": (heisenberg3, {"standard": _heisenberg_standard}),
     "sl2": (sl2, {"standard": _sl2_standard, "sym3": _sl2_sym3}),
     "gl2": (gl2, {"standard": _gl2_standard}),
 }
+_ABELIAN = {f"abelian{n}": n for n in range(1, MAX_JSON_DIM + 1)}
 
 
 def _entry(name: str):
-    """The CATALOG entry of name, or abelianN's with N in ASCII digits and
-    no leading zero (ValueError if N has more digits than the bound);
-    None for any other name."""
-    tail = name.removeprefix("abelian")
-    if tail != name and tail.isascii() and tail.isdigit() and (tail == "0" or tail[0] != "0"):
-        if len(tail) > len(str(MAX_JSON_DIM)):  # before int(), which refuses 4,301 digits
-            raise ValueError(
-                f"abelianN needs N from 1 to {MAX_JSON_DIM}, got a {len(tail)}-digit N"
-            )
-        return partial(abelian, int(tail)), {"zero": _abelian_zero, "diag": _abelian_diag}
+    """The CATALOG entry of name, abelianN's for a name in _ABELIAN; None for any other name."""
+    if name in _ABELIAN:
+        return partial(abelian, _ABELIAN[name]), {"zero": _abelian_zero, "diag": _abelian_diag}
     return CATALOG.get(name)
 
 
@@ -154,18 +137,26 @@ def algebra_names() -> list[str]:
 def load_algebra(spec: str) -> LieAlgebra:
     """Resolve a catalog name, 'abelianN', or a path to a JSON definition.
 
-    A JSON algebra is named by its file's basename, which must not be a
-    catalog name: its lines would claim to be that algebra's.
+    abelianN with N outside 1 to MAX_JSON_DIM is refused by its N.  A JSON
+    algebra is named by its file's basename, which must not be a catalog
+    name: its lines would claim to be that algebra's.
     """
     entry = _entry(spec)
     if entry:
         return entry[0]()
+    tail = spec.removeprefix("abelian")
+    if tail != spec and tail.isascii() and tail.isdigit() and (tail == "0" or tail[0] != "0"):
+        got = repr(spec) if len(tail) <= len(str(MAX_JSON_DIM)) else f"a {len(tail)}-digit N"
+        raise ValueError(f"abelianN needs N from 1 to {MAX_JSON_DIM}, got {got}")
     if spec.endswith(".json") or os.path.sep in spec or os.path.exists(spec):
         name = os.path.basename(spec)
         if _entry(name):
             raise ValueError(f"JSON algebra {spec!r} is named like the catalog algebra {name!r}")
         with open(spec, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            try:
+                obj = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"JSON algebra {spec!r} is nested too deeply") from None
         return algebra_from_json(obj, name=name)
     raise KeyError(f"unknown algebra {spec!r}; try one of {algebra_names()} or a JSON file")
 

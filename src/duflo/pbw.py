@@ -362,8 +362,8 @@ def invariants_s(alg: LieAlgebra, degree: int) -> list[SymElement]:
     delta * ad(x_i) rather than ad(x_i), which has the same kernel, so the
     images are ints, and each kernel vector, integers over one
     denominator, becomes a SymElement without a Fraction.
-    The CLI's lie-invariant-annihilation suite applies every derivation to
-    each returned element and reports any that survives.
+    check_invariant_annihilation applies every derivation to each returned
+    element, for the lie-invariant-annihilation lines.
     """
     if degree == 0:
         return [SymElement({(): 1})]
@@ -380,6 +380,13 @@ def invariants_s(alg: LieAlgebra, degree: int) -> list[SymElement]:
         zero._like({basis[c]: x for c, x in num.items()}, den)
         for num, den in kernel_of_images(images)
     ]
+
+
+def check_invariant_annihilation(alg: LieAlgebra, s: SymElement) -> dict | None:
+    """Every derivation ad(x_i) kills s.  Returns None, or the witness: s."""
+    if all(derivation_apply(alg, i, s).is_zero() for i in range(alg.dim)):
+        return None
+    return {"element": s.describe(alg)}
 
 
 def sym_images(rep: Representation) -> SymImages:

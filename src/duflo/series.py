@@ -14,13 +14,13 @@ generator g where two monomials differ, the one with more g has g where
 the other has a later generator (equal weights keep either tuple from
 being a prefix of the other).  _sorted sorts on those vectors.
 
-The Todd class is produced from the generating series t/(1 - e^{-t})
-through the elementary/power-sum conversion (Newton's identities), never
-from a hard-coded table; the printed low-weight coefficients are test
-targets, not inputs.  With l_k the coefficients of log(t/(1 - e^{-t})),
-read from -log((1 - e^{-t})/t), Todd = exp(L) and its square root is
-exp(L/2) for L = sum_k l_k p_k.  exp is sparse.graded_exp over the series
-product: _mul_terms on the numerators, over both denominators.
+Every class is a_0 + sum_k a_k p_k over the power sums p_k, which Newton's
+identities give in the Chern generators: ch has a_0 = rank and a_k = 1/k!,
+log Todd has a_0 = 0 and a_k = l_k, the coefficients of log(t/(1 - e^{-t}))
+(never a hard-coded table: the printed low-weight coefficients are test
+targets, not inputs).  Todd = exp(log Todd) and its square root is
+exp(log Todd / 2), by sparse.graded_exp over the series product:
+_mul_terms on the numerators, over both denominators.
 """
 
 from operator import getitem, itemgetter, mul
@@ -88,9 +88,6 @@ class GradedSeries(LinComb):
         self._join(other)
         return self._like(_mul_terms(self.num, other.num, self.trunc), self.den * other.den)
 
-    def constant(self) -> Fraction:
-        return self.coefficient(())
-
     def weight_parts(self) -> list["GradedSeries"]:
         parts: list[dict] = [{} for _ in range(self.trunc + 1)]
         for m, x in self.num.items():
@@ -110,23 +107,9 @@ class GradedSeries(LinComb):
     # -- series functions -------------------------------------------------
     def exp(self) -> "GradedSeries":
         """Exponential of a series with zero constant term."""
-        if self.constant() != 0:
+        if self.coefficient(()) != 0:
             raise NonUnitConstant("exp needs zero constant term")
         return graded_exp(self.weight_parts(), GradedSeries.scalar(self.trunc), mul)
-
-    def log(self) -> "GradedSeries":
-        """Logarithm of a series with constant term 1."""
-        if self.constant() != 1:
-            raise NonUnitConstant("log needs constant term 1")
-        x = self - 1
-        acc = GradedSeries(self.trunc)
-        power = GradedSeries.scalar(self.trunc)
-        for k in range(1, self.trunc + 1):
-            power = power * x
-            if power.is_zero():
-                break
-            acc = acc + power.scale(Fraction((-1) ** (k - 1), k))
-        return acc
 
     # -- canonical text -----------------------------------------------------
     def text(self) -> str:
@@ -226,14 +209,29 @@ def power_sums(trunc: int, family: str = "c") -> list[GradedSeries]:
     return [zero._like(p) for p in ints]
 
 
+def log_todd_coefficients(trunc: int) -> list[Fraction]:
+    """[l_1, ..., l_trunc] with log(t/(1 - e^{-t})) = sum_k l_k t^k.
+
+    q = (1 - e^{-t})/t = sum_k (-1)^k t^k/(k+1)! has log -sum_k l_k t^k,
+    so q (log q)' = q' gives k l_k = -k q_k - sum_{0<j<k} j l_j q_{k-j}.
+    Each sum starts at Fraction(0): an empty int sum over k is a float.
+    """
+    q = [Fraction((-1) ** k, factorial(k + 1)) for k in range(trunc + 1)]
+    out = [Fraction(0)]
+    for k in range(1, trunc + 1):
+        out.append(-q[k] - sum((j * out[j] * q[k - j] for j in range(1, k)), Fraction(0)) / k)
+    return out[1:]
+
+
+def _power_sum_series(trunc: int, a0, coeffs: list, family: str = "c") -> GradedSeries:
+    """a0 + sum_k coeffs[k-1] p_k, truncated at trunc, in family's generators."""
+    p = power_sums(trunc, family)
+    return sum(map(GradedSeries.scale, p[1:], coeffs), p[0] + a0)
+
+
 def _log_todd(trunc: int) -> GradedSeries:
-    """log Todd = sum_k l_k p_k, l_k the coefficients of -log((1 - e^{-t})/t)."""
-    t = ("t", 1)
-    lq = GradedSeries(
-        trunc, {(t,) * k: Fraction((-1) ** k, factorial(k + 1)) for k in range(trunc + 1)}
-    ).log()
-    p = power_sums(trunc)
-    return sum((p[k].scale(-lq.coefficient((t,) * k)) for k in range(1, trunc + 1)), p[0])
+    """log Todd = sum_k l_k p_k."""
+    return _power_sum_series(trunc, 0, log_todd_coefficients(trunc))
 
 
 def todd(trunc: int) -> GradedSeries:
@@ -250,13 +248,8 @@ def chern_character(rank: int, trunc: int, family: str = "c") -> GradedSeries:
     """rank + sum of power sums over k!, in the bundle's Chern generators."""
     if rank < 0:
         raise ValueError("rank must be nonnegative")
-    acc = GradedSeries.scalar(trunc, rank)
-    if trunc == 0:
-        return acc
-    p = power_sums(trunc, family)
-    for k in range(1, trunc + 1):
-        acc = acc + p[k].scale(Fraction(1, factorial(k)))
-    return acc
+    coeffs = [Fraction(1, factorial(k)) for k in range(1, trunc + 1)]
+    return _power_sum_series(trunc, rank, coeffs, family)
 
 
 def mukai_vector(rank: int, trunc: int) -> GradedSeries:

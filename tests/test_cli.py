@@ -146,6 +146,23 @@ def test_verify_lie_malformed_json_is_input_error(tmp_path, obj):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 200_000 + "]" * 200_000,
+        '{"dim": 3, "brackets": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    ],
+    ids=["array", "brackets"],
+)
+def test_verify_lie_deeply_nested_json_is_input_error(tmp_path, text):
+    # json.load raises RecursionError past its nesting limit; once exit 3
+    bad = tmp_path / "deep.json"
+    bad.write_text(text)
+    code, out, err = run_cli(["verify-lie", "--algebra", str(bad), "--max-degree", "1"])
+    assert (code, out) == (2, "")
+    assert err == f"error: JSON algebra {str(bad)!r} is nested too deeply\n"
+
+
 def test_verify_lie_json_algebra_passes(tmp_path):
     good = tmp_path / "h3.json"
     good.write_text(

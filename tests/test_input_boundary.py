@@ -11,7 +11,8 @@ such, at once, before any integer is built from it.  So is a catalog
 name abelianN with N outside 1 to 16, however many digits N has, and
 one whose N is not written in canonical ASCII digits.  A JSON algebra gets only the adjoint, whatever
 its file is called, and a file whose basename is a catalog name is
-refused, since its lines would claim that algebra's name.
+refused, since its lines would claim that algebra's name; abelian0,
+abelian17 and abelian123 are not catalog names.
 
 A FormClass or PolyClass dump, loose or with one field broken, either
 loads, and then survives a to_obj round trip, or raises BidegreeError or
@@ -195,7 +196,7 @@ def test_json_algebra_named_like_abelian_gets_only_the_adjoint(tmp_path):
     assert reps == {"adjoint", None}  # None: the annihilation lines name no rep
 
 
-@pytest.mark.parametrize("name", ["gl2", "abelian3"])
+@pytest.mark.parametrize("name", ["gl2", "abelian3", "abelian16"])
 def test_json_algebra_named_like_catalog_is_input_error(tmp_path, name):
     # a 3-dim d/gl2 once got gl2's 2x2 standard representation and exited 3
     path = tmp_path / "d" / name
@@ -205,6 +206,18 @@ def test_json_algebra_named_like_catalog_is_input_error(tmp_path, name):
     assert code == 2 and out == ""
     assert err.startswith(f"error: JSON algebra {str(path)!r} is named like the catalog")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["abelian0", "abelian17", "abelian123"])
+def test_json_algebra_named_like_no_catalog_abelian_runs(tmp_path, name):
+    # only abelian1 to abelian16 are catalog names; these were once refused
+    path = tmp_path / "d" / name
+    path.parent.mkdir()
+    path.write_text(json.dumps(XY_Z))
+    code, out, err = run_cli(["verify-lie", "--algebra", str(path), "--max-degree", "1"])
+    assert code == 0, err
+    reps = {r["instance"].get("rep") for r in map(json.loads, out.splitlines())}
+    assert reps == {"adjoint", None}
 
 
 def test_abelian_cap_is_inclusive():

@@ -2,6 +2,7 @@
 
 import operator
 from fractions import Fraction as Q
+from math import comb, factorial
 
 import pytest
 
@@ -11,6 +12,7 @@ from duflo.series import (
     GradedSeries,
     NonUnitConstant,
     chern_character,
+    log_todd_coefficients,
     mukai_vector,
     power_sums,
     sqrt_todd,
@@ -120,21 +122,30 @@ def test_sqrt_of_one():
     assert _power(one, Q(1, 2)) == one
 
 
-def test_exp_and_log_require_their_constant_term():
+def test_exp_requires_zero_constant_term():
     with pytest.raises(NonUnitConstant):
         GradedSeries.scalar(3, 2).exp()
-    with pytest.raises(NonUnitConstant):
-        GradedSeries.scalar(3, 2).log()
-
-
-def test_exp_log_roundtrip():
-    rng = SplitMix64(14)
-    for _ in range(10):
-        a = _random_unit_series(5, rng)
-        assert a.log().exp() == a
 
 
 # -- Todd ------------------------------------------------------------------------
+
+def _bernoulli(n):
+    """B_0 .. B_n from sum_{j<=m} C(m+1, j) B_j = 0 for m >= 1, so B_1 = -1/2."""
+    b = [Q(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return b
+
+
+def test_log_todd_coefficients_match_bernoulli_closed_form():
+    # log(t/(1 - e^{-t})) = t/2 - sum_k B_2k t^2k / (2k (2k)!)
+    b = _bernoulli(16)
+    want = [Q(1, 2)] + [
+        -b[k] / (k * factorial(k)) if k % 2 == 0 else Q(0) for k in range(2, 17)
+    ]
+    assert log_todd_coefficients(16) == want
+    assert log_todd_coefficients(0) == []
+
 
 def test_todd_weight_zero():
     assert todd(0) == GradedSeries.scalar(0)
@@ -159,8 +170,6 @@ def test_todd_weight_three_from_root_oracle():
 
     def q_series(x):
         # t/(1 - e^{-t}) at t = x, truncated: inverse of sum (-x)^k/(k+1)!
-        from math import factorial
-
         e = GradedSeries(N)
         pw = GradedSeries.scalar(N)
         for k in range(N + 1):

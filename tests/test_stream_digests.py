@@ -144,27 +144,40 @@ def test_verify_lie_stream_digest(command, monkeypatch, tmp_path):
     assert _sha(out) == LIE_DIGESTS[command]
 
 
-# Registers generators in an order no series command uses (a high-weight
-# f before any c, c13 before c2, an x from no command), then prints the
-# sha256 of each command's stdout.
+# Registers the generators given as JSON in argv[1], then prints the
+# sha256 of the stdout of each command in argv[2:] and, under "gens",
+# series._GENS after the last one.
 FRESH_SCRIPT = """
 import hashlib, io, json, sys
 from contextlib import redirect_stdout
 from duflo import series
 from duflo.cli import main
-for gen in (("f9", 9), ("c13", 13), ("x", 1), ("c2", 2)):
-    series.GradedSeries(13, {(gen,): 1})
-out = {"first": [list(g) for g in series._GENS[:4]]}
-for command in sys.argv[1:]:
+for gen in json.loads(sys.argv[1]):
+    series.GradedSeries(13, {(tuple(gen),): 1})
+out = {}
+for command in sys.argv[2:]:
     buf = io.StringIO()
     with redirect_stdout(buf):
         assert main(command.split()) == 0
     out[command] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+out["gens"] = [list(g) for g in series._GENS]
 print(json.dumps(out))
 """
 
 
+def _fresh(gens, commands) -> dict:
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    run = subprocess.run(
+        [sys.executable, "-c", FRESH_SCRIPT, json.dumps(gens), *commands],
+        capture_output=True, env=env, check=True,
+    )
+    return json.loads(run.stdout)
+
+
 def test_series_streams_ignore_generator_order():
+    # a high-weight f before any c, c13 before c2, an x from no command
+    first = [["f9", 9], ["c13", 13], ["x", 1], ["c2", 2]]
     root = Path(__file__).resolve().parent.parent
     bench = json.loads((root / "perfbench" / "reference.json").read_text())["hodge-series"]
     want = {
@@ -174,10 +187,13 @@ def test_series_streams_ignore_generator_order():
         "series mukai --weight 13": DIGESTS["series mukai --weight 13"],
         "series ch --weight 16": DIGESTS["series ch --weight 16"],
     }
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    run = subprocess.run(
-        [sys.executable, "-c", FRESH_SCRIPT, *want], capture_output=True, env=env, check=True
-    )
-    got = json.loads(run.stdout)
-    assert got.pop("first") == [["f9", 9], ["c13", 13], ["x", 1], ["c2", 2]]
+    got = _fresh(first, want)
+    assert got.pop("gens")[:4] == first
     assert got == want
+
+
+def test_todd_registers_only_chern_generators():
+    # log Todd comes from scalar coefficients, so no auxiliary generator
+    # takes an exponent field in the keys of later series
+    got = _fresh([], ["series todd --weight 4"])
+    assert got["gens"] == [[f"c{k}", k] for k in range(1, 5)]
