@@ -2,7 +2,7 @@
 
 Modules, imported by name (the package root re-exports nothing):
 
-  linalg   exact rational matrices and products; sparse kernels of basis images
+  linalg   parsed rational matrices, the oracle's product; sparse kernels of basis images
   kernels  the hot loops: matrix products, sparse integer RREF
   sparse   LinComb (integer numerators over one denominator), graded recursions
   lie      Lie algebras from structure constants, representations

@@ -161,20 +161,23 @@ def load_algebra(spec: str) -> LieAlgebra:
     raise KeyError(f"unknown algebra {spec!r}; try one of {algebra_names()} or a JSON file")
 
 
+def _builders(alg: LieAlgebra) -> dict:
+    """name -> builder of each representation of alg: its catalog entry's, then the adjoint."""
+    _, builders = _entry(alg.name) or (None, {})
+    return {**builders, "adjoint": adjoint_rep}
+
+
 def representations(alg: LieAlgebra) -> dict[str, Representation]:
     """The named representations of a catalog algebra, plus the adjoint."""
-    _, builders = _entry(alg.name) or (None, {})
-    reps = {name: build(alg) for name, build in builders.items()}
-    reps["adjoint"] = adjoint_rep(alg)
-    return reps
+    return {name: build(alg) for name, build in _builders(alg).items()}
 
 
 def load_representation(alg: LieAlgebra, name: str) -> Representation:
-    reps = representations(alg)
-    try:
-        return reps[name]
-    except KeyError:
+    """The one representation called name, built alone."""
+    builders = _builders(alg)
+    if name not in builders:
         raise KeyError(
             f"algebra {alg.name or alg.dim} has no representation {name!r}; "
-            f"available: {sorted(reps)}"
+            f"available: {sorted(builders)}"
         )
+    return builders[name](alg)

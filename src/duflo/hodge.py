@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import cache
 
 from .linalg import Q, kernel_of_images
-from .sparse import LinComb, graded_exp, graded_power, parse_rational
+from .sparse import LinComb, graded_exp, graded_power, parse_rational, quoted
 
 
 class ModelMismatch(Exception):
@@ -151,17 +151,17 @@ class _Exterior(_OnModel):
         raises ValueError.
         """
         if not isinstance(obj, list):
-            raise ValueError(f"expected a list of bidegree groups, got {obj!r}")
+            raise ValueError(f"expected a list of bidegree groups, got {quoted(obj)}")
         terms = {}
         for group in obj:
             pq = _field(group, "bidegree", list)
             if len(pq) != 2 or any(type(d) is not int for d in pq):
-                raise ValueError(f"bidegree must be two integers, got {pq!r}")
+                raise ValueError(f"bidegree must be two integers, got {quoted(pq)}")
             for t in _field(group, "terms", list):
                 a = _mask_from_indices(model.n, _field(t, "a", list))
                 b = _mask_from_indices(model.n, _field(t, "b", list))
                 if [a.bit_count(), b.bit_count()] != pq:
-                    raise BidegreeError(f"term {t!r} is not of declared bidegree {pq}")
+                    raise BidegreeError(f"term {quoted(t)} is not of declared bidegree {pq}")
                 c = parse_rational(_field(t, "coeff", str))
                 terms[(a, b)] = terms.get((a, b), Q(0)) + c
         return cls(model, terms)
@@ -180,7 +180,7 @@ def _field(obj, key, kind):
     """obj[key] for a JSON object obj, which must hold a value of kind."""
     value = obj.get(key) if isinstance(obj, dict) else None
     if not isinstance(value, kind):
-        raise ValueError(f"expected an object with a {kind.__name__} {key!r}, got {obj!r}")
+        raise ValueError(f"expected an object with a {kind.__name__} {key!r}, got {quoted(obj)}")
     return value
 
 
@@ -189,7 +189,7 @@ def _mask_from_indices(n, indices):
     prev = 0
     for i in indices:
         if type(i) is not int:
-            raise BidegreeError(f"index {i!r} is not an integer")
+            raise BidegreeError(f"index {quoted(i)} is not an integer")
         if i <= prev:
             raise BidegreeError("indices must be strictly increasing and 1-based")
         if i > n:

@@ -20,7 +20,7 @@ from math import lcm
 
 from .kernels import matmul_int
 from .linalg import Matrix, Q
-from .sparse import parse_rational
+from .sparse import parse_rational, quoted
 
 
 class AntisymmetryViolation(ValueError):
@@ -247,9 +247,9 @@ def algebra_from_json(obj, name: str = "") -> LieAlgebra:
                 raise TypeError("'i' and 'j' must be integers and 'coeffs' a list")
             coeffs = [parse_rational(x) for x in coeffs]
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed bracket entry {ent!r}: {exc}")
+            raise ValueError(f"malformed bracket entry {quoted(ent)}: {exc}")
         if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"bracket indices ({i},{j}) out of range for dim {n}")
+            raise ValueError(f"bracket indices ({quoted(i)},{quoted(j)}) out of range for dim {n}")
         if len(coeffs) != n:
             raise ValueError(f"bracket ({i},{j}) needs {n} coefficients")
         key = (min(i, j), max(i, j))

@@ -1,11 +1,12 @@
-"""Exact rational linear algebra: dense matrices and sparse kernels.
+"""Exact rational linear algebra: matrix literals and sparse kernels.
 
-Scalars are fractions.Fraction (arbitrary precision, always in lowest
-terms, positive denominator), matrices are immutable tuples of tuples.
-Products run through the integer kernels in duflo.kernels.  Kernels are
-taken of maps given by their sparse images of a basis, from the sparse
-integer RREF of kernels.rref_int, and are returned as sparse integer
-vectors over one denominator.
+A Matrix is a parsed literal or a report's witness and does no
+arithmetic: immutable tuples of tuples of fractions.Fraction (arbitrary
+precision, always in lowest terms, positive denominator).  mat_mul, the
+product the d! oracle composes words with, runs through
+kernels.matmul_pairs.  Kernels are taken of maps given by their sparse
+images of a basis, from the sparse integer RREF of kernels.rref_int, and
+are returned as sparse integer vectors over one denominator.
 """
 
 from collections.abc import Iterable, Sequence
@@ -29,7 +30,7 @@ class ShapeMismatch(Exception):
 
 
 class Matrix:
-    """Immutable dense matrix over the rationals."""
+    """An immutable rational matrix: a parsed literal or a witness."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -60,14 +61,6 @@ class Matrix:
         """The Fraction matrix rows / den, from rows of ints."""
         return cls._of([[Fraction(x, den) for x in row] for row in rows], cols)
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[0] * cols for _ in range(rows)], cols)
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
@@ -82,44 +75,6 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"Matrix[{self.rows}x{self.cols}: {body}]"
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise ShapeMismatch("add", self.shape, other.shape)
-        return Matrix._of(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-            self.cols,
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise ShapeMismatch("sub", self.shape, other.shape)
-        return Matrix._of(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-            self.cols,
-        )
-
-    def __neg__(self) -> "Matrix":
-        return Matrix._of([[-a for a in row] for row in self.entries], self.cols)
-
-    def scale(self, c) -> "Matrix":
-        c = parse_rational(c)
-        return Matrix._of([[c * a for a in row] for row in self.entries], self.cols)
-
-    def __rmul__(self, c) -> "Matrix":
-        return self.scale(c)
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        return mat_mul(self, other)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
 
     def to_json(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self.entries]

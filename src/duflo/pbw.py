@@ -4,8 +4,9 @@ Elements of the tensor algebra are finite rational combinations of words in
 basis indices; symmetric elements are combinations of sorted monomials.
 Two maps send a word to an operator on a representation V:
 
-  * theta composes action matrices, so the word (i1, ..., ik) becomes the
-    product rho(x_{i1}) ... rho(x_{ik}) (rightmost letter acts first);
+  * theta composes action matrices with linalg.mat_mul, so the word
+    (i1, ..., ik) becomes the product rho(x_{i1}) ... rho(x_{ik})
+    (rightmost letter acts first);
   * phi contracts the iterated coaction V -> V (x) g*^(x)k against the
     word, with the innermost (first applied) coaction factor paired with
     the last letter.
@@ -45,16 +46,17 @@ formed.  LambdaMap, the Fraction coaction, is read only by the oracle phi.
 phi and the phi table are deliberately written with raw index loops over
 the coaction rather than the matrix backend, and the theta table with its
 own integer product, so the two diagram paths share no arithmetic code.
+The oracle theta's products run through mat_mul and kernels.matmul_pairs,
+which neither table calls, so the oracle shares none with either.
 """
 
 import itertools
 from collections import Counter
-from fractions import Fraction
 from math import factorial, prod
 
 from .kernels import matmul_int
 from .lie import LieAlgebra, Representation
-from .linalg import Matrix, Q, kernel_of_images
+from .linalg import Matrix, Q, kernel_of_images, mat_mul
 from .sparse import LinComb
 
 Word = tuple[int, ...]
@@ -154,15 +156,18 @@ class LambdaMap:
 
 
 def theta(rep: Representation, t: TensorElement) -> Matrix:
-    """Word-to-operator map through composition of action matrices."""
-    acc = Matrix.zeros(rep.dimV, rep.dimV)
-    ident = Matrix.identity(rep.dimV)
+    """Word-to-operator map: each word's action matrices composed by mat_mul."""
+    dv = rep.dimV
+    ident = Matrix._of([[Q(1) if o == i else Q(0) for i in range(dv)] for o in range(dv)], dv)
+    acc = [[Q(0)] * dv for _ in range(dv)]
     for w, x in t.num.items():
         m = ident
         for letter in w:
-            m = m @ rep.matrices[letter]
-        acc = acc + m.scale(x)
-    return acc.scale(Fraction(1, t.den))
+            m = mat_mul(m, rep.matrices[letter])
+        for row, got in zip(acc, m.entries):
+            for i, v in enumerate(got):
+                row[i] += x * v
+    return Matrix._of([[v / t.den for v in row] for row in acc], dv)
 
 
 def phi(rep: Representation, t: TensorElement) -> Matrix:
@@ -195,7 +200,7 @@ def phi(rep: Representation, t: TensorElement) -> Matrix:
                 v = table[o][i]
                 if v != 0:
                     acc[o][i] += x * v
-    return Matrix(acc).scale(Fraction(1, t.den))
+    return Matrix._of([[v / t.den for v in row] for row in acc], dv)
 
 
 def _splits(m: SymMonomial):

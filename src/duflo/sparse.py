@@ -29,6 +29,13 @@ from math import gcd, lcm
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
+def quoted(value, limit: int = 80) -> str:
+    """repr(value) cut to its first limit characters, so that error text
+    about an input value stays short however large the value is."""
+    text = repr(value)
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
+
+
 def parse_rational(value) -> Fraction:
     """Accept ints, Fractions and [+-]p[/q] ASCII digit strings.
 
@@ -41,12 +48,12 @@ def parse_rational(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         if not _RATIONAL.fullmatch(value):
-            raise ValueError(f"not a p/q rational literal: {value!r}")
+            raise ValueError(f"not a p/q rational literal: {quoted(value)}")
         try:
             return Fraction(value)
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
-    raise TypeError(f"not an exact rational literal: {value!r}")
+            raise ValueError(f"zero denominator in {quoted(value)}") from None
+    raise TypeError(f"not an exact rational literal: {quoted(value)}")
 
 
 class LinComb:

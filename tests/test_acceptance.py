@@ -108,7 +108,7 @@ def test_criterion_3_invariants():
                 for rep in reps.values():
                     img = phi(rep, symmetrize(s))
                     for mat in rep.matrices:
-                        assert (img @ mat - mat @ img).is_zero(), (name, degree)
+                        assert mat_mul(img, mat) == mat_mul(mat, img), (name, degree)
                 checked += 1
     sl2_dim2 = len(invariants_s(catalog.sl2(), 2))
     assert sl2_dim2 == 1

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, report streams, exit codes, determinism."""
 
+import functools
 import io
 import json
 import sys
@@ -119,6 +120,10 @@ def test_verify_lie_bad_structure_file(tmp_path):
         {"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": [False, False, True]}]},
         {"dim": 2, "labels": ["a", "a*a"]},
         {"dim": 2, "labels": ["1", ""]},
+        {"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": ["x" * 1_000_000, "0"]}]},
+        {"dim": 2, "brackets": [{"i": functools.reduce(lambda x, _: [x], range(500), 0), "j": 1,
+                                 "coeffs": ["0", "1"]}]},
+        {"dim": 2, "brackets": [{"i": int("9" * 4200), "j": 1, "coeffs": ["0", "1"]}]},
     ],
     ids=[
         "dim-zero",
@@ -135,6 +140,9 @@ def test_verify_lie_bad_structure_file(tmp_path):
         "coeffs-bool",
         "label-with-star",
         "label-empty",
+        "coeff-million-chars",
+        "index-500-deep",
+        "index-4200-digits",
     ],
 )
 def test_verify_lie_malformed_json_is_input_error(tmp_path, obj):
@@ -144,6 +152,8 @@ def test_verify_lie_malformed_json_is_input_error(tmp_path, obj):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    # the error quotes a bounded prefix of the offending value, not all of it
+    assert len(err.encode()) < 1000
 
 
 @pytest.mark.parametrize(

@@ -95,12 +95,12 @@ def test_axiom_violations_are_value_errors():
 def test_zero_rep_of_abelian_valid():
     alg = catalog.abelian(2)
     rep = catalog.representations(alg)["zero"]
-    assert all(m.is_zero() for m in rep.matrices)
+    assert all(x == 0 for m in rep.matrices for row in m.entries for x in row)
 
 
 def test_adjoint_abelian_is_zero():
     rep = adjoint_rep(catalog.abelian(3))
-    assert all(m.is_zero() for m in rep.matrices)
+    assert all(x == 0 for m in rep.matrices for row in m.entries for x in row)
 
 
 def test_adjoint_sl2_ad_h_diagonal():
@@ -110,7 +110,7 @@ def test_adjoint_sl2_ad_h_diagonal():
 
 def test_adjoint_center_acts_by_zero():
     rep = adjoint_rep(catalog.heisenberg3())
-    assert rep.matrices[2].is_zero()
+    assert rep.matrices[2] == Matrix([[0] * 3] * 3)
 
 
 def test_adjoint_passes_validation_for_all_catalog_algebras():
@@ -146,6 +146,24 @@ def test_catalog_rep_dimensions_within_cap():
         alg = catalog.load_algebra(name)
         for rep in catalog.representations(alg).values():
             assert rep.dimV <= 5
+
+
+def test_load_representation_builds_only_the_named_one(monkeypatch):
+    def boom(alg):
+        raise AssertionError("built a representation that was not asked for")
+
+    alg = catalog.sl2()
+    monkeypatch.setattr(catalog, "adjoint_rep", boom)
+    monkeypatch.setitem(catalog.CATALOG["sl2"][1], "sym3", boom)
+    rep = catalog.load_representation(alg, "standard")
+    assert rep.name == "standard" and rep.matrices == catalog.CATALOG["sl2"][1]["standard"](alg).matrices
+
+
+def test_load_representation_unknown_name_lists_every_name():
+    for name, want in [("sl2", "['adjoint', 'standard', 'sym3']"), ("abelian3", "['adjoint', 'diag', 'zero']")]:
+        with pytest.raises(KeyError) as exc:
+            catalog.load_representation(catalog.load_algebra(name), "spin")
+        assert exc.value.args == (f"algebra {name} has no representation 'spin'; available: {want}",)
 
 
 def test_zero_dimensional_rep_is_valid():

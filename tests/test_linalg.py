@@ -84,8 +84,9 @@ def _random_matrix(rng, rows, cols):
 
 def test_identity_product():
     m = Matrix([["1/2", 3], [-2, "5/7"]])
-    assert mat_mul(Matrix.identity(2), m) == m
-    assert mat_mul(m, Matrix.identity(2)) == m
+    one = Matrix([[1, 0], [0, 1]])
+    assert mat_mul(one, m) == m
+    assert mat_mul(m, one) == m
 
 
 def test_hand_product():
@@ -106,13 +107,9 @@ def test_arithmetic_results_match_public_constructor():
     rng = SplitMix64(303)
     for rows, cols in [(3, 4), (1, 1), (0, 0), (2, 0)]:
         a = _random_matrix(rng, rows, cols)
-        b = _random_matrix(rng, rows, cols)
-        c = _random_matrix(rng, cols, 2)
-        results = [a + b, a - b, -a, a.scale("3/4"), a.scale(0), 2 * a, mat_mul(a, c), a @ c]
-        for r in results:
-            assert r == Matrix(r.entries) and r.shape == Matrix(r.entries).shape
-            assert all(type(x) is Q for row in r.entries for x in row)
-        assert (a - b) + b == a and (a + b).shape == (rows, cols)
+        r = mat_mul(a, _random_matrix(rng, cols, 2))
+        assert r == Matrix(r.entries) and r.shape == Matrix(r.entries).shape
+        assert all(type(x) is Q for row in r.entries for x in row)
 
 
 def test_product_associative():
@@ -126,13 +123,13 @@ def test_product_associative():
 
 def test_shape_mismatch_names_both_shapes():
     with pytest.raises(ShapeMismatch) as exc:
-        mat_mul(Matrix.zeros(2, 3), Matrix.zeros(2, 3))
+        mat_mul(Matrix([[0] * 3] * 2), Matrix([[0] * 3] * 2))
     assert exc.value.a_shape == (2, 3)
     assert exc.value.b_shape == (2, 3)
 
 
 def test_kernel_zero_matrix():
-    basis = kernel(Matrix.zeros(3, 3))
+    basis = kernel(Matrix([[0] * 3] * 3))
     assert len(basis) == 3
     for i, v in enumerate(basis):
         assert v[i] == 1
@@ -144,7 +141,7 @@ def _apply(m, vec):
 
 
 def test_kernel_identity():
-    assert kernel(Matrix.identity(4)) == []
+    assert kernel(Matrix([[int(i == j) for j in range(4)] for i in range(4)])) == []
 
 
 def test_kernel_known_line():
@@ -197,20 +194,15 @@ def test_kernel_of_images_matches_dense_kernel():
 def test_kernel_of_images_without_coordinates_is_standard_basis():
     assert kernel_of_images([{}, {}, {}]) == [({j: 1}, 1) for j in range(3)]
     assert kernel_of_images([]) == []
-    assert kernel(Matrix.zeros(1, 3)) == kernel(Matrix.zeros(0, 3))
-    assert kernel(Matrix.zeros(0, 2)) == [[1, 0], [0, 1]]
+    assert kernel(Matrix([[0] * 3])) == kernel(Matrix([], 3))
+    assert kernel(Matrix([], 2)) == [[1, 0], [0, 1]]
 
 
 def test_matrix_without_rows_keeps_its_columns():
-    assert Matrix.zeros(0, 3).shape == (0, 3)
     assert Matrix([], 3).shape == (0, 3) and Matrix([]).shape == (0, 0)
-    product = mat_mul(Matrix.zeros(2, 0), Matrix.zeros(0, 3))
-    assert product.shape == (2, 3) and product == Matrix.zeros(2, 3)
-    assert mat_mul(Matrix.zeros(0, 2), Matrix.zeros(2, 3)).shape == (0, 3)
-    assert (Matrix.zeros(0, 3) + Matrix.zeros(0, 3)).shape == (0, 3)
-    assert Matrix.zeros(0, 3).scale(2).shape == (0, 3)
-    with pytest.raises(ShapeMismatch):
-        Matrix.zeros(0, 3) + Matrix.zeros(0, 2)
+    product = mat_mul(Matrix([[], []], 0), Matrix([], 3))
+    assert product.shape == (2, 3) and product == Matrix([[0] * 3] * 2)
+    assert mat_mul(Matrix([], 2), Matrix([[0] * 3] * 2)).shape == (0, 3)
     with pytest.raises(ValueError):
         Matrix([[1, 2]], 3)
 

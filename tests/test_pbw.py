@@ -4,8 +4,8 @@ import itertools
 from fractions import Fraction as Q
 from math import comb, lcm
 
-from duflo import catalog
-from duflo.linalg import Matrix
+from duflo import catalog, pbw
+from duflo.linalg import Matrix, mat_mul
 from duflo.pbw import (
     LambdaMap,
     SymElement,
@@ -25,9 +25,9 @@ from duflo.pbw import (
 from test_stream_digests import dense_gl2
 
 
-def _commutator(a, b):
-    """[a, b] = ab - ba."""
-    return a @ b - b @ a
+def _commute(a, b):
+    """Whether ab = ba."""
+    return mat_mul(a, b) == mat_mul(b, a)
 
 
 def _sl2_standard():
@@ -88,7 +88,7 @@ def test_sym_element_canonical_and_product():
 
 def test_theta_empty_word_is_identity():
     _, rep = _sl2_standard()
-    assert theta(rep, TensorElement.word(())) == Matrix.identity(2)
+    assert theta(rep, TensorElement.word(())) == Matrix([[1, 0], [0, 1]])
 
 
 def test_theta_word_ef():
@@ -132,7 +132,7 @@ def test_phi_equals_theta_on_all_short_words():
 
 def test_s_to_hom_constant_and_letter():
     _, rep = _sl2_standard()
-    assert phi(rep, symmetrize(SymElement({(): 1}))) == Matrix.identity(2)
+    assert phi(rep, symmetrize(SymElement({(): 1}))) == Matrix([[1, 0], [0, 1]])
     assert phi(rep, symmetrize(SymElement.monomial((2,)))) == rep.matrices[2]
 
 
@@ -142,7 +142,7 @@ def test_s_to_hom_casimir_is_scalar():
     img = phi(rep, symmetrize(cas))
     # Schur: scalar on an irreducible; the value comes from the matrix itself
     lam = img[0, 0]
-    assert img == Matrix.identity(2).scale(lam)
+    assert img == Matrix([[lam, 0], [0, lam]])
     assert lam != 0
 
 
@@ -175,7 +175,7 @@ def test_invariant_images_commute_with_action():
                 for rep in reps.values():
                     img = phi(rep, symmetrize(s))
                     for m in rep.matrices:
-                        assert _commutator(img, m).is_zero()
+                        assert _commute(img, m)
 
 
 # -- diagram and adjunction -----------------------------------------------------
@@ -270,6 +270,31 @@ def test_sym_images_match_permutation_oracle():
             assert len(images.phi_table) == comb(alg.dim + top, top)
 
 
+def test_oracle_shares_no_arithmetic_with_the_tables(tmp_path, monkeypatch):
+    # theta and phi are a reference for SymImages only while they run none of
+    # its integer products: with matmul_int gone they still agree with the
+    # filled tables, on sl2's standard and on the dense gl2 adjoint
+    gl2 = catalog.load_algebra(str(dense_gl2(tmp_path / "dense_gl2.json")))
+    cases = [(catalog.sl2(), "standard"), (gl2, "adjoint")]
+    filled = []
+    for alg, name in cases:
+        rep = catalog.load_representation(alg, name)
+        images = sym_images(rep)
+        monomials = [SymElement.monomial(m) for d in range(4) for m in sym_basis(alg.dim, d)]
+        for s in monomials:
+            images.theta(s), images.phi(s)
+        filled.append((rep, images, monomials))
+
+    def boom(*args):
+        raise AssertionError("the d! oracle ran the theta table's integer product")
+
+    monkeypatch.setattr(pbw, "matmul_int", boom)
+    for rep, images, monomials in filled:
+        for s in monomials:
+            sym = symmetrize(s)
+            assert theta(rep, sym) == images.theta(s) == phi(rep, sym), (rep.name, s)
+
+
 def test_sym_images_clear_denominators_on_dense_gl2(tmp_path, monkeypatch):
     # gl2 in a dense rational basis: its adjoint action has denominators,
     # so both routes' sources are cleared by a common d > 1
@@ -287,7 +312,7 @@ def test_sym_images_clear_denominators_on_dense_gl2(tmp_path, monkeypatch):
         assert images.theta(s) == theta(rep, sym), s
         assert images.phi(s) == image, s
         # centrality decided in Z agrees with the Fraction commutators
-        central.append(all(_commutator(image, m).is_zero() for m in rep.matrices))
+        central.append(all(_commute(image, m) for m in rep.matrices))
         witness = {"element": s.describe(alg), "diagram_equal": True, "central": False}
         assert check_invariant_image(rep, s) == (None if central[-1] else witness), s
     assert not all(central[: len(monomials)])
