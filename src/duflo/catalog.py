@@ -5,8 +5,9 @@ lie.MAX_JSON_DIM like a JSON algebra, since the constants take n^3 slots),
 heisenberg3, sl2, gl2.  Each is a JSON algebra definition, every bracket
 written once with i < j, that lie.algebra_from_json completes by
 antisymmetry and checks.  Every algebra also exposes its adjoint
-representation; the named ones below are small faithful favorites, and
-only a catalog algebra, looked up by its exact name, gets them.
+representation; the named ones below are small favorites, each a table of
+integer rows, one matrix per basis element (abelianN's computed from N),
+and only a catalog algebra, looked up by its exact name, gets them.
 """
 
 import json
@@ -55,70 +56,27 @@ def gl2() -> LieAlgebra:
     return algebra_from_json(obj, name="gl2")
 
 
-def _sl2_standard(alg):
-    return Representation(
-        alg,
-        [
-            [[0, 1], [0, 0]],  # e
-            [[0, 0], [1, 0]],  # f
-            [[1, 0], [0, -1]],  # h
-        ],
-        name="standard",
-    )
-
-
-def _sl2_sym3(alg):
-    # action on cubic monomials x^(3-k) y^k, k = 0..3
-    e = [[0] * 4 for _ in range(4)]
-    f = [[0] * 4 for _ in range(4)]
-    h = [[0] * 4 for _ in range(4)]
-    for k in range(4):
-        h[k][k] = 3 - 2 * k
-        if k > 0:
-            e[k - 1][k] = k  # e = x d/dy
-        if k < 3:
-            f[k + 1][k] = 3 - k  # f = y d/dx
-    return Representation(alg, [e, f, h], name="sym3")
-
-
-def _heisenberg_standard(alg):
-    return Representation(
-        alg,
-        [
-            [[0, 1, 0], [0, 0, 0], [0, 0, 0]],  # x
-            [[0, 0, 0], [0, 0, 1], [0, 0, 0]],  # y
-            [[0, 0, 1], [0, 0, 0], [0, 0, 0]],  # z
-        ],
-        name="standard",
-    )
-
-
-def _gl2_standard(alg):
-    units = [[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 1]]]
-    return Representation(alg, units, name="standard")
-
-
-def _abelian_zero(alg):
-    z = [[0, 0], [0, 0]]
-    return Representation(alg, [z] * alg.dim, name="zero")
-
-
-def _abelian_diag(alg):
-    n = alg.dim
-    mats = []
-    for i in range(n):
-        m = [[0] * n for _ in range(n)]
-        m[i][i] = 1
-        mats.append(m)
-    return Representation(alg, mats, name="diag")
-
-
-# name -> (algebra builder, {representation name: builder}); _entry adds
-# the abelian family, one entry per name in _ABELIAN.
+# name -> (algebra builder, {representation name: one int matrix per basis
+# element, in the algebra's basis order}); _entry adds the abelian family,
+# one entry per name in _ABELIAN.
 CATALOG = {
-    "heisenberg3": (heisenberg3, {"standard": _heisenberg_standard}),
-    "sl2": (sl2, {"standard": _sl2_standard, "sym3": _sl2_sym3}),
-    "gl2": (gl2, {"standard": _gl2_standard}),
+    "heisenberg3": (heisenberg3, {"standard": [
+        [[0, 1, 0], [0, 0, 0], [0, 0, 0]],  # x
+        [[0, 0, 0], [0, 0, 1], [0, 0, 0]],  # y
+        [[0, 0, 1], [0, 0, 0], [0, 0, 0]],  # z
+    ]}),
+    "sl2": (sl2, {
+        "standard": [[[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, -1]]],  # e, f, h
+        # action on cubic monomials x^(3-k) y^k, k = 0..3
+        "sym3": [
+            [[0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3], [0, 0, 0, 0]],  # e = x d/dy
+            [[0, 0, 0, 0], [3, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0]],  # f = y d/dx
+            [[3, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -3]],  # h
+        ],
+    }),
+    "gl2": (gl2, {"standard": [  # E11, E12, E21, E22
+        [[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 1]],
+    ]}),
 }
 _ABELIAN = {f"abelian{n}": n for n in range(1, MAX_JSON_DIM + 1)}
 
@@ -126,7 +84,9 @@ _ABELIAN = {f"abelian{n}": n for n in range(1, MAX_JSON_DIM + 1)}
 def _entry(name: str):
     """The CATALOG entry of name, abelianN's for a name in _ABELIAN; None for any other name."""
     if name in _ABELIAN:
-        return partial(abelian, _ABELIAN[name]), {"zero": _abelian_zero, "diag": _abelian_diag}
+        n = _ABELIAN[name]
+        diag = [[[int(i == j == g) for j in range(n)] for i in range(n)] for g in range(n)]
+        return partial(abelian, n), {"zero": [[[0, 0], [0, 0]]] * n, "diag": diag}
     return CATALOG.get(name)
 
 
@@ -158,12 +118,13 @@ def load_algebra(spec: str) -> LieAlgebra:
             except RecursionError:
                 raise ValueError(f"JSON algebra {spec!r} is nested too deeply") from None
         return algebra_from_json(obj, name=name)
-    raise KeyError(f"unknown algebra {spec!r}; try one of {algebra_names()} or a JSON file")
+    raise ValueError(f"unknown algebra {spec!r}; try one of {algebra_names()} or a JSON file")
 
 
 def _builders(alg: LieAlgebra) -> dict:
-    """name -> builder of each representation of alg: its catalog entry's, then the adjoint."""
-    _, builders = _entry(alg.name) or (None, {})
+    """name -> builder of each representation of alg: one per catalog table, then the adjoint."""
+    _, tables = _entry(alg.name) or (None, {})
+    builders = {name: partial(Representation, matrices=t, name=name) for name, t in tables.items()}
     return {**builders, "adjoint": adjoint_rep}
 
 
@@ -176,7 +137,7 @@ def load_representation(alg: LieAlgebra, name: str) -> Representation:
     """The one representation called name, built alone."""
     builders = _builders(alg)
     if name not in builders:
-        raise KeyError(
+        raise ValueError(
             f"algebra {alg.name or alg.dim} has no representation {name!r}; "
             f"available: {sorted(builders)}"
         )

@@ -18,7 +18,7 @@ Reports go to stdout as one JSON object per line (canonical, deterministic
 for a fixed command line); a human summary goes to stderr.  Each check
 hands the report sink only its witness (None when it holds); the sink
 derives the status from the witness and times the whole sweep.  A bad
-input file or name is a KeyError, ValueError or OSError of the loader.
+input file or name is a ValueError or OSError of the loader.
 Exit codes: 0 all pass, 1 verification failure, 2 usage or input error,
 3 internal error (an unexpected exception, reported as one line on
 stderr).  main raises no SystemExit: on a usage error it prints
@@ -78,7 +78,7 @@ def cmd_verify_lie(args) -> int:
             reps = catalog.representations(alg)
         else:
             reps = {args.rep: catalog.load_representation(alg, args.rep)}
-    except (KeyError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -122,18 +122,16 @@ def _draw(rng: SplitMix64, keys, sparse: bool, terms=None) -> dict:
 
 
 def _random_11_terms(n: int, rng: SplitMix64) -> dict:
-    return _draw(rng, [(1 << i, 1 << j) for i in range(n) for j in range(n)], False)
+    return _draw(rng, hodge.term_keys_11(n), False)
 
 
 def _random_poly(model: HodgeModel, rng: SplitMix64) -> PolyClass:
-    masks = range(1 << model.n)
-    return PolyClass(model, _draw(rng, [(a, b) for a in masks for b in masks], True))
+    return PolyClass(model, _draw(rng, hodge.term_keys(model.n), True))
 
 
 def _random_todd_terms(n: int, rng: SplitMix64) -> dict:
     """Independent (p,p) data with constant term 1."""
-    masks = range(1, 1 << n)
-    keys = [(a, b) for a in masks for b in masks if a.bit_count() == b.bit_count()]
+    keys = [(a, b) for a, b in hodge.term_keys(n) if a and a.bit_count() == b.bit_count()]
     return _draw(rng, keys, True, {(0, 0): Fraction(1)})
 
 
@@ -149,6 +147,12 @@ def _todd_terms_from_c1(model: HodgeModel, c1: FormClass, rng: SplitMix64) -> di
     return dict(acc.terms)
 
 
+def _indices(key) -> dict:
+    """The 1-based indices of a (1,1) term (1 << i, 1 << j)."""
+    a, b = key
+    return {"a": a.bit_length(), "b": b.bit_length()}
+
+
 def cmd_verify_hodge(args) -> int:
     if not (1 <= args.dim <= HODGE_DIM_CAP):
         raise UsageError(f"--dim must be between 1 and {HODGE_DIM_CAP}")
@@ -161,19 +165,12 @@ def cmd_verify_hodge(args) -> int:
     plain = HodgeModel(n)
 
     # exhaustive basis sweep: every basis (1,1) direction as designated c1
-    for i in range(n):
-        for j in range(n):
-            key = (1 << i, 1 << j)
-            model = HodgeModel(n, {(0, 0): 1, key: Fraction(1, 2)})
-            c1_desc = {"a": i + 1, "b": j + 1}
-            for alpha in hodge.poly_basis_11(model):
-                ((ak, bk),) = alpha.num
-                inst = {
-                    "dim": n,
-                    "c1": c1_desc,
-                    "alpha": {"a": ak.bit_length(), "b": bk.bit_length()},
-                }
-                sink.add("first-order-basis", inst, hodge.first_order_check(model, alpha))
+    for key in hodge.term_keys_11(n):
+        model = HodgeModel(n, {(0, 0): 1, key: Fraction(1, 2)})
+        for alpha in hodge.poly_basis_11(model):
+            (term,) = alpha.num
+            inst = {"dim": n, "c1": _indices(key), "alpha": _indices(term)}
+            sink.add("first-order-basis", inst, hodge.first_order_check(model, alpha))
 
     for case in range(args.cases):
         rng = SplitMix64(derive(args.seed, case))
@@ -190,9 +187,8 @@ def cmd_verify_hodge(args) -> int:
         sink.add("duflo-roundtrip", {"dim": n, "case": case}, witness)
 
         # 3. first-order identities on a c1-generated Todd datum
-        scratch = HodgeModel(n)
-        c1s = FormClass(scratch, _random_11_terms(n, rng))
-        model3 = HodgeModel(n, _todd_terms_from_c1(scratch, c1s, rng))
+        c1s = FormClass(plain, _random_11_terms(n, rng))
+        model3 = HodgeModel(n, _todd_terms_from_c1(plain, c1s, rng))
         alpha3 = PolyClass(model3, _random_11_terms(n, rng))
         witness = hodge.first_order_check(model3, alpha3)
         sink.add("first-order", {"dim": n, "case": case}, witness)

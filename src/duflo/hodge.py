@@ -454,7 +454,7 @@ class LineBundle:
             by_b: dict[int, dict] = {}
             for (a, b), x in self.exp.num.items():
                 by_b.setdefault(b, {})[(a, b)] = x
-            images = [_contract_terms({k: 1}, by_b.get(k[1], {}), n, +1) for k in _keys(n)]
+            images = [_contract_terms({k: 1}, by_b.get(k[1], {}), n, +1) for k in term_keys(n)]
             self._obstruction = images, self.exp.den
         return self._obstruction
 
@@ -471,8 +471,8 @@ def _moduli_operator(line: LineBundle) -> tuple[list[dict], int]:
     numerators of the Todd root and the Mukai vector, over their two
     denominators.
     """
-    root, mukai = sqrt_todd(line.model), line.mukai
-    return _duflo_images(root.num, mukai.num, _keys(line.model.n), line.model.n), root.den * mukai.den
+    root, mukai, n = sqrt_todd(line.model), line.mukai, line.model.n
+    return _duflo_images(root.num, mukai.num, term_keys(n), n), root.den * mukai.den
 
 
 def _duflo_images(root: dict, target: dict, keys: list, n: int) -> list[dict]:
@@ -520,17 +520,17 @@ def contract_exp_atiyah(alpha: PolyClass, line: LineBundle) -> ExtClass:
 # verification routines
 # ---------------------------------------------------------------------------
 
-def _keys(n: int) -> list[tuple[int, int]]:
+def term_keys(n: int) -> list[tuple[int, int]]:
     """Every term (a, b) of rank n, in canonical order: index (a << n) | b."""
     return [(a, b) for a in range(1 << n) for b in range(1 << n)]
 
 
-def _keys_11(n: int) -> list[tuple[int, int]]:
+def term_keys_11(n: int) -> list[tuple[int, int]]:
     return [(1 << i, 1 << j) for i in range(n) for j in range(n)]
 
 
 def poly_basis_11(model: HodgeModel) -> list[PolyClass]:
-    return [PolyClass(model, {k: 1}) for k in _keys_11(model.n)]
+    return [PolyClass(model, {k: 1}) for k in term_keys_11(model.n)]
 
 
 def exp_atiyah_kernel(line: LineBundle) -> list[PolyClass]:
@@ -635,5 +635,6 @@ def _first_order_loci(model: HodgeModel, c1: FormClass):
     """
     n = model.n
     root = sqrt_todd(model).num
-    k1 = kernel_of_images([_nonzero(_contract_terms({k: 1}, c1.num, n, +1)) for k in _keys_11(n)])
-    return k1, kernel_of_images(_duflo_images(root, root, _keys_11(n), n))
+    keys = term_keys_11(n)
+    k1 = kernel_of_images([_nonzero(_contract_terms({k: 1}, c1.num, n, +1)) for k in keys])
+    return k1, kernel_of_images(_duflo_images(root, root, keys, n))

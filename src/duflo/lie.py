@@ -125,7 +125,8 @@ class LieAlgebra:
 
 
 class Representation:
-    """A Lie algebra acting on Q^dimV by one matrix per basis element.
+    """A Lie algebra acting on Q^dimV by one matrix per basis element,
+    each given as rows of rationals, as the catalog's integer tables are.
 
     d is the lcm of every denominator in the matrices and actions[g] is
     R_g = d rho(x_g) as int rows, which every check of pbw reads.
@@ -134,7 +135,7 @@ class Representation:
     __slots__ = ("algebra", "dimV", "matrices", "name", "d", "actions", "_sym_images")
 
     def __init__(self, algebra: LieAlgebra, matrices: Sequence, name: str = ""):
-        mats = tuple(m if isinstance(m, Matrix) else Matrix(m) for m in matrices)
+        mats = tuple(Matrix(m) for m in matrices)
         if len(mats) != algebra.dim:
             raise ValueError("need one action matrix per basis element")
         dv = mats[0].rows if mats else 0
@@ -198,11 +199,7 @@ def adjoint_rep(alg: LieAlgebra) -> Representation:
     """ad(x_i) on the algebra itself: entry (k, j) is the x_k-coefficient
     of [x_i, x_j].  Validation of the result is equivalent to Jacobi."""
     n = alg.dim
-    mats = []
-    for i in range(n):
-        mats.append(
-            Matrix._of([[alg.constants[i][j][k] for j in range(n)] for k in range(n)], n)
-        )
+    mats = [[[alg.constants[i][j][k] for j in range(n)] for k in range(n)] for i in range(n)]
     return Representation(alg, mats, name="adjoint")
 
 

@@ -84,6 +84,21 @@ def test_verify_lie_unknown_algebra():
     assert "unknown algebra" in err
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["--algebra", "nosuch"], "error: unknown algebra 'nosuch'; try one of "),
+        (["--algebra", "sl2", "--rep", "spin"], "error: algebra sl2 has no representation 'spin'; "
+         "available: ['adjoint', 'standard', 'sym3']\n"),
+    ],
+)
+def test_verify_lie_unknown_name_is_input_error(argv, want):
+    # an unknown catalog name is a ValueError, printed unquoted, as every input error is
+    code, out, err = run_cli(["verify-lie", *argv, "--max-degree", "1"])
+    assert code == 2 and out == ""
+    assert err.startswith(want)
+
+
 def test_verify_lie_bad_structure_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(

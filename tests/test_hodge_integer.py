@@ -286,3 +286,62 @@ def test_mukai_sweep_reports_non_kernel_vector(monkeypatch):
     got = hodge.mukai_sweep(hodge.LineBundle(model, c1))
     assert got == _ref_sweep(hodge.LineBundle(model, c1), c1)
     assert got[0] == 13 and got[1]["alpha"] == PolyClass(model, {(0, 0): 1}).to_obj()
+
+
+# -- closed forms on the Todd = 1 model ---------------------------------------
+def _seeded_lines(seed, counts):
+    """(n, line) for Todd = 1 and a seeded dense c1, counts[n] lines at each rank n."""
+    for n, count in counts.items():
+        rng = SplitMix64(derive(seed, n))
+        model = HodgeModel(n)
+        for _ in range(count):
+            yield n, hodge.LineBundle(model, FormClass(model, _random_11_terms(n, rng)))
+
+
+def test_mukai_factorization_lemma():
+    # beta -| exp(c1) = (beta -| exp(c1))_{b-free} ^ exp(c1) for every basis
+    # term beta: the b-free part is the obstruction image, the whole
+    # contraction the moduli image, as D = 1 and v(L) = exp(c1) at Todd = 1
+    for n, line in _seeded_lines(70, {1: 3, 2: 3, 3: 3, 4: 3, 5: 1}):
+        model = line.model
+        (obstruction, oden), (moduli, mden) = line.obstruction(), line.moduli_action()
+        for (a, b), image, m in zip(hodge.term_keys(n), obstruction, moduli):
+            if not b:
+                assert image == {(a, 0): oden}
+            b_free = FormClass(model, {k: Fraction(x, oden) for k, x in image.items()})
+            want = hodge.wedge(b_free, line.exp).terms
+            assert {k: Fraction(x, mden) for k, x in m.items()} == want, (n, a, b)
+        assert len(hodge.exp_atiyah_kernel(line)) == 4**n - 2**n
+
+
+def _det(rows) -> Fraction:
+    """Determinant by Fraction elimination with row swaps."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        p = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            m[c], m[p], det = m[p], m[c], -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
+
+
+def test_exp_form_is_signed_minors():
+    # c1 = sum C_ij a_i b_j: the (I, J) coefficient of exp(c1) is
+    # (-1)^(k(k-1)/2) det C[I, J] for |I| = |J| = k, and there is no other term
+    for n, line in _seeded_lines(71, {n: 4 for n in range(1, 6)}):
+        c = [[line.c1.terms.get((1 << i, 1 << j), 0) for j in range(n)] for i in range(n)]
+        want = {}
+        for a, b in hodge.term_keys(n):
+            k = a.bit_count()
+            if k == b.bit_count():
+                rows = [i for i in range(n) if a >> i & 1]
+                det = _det([[c[i][j] for j in range(n) if b >> j & 1] for i in rows])
+                if det:
+                    want[(a, b)] = (-1) ** (k * (k - 1) // 2) * det
+        assert hodge.exp_form(line.c1).terms == want, n
