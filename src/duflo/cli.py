@@ -66,7 +66,9 @@ def cmd_verify_lie(args) -> int:
         try:
             cap = int(env)
         except ValueError:
-            raise UsageError(f"VERIFIER_MAX_DEGREE must be an integer, got {env!r}") from None
+            cap = -1  # not an integer: rejected with the negative values
+        if cap < 0:
+            raise UsageError(f"VERIFIER_MAX_DEGREE must be a nonnegative integer, got {env!r}")
     if not (0 <= args.max_degree <= cap):
         raise UsageError(
             f"--max-degree must be between 0 and {cap} "

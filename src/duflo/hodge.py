@@ -34,15 +34,18 @@ first-order identities compare classes.  Both Mukai operators, the
 obstruction and the moduli action, are integer images of the basis terms
 over one denominator, read from the numerators of exp(c1), the Todd root
 and the Mukai vector through the one contraction loop _contract_terms,
-which the class contractions also run.  A Fraction is built only for a
-reported coefficient or a witness.  Everything is exact; no floats
-anywhere.
+which the class contractions also run.  They are the LineBundle methods
+obstruction and moduli_action, the hooks a planted fault patches.  The
+obstruction alpha -| exp(c1) is a form of bidegree (p, 0), so every class
+in a witness is a FormClass or a PolyClass and reads back through
+from_obj.  A Fraction is built only for a reported coefficient or a
+witness.  Everything is exact; no floats anywhere.
 """
 
 from fractions import Fraction
 from functools import cache
 
-from .linalg import Q, kernel_of_images
+from .linalg import kernel_of_images
 from .sparse import LinComb, graded_exp, graded_power, parse_rational, quoted
 
 
@@ -87,8 +90,8 @@ def _parity(n: int) -> bytes:
     return bytes(par)
 
 
-class _OnModel(LinComb):
-    """Terms keyed by bitmasks of a rank-n model; combine on one model only."""
+class _Exterior(LinComb):
+    """Classes keyed by (amask, bmask) of a rank-n model; combine on one model only."""
 
     __slots__ = ("model",)
     _CONTEXT = ("model",)
@@ -100,12 +103,6 @@ class _OnModel(LinComb):
     def _join(self, other):
         _same_model(self, other)
         return super()._join(other)
-
-
-class _Exterior(_OnModel):
-    """Shared storage for classes keyed by (amask, bmask)."""
-
-    __slots__ = ()
 
     def _key(self, key):
         a, b = key
@@ -163,17 +160,13 @@ class _Exterior(_OnModel):
                 if [a.bit_count(), b.bit_count()] != pq:
                     raise BidegreeError(f"term {quoted(t)} is not of declared bidegree {pq}")
                 c = parse_rational(_field(t, "coeff", str))
-                terms[(a, b)] = terms.get((a, b), Q(0)) + c
+                terms[(a, b)] = terms.get((a, b), Fraction(0)) + c
         return cls(model, terms)
 
     def _word(self, key) -> str:
         a, b = key
-        bb = "".join(f"^{self._bsym}{j+1}" for j in _bits(b))
-        return _a_word(a) + bb
-
-
-def _a_word(a: int) -> str:
-    return "^".join(f"a{i+1}" for i in _bits(a)) or "1"
+        aa = "^".join(f"a{i+1}" for i in _bits(a)) or "1"
+        return aa + "".join(f"^{self._bsym}{j+1}" for j in _bits(b))
 
 
 def _field(obj, key, kind):
@@ -220,25 +213,6 @@ class PolyClass(_Exterior):
     __slots__ = ()
 
     _bsym = "b*"
-
-
-class ExtClass(_OnModel):
-    """Graded element of /\\A, keyed by amask."""
-
-    __slots__ = ()
-
-    def _key(self, a):
-        if not 0 <= a < 1 << self.model.n:
-            raise BidegreeError(f"term {a} outside rank-{self.model.n} model")
-        return a
-
-    def to_obj(self):
-        return [
-            {"a": [i + 1 for i in _bits(a)], "coeff": str(c)}
-            for a, c in sorted(self.terms.items())
-        ]
-
-    _word = staticmethod(_a_word)
 
 
 class HodgeModel:
@@ -370,16 +344,6 @@ def exp_form(v: FormClass) -> FormClass:
     return graded_exp(_weight_pieces(v), FormClass.one(v.model), wedge)
 
 
-def atiyah_line(model: HodgeModel, c1: FormClass) -> FormClass:
-    """Obstruction class of line-bundle data: its first Chern form."""
-    if c1.model is not model:
-        raise ModelMismatch("c1 built on a different model")
-    for a, b in c1.num:
-        if a.bit_count() != 1 or b.bit_count() != 1:
-            raise BidegreeError("line-bundle first Chern class must be pure (1,1)")
-    return c1
-
-
 def sqrt_todd(model: HodgeModel) -> FormClass:
     """Formal square root T^(1/2) of the Todd datum T, constant term 1, exact."""
     if model._sqrt is None:
@@ -431,7 +395,9 @@ class LineBundle:
     for alpha -| exp(c1), keyed (amask, 0), and moduli_action() for
     D(alpha) -| v(L), from sqrt_todd(model) and mukai.  Each is built on
     its first use, not here, from the attributes as they are then, and is
-    held as integer images over the forms' denominator (see _act).
+    held as integer images over the forms' denominator (see _act); a
+    planted fault patches LineBundle.obstruction or
+    LineBundle.moduli_action.  c1 must be a pure (1,1) form on model.
     contract_exp_atiyah, exp_atiyah_kernel, mukai_sweep and
     check_mukai_implication take a LineBundle and read the model from it,
     so a sweep over many alphas against one c1 builds all of this once.
@@ -440,7 +406,12 @@ class LineBundle:
     __slots__ = ("model", "c1", "exp", "mukai", "_obstruction", "_moduli")
 
     def __init__(self, model: HodgeModel, c1: FormClass):
-        self.exp = exp_form(atiyah_line(model, c1))
+        if c1.model is not model:
+            raise ModelMismatch("c1 built on a different model")
+        for a, b in c1.num:
+            if a.bit_count() != 1 or b.bit_count() != 1:
+                raise BidegreeError("line-bundle first Chern class must be pure (1,1)")
+        self.exp = exp_form(c1)
         self.model = model
         self.c1 = c1
         self.mukai = wedge(self.exp, sqrt_todd(model))
@@ -460,19 +431,10 @@ class LineBundle:
 
     def moduli_action(self) -> tuple[list[dict], int]:
         if self._moduli is None:
-            self._moduli = _moduli_operator(self)
+            root, n = sqrt_todd(self.model), self.model.n
+            images = _duflo_images(root.num, self.mukai.num, term_keys(n), n)
+            self._moduli = images, root.den * self.mukai.den
         return self._moduli
-
-
-def _moduli_operator(line: LineBundle) -> tuple[list[dict], int]:
-    """D(beta) -| v(L) for every basis term beta, as integer images over one denominator.
-
-    D(beta) and its contraction into v(L) are integer term dicts, from the
-    numerators of the Todd root and the Mukai vector, over their two
-    denominators.
-    """
-    root, mukai, n = sqrt_todd(line.model), line.mukai, line.model.n
-    return _duflo_images(root.num, mukai.num, term_keys(n), n), root.den * mukai.den
 
 
 def _duflo_images(root: dict, target: dict, keys: list, n: int) -> list[dict]:
@@ -502,18 +464,16 @@ def mukai_line(model: HodgeModel, c1: FormClass) -> FormClass:
     return LineBundle(model, c1).mukai
 
 
-def contract_exp_atiyah(alpha: PolyClass, line: LineBundle) -> ExtClass:
+def contract_exp_atiyah(alpha: PolyClass, line: LineBundle) -> FormClass:
     """Total contraction against the exponential obstruction class.
 
     The (p,k) part of alpha pairs all k dual factors against the k-th
     wedge power of the (1,1) class c1 over k!; A-factors wedge.  The
-    result is graded by p+k: the b-free part of
+    result is the form of bidegree (p+k, 0) that is the b-free part of
     contract_T_on_Omega(alpha, exp_form(c1)).
     """
-    _same_model(alpha, line)
-    terms = _contract_terms(alpha.num, line.exp.num, alpha.model.n, +1)
-    b_free = {a: x for (a, b), x in terms.items() if not b}
-    return ExtClass(alpha.model)._like(b_free, alpha.den * line.exp.den)
+    full = contract_T_on_Omega(alpha, line.exp)
+    return full._like({k: x for k, x in full.num.items() if not k[1]}, full.den)
 
 
 # ---------------------------------------------------------------------------
@@ -566,21 +526,20 @@ def mukai_sweep(line: LineBundle) -> tuple[int, dict | None]:
     return len(kernel), None
 
 
-def check_mukai_implication(alpha: PolyClass, line: LineBundle) -> tuple[ExtClass, FormClass]:
+def check_mukai_implication(alpha: PolyClass, line: LineBundle) -> tuple[FormClass, FormClass]:
     """One instance of: obstruction vanishing forces Mukai-pairing vanishing.
 
     alpha must live on line.model.  Returns (obstruction, moduli_action),
-    alpha -| exp(c1) and D(alpha) -| v(L); the implication holds unless
-    the first is zero and the second is not.  A failed implication would
+    alpha -| exp(c1) and D(alpha) -| v(L), both forms, the first of
+    bidegrees (p, 0) only; the implication holds unless the first is
+    zero and the second is not.  A failed implication would
     mean the sign conventions above are inconsistent, so both classes go
     to the caller to judge rather than raising.
     """
     _same_model(alpha, line)
     (h, hden), (m, mden) = _act(line.obstruction(), alpha), _act(line.moduli_action(), alpha)
-    return (
-        ExtClass(line.model)._like({a: x for (a, _), x in h.items()}, hden),
-        FormClass(line.model)._like(m, mden),
-    )
+    zero = FormClass(line.model)
+    return zero._like(h, hden), zero._like(m, mden)
 
 
 def first_order_check(model: HodgeModel, alpha: PolyClass) -> dict | None:

@@ -14,7 +14,7 @@ import time
 from fractions import Fraction as Q
 from pathlib import Path
 
-from duflo import catalog, hodge
+from duflo import catalog
 from duflo.hodge import (
     FormClass,
     HodgeModel,
@@ -245,8 +245,8 @@ def test_criterion_7_structural_suites():
                     terms[(1 << i, 1 << j)] = q
         at = FormClass(m, terms)
         full = contract_T_on_Omega(al, exp_form(at))
-        collapse = {a: c for (a, b), c in full.terms.items() if b == 0}
-        assert contract_exp_atiyah(al, LineBundle(m, at)) == hodge.ExtClass(m, collapse)
+        collapse = {(a, b): c for (a, b), c in full.terms.items() if b == 0}
+        assert contract_exp_atiyah(al, LineBundle(m, at)) == FormClass(m, collapse)
 
     # Duflo round trips on random independent todd data
     for _ in range(10):

@@ -213,6 +213,15 @@ def test_verify_lie_degree_cap_env(monkeypatch):
     assert any("x1*x1*x1*x1*x1" in line for line in out.splitlines())
 
 
+@pytest.mark.parametrize("env", ["abc", "-1"])
+def test_verify_lie_rejects_a_bad_degree_cap(monkeypatch, env):
+    monkeypatch.setenv("VERIFIER_MAX_DEGREE", env)
+    code, out, err = run_cli(["verify-lie", "--algebra", "sl2", "--max-degree", "5"])
+    assert (code, out) == (2, "")
+    assert f"VERIFIER_MAX_DEGREE must be a nonnegative integer, got {env!r}" in err
+    assert "between" not in err
+
+
 # -- verify-hodge -----------------------------------------------------------------
 
 def test_verify_hodge_small_sweep_passes():

@@ -12,14 +12,12 @@ import pytest
 from duflo import hodge
 from duflo.hodge import (
     BidegreeError,
-    ExtClass,
     FormClass,
     HodgeModel,
     LineBundle,
     ModelMismatch,
     NonzeroConstantTerm,
     PolyClass,
-    atiyah_line,
     check_mukai_implication,
     contract_exp_atiyah,
     contract_Omega_on_T,
@@ -255,13 +253,15 @@ def test_interior_square_zero():
 
 # -- line-bundle classes ------------------------------------------------------------
 
-def test_atiyah_line_passthrough_and_validation():
+def test_line_bundle_keeps_c1_and_validates_it():
     m = HodgeModel(2)
     c1 = _term(FormClass, m, [1], [1])
-    assert atiyah_line(m, c1) == c1
-    assert atiyah_line(m, FormClass(m)).is_zero()
-    with pytest.raises(BidegreeError):
-        atiyah_line(m, _term(FormClass, m, [1, 2], [1]))
+    assert LineBundle(m, c1).c1 == c1
+    assert LineBundle(m, FormClass(m)).exp == FormClass.one(m)
+    with pytest.raises(BidegreeError, match="must be pure"):
+        LineBundle(m, _term(FormClass, m, [1, 2], [1]))
+    with pytest.raises(ModelMismatch, match="different model"):
+        LineBundle(HodgeModel(2), c1)
 
 
 def test_exp_form_zero_and_rank_one():
@@ -289,12 +289,12 @@ def test_contract_exp_atiyah_goldens():
     # q = 0 polyvector only meets the constant term
     alpha = _term(PolyClass, m, [1], [])
     at = _term(FormClass, m, [2], [1])
-    assert contract_exp_atiyah(alpha, LineBundle(m, at)) == ExtClass(m, {0b01: 1})
+    assert contract_exp_atiyah(alpha, LineBundle(m, at)) == FormClass(m, {(0b01, 0): 1})
     # the basic (1,1) case
     alpha = _term(PolyClass, m, [1], [1])
     got = contract_exp_atiyah(alpha, LineBundle(m, at))
-    assert got == ExtClass(m, {0b11: -1})
-    assert {a.bit_count() for a in got.terms} == {2}
+    assert got == FormClass(m, {(0b11, 0): -1})
+    assert {a.bit_count() for a, _ in got.terms} == {2}
     # rank-one at kills the k=2 component
     alpha = _term(PolyClass, m, [], [1, 2])
     assert contract_exp_atiyah(alpha, LineBundle(m, at)).is_zero()
@@ -302,7 +302,7 @@ def test_contract_exp_atiyah_goldens():
 
 def _collapse(alpha, at):
     full = contract_T_on_Omega(alpha, exp_form(at))
-    return ExtClass(alpha.model, {a: c for (a, b), c in full.terms.items() if b == 0})
+    return FormClass(alpha.model, {(a, b): c for (a, b), c in full.terms.items() if b == 0})
 
 
 def test_contract_exp_atiyah_equals_collapse():

@@ -1,5 +1,6 @@
 """Importing duflo.cli loads no stdlib module that the commands do not use,
-and importing duflo.series loads no linear algebra.
+importing duflo.series loads no linear algebra, and importing duflo.hodge
+loads no Lie algebra code.
 
 Each command runs as one short process, so its start-up is mostly this
 import.  dataclasses alone pulls in inspect, ast, dis and tokenize;
@@ -54,3 +55,9 @@ def test_series_import_loads_no_linear_algebra():
     loaded = _loaded("import duflo.series")
     assert "duflo.series" in loaded
     assert sorted(loaded & {"duflo.linalg", "duflo.kernels"}) == []
+
+
+def test_hodge_import_loads_no_lie_algebra():
+    loaded = _loaded("import duflo.hodge")
+    assert "duflo.hodge" in loaded
+    assert sorted(loaded & {"duflo.lie", "duflo.pbw", "duflo.catalog", "duflo.series"}) == []

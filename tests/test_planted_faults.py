@@ -6,11 +6,13 @@ and compares the loci once per model, then shares them with every alpha
 checked against them.  mukai_sweep pushes each kernel vector through both
 operators on integers and hands only a failing one to
 check_mukai_implication, which builds the witness: plants in the Mukai
-vector or the moduli operator corrupt the implication's conclusion, and a
-vector planted into the kernel or a blanked obstruction image corrupts
-its hypothesis.  The Duflo round
-trip, decided on integers, and the per-case first-order suite read the
-Todd root and its inverse from the graded recursions of duflo.sparse.
+vector or the moduli operator (patched at LineBundle.moduli_action)
+corrupt the implication's conclusion, and a vector planted into the
+kernel or a blanked obstruction image (LineBundle.obstruction) corrupts
+its hypothesis; every class in the witness reads back through
+from_obj.  The Duflo round trip, decided on integers, and the per-case
+first-order suite read the Todd root and its inverse from the graded
+recursions of duflo.sparse.
 verify-lie fills one integer table per representation and route, shared
 by every diagram check on that representation, and checks each invariant
 it finds in one suite.  Each test plants one fault and checks that the
@@ -68,12 +70,12 @@ def test_corrupt_mukai_line_fails_mukai_implication(monkeypatch):
     assert _implication_holds(hodge.check_mukai_implication(alpha, hodge.LineBundle(model, c1)))
 
 
-def test_shifted_moduli_operator_fails_mukai_implication(monkeypatch):
-    build = hodge._moduli_operator
+def test_shifted_moduli_action_fails_mukai_implication(monkeypatch):
+    build = hodge.LineBundle.moduli_action
 
-    def shifted(line):
-        images, den = build(line)
-        n = line.model.n
+    def shifted(self):
+        images, den = build(self)
+        n = self.model.n
         # the term a1^..^an ^ b*1 (Todd = 1): every term of exp(c1) and of
         # v(L) it can contract carries an a-index it already has, so both
         # its images are 0 and it is a kernel basis vector of its own
@@ -82,7 +84,7 @@ def test_shifted_moduli_operator_fails_mukai_implication(monkeypatch):
         image[(0, 0)] = image.get((0, 0), 0) + 1
         return images[:index] + [image] + images[index + 1:], den
 
-    monkeypatch.setattr(hodge, "_moduli_operator", shifted)
+    monkeypatch.setattr(hodge.LineBundle, "moduli_action", shifted)
     code, out, _ = run_cli(ARGV)
     assert code == 1
     lines = _lines(out, "mukai-implication")
@@ -127,6 +129,7 @@ def test_non_kernel_vector_fails_mukai_implication(monkeypatch):
     obstruction, moduli_action = hodge.check_mukai_implication(alpha, hodge.LineBundle(model, c1))
     assert not obstruction.is_zero()  # vacuous
     assert obstruction.to_obj() == witness["obstruction"] != []
+    assert FormClass.from_obj(model, witness["obstruction"]) == obstruction
     assert moduli_action.to_obj() == witness["moduli_action"]
 
 

@@ -27,7 +27,6 @@ from duflo.cli import _random_todd_terms
 
 from duflo.hodge import (
     BidegreeError,
-    ExtClass,
     FormClass,
     HodgeModel,
     ModelMismatch,
@@ -75,10 +74,6 @@ def _exterior(kind):
     return build
 
 
-def _ext(rng):
-    return [ExtClass(MODEL, _coeffs(rng, range(4))) for _ in range(2)]
-
-
 def _rebuild(x):
     if isinstance(x, TensorElement):
         return TensorElement(x.terms)
@@ -95,7 +90,6 @@ KINDS = {
     "series": (_series, [lambda u, v: u * v]),
     "form": (_exterior(FormClass), [wedge, lambda u, v: contract_T_on_Omega(PolyClass(MODEL, v.terms), u)]),
     "poly": (_exterior(PolyClass), [wedge, lambda u, v: contract_Omega_on_T(FormClass(MODEL, v.terms), u)]),
-    "ext": (_ext, []),
 }
 
 
@@ -138,9 +132,7 @@ OTHER = HodgeModel(2)
     [
         (lambda: FormClass(MODEL, {(4, 0): 1}), BidegreeError),
         (lambda: PolyClass(MODEL, {(0, 4): 1}), BidegreeError),
-        (lambda: ExtClass(MODEL, {4: 1}), BidegreeError),
         (lambda: FormClass(MODEL, {(1, 1): 1}) + FormClass(OTHER, {(1, 1): 1}), ModelMismatch),
-        (lambda: ExtClass(MODEL, {1: 1}) - ExtClass(OTHER, {1: 1}), ModelMismatch),
         (lambda: wedge(FormClass(MODEL, {(1, 0): 1}), FormClass(OTHER, {(2, 0): 1})), ModelMismatch),
         (lambda: GradedSeries(2) + GradedSeries(3), TruncationMismatch),
         (lambda: GradedSeries.scalar(2) * GradedSeries.scalar(3), TruncationMismatch),
@@ -157,9 +149,7 @@ OTHER = HodgeModel(2)
     ids=[
         "form-range",
         "poly-range",
-        "ext-range",
         "form-model",
-        "ext-model",
         "wedge-model",
         "series-add-trunc",
         "series-mul-trunc",
