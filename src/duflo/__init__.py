@@ -2,10 +2,10 @@
 
 Modules, imported by name (the package root re-exports nothing):
 
-  linalg   parsed rational matrices, the oracle's product; sparse kernels of basis images
-  kernels  the hot loops: matrix products, sparse integer RREF
+  linalg   the d! oracle's matrix product and dense kernel view
+  kernels  the hot loops: matrix products, sparse integer RREF, kernels of basis images
   sparse   LinComb (integer numerators over one denominator), graded recursions
-  lie      Lie algebras from structure constants, representations
+  lie      matrix literals, Lie algebras from structure constants, representations
   catalog  built-in algebras and representations
   pbw      symmetrization diagram evaluated in End(V)
   hodge    bi-exterior contraction calculus and the Duflo twist

@@ -237,7 +237,7 @@ COMMANDS = {
     "verify-lie": (cmd_verify_lie, "sweep the symmetrization diagram over an algebra", None, {
         "--algebra": (str, REQUIRED, None, "abelianN, heisenberg3, sl2, gl2, or a JSON file"),
         "--rep": (str, "all", None, "representation name from the catalog, or 'all'"),
-        "--max-degree": (int, 4, None, "highest degree swept, capped by VERIFIER_MAX_DEGREE"),
+        "--max-degree": (int, DEFAULT_DEGREE_CAP, None, "highest degree swept, capped by VERIFIER_MAX_DEGREE"),
     }),
     "verify-hodge": (cmd_verify_hodge, "sweep contraction identities on bi-exterior models", None, {
         "--dim": (int, REQUIRED, None, f"rank n of the model, 1 to {HODGE_DIM_CAP}"),

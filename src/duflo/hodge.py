@@ -45,7 +45,7 @@ witness.  Everything is exact; no floats anywhere.
 from fractions import Fraction
 from functools import cache
 
-from .linalg import kernel_of_images
+from .kernels import kernel_of_images
 from .sparse import LinComb, graded_exp, graded_power, parse_rational, quoted
 
 
@@ -224,13 +224,13 @@ class HodgeModel:
     (datum 1), which makes the Duflo twist the identity.
     """
 
-    __slots__ = ("n", "todd", "_sqrt", "_inv_sqrt", "_loci_equal", "_c1_parts")
+    __slots__ = ("n", "todd", "_sqrt", "_loci_equal", "_c1_parts")
 
     def __init__(self, n: int, todd: dict | None = None):
         if n < 1:
             raise ValueError("model rank must be at least 1")
         self.n = n
-        self._sqrt = self._inv_sqrt = self._loci_equal = self._c1_parts = None
+        self._sqrt = self._loci_equal = self._c1_parts = None
         todd = FormClass(self, {(0, 0): 1} if todd is None else todd)
         for a, b in todd.num:
             if a.bit_count() != b.bit_count():
@@ -353,10 +353,9 @@ def sqrt_todd(model: HodgeModel) -> FormClass:
 
 def inv_sqrt_todd(model: HodgeModel) -> FormClass:
     """T^(-1/2), taken from the Todd datum T as sqrt_todd is, so the Duflo
-    round trip checks s ^ u = 1 for the two roots instead of building on it."""
-    if model._inv_sqrt is None:
-        model._inv_sqrt = graded_power(_weight_pieces(model.todd), wedge, Fraction(-1, 2))
-    return model._inv_sqrt
+    round trip checks s ^ u = 1 for the two roots instead of building on it.
+    Only a round trip reads it, once per model, so the model keeps none."""
+    return graded_power(_weight_pieces(model.todd), wedge, Fraction(-1, 2))
 
 
 def duflo(model: HodgeModel, alpha: PolyClass) -> PolyClass:

@@ -1,40 +1,36 @@
-"""Exact-arithmetic kernels: rational and integer matrix products, and the
-fraction-free RREF of sparse {column: int} rows.
+"""Exact-arithmetic kernels: rational and integer matrix products, the
+fraction-free RREF of sparse {column: int} rows, and the kernel of a map
+given by the sparse integer images of a basis.
 
 Numerators and denominators are arbitrary-precision Python ints;
 denominators are always positive and results are in lowest terms.
 """
 
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 
 
-def matmul_pairs(anum, aden, bnum, bden, n, k, m):
-    """Multiply an n-by-k by a k-by-m rational matrix.
+def matmul_pairs(a, b, m):
+    """Product of two rational matrices given as rows of Fractions, as rows.
 
-    Entries are given as flat row-major lists of numerators/denominators.
-    Each output entry is accumulated over a running common denominator and
-    normalized once, which keeps gcd work out of the inner loop.
+    b has m columns.  Each output entry is accumulated over a running
+    common denominator and normalized once, which keeps gcd work out of
+    the inner loop.
     """
-    cnum = [0] * (n * m)
-    cden = [1] * (n * m)
-    for i in range(n):
-        arow = i * k
-        for j in range(m):
-            num = 0
-            den = 1
-            for t in range(k):
-                p = anum[arow + t] * bnum[t * m + j]
-                if p == 0:
-                    continue
-                q = aden[arow + t] * bden[t * m + j]
-                num = num * q + p * den
-                den = den * q
-            if num:
-                g = gcd(num, den)
-                cnum[i * m + j] = num // g
-                cden[i * m + j] = den // g
-    return cnum, cden
+    cols = [[(row[j].numerator, row[j].denominator) for row in b] for j in range(m)]
+    out = []
+    for row in a:
+        pairs = [(x.numerator, x.denominator) for x in row]
+        out.append(got := [])
+        for col in cols:
+            num, den = 0, 1
+            for (an, ad), (bn, bd) in zip(pairs, col):
+                if p := an * bn:
+                    q = ad * bd
+                    num, den = num * q + p * den, den * q
+            got.append(Fraction(num, den))
+    return out
 
 
 def matmul_int(a, b):
@@ -109,3 +105,38 @@ def rref_int(rows, ncols):
         pivots[c] = row
     piv_cols = sorted(pivots)
     return piv_cols, [pivots[c] for c in piv_cols]
+
+
+def kernel_of_images(images) -> list[tuple[dict[int, int], int]]:
+    """Kernel of the linear map sending basis vector j to images[j].
+
+    Each image is a {coordinate: int} map with no zero values, as a
+    LinComb's numerators are; each coordinate gives one sparse integer
+    row.  From their canonical RREF comes one vector per free column f,
+    ascending in f: -row[f]/row[p] at each pivot p whose row meets f, then
+    1 at f.  Each vector is a pair (num, den): {column: int} numerators
+    with ascending keys and no zero value over one denominator den > 0,
+    the lcm of the pivots met, with their common factor divided out.  So
+    equal vectors are equal pairs.
+    """
+    by_coord: dict = {}
+    for col, img in enumerate(images):
+        for k, c in img.items():
+            by_coord.setdefault(k, {})[col] = c
+    piv_cols, red = rref_int(by_coord.values(), len(images))
+    pivots = set(piv_cols)
+    hits: dict = {f: [] for f in range(len(images)) if f not in pivots}
+    for p, row in zip(piv_cols, red):
+        lead = row.pop(p)
+        for f, x in row.items():
+            hits[f].append((p, x, lead))
+    vecs = []
+    for f, entries in hits.items():
+        den = lcm(*(lead for _, _, lead in entries))
+        num = {p: -x * (den // lead) for p, x, lead in entries}
+        num[f] = den
+        g = gcd(*num.values())
+        if g != 1:
+            num = {p: x // g for p, x in num.items()}
+        vecs.append((num, den // g))
+    return vecs

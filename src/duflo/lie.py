@@ -1,5 +1,7 @@
 """Finite-dimensional Lie algebras from structure constants, with eager
-axiom validation, plus representations given by explicit matrices.
+axiom validation, plus representations given by explicit matrices.  A
+Matrix is a parsed literal or a witness and does no arithmetic: tuples of
+rows of fractions.Fraction, always in lowest terms.
 
 Constructors certify antisymmetry, the Jacobi identity, and the bracket
 relation of representations before any object escapes, so downstream
@@ -14,13 +16,63 @@ fixed positive scale.  A Fraction is built only for the text of a raised
 JacobiViolation or BracketMismatch.
 """
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import lcm
 
 from .kernels import matmul_int
-from .linalg import Matrix, Q
 from .sparse import parse_rational, quoted
+
+
+class Matrix:
+    """An immutable rational matrix: a parsed literal or a witness."""
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, entries: Iterable[Iterable], cols: int | None = None):
+        """Parse a literal; cols is read from the first row unless given,
+        and must be given for a matrix with no rows but some columns."""
+        rows = tuple(tuple(parse_rational(x) for x in row) for row in entries)
+        self.entries = rows
+        self.rows = len(rows)
+        if cols is None:
+            cols = len(rows[0]) if rows else 0
+        self.cols = cols
+        for row in rows:
+            if len(row) != cols:
+                raise ValueError("ragged rows in matrix literal")
+
+    @classmethod
+    def _of(cls, rows, cols: int) -> "Matrix":
+        """Matrix of cols-long rows of Fractions from arithmetic; no parsing."""
+        out = object.__new__(cls)
+        out.entries = tuple(map(tuple, rows))
+        out.rows = len(out.entries)
+        out.cols = cols
+        return out
+
+    @classmethod
+    def over(cls, rows, den: int, cols: int) -> "Matrix":
+        """The Fraction matrix rows / den, from rows of ints."""
+        return cls._of([[Fraction(x, den) for x in row] for row in rows], cols)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.rows, self.cols)
+
+    def __getitem__(self, ij):
+        i, j = ij
+        return self.entries[i][j]
+
+    def __eq__(self, other):
+        return isinstance(other, Matrix) and self.entries == other.entries
+
+    def __repr__(self):
+        body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
+        return f"Matrix[{self.rows}x{self.cols}: {body}]"
+
+    def to_json(self) -> list[list[str]]:
+        return [[str(x) for x in row] for row in self.entries]
 
 
 class AntisymmetryViolation(ValueError):
@@ -235,7 +287,7 @@ def algebra_from_json(obj, name: str = "") -> LieAlgebra:
     brackets = obj.get("brackets", [])
     if not isinstance(brackets, list) or not all(isinstance(e, dict) for e in brackets):
         raise ValueError("'brackets' must be a list of objects")
-    c = [[[Q(0)] * n for _ in range(n)] for _ in range(n)]
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     seen = set()
     for ent in brackets:
         try:

@@ -46,17 +46,18 @@ formed.  LambdaMap, the Fraction coaction, is read only by the oracle phi.
 phi and the phi table are deliberately written with raw index loops over
 the coaction rather than the matrix backend, and the theta table with its
 own integer product, so the two diagram paths share no arithmetic code.
-The oracle theta's products run through mat_mul and kernels.matmul_pairs,
-which neither table calls, so the oracle shares none with either.
+The oracle theta's products run through linalg.mat_mul, a product of
+Fraction rows in kernels.matmul_pairs; neither table calls either, so the
+oracle shares no arithmetic with them.
 """
 
 import itertools
 from collections import Counter
 from math import factorial, prod
 
-from .kernels import matmul_int
-from .lie import LieAlgebra, Representation
-from .linalg import Matrix, Q, kernel_of_images, mat_mul
+from .kernels import kernel_of_images, matmul_int
+from .lie import LieAlgebra, Matrix, Representation
+from .linalg import Q, mat_mul
 from .sparse import LinComb
 
 Word = tuple[int, ...]
@@ -70,19 +71,6 @@ class TensorElement(LinComb):
 
     def _key(self, w):
         return tuple(int(i) for i in w)
-
-    @classmethod
-    def word(cls, w, coeff=1) -> "TensorElement":
-        return cls({tuple(w): coeff})
-
-    def swap_letters(self, pos: int) -> "TensorElement":
-        """Transpose letters pos and pos+1 in every word (symmetry probe)."""
-        out = {}
-        for w, x in self.num.items():
-            if len(w) > pos + 1:
-                w = w[:pos] + (w[pos + 1], w[pos]) + w[pos + 2:]
-            out[w] = out.get(w, 0) + x
-        return self._like(out, self.den)
 
 
 class SymElement(LinComb):
@@ -117,14 +105,12 @@ def monomial_name(alg: LieAlgebra, m: SymMonomial) -> str:
     return "*".join(alg.labels[i] for i in m) or "1"
 
 
-def symmetrize(s) -> TensorElement:
+def symmetrize(s: SymElement) -> TensorElement:
     """The 1/n! full permutation sum, monomial by monomial.
 
-    Accepts a monomial tuple or a SymElement.  Repeated letters are summed
-    with multiplicity, exactly as the n! permutation terms dictate.
+    Repeated letters are summed with multiplicity, exactly as the n!
+    permutation terms dictate.
     """
-    if isinstance(s, tuple):
-        s = SymElement.monomial(s)
     top = max(map(len, s.num), default=0)
     out: dict[Word, int] = {}
     for m, x in s.num.items():

@@ -8,6 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from duflo import hodge
 from duflo.cli import main
 
 
@@ -276,14 +277,27 @@ def test_verify_hodge_deterministic_stream():
     assert out1.encode() == out2.encode()
 
 
-def test_verify_hodge_seed_changes_stream():
-    _, out1, _ = run_cli(["verify-hodge", "--dim", "2", "--seed", "1", "--cases", "5"])
-    _, out2, _ = run_cli(["verify-hodge", "--dim", "2", "--seed", "2", "--cases", "5"])
-    # same pass/fail shape, different witnesses are not printed for passes,
-    # so streams agree except for kernel dimensions; just check both parse
-    for out in (out1, out2):
-        for line in out.splitlines():
-            json.loads(line)
+def test_verify_hodge_pass_stream_is_seed_free_but_draws_read_the_seed(monkeypatch):
+    # a passing line holds no drawn value (kernel_dim is 4^n - 2^n for
+    # every c1), so two seeds give one stream
+    argv = ["verify-hodge", "--dim", "2", "--cases", "5", "--seed"]
+    code1, out1, _ = run_cli(argv + ["1"])
+    code2, out2, _ = run_cli(argv + ["2"])
+    assert code1 == code2 == 0
+    assert out1 == out2
+    # a witness shows the draws: each seed fails on its own alphas
+    def report_alpha(model, alpha):
+        return {"alpha": alpha.to_obj()}
+
+    monkeypatch.setattr(hodge, "check_duflo_roundtrip", report_alpha)
+    witnesses = []
+    for seed in ("1", "2"):
+        code, out, _ = run_cli(argv + [seed])
+        assert code == 1
+        lines = [json.loads(line) for line in out.splitlines()]
+        witnesses.append([r["witness"] for r in lines if r["suite"] == "duflo-roundtrip"])
+    assert len(witnesses[0]) == 5
+    assert witnesses[0] != witnesses[1]
 
 
 def test_no_command_is_usage_error():
@@ -357,7 +371,7 @@ def test_argv_grammar(argv, want):
     "module, name, argv",
     [
         ("duflo.series", "todd", ["series", "todd", "--weight", "2"]),
-        ("duflo.linalg", "rref_int", ["verify-lie", "--algebra", "sl2", "--max-degree", "2"]),
+        ("duflo.kernels", "rref_int", ["verify-lie", "--algebra", "sl2", "--max-degree", "2"]),
         ("duflo.hodge", "wedge", ["verify-hodge", "--dim", "2", "--cases", "1"]),
     ],
 )

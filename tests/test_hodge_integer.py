@@ -21,7 +21,7 @@ import pytest
 from duflo import hodge
 from duflo.cli import _random_11_terms, _random_poly, _random_todd_terms, _todd_terms_from_c1
 from duflo.hodge import FormClass, HodgeModel, PolyClass
-from duflo.linalg import kernel_of_images
+from duflo.kernels import kernel_of_images
 from duflo.rng import SplitMix64, derive
 
 from test_linalg import cleared_images

@@ -1,6 +1,7 @@
 """Importing duflo.cli loads no stdlib module that the commands do not use,
-importing duflo.series loads no linear algebra, and importing duflo.hodge
-loads no Lie algebra code.
+importing duflo.series loads no linear algebra, importing duflo.hodge
+loads no Lie algebra code, and importing duflo.hodge, duflo.lie or
+duflo.catalog loads no duflo.linalg, the d! oracle's linear algebra.
 
 Each command runs as one short process, so its start-up is mostly this
 import.  dataclasses alone pulls in inspect, ast, dis and tokenize;
@@ -13,6 +14,8 @@ are checked against UNWANTED.
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 UNWANTED = {
@@ -61,3 +64,10 @@ def test_hodge_import_loads_no_lie_algebra():
     loaded = _loaded("import duflo.hodge")
     assert "duflo.hodge" in loaded
     assert sorted(loaded & {"duflo.lie", "duflo.pbw", "duflo.catalog", "duflo.series"}) == []
+
+
+@pytest.mark.parametrize("module", ["duflo.hodge", "duflo.lie", "duflo.catalog"])
+def test_import_loads_no_oracle_linear_algebra(module):
+    loaded = _loaded(f"import {module}")
+    assert module in loaded
+    assert "duflo.linalg" not in loaded

@@ -4,23 +4,21 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
-from duflo.kernels import matmul_pairs, rref_int
-from duflo.linalg import Matrix, kernel, kernel_of_images
+from duflo.kernels import kernel_of_images, matmul_pairs, rref_int
+from duflo.lie import Matrix
+from duflo.linalg import kernel
 
 
 def test_matmul_identity():
-    inum = [1, 0, 0, 1]
-    iden = [1, 1, 1, 1]
-    mnum = [3, -2, 5, 7]
-    mden = [2, 1, 3, 4]
-    cnum, cden = matmul_pairs(inum, iden, mnum, mden, 2, 2, 2)
-    assert cnum == mnum and cden == mden
+    ident = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    m = [[Fraction(3, 2), Fraction(-2)], [Fraction(5, 3), Fraction(7, 4)]]
+    assert matmul_pairs(ident, m, 2) == m
 
 
 def test_matmul_lowest_terms():
     # (1/2) * (2/3) = 1/3, normalized
-    cnum, cden = matmul_pairs([1], [2], [2], [3], 1, 1, 1)
-    assert cnum == [1] and cden == [3]
+    (got,), = matmul_pairs([[Fraction(1, 2)]], [[Fraction(2, 3)]], 1)
+    assert (got.numerator, got.denominator) == (1, 3)
 
 
 def test_rref_canonical():

@@ -22,11 +22,11 @@ from duflo.lie import (
     BracketMismatch,
     JacobiViolation,
     LieAlgebra,
+    Matrix,
     Representation,
     adjoint_rep,
     algebra_from_json,
 )
-from duflo.linalg import Matrix
 from duflo.pbw import adjunction_check
 
 from test_stream_digests import dense_gl2

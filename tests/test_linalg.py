@@ -5,7 +5,9 @@ from math import gcd, lcm
 
 import pytest
 
-from duflo.linalg import Matrix, ShapeMismatch, kernel, kernel_of_images, mat_mul
+from duflo.kernels import kernel_of_images
+from duflo.lie import Matrix
+from duflo.linalg import ShapeMismatch, kernel, mat_mul
 from duflo.rng import SplitMix64
 
 from test_kernels import dense_rref_int

@@ -21,6 +21,7 @@ the witness is reproduced by a direct recomputation.
 """
 
 import json
+import sys
 from fractions import Fraction
 
 from duflo import catalog, hodge, pbw, sparse
@@ -29,7 +30,7 @@ from duflo.pbw import SymElement, TensorElement, derivation_apply, phi, symmetri
 
 from test_cli import run_cli
 from test_hodge import first_order_identities
-from test_stream_digests import LIE_DIGESTS, _sha, dense_gl2
+from test_stream_digests import DIGESTS, LIE_DIGESTS, _sha, dense_gl2
 
 ARGV = ["verify-hodge", "--dim", "2", "--seed", "0", "--cases", "1"]
 
@@ -331,7 +332,7 @@ def test_corrupt_coaction_fails_lie_diagram(monkeypatch):
         _shift_coaction(patch, 1)
         for r in failed:
             witness = r["witness"]
-            sym = symmetrize(_sl2_monomial(witness["monomial"]))
+            sym = symmetrize(SymElement.monomial(_sl2_monomial(witness["monomial"])))
             assert witness["path_theta"] != witness["path_contract"]
             assert witness["path_theta"] == theta(rep, sym).to_json()
             # the permutation-sum phi over the shifted rational coaction
@@ -339,18 +340,56 @@ def test_corrupt_coaction_fails_lie_diagram(monkeypatch):
     assert run_cli(LIE_ARGV)[0] == 0
 
 
-def test_command_path_builds_no_rational_coaction(monkeypatch):
-    # only the d! oracle phi reads LambdaMap; the sweep reads the integer
-    # actions the representation cleared once, and its stream is unchanged
-    def refuse(self, rep):
-        raise AssertionError("LambdaMap built on the command path")
+# The reference code the tests compare the commands against, by home module:
+# the d! oracle (symmetrize, theta, phi over LambdaMap, the Fraction rational
+# coaction, with products by mat_mul), the dense kernel view, and hodge's
+# one-class views of the Mukai vector and the obstruction.
+ORACLE = {
+    "duflo.pbw": ("symmetrize", "theta", "phi", "LambdaMap"),
+    "duflo.linalg": ("mat_mul", "kernel"),
+    "duflo.kernels": ("matmul_pairs",),
+    "duflo.hodge": ("mukai_line", "contract_exp_atiyah"),
+}
 
-    monkeypatch.setattr(pbw.LambdaMap, "__init__", refuse)
+
+def _refuse_oracle(monkeypatch):
+    """Make every binding of an ORACLE name in a duflo module raise when called."""
+    modules = [m for name, m in sys.modules.items() if name.startswith("duflo.")]
+    refused = 0
+    for home, names in ORACLE.items():
+        for name in names:
+            orig = getattr(sys.modules[home], name)
+
+            def refuse(*args, _name=f"{home}.{name}", **kwargs):
+                raise AssertionError(f"{_name} called on the command path")
+
+            for module in modules:
+                for key, value in list(vars(module).items()):
+                    if value is orig:
+                        monkeypatch.setattr(module, key, refuse)
+                        refused += 1
+    assert refused >= sum(map(len, ORACLE.values()))
+
+
+def test_command_path_builds_no_rational_coaction(monkeypatch, tmp_path):
+    # the commands read only integer tables and operators: with every
+    # oracle name refused, their streams are unchanged
     monkeypatch.setenv("VERIFIER_MAX_DEGREE", "5")
-    command = "verify-lie --algebra sl2 --rep all --max-degree 5"
-    code, out, err = run_cli(command.split())
-    assert code == 0, err
-    assert _sha(out) == LIE_DIGESTS[command]
+    dense = "verify-lie --algebra {dense} --rep adjoint --max-degree 4"
+    lie = "verify-lie --algebra sl2 --rep all --max-degree 5"
+    series = "series mukai --weight 13"
+    hodge_command = "verify-hodge --dim 2 --seed 0 --cases 3"
+    want = {
+        dense.format(dense=dense_gl2(tmp_path / "dense_gl2.json")): LIE_DIGESTS[dense],
+        lie: LIE_DIGESTS[lie],
+        series: DIGESTS[series],
+        hodge_command: _sha(run_cli(hodge_command.split())[1]),
+    }
+    _refuse_oracle(monkeypatch)
+    for command, digest in want.items():
+        code, out, err = run_cli(command.split())
+        assert code == 0, err
+        assert _sha(out) == digest, command
 
 
 def test_dropped_letter_in_theta_recursion_fails_lie_diagram(monkeypatch):
@@ -374,7 +413,7 @@ def test_dropped_letter_in_theta_recursion_fails_lie_diagram(monkeypatch):
     rep = _sl2_standard()
     for r in failed:
         witness = r["witness"]
-        sym = symmetrize(_sl2_monomial(witness["monomial"]))
+        sym = symmetrize(SymElement.monomial(_sl2_monomial(witness["monomial"])))
         kept = TensorElement({w: c for w, c in sym.terms.items() if 0 not in w})
         assert witness["path_theta"] == theta(rep, kept).to_json()
         assert witness["path_contract"] == theta(rep, sym).to_json()
@@ -404,7 +443,8 @@ def test_faulty_coaction_clearing_fails_lie_diagram_on_dense_gl2(monkeypatch, tm
         _shift_coaction(patch, Fraction(1, rep.d))
         for r in failed:
             witness = r["witness"]
-            sym = symmetrize(tuple(alg.labels.index(x) for x in witness["monomial"].split("*")))
+            mono = tuple(alg.labels.index(x) for x in witness["monomial"].split("*"))
+            sym = symmetrize(SymElement.monomial(mono))
             assert witness["path_theta"] == theta(rep, sym).to_json()
             assert witness["path_contract"] == phi(rep, sym).to_json()
             assert witness["path_theta"] != witness["path_contract"]

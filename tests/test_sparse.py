@@ -85,7 +85,7 @@ def _rebuild(x):
 
 
 KINDS = {
-    "tensor": (_tensors, [lambda u, v: u.swap_letters(0)]),
+    "tensor": (_tensors, []),
     "sym": (_syms, [lambda u, v: u * v]),
     "series": (_series, [lambda u, v: u * v]),
     "form": (_exterior(FormClass), [wedge, lambda u, v: contract_T_on_Omega(PolyClass(MODEL, v.terms), u)]),

@@ -20,8 +20,6 @@ FILES = sorted((ROOT / "src" / "duflo").glob("*.py"))
 
 ALLOWED = {
     "from_obj": "reads a class dump back, so a witness can be replayed",
-    "swap_letters": "symmetry probe of the d! oracle, which leaves src with symmetrize",
-    "word": "one-word constructor of the d! oracle, which leaves src with symmetrize",
 }
 
 
