@@ -46,7 +46,7 @@ from .report import ReportSink, canonical
 from .rng import SplitMix64, derive
 
 DEFAULT_DEGREE_CAP = 4
-HODGE_DIM_CAP = 5
+HODGE_DIM_CAP = 6
 SEED_LIMIT = 1 << 64  # splitmix64 state width; larger seeds would alias
 REQUIRED = object()  # the default of a flag that must be given
 

@@ -29,17 +29,16 @@ with k = |b_act| and e = 1 for the extra minus per pair, all mod 2.
 
 A class is a sparse.LinComb, integer numerators over one denominator, so
 every product and contraction runs in Z: it combines the numerator maps
-and multiplies the two denominators.  The Duflo round trip and the
-first-order identities compare classes.  Both Mukai operators, the
-obstruction and the moduli action, are integer images of the basis terms
-over one denominator, read from the numerators of exp(c1), the Todd root
-and the Mukai vector through the one contraction loop _contract_terms,
-which the class contractions also run.  They are the LineBundle methods
-obstruction and moduli_action, the hooks a planted fault patches.  The
-obstruction alpha -| exp(c1) is a form of bidegree (p, 0), so every class
-in a witness is a FormClass or a PolyClass and reads back through
-from_obj.  A Fraction is built only for a reported coefficient or a
-witness.  Everything is exact; no floats anywhere.
+and multiplies the two denominators.  The two Mukai operators, the
+obstruction alpha -| exp(c1), a (p, 0) form, and the moduli action, are
+the LineBundle hooks a planted fault patches: integer images of basis
+terms through the one contraction loop _contract_terms, which the class
+contractions also run.  A pass builds no kernel for either sweep line:
+with Todd = 1 the Mukai line passes on the factorization lemma
+moduli(beta) = obstruction(beta) ^ exp(c1) for the 2^n generators
+beta = (0, J), and the Duflo round trip on u ^ s = 1 for the Todd roots
+(README).  Every class in a witness is a FormClass or a PolyClass and
+reads back through from_obj.  Everything is exact; no floats anywhere.
 """
 
 from fractions import Fraction
@@ -62,13 +61,7 @@ class NonzeroConstantTerm(Exception):
 
 
 def _bits(mask: int) -> list[int]:
-    out = []
-    i = 0
-    while mask >> i:
-        if (mask >> i) & 1:
-            out.append(i)
-        i += 1
-    return out
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 @cache
@@ -368,12 +361,12 @@ def duflo_inverse(model: HodgeModel, alpha: PolyClass) -> PolyClass:
 
 
 def check_duflo_roundtrip(model: HodgeModel, alpha: PolyClass) -> dict | None:
-    """None if D^-1(D(alpha)) == alpha, else the witness: alpha and the Todd datum.
+    """None if D^-1(D(alpha)) == alpha for every alpha, else the witness: alpha and the Todd datum.
 
-    D^-1(D(alpha)) = (u ^ s) -| alpha checks u ^ s = 1 for the roots s and u,
-    each taken from the Todd datum; D(D^-1(alpha)) = (s ^ u) -| alpha is the
-    same class, as s ^ u = u ^ s for even (p,p) forms (README)."""
-    if duflo_inverse(model, duflo(model, alpha)) == alpha:
+    D^-1(D(alpha)) = (u ^ s) -| alpha = D(D^-1(alpha)) by the module law, as the
+    roots s and u, each taken from the Todd datum, are even: the line decides u ^ s = 1."""
+    _same_model(alpha, model.todd)
+    if wedge(inv_sqrt_todd(model), sqrt_todd(model)) == FormClass.one(model):
         return None
     return {"alpha": alpha.to_obj(), "todd": model.todd.to_obj()}
 
@@ -385,24 +378,16 @@ def _nonzero(terms: dict) -> dict:
 class LineBundle:
     """Per-c1 data shared by every alpha checked against one line bundle.
 
-    c1 is the first Chern form, kept for a failing sweep's witness; exp is
-    exp(c1), and mukai is the Mukai vector exp(c1) ^ sqrt(Todd).
-
-    Both maps of the Mukai sweep are linear in alpha and kept here as
-    operators on the 4^n polyvector basis terms, each the contraction
-    _contract_terms of a basis term into a form's numerators: obstruction()
-    for alpha -| exp(c1), keyed (amask, 0), and moduli_action() for
-    D(alpha) -| v(L), from sqrt_todd(model) and mukai.  Each is built on
-    its first use, not here, from the attributes as they are then, and is
-    held as integer images over the forms' denominator (see _act); a
-    planted fault patches LineBundle.obstruction or
-    LineBundle.moduli_action.  c1 must be a pure (1,1) form on model.
-    contract_exp_atiyah, exp_atiyah_kernel, mukai_sweep and
-    check_mukai_implication take a LineBundle and read the model from it,
-    so a sweep over many alphas against one c1 builds all of this once.
+    c1, a pure (1,1) form on model, is kept for a failing sweep's witness;
+    exp is exp(c1) and mukai the Mukai vector exp(c1) ^ sqrt(Todd).  The
+    hooks a planted fault patches, obstruction(keys) for alpha -| exp(c1)
+    and moduli_action(keys) for D(alpha) -| v(L), return the integer images
+    of the basis terms keys over one denominator, by _contract_terms from
+    the attributes as they are then; full(hook) keeps a hook's images of
+    all 4^n terms, in canonical order, so a sweep builds them once.
     """
 
-    __slots__ = ("model", "c1", "exp", "mukai", "_obstruction", "_moduli")
+    __slots__ = ("model", "c1", "exp", "mukai", "_full")
 
     def __init__(self, model: HodgeModel, c1: FormClass):
         if c1.model is not model:
@@ -414,34 +399,30 @@ class LineBundle:
         self.model = model
         self.c1 = c1
         self.mukai = wedge(self.exp, sqrt_todd(model))
-        self._obstruction = None
-        self._moduli = None
+        self._full = {}
 
-    def obstruction(self) -> tuple[list[dict], int]:
-        if self._obstruction is None:
-            n = self.model.n
-            # a basis term (a, b) fully contracts only the terms of b-mask b
-            by_b: dict[int, dict] = {}
-            for (a, b), x in self.exp.num.items():
-                by_b.setdefault(b, {})[(a, b)] = x
-            images = [_contract_terms({k: 1}, by_b.get(k[1], {}), n, +1) for k in term_keys(n)]
-            self._obstruction = images, self.exp.den
-        return self._obstruction
+    def obstruction(self, keys: list) -> tuple[list[dict], int]:
+        n = self.model.n
+        # a basis term (a, b) fully contracts only the terms of b-mask b
+        by_b: dict[int, dict] = {}
+        for (a, b), x in self.exp.num.items():
+            by_b.setdefault(b, {})[(a, b)] = x
+        return [_contract_terms({k: 1}, by_b.get(k[1], {}), n, +1) for k in keys], self.exp.den
 
-    def moduli_action(self) -> tuple[list[dict], int]:
-        if self._moduli is None:
-            root, n = sqrt_todd(self.model), self.model.n
-            images = _duflo_images(root.num, self.mukai.num, term_keys(n), n)
-            self._moduli = images, root.den * self.mukai.den
-        return self._moduli
+    def moduli_action(self, keys: list) -> tuple[list[dict], int]:
+        root, n = sqrt_todd(self.model), self.model.n
+        return _duflo_images(root.num, self.mukai.num, keys, n), root.den * self.mukai.den
+
+    def full(self, hook: str) -> tuple[list[dict], int]:
+        if hook not in self._full:
+            self._full[hook] = getattr(self, hook)(term_keys(self.model.n))
+        return self._full[hook]
 
 
 def _duflo_images(root: dict, target: dict, keys: list, n: int) -> list[dict]:
     """D(beta) -| target for each basis term beta in keys, root the Todd root's numerators."""
-    return [
-        _nonzero(_contract_terms(_contract_terms(root, {k: 1}, n, -1), target, n, +1))
-        for k in keys
-    ]
+    twists = (_contract_terms(root, {k: 1}, n, -1) for k in keys)
+    return [_nonzero(_contract_terms(d, target, n, +1)) for d in twists]
 
 
 def _act(op: tuple[list[dict], int], alpha: PolyClass) -> tuple[dict, int]:
@@ -499,22 +480,24 @@ def exp_atiyah_kernel(line: LineBundle) -> list[PolyClass]:
     obstruction images of the canonical term basis; each (num, den)
     vector is the polyvector num[(a << n) | b] / den on the term (a, b).
     """
-    n = line.model.n
-    zero = PolyClass(line.model)
+    n, zero = line.model.n, PolyClass(line.model)
     return [
         zero._like({(c >> n, c & ((1 << n) - 1)): x for c, x in num.items()}, den)
-        for num, den in kernel_of_images(line.obstruction()[0])
+        for num, den in kernel_of_images(line.full("obstruction")[0])
     ]
 
 
 def mukai_sweep(line: LineBundle) -> tuple[int, dict | None]:
     """Dimension of exp_atiyah_kernel, and None or the witness of its first vector
-    whose obstruction or moduli action is nonzero, decided by _act on the
-    vector's integer numerators; check_mukai_implication builds the witness.
-    """
+    whose obstruction or moduli action is nonzero.  _factorization_certified
+    decides a Todd = 1 pass without the kernel; otherwise _act pushes each
+    kernel vector through both operators on integers, and
+    check_mukai_implication builds the witness of the first failing one."""
+    if line.model.todd == FormClass.one(line.model) and _factorization_certified(line):
+        return 4**line.model.n - 2**line.model.n, None
     kernel = exp_atiyah_kernel(line)
     for alpha in kernel:
-        if any(_act(op(), alpha)[0] for op in (line.obstruction, line.moduli_action)):
+        if any(_act(line.full(op), alpha)[0] for op in ("obstruction", "moduli_action")):
             obstruction, moduli_action = check_mukai_implication(alpha, line)
             return len(kernel), {
                 "c1": line.c1.to_obj(),
@@ -523,6 +506,23 @@ def mukai_sweep(line: LineBundle) -> tuple[int, dict | None]:
                 "moduli_action": moduli_action.to_obj(),
             }
     return len(kernel), None
+
+
+def _factorization_certified(line: LineBundle) -> bool:
+    """Whether the hooks certify a Todd = 1 line: kernel_dim 4^n - 2^n, no failure.
+
+    Each b-free term (a, 0) must have obstruction image a, so the rank is
+    2^n, and each generator (0, J) must meet the factorization lemma: its
+    moduli image is its obstruction image ^ exp(c1).  The module law
+    image(a, b) = a ^ image(0, b) of _contract_terms carries it to all terms."""
+    size, zero = 1 << line.model.n, FormClass(line.model)
+    gens = [(0, b) for b in range(size)]
+    images, den = line.obstruction([(a, 0) for a in range(size)] + gens)
+    if images[:size] != [{(a, 0): den} for a in range(size)]:
+        return False
+    moduli, mden = line.moduli_action(gens)
+    return all(zero._like(m, mden) == wedge(zero._like(o, den), line.exp)
+               for o, m in zip(images[size:], moduli))
 
 
 def check_mukai_implication(alpha: PolyClass, line: LineBundle) -> tuple[FormClass, FormClass]:
@@ -536,7 +536,7 @@ def check_mukai_implication(alpha: PolyClass, line: LineBundle) -> tuple[FormCla
     to the caller to judge rather than raising.
     """
     _same_model(alpha, line)
-    (h, hden), (m, mden) = _act(line.obstruction(), alpha), _act(line.moduli_action(), alpha)
+    (h, hden), (m, mden) = (_act(line.full(op), alpha) for op in ("obstruction", "moduli_action"))
     zero = FormClass(line.model)
     return zero._like(h, hden), zero._like(m, mden)
 

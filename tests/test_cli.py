@@ -250,11 +250,11 @@ def test_verify_hodge_dim_out_of_range():
     assert code == 2
 
 
-def test_verify_hodge_dim_6_is_over_cap():
-    code, out, err = run_cli(["verify-hodge", "--dim", "6", "--cases", "1"])
+def test_verify_hodge_dim_7_is_over_cap():
+    code, out, err = run_cli(["verify-hodge", "--dim", "7", "--cases", "1"])
     assert code == 2
     assert out == ""
-    assert "--dim must be between 1 and 5" in err
+    assert "--dim must be between 1 and 6" in err
 
 
 def test_verify_hodge_seed_range():

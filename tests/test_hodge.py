@@ -363,6 +363,15 @@ def test_duflo_roundtrip_random_todd():
             assert duflo(m, duflo_inverse(m, alpha)) == alpha
 
 
+def test_duflo_roundtrip_rejects_a_foreign_alpha():
+    # the line decides u ^ s = 1; alpha, which only fills the witness, must
+    # still be a polyvector on the model
+    m = HodgeModel(2, {(0, 0): 1, (1, 1): Q(1, 3)})
+    assert hodge.check_duflo_roundtrip(m, PolyClass.one(m)) is None
+    with pytest.raises(ModelMismatch):
+        hodge.check_duflo_roundtrip(m, PolyClass.one(HodgeModel(2)))
+
+
 def test_sqrt_todd_squares_back():
     rng = SplitMix64(derive(35, 2))
     for n in (2, 3):
@@ -483,7 +492,7 @@ def test_obstruction_operator_matches_class_route(n):
     model = HodgeModel(n)
     for _ in range(2):
         c1 = _random_11(model, rng, FormClass)
-        images, den = LineBundle(model, c1).obstruction()
+        images, den = LineBundle(model, c1).full("obstruction")
         exp = exp_form(c1)
         for beta, image in zip(_poly_basis(model), images, strict=True):
             full = contract_T_on_Omega(beta, exp).terms

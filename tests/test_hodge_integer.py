@@ -8,7 +8,9 @@ test_sign_table, so they share no arithmetic with the package: the Todd
 root and its inverse are checked by squaring and multiplying out, exp(c1)
 against its power series, the round trip by four contractions, the loci
 as kernels of Fraction images cleared row by row, and the operators and
-the sweep by contracting basis terms and kernel vectors.  The class path
+the sweep by contracting basis terms and kernel vectors; the sweep's
+generator certificate is held to the lemma on all 4^n terms and to the
+kernel sweep it skips.  The class path
 of a test name is this Fraction reference on the classes' terms.  Each
 pair must agree, also under planted faults.
 """
@@ -25,7 +27,7 @@ from duflo.kernels import kernel_of_images
 from duflo.rng import SplitMix64, derive
 
 from test_linalg import cleared_images
-from test_planted_faults import _inverse_missing_last_term
+from test_planted_faults import _doubled, _inverse_missing_last_term, _patch_image, _plus_one
 from test_sign_table import contract_term, wedge_term
 
 
@@ -178,10 +180,10 @@ def test_mukai_operators_match_fraction_reference(n, todd):
     assert line.mukai.terms == ref_wedge(exp, root)
     basis = [(a, b) for a in range(1 << n) for b in range(1 << n)]
     obstruction = [ref_contract({k: 1}, exp, +1) for k in basis]
-    assert _as_fractions(line.obstruction()) == [
+    assert _as_fractions(line.full("obstruction")) == [
         {key: c for key, c in image.items() if not key[1]} for image in obstruction
     ]
-    assert _as_fractions(line.moduli_action()) == [
+    assert _as_fractions(line.full("moduli_action")) == [
         ref_contract(ref_contract(root, {k: 1}, -1), line.mukai.terms, +1) for k in basis
     ]
 
@@ -211,7 +213,7 @@ def test_exp_atiyah_kernel_is_the_canonical_basis(n):
         assert last == sorted(set(last))
         for alpha, key in zip(ker, last):
             assert alpha.terms[key] == 1 and set(alpha.terms) & set(last) == {key}
-            assert _ref_apply(line.obstruction(), alpha) == {}
+            assert _ref_apply(line.full("obstruction"), alpha) == {}
             dens.append(alpha.den)
     assert max(dens) > 1
 
@@ -221,7 +223,7 @@ def _ref_sweep(line, c1):
     operator does not kill: c1, the vector and both of its images."""
     ker = hodge.exp_atiyah_kernel(line)
     for alpha in ker:
-        hits = [_ref_apply(op(), alpha) for op in (line.obstruction, line.moduli_action)]
+        hits = [_ref_apply(line.full(op), alpha) for op in ("obstruction", "moduli_action")]
         if any(hits):
             obstruction, moduli_action = hodge.check_mukai_implication(alpha, line)
             assert obstruction.terms == hits[0]
@@ -247,16 +249,8 @@ def _corrupt_mukai(monkeypatch):
 
 
 def _shift_moduli(monkeypatch):
-    build = hodge.LineBundle.moduli_action
-
-    def shifted(line):
-        images, den = build(line)
-        index = (((1 << line.model.n) - 1) << line.model.n) | 1
-        image = dict(images[index])
-        image[(0, 0)] = image.get((0, 0), 0) + 1
-        return images[:index] + [image] + images[index + 1:], den
-
-    monkeypatch.setattr(hodge.LineBundle, "moduli_action", shifted)
+    # the generator b*1, which the factorization lemma reads
+    _patch_image(monkeypatch, "moduli_action", (0, 1), _plus_one)
 
 
 @pytest.mark.parametrize("plant", [None, _corrupt_mukai, _shift_moduli])
@@ -277,15 +271,43 @@ def test_mukai_sweep_matches_per_alpha_loop(monkeypatch, plant, n):
 
 
 def test_mukai_sweep_reports_non_kernel_vector(monkeypatch):
-    def planted(images):
-        return kernel_of_images(images) + [({0: 1}, 1)]
-
-    monkeypatch.setattr(hodge, "kernel_of_images", planted)
+    # a doubled b-free image fails the rank check, and the kernel path
+    # reports the vector that the doubled column puts into its kernel
+    _patch_image(monkeypatch, "obstruction", (1, 0), _doubled)
     model = HodgeModel(2)
     c1 = FormClass(model, {(1, 1): 1, (2, 2): Fraction(-1, 2)})
     got = hodge.mukai_sweep(hodge.LineBundle(model, c1))
     assert got == _ref_sweep(hodge.LineBundle(model, c1), c1)
-    assert got[0] == 13 and got[1]["alpha"] == PolyClass(model, {(0, 0): 1}).to_obj()
+    assert got[0] == 12 and got[1]["obstruction"] == []
+    alpha = PolyClass.from_obj(model, got[1]["alpha"])
+    assert max(alpha.terms) == (1, 0)
+    monkeypatch.undo()
+    assert not hodge.check_mukai_implication(alpha, hodge.LineBundle(model, c1))[0].is_zero()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_non_unit_todd_line_takes_the_kernel_path(monkeypatch, n):
+    # only a Todd = 1 line is certified; any other runs the kernel sweep,
+    # whose witnesses are the Fraction reference's
+    certify, certified = hodge._factorization_certified, []
+    monkeypatch.setattr(
+        hodge, "_factorization_certified", lambda line: certified.append(line) or certify(line)
+    )
+    rng = SplitMix64(derive(73, n))
+    scratch = HodgeModel(n)
+    units = failures = 0
+    for _ in range(3):
+        c1 = FormClass(scratch, _random_11_terms(n, rng))
+        model = HodgeModel(n, _todd_terms_from_c1(scratch, c1, rng))
+        c1 = FormClass(model, c1.terms)
+        got = hodge.mukai_sweep(hodge.LineBundle(model, c1))
+        assert got == _ref_sweep(hodge.LineBundle(model, c1), c1)
+        unit = model.todd == FormClass.one(model)
+        units += unit
+        failures += got[1] is not None
+        if unit:
+            assert got[1] is None
+    assert len(certified) == units < 3 and failures > 0
 
 
 # -- closed forms on the Todd = 1 model ---------------------------------------
@@ -298,20 +320,43 @@ def _seeded_lines(seed, counts):
             yield n, hodge.LineBundle(model, FormClass(model, _random_11_terms(n, rng)))
 
 
+def _lemma_on_all_terms(line) -> bool:
+    """beta -| exp(c1) = (beta -| exp(c1))_{b-free} ^ exp(c1) for every basis
+    term beta, from both operators on all 4^n terms, and each b-free
+    column (a, 0) has obstruction image a."""
+    n, model = line.model.n, line.model
+    (obstruction, oden), (moduli, mden) = line.full("obstruction"), line.full("moduli_action")
+    for (a, b), image, m in zip(hodge.term_keys(n), obstruction, moduli):
+        if not b and image != {(a, 0): oden}:
+            return False
+        b_free = FormClass(model, {k: Fraction(x, oden) for k, x in image.items()})
+        if {k: Fraction(x, mden) for k, x in m.items()} != hodge.wedge(b_free, line.exp).terms:
+            return False
+    return True
+
+
 def test_mukai_factorization_lemma():
-    # beta -| exp(c1) = (beta -| exp(c1))_{b-free} ^ exp(c1) for every basis
-    # term beta: the b-free part is the obstruction image, the whole
-    # contraction the moduli image, as D = 1 and v(L) = exp(c1) at Todd = 1
+    # the b-free part is the obstruction image, the whole contraction the
+    # moduli image, as D = 1 and v(L) = exp(c1) at Todd = 1
     for n, line in _seeded_lines(70, {1: 3, 2: 3, 3: 3, 4: 3, 5: 1}):
-        model = line.model
-        (obstruction, oden), (moduli, mden) = line.obstruction(), line.moduli_action()
-        for (a, b), image, m in zip(hodge.term_keys(n), obstruction, moduli):
-            if not b:
-                assert image == {(a, 0): oden}
-            b_free = FormClass(model, {k: Fraction(x, oden) for k, x in image.items()})
-            want = hodge.wedge(b_free, line.exp).terms
-            assert {k: Fraction(x, mden) for k, x in m.items()} == want, (n, a, b)
+        assert _lemma_on_all_terms(line), n
         assert len(hodge.exp_atiyah_kernel(line)) == 4**n - 2**n
+
+
+@pytest.mark.parametrize("plant", [None, _corrupt_mukai, _shift_moduli])
+def test_generator_certificate_agrees_with_lemma_and_kernel_path(monkeypatch, plant):
+    # the certificate on 2^n generators holds exactly when the lemma does on
+    # all 4^n terms, and a certified sweep is what the kernel path finds
+    if plant is not None:
+        plant(monkeypatch)
+    lines = list(_seeded_lines(72, {1: 3, 2: 3, 3: 3, 4: 2, 5: 1}))
+    got = [hodge.mukai_sweep(line) for _, line in lines]
+    for _, line in lines:
+        assert hodge._factorization_certified(line) is _lemma_on_all_terms(line) is (plant is None)
+    monkeypatch.setattr(hodge, "_factorization_certified", lambda line: False)
+    assert got == [hodge.mukai_sweep(line) for _, line in lines]
+    if plant is None:
+        assert got == [(4**n - 2**n, None) for n, _ in lines]
 
 
 def _det(rows) -> Fraction:

@@ -1,18 +1,24 @@
 """Planted faults in the data the verifiers compute once and reuse.
 
-verify-hodge builds the Mukai line once per c1, with its two basis
-operators (the obstruction and the moduli action, as integer images),
-and compares the loci once per model, then shares them with every alpha
-checked against them.  mukai_sweep pushes each kernel vector through both
-operators on integers and hands only a failing one to
-check_mukai_implication, which builds the witness: plants in the Mukai
-vector or the moduli operator (patched at LineBundle.moduli_action)
-corrupt the implication's conclusion, and a vector planted into the
-kernel or a blanked obstruction image (LineBundle.obstruction) corrupts
-its hypothesis; every class in the witness reads back through
-from_obj.  The Duflo round trip, decided on integers, and the per-case
-first-order suite read the Todd root and its inverse from the graded
-recursions of duflo.sparse.
+verify-hodge builds the Mukai line once per c1, with its two operator
+hooks (the obstruction and the moduli action, integer images of basis
+terms), and compares the loci once per model, then shares them with
+every alpha checked against them.  On the Todd = 1 model mukai_sweep
+first reads the hooks on the b-free terms and the 2^n generators (0, J):
+a pass needs each (a, 0) to have obstruction image a, the rank check,
+and each generator to meet the factorization lemma.  A plant either
+check sees sends the line to the kernel sweep, which pushes each kernel
+vector through both operators and hands the first failing one to
+check_mukai_implication for the witness: a corrupt Mukai vector or a
+shifted generator image (LineBundle.moduli_action) corrupts the
+implication's conclusion, and a doubled or blanked b-free image
+(LineBundle.obstruction) its hypothesis; every class in the witness
+reads back through from_obj.  A plant in a non-generator image or in
+kernel_of_images no longer reaches a pass; the module law of the one
+contraction loop, pinned by tests, stands in for the terms left out.
+The Duflo round trip, decided on u ^ s = 1, and the per-case first-order
+suite read the Todd root and its inverse from the graded recursions of
+duflo.sparse.
 verify-lie fills one integer table per representation and route, shared
 by every diagram check on that representation, and checks each invariant
 it finds in one suite.  Each test plants one fault and checks that the
@@ -71,30 +77,40 @@ def test_corrupt_mukai_line_fails_mukai_implication(monkeypatch):
     assert _implication_holds(hodge.check_mukai_implication(alpha, hodge.LineBundle(model, c1)))
 
 
+def _patch_image(monkeypatch, hook, key, change):
+    """Make LineBundle.<hook> return change(image) as the image of the basis
+    term key, whichever keys it is asked for."""
+    build = getattr(hodge.LineBundle, hook)
+
+    def patched(self, keys):
+        images, den = build(self, keys)
+        return [change(image) if k == key else image for k, image in zip(keys, images)], den
+
+    monkeypatch.setattr(hodge.LineBundle, hook, patched)
+
+
+def _plus_one(image):
+    return {**image, (0, 0): image.get((0, 0), 0) + 1}
+
+
+def _doubled(image):
+    return {k: 2 * x for k, x in image.items()}
+
+
 def test_shifted_moduli_action_fails_mukai_implication(monkeypatch):
-    build = hodge.LineBundle.moduli_action
-
-    def shifted(self):
-        images, den = build(self)
-        n = self.model.n
-        # the term a1^..^an ^ b*1 (Todd = 1): every term of exp(c1) and of
-        # v(L) it can contract carries an a-index it already has, so both
-        # its images are 0 and it is a kernel basis vector of its own
-        index = (((1 << n) - 1) << n) | 1
-        image = dict(images[index])
-        image[(0, 0)] = image.get((0, 0), 0) + 1
-        return images[:index] + [image] + images[index + 1:], den
-
-    monkeypatch.setattr(hodge.LineBundle, "moduli_action", shifted)
+    # the generator b*1: the factorization lemma fails on it, and the kernel
+    # vectors through b*1 gain a constant term in their moduli action
+    _patch_image(monkeypatch, "moduli_action", (0, 1), _plus_one)
     code, out, _ = run_cli(ARGV)
     assert code == 1
     lines = _lines(out, "mukai-implication")
     assert [r["status"] for r in lines] == ["fail"]
+    assert lines[0]["instance"]["kernel_dim"] == 4**2 - 2**2
 
     witness = lines[0]["witness"]
     model = HodgeModel(2)
     alpha = PolyClass.from_obj(model, witness["alpha"])
-    assert alpha.terms == {(0b11, 0b01): 1}
+    assert (0, 1) in alpha.terms
     c1 = FormClass.from_obj(model, witness["c1"])
     obstruction, moduli_action = hodge.check_mukai_implication(alpha, hodge.LineBundle(model, c1))
     assert obstruction.is_zero() and not moduli_action.is_zero()
@@ -107,43 +123,36 @@ def test_shifted_moduli_action_fails_mukai_implication(monkeypatch):
 
 
 def test_non_kernel_vector_fails_mukai_implication(monkeypatch):
-    kernel_of_images = hodge.kernel_of_images
-
-    def planted(images):
-        return kernel_of_images(images) + [({0: 1}, 1)]
-
-    monkeypatch.setattr(hodge, "kernel_of_images", planted)
+    # a doubled b-free image a1 fails the rank check; the kernel path then
+    # takes a1 - (what truly maps to 2 a1) for a kernel vector
+    _patch_image(monkeypatch, "obstruction", (1, 0), _doubled)
     code, out, err = run_cli(ARGV)
     assert code == 1
     assert "Traceback" not in err
     lines = _lines(out, "mukai-implication")
     assert [r["status"] for r in lines] == ["fail"]
-    assert lines[0]["instance"]["kernel_dim"] == 4**2 - 2**2 + 1
-    # both loci gain the same vector, so they still agree
+    assert lines[0]["instance"]["kernel_dim"] == 4**2 - 2**2
     assert _failing_suites(out) == {"mukai-implication"}
 
     witness = lines[0]["witness"]
     model = HodgeModel(2)
     alpha = PolyClass.from_obj(model, witness["alpha"])
-    assert alpha.terms == {(0, 0): 1}
+    assert max(alpha.terms) == (1, 0)
     c1 = FormClass.from_obj(model, witness["c1"])
     obstruction, moduli_action = hodge.check_mukai_implication(alpha, hodge.LineBundle(model, c1))
-    assert not obstruction.is_zero()  # vacuous
-    assert obstruction.to_obj() == witness["obstruction"] != []
-    assert FormClass.from_obj(model, witness["obstruction"]) == obstruction
-    assert moduli_action.to_obj() == witness["moduli_action"]
+    assert witness["obstruction"] == obstruction.to_obj() == []
+    assert moduli_action.to_obj() == witness["moduli_action"] != []
+
+    monkeypatch.undo()
+    obstruction, _ = hodge.check_mukai_implication(alpha, hodge.LineBundle(model, c1))
+    assert not obstruction.is_zero()  # vacuous: alpha is no kernel vector
+    assert obstruction == FormClass(model, {(1, 0): -1})
 
 
 def test_blanked_obstruction_image_fails_mukai_implication(monkeypatch):
-    build = hodge.LineBundle.obstruction
-
-    def blanked(self):
-        images, den = build(self)
-        # the first basis term with a nonzero moduli image loses its obstruction image
-        index = next(i for i, image in enumerate(self.moduli_action()[0]) if image)
-        return images[:index] + [{}] + images[index + 1:], den
-
-    monkeypatch.setattr(hodge.LineBundle, "obstruction", blanked)
+    # the term 1: its image is the only one with a constant term, so the
+    # rank check fails and the kernel gains 1
+    _patch_image(monkeypatch, "obstruction", (0, 0), lambda image: {})
     code, out, err = run_cli(ARGV)
     assert code == 1
     assert "Traceback" not in err
@@ -154,6 +163,7 @@ def test_blanked_obstruction_image_fails_mukai_implication(monkeypatch):
     witness = lines[0]["witness"]
     model = HodgeModel(2)
     alpha = PolyClass.from_obj(model, witness["alpha"])
+    assert alpha.terms == {(0, 0): 1}
     c1 = FormClass.from_obj(model, witness["c1"])
     obstruction, moduli_action = hodge.check_mukai_implication(alpha, hodge.LineBundle(model, c1))
     assert obstruction.is_zero() and not moduli_action.is_zero()
@@ -217,10 +227,12 @@ def _model_from_witness(witness):
     return model, PolyClass.from_obj(model, witness["alpha"])
 
 
-def _roundtrips(model, alpha):
-    back = hodge.duflo_inverse(model, hodge.duflo(model, alpha))
-    forth = hodge.duflo(model, hodge.duflo_inverse(model, alpha))
-    return back == alpha and forth == alpha
+def _roots_invert(witness):
+    """u ^ s = 1 for the Todd roots of a round-trip witness's datum, the
+    identity the line decides; the witness's alpha must read back too."""
+    model, _ = _model_from_witness(witness)
+    u_s = hodge.wedge(hodge.inv_sqrt_todd(model), hodge.sqrt_todd(model))
+    return u_s == FormClass.one(model)
 
 
 def test_faulty_unit_inverse_fails_duflo_roundtrip(monkeypatch):
@@ -234,10 +246,12 @@ def test_faulty_unit_inverse_fails_duflo_roundtrip(monkeypatch):
     assert _failing_suites(out) == {"duflo-roundtrip"}
 
     witness = lines[2]["witness"]
-    assert not _roundtrips(*_model_from_witness(witness))
+    assert not _roots_invert(witness)
+    assert hodge.check_duflo_roundtrip(*_model_from_witness(witness)) == witness
 
     monkeypatch.undo()
-    assert _roundtrips(*_model_from_witness(witness))
+    assert _roots_invert(witness)
+    assert hodge.check_duflo_roundtrip(*_model_from_witness(witness)) is None
 
 
 def test_faulty_unit_sqrt_fails_first_order(monkeypatch):
@@ -252,7 +266,7 @@ def test_faulty_unit_sqrt_fails_first_order(monkeypatch):
     # the round trip fails once a case draws a datum other than 1
     trips = _lines(run_cli(ARGV[:-1] + ["3"])[1], "duflo-roundtrip")
     assert [r["status"] for r in trips] == ["pass", "pass", "fail"]
-    assert not _roundtrips(*_model_from_witness(trips[2]["witness"]))
+    assert not _roots_invert(trips[2]["witness"])
 
     witness = lines[0]["witness"]
     assert not first_order_identities(*_model_from_witness(witness))[0]
@@ -261,7 +275,7 @@ def test_faulty_unit_sqrt_fails_first_order(monkeypatch):
     monkeypatch.undo()
     assert first_order_identities(*_model_from_witness(witness)) == (True, True, True)
     assert hodge.first_order_check(*_model_from_witness(witness)) is None
-    assert _roundtrips(*_model_from_witness(trips[2]["witness"]))
+    assert _roots_invert(trips[2]["witness"])
 
 
 # -- verify-lie ------------------------------------------------------------------
@@ -390,6 +404,40 @@ def test_command_path_builds_no_rational_coaction(monkeypatch, tmp_path):
         code, out, err = run_cli(command.split())
         assert code == 0, err
         assert _sha(out) == digest, command
+
+
+def test_hodge_pass_path_builds_no_mukai_kernel_and_no_inverse_twist(monkeypatch):
+    # a pass decides the Mukai line on generators and the round trip on
+    # u ^ s = 1: kernel_of_images inside mukai_sweep, a full Mukai operator
+    # or duflo_inverse would exit 3; the first-order loci keep their kernels
+    sweep, kernel_of_images = hodge.mukai_sweep, hodge.kernel_of_images
+    inside, outside = [], []
+
+    def watched(line):
+        inside.append(line)
+        try:
+            return sweep(line)
+        finally:
+            inside.pop()
+
+    def guarded(images):
+        if inside:
+            raise AssertionError("kernel_of_images inside mukai_sweep")
+        outside.append(images)
+        return kernel_of_images(images)
+
+    def refuse(*args):
+        raise AssertionError("a full operator or duflo_inverse on the pass path")
+
+    monkeypatch.setattr(hodge, "mukai_sweep", watched)
+    monkeypatch.setattr(hodge, "kernel_of_images", guarded)
+    monkeypatch.setattr(hodge.LineBundle, "full", refuse)
+    monkeypatch.setattr(hodge, "duflo_inverse", refuse)
+    command = "verify-hodge --dim 3 --seed 0 --cases 2"
+    code, out, err = run_cli(command.split())
+    assert code == 0, err
+    assert _sha(out) == DIGESTS[command]
+    assert outside
 
 
 def test_dropped_letter_in_theta_recursion_fails_lie_diagram(monkeypatch):

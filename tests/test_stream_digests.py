@@ -5,7 +5,9 @@ digest recorded at an earlier commit: the verify-hodge and series streams
 before the per-c1 and per-model work and the truncated product were
 restructured (the dim-5 stream and the weight-16 mukai text before the
 Hodge signs came from a parity table and the Mukai sweep from basis
-operators, with the dim cap raised to 5 in process to record it), the verify-lie streams before the diagram sweep moved from
+operators, with the dim cap raised to 5 in process to record it; the
+dim-6 stream, with the cap lifted in process, before a Mukai pass was
+certified on generators), the verify-lie streams before the diagram sweep moved from
 the permutation sum to the multiset recursion, the weight-16 todd,
 sqrt-todd and mukai streams before the series exponential became a
 weight-graded recursion and the Todd root exp(log Todd / 2).  A change that is meant to
@@ -31,6 +33,8 @@ DIGESTS = {
         "af8e6036eb124e564f14cebc1f9a8822eca079c8cc13ee338bced9438020847a",
     "verify-hodge --dim 5 --seed 0 --cases 1":
         "06bd600bd271a4c35738740be668b039ead9f9a402341560f50dd80ccf2e3a8a",
+    "verify-hodge --dim 6 --seed 0 --cases 1":
+        "059d38cf0fd513e13d8d7829b190fb5c305f3299384325ca39e9db60d396ba2e",
     "series todd --weight 13":
         "c62914f09193a14829d8038b5e1f18d1b32c1bea0151696c9e8599f83c4a027d",
     "series sqrt-todd --weight 13":
