@@ -1,6 +1,7 @@
 """Exact-arithmetic kernels: rational and integer matrix products, the
-fraction-free RREF of sparse {column: int} rows, and the kernel of a map
-given by the sparse integer images of a basis.
+fraction-free RREF of sparse {column: int} rows, the kernel of a map
+given by the sparse integer images of a basis, and that kernel's form of
+the basis of any span.
 
 Numerators and denominators are arbitrary-precision Python ints;
 denominators are always positive and results are in lowest terms.
@@ -140,3 +141,21 @@ def kernel_of_images(images) -> list[tuple[dict[int, int], int]]:
             num = {p: x // g for p, x in num.items()}
         vecs.append((num, den // g))
     return vecs
+
+
+def kernel_basis(vecs, ncols) -> list[tuple[dict[int, int], int]]:
+    """The basis kernel_of_images gives of the span of vecs, in its form.
+
+    vecs are {column: int} maps with no zero value and columns below
+    ncols.  kernel_of_images' vectors are the unique basis of a subspace
+    that is 1 at one free column f and 0 at the others, each with its top
+    entry at f: the canonical RREF over reversed column order.  Each pivot
+    row r with its pivot at original column f gives (r, r[f]), ascending
+    in f.
+    """
+    top = ncols - 1
+    piv_cols, rows = rref_int([{top - c: x for c, x in v.items()} for v in vecs], ncols)
+    return [
+        ({top - c: x for c, x in sorted(row.items(), reverse=True)}, row[p])
+        for p, row in reversed(list(zip(piv_cols, rows)))
+    ]

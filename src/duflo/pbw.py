@@ -34,8 +34,8 @@ and a diagram witness's Fraction matrices come from the tables.
 
 The derivations ad(x_i) of the symmetric algebra run in Z as well: they
 read LieAlgebra.cleared_brackets, the brackets times one lcm delta of the
-structure-constant denominators.  invariants_s takes the kernel of
-delta * ad, which has the same kernel as ad, from integer images, and
+structure-constant denominators.  invariants_s intersects the kernels
+of the delta * ad(x_i), those of the ad(x_i), one at a time in Z, and
 derivation_apply applies the table to its argument's numerators, so the
 result is those integers over the argument's denominator times delta.
 
@@ -53,9 +53,9 @@ oracle shares no arithmetic with them.
 
 import itertools
 from collections import Counter
-from math import factorial, prod
+from math import factorial, gcd, prod
 
-from .kernels import kernel_of_images, matmul_int
+from .kernels import kernel_basis, kernel_of_images, matmul_int
 from .lie import LieAlgebra, Matrix, Representation
 from .linalg import Q, mat_mul
 from .sparse import LinComb
@@ -344,33 +344,46 @@ def sym_basis(dim: int, degree: int) -> list[SymMonomial]:
     return list(itertools.combinations_with_replacement(range(dim), degree))
 
 
+def _combine(vecs: list[dict], coeffs: dict) -> dict:
+    """sum_j coeffs[j] vecs[j], nonzero, with its content divided out."""
+    out: dict[SymMonomial, int] = {}
+    for j, a in coeffs.items():
+        for m, x in vecs[j].items():
+            out[m] = out.get(m, 0) + a * x
+    g = gcd(*out.values())
+    return {m: x // g for m, x in out.items() if x}
+
+
 def invariants_s(alg: LieAlgebra, degree: int) -> list[SymElement]:
     """Basis of the invariant subspace of degree-d symmetric elements.
 
-    The exact nullspace of the derivation action of every basis element.
-    Each monomial's image is read straight from the integer table
-    alg.cleared_brackets and keyed by (letter, image monomial); it is
-    delta * ad(x_i) rather than ad(x_i), which has the same kernel, so the
-    images are ints, and each kernel vector, integers over one
-    denominator, becomes a SymElement without a Fraction.
-    check_invariant_annihilation applies every derivation to each returned
-    element, for the lie-invariant-annihilation lines.
+    The exact intersection of the kernels of the derivations, taken one
+    derivation at a time.  The vectors start as the monomials; each
+    integer table alg.cleared_brackets[i], delta * ad(x_i), which has the
+    same kernel as ad(x_i), is applied to them, and kernel_of_images of
+    the images replaces them by their primitive integer combinations in
+    that kernel.  A derivation that kills them all is skipped, and the
+    loop stops once none is left.  kernel_basis returns the final span in
+    the form one kernel_of_images of every derivation's images at once
+    gives, so each vector, integers over one denominator, becomes a
+    SymElement without a Fraction.  check_invariant_annihilation applies
+    every derivation to each returned element, for the
+    lie-invariant-annihilation lines.
     """
     if degree == 0:
         return [SymElement({(): 1})]
     basis = sym_basis(alg.dim, degree)
-    images = []
-    for m in basis:
-        img = {}
-        for i, brackets in enumerate(alg.cleared_brackets):
-            for mono, c in _derive(brackets, {m: 1}).items():
-                img[(i, mono)] = c
-        images.append(img)
+    vecs = [{m: 1} for m in basis]
+    for brackets in alg.cleared_brackets:
+        if not vecs:
+            break
+        images = [_derive(brackets, v) for v in vecs]
+        if any(images):
+            vecs = [_combine(vecs, num) for num, _ in kernel_of_images(images)]
+    col = {m: c for c, m in enumerate(basis)}
+    found = kernel_basis([{col[m]: x for m, x in v.items()} for v in vecs], len(basis))
     zero = SymElement()
-    return [
-        zero._like({basis[c]: x for c, x in num.items()}, den)
-        for num, den in kernel_of_images(images)
-    ]
+    return [zero._like({basis[c]: x for c, x in num.items()}, den) for num, den in found]
 
 
 def check_invariant_annihilation(alg: LieAlgebra, s: SymElement) -> dict | None:

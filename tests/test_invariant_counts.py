@@ -70,9 +70,9 @@ def test_catalog_invariant_counts(name):
 
 def test_gl3_invariant_counts():
     gl3 = LieAlgebra(gl_constants(3))
-    want = free_counts((1, 2, 3), TOP)
-    assert want == [1, 2, 3, 4, 5]
-    assert counts(gl3) == want
+    want = free_counts((1, 2, 3), 7)
+    assert want == [1, 2, 3, 4, 5, 7, 8]
+    assert counts(gl3, 7) == want
 
 
 def _benchmark_dense_gl2():

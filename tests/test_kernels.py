@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
-from duflo.kernels import kernel_of_images, matmul_pairs, rref_int
+from duflo.kernels import kernel_basis, kernel_of_images, matmul_pairs, rref_int
 from duflo.lie import Matrix
 from duflo.linalg import kernel
 
@@ -170,3 +170,33 @@ def test_dense_kernel_clears_fraction_rows():
             [Fraction(num.get(j, 0), den) for j in range(ncols)]
             for num, den in kernel_of_images(ints)
         ]
+
+
+def test_kernel_basis_is_kernel_of_images_of_any_spanning_set():
+    # rescaled, permuted and recombined, the kernel vectors of a seeded
+    # integer map give back kernel_of_images' basis, term order included
+    rnd = random.Random(30)
+    seen = 0
+    for _ in range(120):
+        ncols = rnd.randrange(1, 9)
+        coords = rnd.randrange(0, ncols + 1)
+        images = [
+            {k: c for k in range(coords) if (c := rnd.choice((0, 0, 1, -2, 3, 5)))}
+            for _ in range(ncols)
+        ]
+        want = kernel_of_images(images)
+        scales = [rnd.choice((1, -1, 2, -3, 6)) for _ in want]
+        vecs = [{j: x * a for j, x in num.items()} for a, (num, _) in zip(scales, want)]
+        for _ in range(3 * len(vecs)):
+            if len(vecs) > 1:
+                i, j = rnd.sample(range(len(vecs)), 2)
+                a = rnd.randrange(-4, 5)
+                row = {c: vecs[i].get(c, 0) + a * vecs[j].get(c, 0) for c in range(ncols)}
+                vecs[i] = {c: x for c, x in row.items() if x}
+        rnd.shuffle(vecs)
+        got = kernel_basis(vecs, ncols)
+        assert [(list(num.items()), den) for num, den in got] == [
+            (list(num.items()), den) for num, den in want
+        ]
+        seen += len(want) > 1
+    assert seen > 30

@@ -5,7 +5,8 @@ from fractions import Fraction as Q
 from math import comb, lcm
 
 from duflo import catalog, pbw
-from duflo.lie import Matrix
+from duflo.kernels import kernel_of_images
+from duflo.lie import LieAlgebra, Matrix
 from duflo.linalg import mat_mul
 from duflo.pbw import (
     LambdaMap,
@@ -23,6 +24,8 @@ from duflo.pbw import (
     theta,
 )
 
+from test_invariant_counts import _benchmark_dense_gl2
+from test_lie import gl_constants
 from test_stream_digests import dense_gl2
 
 
@@ -394,6 +397,31 @@ def test_derivations_clear_denominators_on_dense_gl2(tmp_path):
             zero += got.is_zero()
     # the constants, the empty element and every invariant, under every derivation
     assert zero >= alg.dim * (len(invariants) + 3)
+
+
+def _one_shot_invariants(alg, degree):
+    """The kernel of every derivation's images at once, as (num items, den) over monomials."""
+    basis = sym_basis(alg.dim, degree)
+    images = [
+        {(i, mono): c for i, brackets in enumerate(alg.cleared_brackets)
+         for mono, c in pbw._derive(brackets, {m: 1}).items()}
+        for m in basis
+    ]
+    return [([(basis[c], x) for c, x in num.items()], den) for num, den in kernel_of_images(images)]
+
+
+def test_invariants_match_the_one_shot_kernel(tmp_path):
+    # one derivation's kernel at a time, then kernel_basis, gives the
+    # basis, term order included, of eliminating every image at once
+    dense = _benchmark_dense_gl2()
+    dense.append(catalog.load_algebra(str(dense_gl2(tmp_path / "dense_gl2.json"))))
+    cases = [(catalog.load_algebra(name), 5) for name in catalog.algebra_names()]
+    cases += [(LieAlgebra(gl_constants(3)), 5)] + [(alg, 4) for alg in dense]
+    assert len(cases) == 11
+    for alg, top in cases:
+        for d in range(1, top + 1):
+            got = [(list(s.num.items()), s.den) for s in invariants_s(alg, d)]
+            assert got == _one_shot_invariants(alg, d), (alg.labels, d)
 
 
 def test_invariants_and_annihilation_do_no_fraction_arithmetic(tmp_path, monkeypatch):

@@ -500,12 +500,14 @@ def test_faulty_coaction_clearing_fails_lie_diagram_on_dense_gl2(monkeypatch, tm
 
 
 def test_non_invariant_kernel_vector_fails_annihilation(monkeypatch):
-    kernel_of_images = pbw.kernel_of_images
+    # planted where the final basis is formed: a vector added to one
+    # derivation's kernel in invariants_s is filtered out by the next ones
+    kernel_basis = pbw.kernel_basis
 
-    def planted(images):
-        return kernel_of_images(images) + [({0: 1}, 1)]
+    def planted(vecs, ncols):
+        return kernel_basis(vecs, ncols) + [({0: 1}, 1)]
 
-    monkeypatch.setattr(pbw, "kernel_of_images", planted)
+    monkeypatch.setattr(pbw, "kernel_basis", planted)
     code, out, err = run_cli(
         ["verify-lie", "--algebra", "sl2", "--rep", "standard", "--max-degree", "1"]
     )
@@ -513,9 +515,12 @@ def test_non_invariant_kernel_vector_fails_annihilation(monkeypatch):
     assert "Traceback" not in err
     lines = _lines(out, "lie-invariant-annihilation")
     assert [r["status"] for r in lines] == ["fail"]
-    assert lines[0]["witness"] == {"element": "1*e"}
+    witness = lines[0]["witness"]
+    assert witness == {"element": "1*e"}
 
     monkeypatch.undo()
     alg = catalog.sl2()
-    planted_element = SymElement.monomial(_sl2_monomial("e"))
+    coeff, _, name = witness["element"].partition("*")
+    planted_element = SymElement({_sl2_monomial(name): coeff})
     assert not derivation_apply(alg, 2, planted_element).is_zero()  # [h, e] = 2e
+    assert pbw.check_invariant_annihilation(alg, planted_element) == witness
