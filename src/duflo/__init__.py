@@ -2,8 +2,7 @@
 
 Modules, imported by name (the package root re-exports nothing):
 
-  linalg   the d! oracle's matrix product and dense kernel view
-  kernels  the hot loops: matrix products, sparse integer RREF, kernels of basis images
+  kernels  the hot loops: integer matrix product, sparse integer RREF, kernels of basis images
   sparse   LinComb (integer numerators over one denominator), graded recursions
   lie      matrix literals, Lie algebras from structure constants, representations
   catalog  built-in algebras and representations

@@ -1,37 +1,14 @@
-"""Exact-arithmetic kernels: rational and integer matrix products, the
-fraction-free RREF of sparse {column: int} rows, the kernel of a map
-given by the sparse integer images of a basis, and that kernel's form of
-the basis of any span.
+"""Exact-arithmetic kernels: the integer matrix product, the fraction-free
+RREF of sparse {column: int} rows, the kernel of a map given by the
+sparse integer images of a basis, and that kernel's form of the basis of
+any span.
 
 Numerators and denominators are arbitrary-precision Python ints;
 denominators are always positive and results are in lowest terms.
 """
 
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-
-
-def matmul_pairs(a, b, m):
-    """Product of two rational matrices given as rows of Fractions, as rows.
-
-    b has m columns.  Each output entry is accumulated over a running
-    common denominator and normalized once, which keeps gcd work out of
-    the inner loop.
-    """
-    cols = [[(row[j].numerator, row[j].denominator) for row in b] for j in range(m)]
-    out = []
-    for row in a:
-        pairs = [(x.numerator, x.denominator) for x in row]
-        out.append(got := [])
-        for col in cols:
-            num, den = 0, 1
-            for (an, ad), (bn, bd) in zip(pairs, col):
-                if p := an * bn:
-                    q = ad * bd
-                    num, den = num * q + p * den, den * q
-            got.append(Fraction(num, den))
-    return out
 
 
 def matmul_int(a, b):

@@ -43,26 +43,17 @@ class Matrix:
                 raise ValueError("ragged rows in matrix literal")
 
     @classmethod
-    def _of(cls, rows, cols: int) -> "Matrix":
-        """Matrix of cols-long rows of Fractions from arithmetic; no parsing."""
+    def over(cls, rows, den: int, cols: int) -> "Matrix":
+        """The Fraction matrix rows / den, from cols-long rows of ints; no parsing."""
         out = object.__new__(cls)
-        out.entries = tuple(map(tuple, rows))
+        out.entries = tuple(tuple(Fraction(x, den) for x in row) for row in rows)
         out.rows = len(out.entries)
         out.cols = cols
         return out
 
-    @classmethod
-    def over(cls, rows, den: int, cols: int) -> "Matrix":
-        """The Fraction matrix rows / den, from rows of ints."""
-        return cls._of([[Fraction(x, den) for x in row] for row in rows], cols)
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.entries == other.entries

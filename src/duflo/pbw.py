@@ -1,27 +1,21 @@
 """Symmetrization diagram over a Lie algebra, evaluated in End(V).
 
-Elements of the tensor algebra are finite rational combinations of words in
-basis indices; symmetric elements are combinations of sorted monomials.
-Two maps send a word to an operator on a representation V:
+Symmetric elements are finite rational combinations of sorted monomials
+in basis indices.  Symmetrization sends a monomial of degree n to the 1/n!
+sum of its permuted words, and two maps send a word to an operator on a
+representation V: theta composes the actions, rightmost letter first,
+and phi contracts the iterated coaction V -> V (x) g*^(x)k against the
+word, the innermost (first applied) coaction factor paired with the last
+letter.  With these conventions phi and theta agree on every word, so the
+square commutes; the enveloping algebra is never materialized, and
+everything is compared inside End(V).  tests/pbw_oracle.py evaluates both
+routes word by word over all n! permutations, as the tests' reference.
 
-  * theta composes action matrices with linalg.mat_mul, so the word
-    (i1, ..., ik) becomes the product rho(x_{i1}) ... rho(x_{ik})
-    (rightmost letter acts first);
-  * phi contracts the iterated coaction V -> V (x) g*^(x)k against the
-    word, with the innermost (first applied) coaction factor paired with
-    the last letter.
-
-Both conventions together make phi and theta agree on every word, which is
-exactly the adjunction bookkeeping the diagram check exercises.  The
-enveloping algebra is never materialized: everything is compared inside
-End(V), and the symmetrization map carries the 1/n! permutation sum.
-
-symmetrize, theta and phi evaluate that sum word by word, over all n!
-permutations.  The diagram check evaluates the same sum through
-SymImages instead: the n! permutations of a monomial m hit each distinct
-word of m exactly prod(m_i!) times, and the sum W(m) of the distinct words
-obeys W(m) = sum over letters i of m of x_i W(m - e_i), so each route
-memoizes the image of W on sorted monomials, one entry per monomial.
+The checks evaluate the same sum through SymImages: the n! permutations
+of a monomial m hit each distinct word of m exactly prod(m_i!) times, and
+the sum W(m) of the distinct words obeys W(m) = sum over letters i of m
+of x_i W(m - e_i), so each route memoizes the image of W on sorted
+monomials, one entry per monomial.
 
 The tables are integer matrices.  Both routes start from the integer
 actions R_i = d*rho(x_i) that Representation clears once, with d the lcm
@@ -40,37 +34,22 @@ derivation_apply applies the table to its argument's numerators, so the
 result is those integers over the argument's denominator times delta.
 
 adjunction_check compares the integer coaction that phi contracts entry by
-entry with the integer actions that theta multiplies; no matrix is
-formed.  LambdaMap, the Fraction coaction, is read only by the oracle phi.
-
-phi and the phi table are deliberately written with raw index loops over
-the coaction rather than the matrix backend, and the theta table with its
-own integer product, so the two diagram paths share no arithmetic code.
-The oracle theta's products run through linalg.mat_mul, a product of
-Fraction rows in kernels.matmul_pairs; neither table calls either, so the
-oracle shares no arithmetic with them.
+entry with the integer actions that theta multiplies; no matrix is formed.
+The phi table is deliberately written with raw index loops over the
+coaction, and the theta table with its own integer product, so the two
+diagram routes share no arithmetic code.
 """
 
 import itertools
+from bisect import bisect
 from collections import Counter
 from math import factorial, gcd, prod
 
 from .kernels import kernel_basis, kernel_of_images, matmul_int
 from .lie import LieAlgebra, Matrix, Representation
-from .linalg import Q, mat_mul
 from .sparse import LinComb
 
-Word = tuple[int, ...]
 SymMonomial = tuple[int, ...]  # sorted ascending
-
-
-class TensorElement(LinComb):
-    """Finite map from words to rational coefficients, zeros dropped."""
-
-    __slots__ = ()
-
-    def _key(self, w):
-        return tuple(int(i) for i in w)
 
 
 class SymElement(LinComb):
@@ -105,90 +84,6 @@ def monomial_name(alg: LieAlgebra, m: SymMonomial) -> str:
     return "*".join(alg.labels[i] for i in m) or "1"
 
 
-def symmetrize(s: SymElement) -> TensorElement:
-    """The 1/n! full permutation sum, monomial by monomial.
-
-    Repeated letters are summed with multiplicity, exactly as the n!
-    permutation terms dictate.
-    """
-    top = max(map(len, s.num), default=0)
-    out: dict[Word, int] = {}
-    for m, x in s.num.items():
-        share = x * (factorial(top) // factorial(len(m)))
-        for perm in itertools.permutations(m):
-            out[perm] = out.get(perm, 0) + share
-    return TensorElement()._like(out, s.den * factorial(top))
-
-
-class LambdaMap:
-    """The representation reshaped as a coaction V -> V (x) g*.
-
-    data[out][in][g] is the matrix entry of rho(x_g); contracting the
-    g*-slot with x_i reproduces rho(x_i) by construction.  The oracle phi
-    reads it; the diagram check reads the integer reshape of SymImages.
-    """
-
-    __slots__ = ("rep", "data")
-
-    def __init__(self, rep: Representation):
-        dv, n = rep.dimV, rep.algebra.dim
-        self.rep = rep
-        self.data = tuple(
-            tuple(
-                tuple(rep.matrices[g][o, i] for g in range(n)) for i in range(dv)
-            )
-            for o in range(dv)
-        )
-
-
-def theta(rep: Representation, t: TensorElement) -> Matrix:
-    """Word-to-operator map: each word's action matrices composed by mat_mul."""
-    dv = rep.dimV
-    ident = Matrix._of([[Q(1) if o == i else Q(0) for i in range(dv)] for o in range(dv)], dv)
-    acc = [[Q(0)] * dv for _ in range(dv)]
-    for w, x in t.num.items():
-        m = ident
-        for letter in w:
-            m = mat_mul(m, rep.matrices[letter])
-        for row, got in zip(acc, m.entries):
-            for i, v in enumerate(got):
-                row[i] += x * v
-    return Matrix._of([[v / t.den for v in row] for row in acc], dv)
-
-
-def phi(rep: Representation, t: TensorElement) -> Matrix:
-    """Word-to-operator map through iterated coaction contraction.
-
-    Each word's entry table starts from the identity and contracts the
-    coaction once per letter, last letter first, with plain index sums (no
-    matrix backend), so the innermost coaction factor meets the last letter.
-    """
-    dv = rep.dimV
-    lam = LambdaMap(rep).data
-    acc = [[Q(0)] * dv for _ in range(dv)]
-    for w, x in t.num.items():
-        table = [[Q(1) if o == i else Q(0) for i in range(dv)] for o in range(dv)]
-        for g in reversed(w):
-            nxt = []
-            for o in range(dv):
-                row = []
-                for i in range(dv):
-                    s = Q(0)
-                    for mid in range(dv):
-                        a = lam[o][mid][g]
-                        if a != 0:
-                            s += a * table[mid][i]
-                    row.append(s)
-                nxt.append(row)
-            table = nxt
-        for o in range(dv):
-            for i in range(dv):
-                v = table[o][i]
-                if v != 0:
-                    acc[o][i] += x * v
-    return Matrix._of([[v / t.den for v in row] for row in acc], dv)
-
-
 def _splits(m: SymMonomial):
     """(letter, m with one copy of letter removed) for each distinct letter."""
     for pos, letter in enumerate(m):
@@ -215,8 +110,10 @@ class SymImages:
     one on each representation, so every check on it shares the tables.
 
     theta(s) and phi(s) turn the tables back into the Fraction matrices
-    theta(rep, symmetrize(s)) and phi(rep, symmetrize(s)); only a failing
-    diagram check calls them, for its witness.
+    of the symmetrization of s under each route, which the word-by-word
+    oracle of tests/pbw_oracle.py writes theta(rep, symmetrize(s)) and
+    phi(rep, symmetrize(s)); only a failing diagram check calls them, for
+    its witness.
     """
 
     __slots__ = ("rep", "lam", "theta_table", "phi_table")
@@ -264,8 +161,8 @@ class SymImages:
     def weights(self, s: SymElement) -> tuple[list, int]:
         """Integers k_m and a scale > 0 with k_m / scale = c_m prod(m_i!) / (|m|! d^|m|).
 
-        Then theta(rep, symmetrize(s)) is sum_m k_m theta_table[m] / scale,
-        and the same holds for phi.  With c_m = x_m / den and t the top
+        Then theta of the symmetrization of s is sum_m k_m theta_table[m] /
+        scale, and the same holds for phi.  With c_m = x_m / den and t the top
         degree, scale = den t! d^t and k_m = x_m prod(m_i!) t!/|m|! d^(t-|m|).
         """
         top, d = max(map(len, s.num), default=0), self.rep.d
@@ -300,12 +197,12 @@ class SymImages:
         return tuple(tuple(row) for row in acc)
 
     def theta(self, s: SymElement) -> Matrix:
-        """theta(rep, symmetrize(s)), from the theta table."""
+        """theta of the symmetrization of s, from the theta table."""
         weights, scale = self.weights(s)
         return Matrix.over(self.theta_sum(weights), scale, self.rep.dimV)
 
     def phi(self, s: SymElement) -> Matrix:
-        """phi(rep, symmetrize(s)), from the phi table."""
+        """phi of the symmetrization of s, from the phi table."""
         weights, scale = self.weights(s)
         return Matrix.over(self.phi_sum(weights), scale, self.rep.dimV)
 
@@ -320,13 +217,17 @@ def _derive(brackets: tuple, terms: dict) -> dict:
     """
     out: dict[SymMonomial, int] = {}
     for m, a in terms.items():
-        for letter, rest in _splits(m):
-            row = brackets[letter]
+        prev = -1
+        for pos, letter in enumerate(m):
+            if letter == prev:
+                continue
+            prev, row = letter, brackets[letter]
             if not row:
                 continue
-            scale = a * m.count(letter)
+            rest, scale = m[:pos] + m[pos + 1:], a * m.count(letter)
             for k, c in row:
-                mono = tuple(sorted(rest + (k,)))
+                at = bisect(rest, k)
+                mono = rest[:at] + (k,) + rest[at:]
                 out[mono] = out.get(mono, 0) + scale * c
     return {m: v for m, v in out.items() if v}
 

@@ -4,21 +4,13 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
-from duflo.kernels import kernel_basis, kernel_of_images, matmul_pairs, rref_int
-from duflo.lie import Matrix
-from duflo.linalg import kernel
+from duflo.kernels import kernel_basis, kernel_of_images, matmul_int, rref_int
 
 
 def test_matmul_identity():
-    ident = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    m = [[Fraction(3, 2), Fraction(-2)], [Fraction(5, 3), Fraction(7, 4)]]
-    assert matmul_pairs(ident, m, 2) == m
-
-
-def test_matmul_lowest_terms():
-    # (1/2) * (2/3) = 1/3, normalized
-    (got,), = matmul_pairs([[Fraction(1, 2)]], [[Fraction(2, 3)]], 1)
-    assert (got.numerator, got.denominator) == (1, 3)
+    ident = ((1, 0), (0, 1))
+    m = ((3, -2), (5, 7))
+    assert matmul_int(ident, m) == m == matmul_int(m, ident)
 
 
 def test_rref_canonical():
@@ -144,11 +136,10 @@ def test_sparse_rref_output_is_canonical():
 
 
 def test_dense_kernel_clears_fraction_rows():
-    # the dense kernel of a Fraction matrix is kernel_of_images of its rows
-    # scaled to integers by any positive or negative factor
+    # the kernel of a Fraction matrix is kernel_of_images of its rows scaled
+    # to integers by any positive or negative factor, each row its own
     # rows [1/2, 1/3, 0] and [0, -2/5, 4/5] clear to [3, 2, 0] and [0, -2, 4]
-    m = Matrix([[Fraction(1, 2), Fraction(1, 3), 0], [0, Fraction(-2, 5), Fraction(4, 5)]])
-    assert kernel(m) == [[Fraction(-4, 3), 2, 1]]
+    # and have the kernel (-4/3, 2, 1)
     assert kernel_of_images([{0: 3}, {0: 2, 1: -2}, {1: 4}]) == [({0: -4, 1: 6, 2: 3}, 3)]
     rnd = random.Random(11)
     dens = (1, 2, 3, 5, 7, 12)
@@ -159,17 +150,19 @@ def test_dense_kernel_clears_fraction_rows():
             k: {j: Fraction(rnd.randrange(-9, 10), rnd.choice(dens)) for j in range(ncols)}
             for k in coords
         }
-        scaled = {}
-        for k, row in rows.items():
-            factor = rnd.choice((1, -1, 2)) * lcm(*(c.denominator for c in row.values()))
-            scaled[k] = {j: int(c * factor) for j, c in row.items()}
-        ints = [{k: scaled[k][j] for k in coords if scaled[k][j]} for j in range(ncols)]
-        assert all(type(c) is int for img in ints for c in img.values())
-        dense = kernel(Matrix([[rows[k][j] for j in range(ncols)] for k in coords]))
-        assert dense == [
-            [Fraction(num.get(j, 0), den) for j in range(ncols)]
-            for num, den in kernel_of_images(ints)
-        ]
+        bases = []
+        for factors in ((1,), (1, -1, 2)):
+            scaled = {}
+            for k, row in rows.items():
+                factor = rnd.choice(factors) * lcm(*(c.denominator for c in row.values()))
+                scaled[k] = {j: int(c * factor) for j, c in row.items()}
+            ints = [{k: scaled[k][j] for k in coords if scaled[k][j]} for j in range(ncols)]
+            assert all(type(c) is int for img in ints for c in img.values())
+            bases.append(kernel_of_images(ints))
+        assert bases[0] == bases[1]
+        for num, den in bases[0]:
+            for row in rows.values():
+                assert sum(row[j] * Fraction(x, den) for j, x in num.items()) == 0
 
 
 def test_kernel_basis_is_kernel_of_images_of_any_spanning_set():

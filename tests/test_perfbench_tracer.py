@@ -4,6 +4,13 @@ perfbench/tracer.py wraps duflo functions by module and name; a function
 that is renamed or moved reads as a per-layer metric of 0 there, not as an
 error.  This test fails instead.  It runs in a fresh interpreter because
 Tracer.install rebinds the functions for the rest of the process.
+
+LEFT names, in SPANS order, the nine traced functions that left the
+package on purpose: the d! oracle and its linear algebra, which no
+command runs, now in tests/pbw_oracle.py or deleted.  The tracer records
+each in tracer.missing and carries on.  Any other missing name fails the
+test, and so does one of the nine coming back.  The benchmark's own
+upkeep drops them from SPANS (ROADMAP item 1), and LEFT becomes empty.
 """
 
 import json
@@ -29,6 +36,18 @@ print(json.dumps({"missing": tr.missing,
                   "calls": {k: v[0] for k, v in summary["spans"].items()}}))
 """
 
+LEFT = [
+    "duflo.linalg.mat_mul",
+    "duflo.linalg.kernel",
+    "duflo.kernels.matmul_pairs",
+    "duflo.pbw.symmetrize",
+    "duflo.pbw.theta",
+    "duflo.pbw.phi",
+    "duflo.hodge.mukai_line",
+    "duflo.hodge.contract_exp_atiyah",
+    "duflo.hodge.duflo_inverse",
+]
+
 
 def test_tracer_finds_every_span():
     proc = subprocess.run(
@@ -39,7 +58,7 @@ def test_tracer_finds_every_span():
     )
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
-    assert got["missing"] == []
+    assert got["missing"] == LEFT
     # products reached through the shared graded recursions are still traced
     for span in ("series.mul", "hodge.wedge", "hodge.exp_form", "hodge.contract"):
         assert got["calls"].get(span, 0) > 0, span

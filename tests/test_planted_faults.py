@@ -32,8 +32,10 @@ from fractions import Fraction
 
 from duflo import catalog, hodge, pbw, sparse
 from duflo.hodge import FormClass, HodgeModel, PolyClass
-from duflo.pbw import SymElement, TensorElement, derivation_apply, phi, symmetrize, theta
+from duflo.pbw import SymElement, derivation_apply
 
+import pbw_oracle
+from pbw_oracle import TensorElement, phi, symmetrize, theta
 from test_cli import run_cli
 from test_hodge import first_order_identities
 from test_stream_digests import DIGESTS, LIE_DIGESTS, _sha, dense_gl2
@@ -313,7 +315,7 @@ def _corrupt_coaction(monkeypatch):
 
 def _shift_coaction(patch, shift):
     """Make the oracle phi read the rational coaction entry (0, 1, 0) plus shift."""
-    coaction = pbw.LambdaMap.__init__
+    coaction = pbw_oracle.LambdaMap.__init__
 
     def shifted(self, rep):
         coaction(self, rep)
@@ -321,7 +323,7 @@ def _shift_coaction(patch, shift):
         data[0][1][0] += shift
         self.data = tuple(tuple(tuple(cell) for cell in plane) for plane in data)
 
-    patch.setattr(pbw.LambdaMap, "__init__", shifted)
+    patch.setattr(pbw_oracle.LambdaMap, "__init__", shifted)
 
 
 def test_corrupt_coaction_fails_lie_diagram(monkeypatch):
@@ -354,35 +356,31 @@ def test_corrupt_coaction_fails_lie_diagram(monkeypatch):
     assert run_cli(LIE_ARGV)[0] == 0
 
 
-# The reference code the tests compare the commands against, by home module:
-# the d! oracle (symmetrize, theta, phi over LambdaMap, the Fraction rational
-# coaction, with products by mat_mul), the dense kernel view, and hodge's
-# one-class views of the Mukai vector and the obstruction.
-ORACLE = {
-    "duflo.pbw": ("symmetrize", "theta", "phi", "LambdaMap"),
-    "duflo.linalg": ("mat_mul", "kernel"),
-    "duflo.kernels": ("matmul_pairs",),
-    "duflo.hodge": ("mukai_line", "contract_exp_atiyah"),
-}
+# The reference code the tests compare the commands against, all in
+# tests/pbw_oracle.py: the d! oracle (symmetrize, theta, phi over LambdaMap,
+# the Fraction rational coaction, with products by mat_mul) and hodge's
+# one-class view of the obstruction.
+ORACLE = ("symmetrize", "theta", "phi", "LambdaMap", "mat_mul", "contract_exp_atiyah")
 
 
 def _refuse_oracle(monkeypatch):
-    """Make every binding of an ORACLE name in a duflo module raise when called."""
-    modules = [m for name, m in sys.modules.items() if name.startswith("duflo.")]
+    """Make every binding of an ORACLE name, in pbw_oracle, a duflo module or
+    a test module, raise when called."""
+    modules = [m for name, m in list(sys.modules.items())
+               if name.startswith(("duflo.", "pbw_oracle", "test_"))]
     refused = 0
-    for home, names in ORACLE.items():
-        for name in names:
-            orig = getattr(sys.modules[home], name)
+    for name in ORACLE:
+        orig = getattr(pbw_oracle, name)
 
-            def refuse(*args, _name=f"{home}.{name}", **kwargs):
-                raise AssertionError(f"{_name} called on the command path")
+        def refuse(*args, _name=f"pbw_oracle.{name}", **kwargs):
+            raise AssertionError(f"{_name} called on the command path")
 
-            for module in modules:
-                for key, value in list(vars(module).items()):
-                    if value is orig:
-                        monkeypatch.setattr(module, key, refuse)
-                        refused += 1
-    assert refused >= sum(map(len, ORACLE.values()))
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is orig:
+                    monkeypatch.setattr(module, key, refuse)
+                    refused += 1
+    assert refused >= len(ORACLE)
 
 
 def test_command_path_builds_no_rational_coaction(monkeypatch, tmp_path):
@@ -408,8 +406,8 @@ def test_command_path_builds_no_rational_coaction(monkeypatch, tmp_path):
 
 def test_hodge_pass_path_builds_no_mukai_kernel_and_no_inverse_twist(monkeypatch):
     # a pass decides the Mukai line on generators and the round trip on
-    # u ^ s = 1: kernel_of_images inside mukai_sweep, a full Mukai operator
-    # or duflo_inverse would exit 3; the first-order loci keep their kernels
+    # u ^ s = 1: kernel_of_images inside mukai_sweep or a full Mukai operator
+    # would exit 3; the first-order loci keep their kernels
     sweep, kernel_of_images = hodge.mukai_sweep, hodge.kernel_of_images
     inside, outside = [], []
 
@@ -427,12 +425,11 @@ def test_hodge_pass_path_builds_no_mukai_kernel_and_no_inverse_twist(monkeypatch
         return kernel_of_images(images)
 
     def refuse(*args):
-        raise AssertionError("a full operator or duflo_inverse on the pass path")
+        raise AssertionError("a full operator on the pass path")
 
     monkeypatch.setattr(hodge, "mukai_sweep", watched)
     monkeypatch.setattr(hodge, "kernel_of_images", guarded)
     monkeypatch.setattr(hodge.LineBundle, "full", refuse)
-    monkeypatch.setattr(hodge, "duflo_inverse", refuse)
     command = "verify-hodge --dim 3 --seed 0 --cases 2"
     code, out, err = run_cli(command.split())
     assert code == 0, err

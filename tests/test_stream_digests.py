@@ -120,7 +120,7 @@ def dense_gl2(path):
 
     P is a fixed dense rational matrix, so the structure constants in the
     new basis have non-integer entries; the inverse is taken here by
-    Gauss-Jordan on Fractions, independently of duflo.linalg.
+    Gauss-Jordan on Fractions, independently of duflo.kernels.
     """
     half, third = Fraction(1, 2), Fraction(1, 3)
     p = [[1, half, 0, -2 * third], [0, 1, third, 0], [2, 0, 1, half], [third, -1, 0, 1]]
