@@ -1,7 +1,8 @@
 """Finite-dimensional Lie algebras from structure constants, with eager
 axiom validation, plus representations given by explicit matrices.  A
-Matrix is a parsed literal or a witness and does no arithmetic: tuples of
-rows of fractions.Fraction, always in lowest terms.
+representation parses its literal entries once and keeps only its
+integer table; fraction_rows turns integer rows over a denominator back
+into rows of fractions.Fraction, for a witness.
 
 Constructors certify antisymmetry, the Jacobi identity, and the bracket
 relation of representations before any object escapes, so downstream
@@ -12,11 +13,11 @@ constants are cleared once by the lcm delta of their denominators, and
 a representation's matrices once, when it is built, by the lcm d of
 theirs, which it keeps with the integer actions for pbw to read; both
 checks compare integer tables that are the rational identities times a
-fixed positive scale.  A Fraction is built only for the text of a raised
-JacobiViolation or BracketMismatch.
+fixed positive scale.  After parsing, a Fraction is built only for a
+raised JacobiViolation or BracketMismatch.
 """
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
 
@@ -24,46 +25,9 @@ from .kernels import matmul_int
 from .sparse import parse_rational, quoted
 
 
-class Matrix:
-    """An immutable rational matrix: a parsed literal or a witness."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries: Iterable[Iterable], cols: int | None = None):
-        """Parse a literal; cols is read from the first row unless given,
-        and must be given for a matrix with no rows but some columns."""
-        rows = tuple(tuple(parse_rational(x) for x in row) for row in entries)
-        self.entries = rows
-        self.rows = len(rows)
-        if cols is None:
-            cols = len(rows[0]) if rows else 0
-        self.cols = cols
-        for row in rows:
-            if len(row) != cols:
-                raise ValueError("ragged rows in matrix literal")
-
-    @classmethod
-    def over(cls, rows, den: int, cols: int) -> "Matrix":
-        """The Fraction matrix rows / den, from cols-long rows of ints; no parsing."""
-        out = object.__new__(cls)
-        out.entries = tuple(tuple(Fraction(x, den) for x in row) for row in rows)
-        out.rows = len(out.entries)
-        out.cols = cols
-        return out
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
-
-    def __eq__(self, other):
-        return isinstance(other, Matrix) and self.entries == other.entries
-
-    def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
-        return f"Matrix[{self.rows}x{self.cols}: {body}]"
-
-    def to_json(self) -> list[list[str]]:
-        return [[str(x) for x in row] for row in self.entries]
+def fraction_rows(rows, den: int) -> tuple:
+    """The rows of ints over den as a tuple of rows of Fractions."""
+    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
 
 
 class AntisymmetryViolation(ValueError):
@@ -86,13 +50,16 @@ class JacobiViolation(ValueError):
 
 
 class BracketMismatch(ValueError):
-    def __init__(self, i: int, j: int, expected: Matrix, got: Matrix):
+    """expected and got are the two sides of the bracket relation as Fraction rows."""
+
+    def __init__(self, i: int, j: int, expected: tuple, got: tuple):
         self.pair = (i, j)
         self.expected = expected
         self.got = got
+        want, have = ("; ".join(" ".join(map(str, r)) for r in m) for m in (expected, got))
         super().__init__(
             f"representation violates the bracket on pair ({i},{j}): "
-            f"rho([x_{i},x_{j}]) = {expected!r} but [rho(x_{i}),rho(x_{j})] = {got!r}"
+            f"rho([x_{i},x_{j}]) = [{want}] but [rho(x_{i}),rho(x_{j})] = [{have}]"
         )
 
 
@@ -171,27 +138,28 @@ class Representation:
     """A Lie algebra acting on Q^dimV by one matrix per basis element,
     each given as rows of rationals, as the catalog's integer tables are.
 
-    d is the lcm of every denominator in the matrices and actions[g] is
-    R_g = d rho(x_g) as int rows, which every check of pbw reads.
+    Only the integer table is kept: d is the lcm of every denominator in
+    the matrices and actions[g] is R_g = d rho(x_g) as int rows, which
+    every check of pbw reads.
     """
 
-    __slots__ = ("algebra", "dimV", "matrices", "name", "d", "actions", "_sym_images")
+    __slots__ = ("algebra", "dimV", "name", "d", "actions", "_sym_images")
 
     def __init__(self, algebra: LieAlgebra, matrices: Sequence, name: str = ""):
-        mats = tuple(Matrix(m) for m in matrices)
+        mats = [[[parse_rational(x) for x in row] for row in m] for m in matrices]
+        if any(len(row) != len(m[0]) for m in mats for row in m):
+            raise ValueError("ragged rows in matrix literal")
         if len(mats) != algebra.dim:
             raise ValueError("need one action matrix per basis element")
-        dv = mats[0].rows if mats else 0
-        for m in mats:
-            if m.shape != (dv, dv):
-                raise ValueError("action matrices must be square of a common size")
+        dv = len(mats[0]) if mats else 0
+        if any(len(m) != dv or any(len(row) != dv for row in m) for m in mats):
+            raise ValueError("action matrices must be square of a common size")
         self.algebra = algebra
         self.dimV = dv
-        self.matrices = mats
         self.name = name
-        d = self.d = lcm(*(x.denominator for m in mats for row in m.entries for x in row))
+        d = self.d = lcm(*(x.denominator for m in mats for row in m for x in row))
         self.actions = tuple(
-            tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in m.entries)
+            tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in m)
             for m in mats
         )
         self._sym_images = None  # filled by pbw.sym_images
@@ -203,8 +171,7 @@ class Representation:
         R_i = d rho(x_i) are the integer actions and C = delta c is the
         algebra's cleared_brackets, so both sides are d^2 delta times the
         two sides of [rho(x_i), rho(x_j)] = sum_k c_ijk rho(x_k).  The
-        Fraction matrices of a BracketMismatch are built only when it is
-        raised.
+        Fraction rows of a BracketMismatch are built only when it is raised.
         """
         dv = self.dimV
         if not dv:
@@ -230,7 +197,7 @@ class Representation:
                     for x, y in zip(rg, rw)
                 ):
                     raise BracketMismatch(
-                        i, j, Matrix.over(want, delta * d, dv), Matrix.over(got, d * d, dv)
+                        i, j, fraction_rows(want, delta * d), fraction_rows(got, d * d)
                     )
 
     def __repr__(self):

@@ -24,7 +24,7 @@ the integer coaction, the reshape of the R_i, so each table entry is
 d^|m| times the image of W(m).  check_pbw_diagram compares a monomial's
 two entries, and check_invariant_image weighs an invariant's entries and
 tests centrality, both in Z; each returns None or its line's witness,
-and a diagram witness's Fraction matrices come from the tables.
+and a diagram witness's Fraction rows come from the tables.
 
 The derivations ad(x_i) of the symmetric algebra run in Z as well: they
 read LieAlgebra.cleared_brackets, the brackets times one lcm delta of the
@@ -46,7 +46,7 @@ from collections import Counter
 from math import factorial, gcd, prod
 
 from .kernels import kernel_basis, kernel_of_images, matmul_int
-from .lie import LieAlgebra, Matrix, Representation
+from .lie import LieAlgebra, Representation, fraction_rows
 from .sparse import LinComb
 
 SymMonomial = tuple[int, ...]  # sorted ascending
@@ -109,8 +109,8 @@ class SymImages:
     letters stores at most C(n+D, D) entries per table.  sym_images keeps
     one on each representation, so every check on it shares the tables.
 
-    theta(s) and phi(s) turn the tables back into the Fraction matrices
-    of the symmetrization of s under each route, which the word-by-word
+    theta(s) and phi(s) turn the tables back into the Fraction rows of
+    the symmetrization of s under each route, which the word-by-word
     oracle of tests/pbw_oracle.py writes theta(rep, symmetrize(s)) and
     phi(rep, symmetrize(s)); only a failing diagram check calls them, for
     its witness.
@@ -196,15 +196,15 @@ class SymImages:
                         acc[o][i] += k * v
         return tuple(tuple(row) for row in acc)
 
-    def theta(self, s: SymElement) -> Matrix:
+    def theta(self, s: SymElement) -> tuple:
         """theta of the symmetrization of s, from the theta table."""
         weights, scale = self.weights(s)
-        return Matrix.over(self.theta_sum(weights), scale, self.rep.dimV)
+        return fraction_rows(self.theta_sum(weights), scale)
 
-    def phi(self, s: SymElement) -> Matrix:
+    def phi(self, s: SymElement) -> tuple:
         """phi of the symmetrization of s, from the phi table."""
         weights, scale = self.weights(s)
-        return Matrix.over(self.phi_sum(weights), scale, self.rep.dimV)
+        return fraction_rows(self.phi_sum(weights), scale)
 
 
 def _derive(brackets: tuple, terms: dict) -> dict:
@@ -322,8 +322,8 @@ def check_pbw_diagram(rep: Representation, m: SymMonomial) -> dict | None:
     s = SymElement.monomial(m)
     return {
         "monomial": monomial_name(rep.algebra, m),
-        "path_theta": images.theta(s).to_json(),
-        "path_contract": images.phi(s).to_json(),
+        "path_theta": [[str(x) for x in row] for row in images.theta(s)],
+        "path_contract": [[str(x) for x in row] for row in images.phi(s)],
     }
 
 

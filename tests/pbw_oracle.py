@@ -3,7 +3,10 @@
 Elements of the tensor algebra are finite rational combinations of words
 in basis indices.  symmetrize carries the 1/n! permutation sum, over all
 n! permutations, and two maps send a word to an operator on a
-representation V:
+representation V.  Matrices are plain tuples of Fraction rows, and
+rational_actions reads rho(x_g) = R_g / d off the representation's
+integer table, the only copy it keeps; test_lie checks that table
+against the literal matrices it was cleared from:
 
   * theta composes action matrices with mat_mul, the triple-loop product
     of Fractions, so the word (i1, ..., ik) becomes the product
@@ -28,7 +31,7 @@ from fractions import Fraction
 from math import factorial
 
 from duflo.hodge import FormClass, LineBundle, PolyClass, contract_T_on_Omega
-from duflo.lie import Matrix, Representation
+from duflo.lie import Representation
 from duflo.pbw import SymElement
 from duflo.sparse import LinComb
 
@@ -57,15 +60,22 @@ def symmetrize(s: SymElement) -> TensorElement:
     return TensorElement()._like(out, s.den * factorial(top))
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+def rational_actions(rep: Representation) -> tuple:
+    """rho(x_g) = R_g / d for each basis index g, as Fraction rows."""
+    return tuple(
+        tuple(tuple(Fraction(x, rep.d) for x in row) for row in r) for r in rep.actions
+    )
+
+
+def mat_mul(a: tuple, b: tuple) -> tuple:
     """The product ab by the triple loop over Fractions, zeros of a skipped."""
-    out = [[Fraction(0)] * b.cols for _ in range(a.rows)]
-    for got, row in zip(out, a.entries):
-        for x, other in zip(row, b.entries):
+    out = [[Fraction(0)] * (len(b[0]) if b else 0) for _ in a]
+    for got, row in zip(out, a):
+        for x, other in zip(row, b):
             if x:
                 for j, y in enumerate(other):
                     got[j] += x * y
-    return Matrix(out, b.cols)
+    return tuple(map(tuple, out))
 
 
 class LambdaMap:
@@ -78,31 +88,28 @@ class LambdaMap:
     __slots__ = ("data",)
 
     def __init__(self, rep: Representation):
-        dv, n = rep.dimV, rep.algebra.dim
+        dv, mats = rep.dimV, rational_actions(rep)
         self.data = tuple(
-            tuple(
-                tuple(rep.matrices[g].entries[o][i] for g in range(n)) for i in range(dv)
-            )
-            for o in range(dv)
+            tuple(tuple(m[o][i] for m in mats) for i in range(dv)) for o in range(dv)
         )
 
 
-def theta(rep: Representation, t: TensorElement) -> Matrix:
+def theta(rep: Representation, t: TensorElement) -> tuple:
     """Word-to-operator map: each word's action matrices composed by mat_mul."""
-    dv = rep.dimV
-    ident = Matrix([[int(o == i) for i in range(dv)] for o in range(dv)], dv)
+    dv, mats = rep.dimV, rational_actions(rep)
+    ident = tuple(tuple(Fraction(int(o == i)) for i in range(dv)) for o in range(dv))
     acc = [[Fraction(0)] * dv for _ in range(dv)]
     for w, x in t.num.items():
         m = ident
         for letter in w:
-            m = mat_mul(m, rep.matrices[letter])
-        for row, got in zip(acc, m.entries):
+            m = mat_mul(m, mats[letter])
+        for row, got in zip(acc, m):
             for i, v in enumerate(got):
                 row[i] += x * v
-    return Matrix([[v / t.den for v in row] for row in acc], dv)
+    return tuple(tuple(v / t.den for v in row) for row in acc)
 
 
-def phi(rep: Representation, t: TensorElement) -> Matrix:
+def phi(rep: Representation, t: TensorElement) -> tuple:
     """Word-to-operator map through iterated coaction contraction.
 
     Each word's entry table starts from the identity and contracts the
@@ -132,7 +139,7 @@ def phi(rep: Representation, t: TensorElement) -> Matrix:
                 v = table[o][i]
                 if v != 0:
                     acc[o][i] += x * v
-    return Matrix([[v / t.den for v in row] for row in acc], dv)
+    return tuple(tuple(v / t.den for v in row) for row in acc)
 
 
 def contract_exp_atiyah(alpha: PolyClass, line: LineBundle) -> FormClass:

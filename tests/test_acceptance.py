@@ -31,13 +31,28 @@ from duflo.hodge import (
     poly_basis_11,
     wedge,
 )
-from duflo.lie import Matrix
-from duflo.pbw import SymElement, derivation_apply, invariants_s, sym_basis
+from duflo.pbw import (
+    SymElement,
+    check_invariant_image,
+    check_pbw_diagram,
+    derivation_apply,
+    invariants_s,
+    sym_basis,
+    sym_images,
+)
 from duflo.rng import SplitMix64, derive
 from duflo.series import GradedSeries, sqrt_todd, todd
 from duflo.sparse import graded_power
 
-from pbw_oracle import TensorElement, contract_exp_atiyah, mat_mul, phi, symmetrize, theta
+from pbw_oracle import (
+    TensorElement,
+    contract_exp_atiyah,
+    mat_mul,
+    phi,
+    rational_actions,
+    symmetrize,
+    theta,
+)
 from test_hodge import first_order_identities
 from test_pbw import swap_letters
 
@@ -61,19 +76,24 @@ def test_criterion_1_diagram_commutes_degree_4():
     checked = 0
     for name, alg, rep_name, rep in _catalog_pairs():
         assert rep.dimV <= 5
+        images = sym_images(rep)
         for degree in range(1, 5):
             for m in sym_basis(alg.dim, degree):
+                where = (name, rep_name, m)
+                assert check_pbw_diagram(rep, m) is None, where
                 s = SymElement.monomial(m)
                 lhs = theta(rep, symmetrize(s))
                 rhs = phi(rep, symmetrize(s))
-                assert lhs == rhs, (name, rep_name, m)
+                assert lhs == rhs, where
+                assert images.theta(s) == lhs and images.phi(s) == rhs, where
                 checked += 1
     elapsed = time.perf_counter() - t0
     _report(
         1,
         elapsed < 60.0,
-        f"theta(symmetrize) = phi(symmetrize) on {checked} monomials of degree <= 4 "
-        f"over the catalog, exact, in {elapsed:.1f}s (< 60s)",
+        f"check_pbw_diagram passes and its theta and phi tables equal the "
+        f"permutation-sum theta(symmetrize) = phi(symmetrize) on {checked} "
+        f"monomials of degree <= 4 over the catalog, exact, in {elapsed:.1f}s (< 60s)",
     )
 
 
@@ -98,8 +118,9 @@ def test_criterion_3_invariants():
                 for i in range(alg.dim):
                     assert derivation_apply(alg, i, s).is_zero(), (name, degree)
                 for rep in reps.values():
+                    assert check_invariant_image(rep, s) is None, (name, rep.name, degree)
                     img = phi(rep, symmetrize(s))
-                    for mat in rep.matrices:
+                    for mat in rational_actions(rep):
                         assert mat_mul(img, mat) == mat_mul(mat, img), (name, degree)
                 checked += 1
     sl2_dim2 = len(invariants_s(catalog.sl2(), 2))
@@ -107,8 +128,9 @@ def test_criterion_3_invariants():
     _report(
         3,
         True,
-        f"{checked} invariant elements (degree <= 4) annihilated with central "
-        f"images; sl2 degree-2 invariant space has dimension {sl2_dim2} (= 1)",
+        f"{checked} invariant elements (degree <= 4) annihilated, with central "
+        f"images and check_invariant_image passing; sl2 degree-2 invariant "
+        f"space has dimension {sl2_dim2} (= 1)",
     )
 
 
@@ -286,9 +308,9 @@ def test_criterion_7_structural_suites():
     # exact matrix product associativity
     mrng = SplitMix64(derive(2000, 2))
     for _ in range(5):
-        A = Matrix([[mrng.rational(6, 5) for _ in range(4)] for _ in range(3)])
-        B = Matrix([[mrng.rational(6, 5) for _ in range(2)] for _ in range(4)])
-        C = Matrix([[mrng.rational(6, 5) for _ in range(3)] for _ in range(2)])
+        A = tuple(tuple(mrng.rational(6, 5) for _ in range(4)) for _ in range(3))
+        B = tuple(tuple(mrng.rational(6, 5) for _ in range(2)) for _ in range(4))
+        C = tuple(tuple(mrng.rational(6, 5) for _ in range(3)) for _ in range(2))
         assert mat_mul(mat_mul(A, B), C) == mat_mul(A, mat_mul(B, C))
 
     _report(

@@ -26,7 +26,7 @@ from duflo.hodge import FormClass, HodgeModel, PolyClass
 from duflo.kernels import kernel_of_images
 from duflo.rng import SplitMix64, derive
 
-from test_linalg import cleared_images
+from test_kernels import cleared_images
 from test_planted_faults import _doubled, _inverse_missing_last_term, _patch_image, _plus_one
 from test_sign_table import contract_term, wedge_term
 

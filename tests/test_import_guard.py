@@ -83,7 +83,7 @@ def test_import_loads_no_oracle_linear_algebra(module):
 
 
 # the names that left src/duflo without a copy in tests/pbw_oracle.py
-DELETED = {"ShapeMismatch", "kernel", "matmul_pairs", "mukai_line", "duflo_inverse"}
+DELETED = {"Matrix", "ShapeMismatch", "kernel", "matmul_pairs", "mukai_line", "duflo_inverse"}
 
 
 def oracle_names() -> set:
@@ -131,11 +131,12 @@ def test_src_holds_no_oracle_name():
 
 def test_oracle_scan_flags_a_planted_symmetrize():
     sources = _sources()
-    sources["pbw.py"] += "\n\ndef symmetrize(s):\n    return s\n"
+    sources["pbw.py"] += "\n\ndef symmetrize(s):\n    return s\n\nfrom .lie import Matrix\n"
     sources["hodge.py"] += "\nfrom .linalg import kernel\n"
     sources["cli.py"] += "\nfrom tests.pbw_oracle import theta as route\nimport test_pbw\n"
-    sources["lie.py"] += "\nmat_mul: object = None\n"
+    sources["lie.py"] += "\nmat_mul: object = None\n\n\nclass Matrix:\n    pass\n"
     assert oracle_hits(sources) == [
         "cli.py:pbw_oracle", "cli.py:test_pbw", "cli.py:tests", "cli.py:theta",
-        "hodge.py:kernel", "hodge.py:linalg", "lie.py:mat_mul", "pbw.py:symmetrize",
+        "hodge.py:kernel", "hodge.py:linalg", "lie.py:Matrix", "lie.py:mat_mul",
+        "pbw.py:Matrix", "pbw.py:symmetrize",
     ]

@@ -22,13 +22,14 @@ from duflo.lie import (
     BracketMismatch,
     JacobiViolation,
     LieAlgebra,
-    Matrix,
     Representation,
     adjoint_rep,
     algebra_from_json,
 )
 from duflo.pbw import adjunction_check
+from duflo.sparse import parse_rational
 
+from pbw_oracle import rational_actions
 from test_stream_digests import dense_gl2
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -73,7 +74,7 @@ def test_jacobi_violation_names_triple():
 def test_sl2_standard_rep_valid():
     rep = catalog.representations(catalog.sl2())["standard"]
     assert rep.dimV == 2
-    assert rep.matrices[2] == Matrix([[1, 0], [0, -1]])
+    assert rational_actions(rep)[2] == ((1, 0), (0, -1))
 
 
 def test_swapped_rep_rejected():
@@ -95,22 +96,22 @@ def test_axiom_violations_are_value_errors():
 def test_zero_rep_of_abelian_valid():
     alg = catalog.abelian(2)
     rep = catalog.representations(alg)["zero"]
-    assert all(x == 0 for m in rep.matrices for row in m.entries for x in row)
+    assert all(x == 0 for m in rational_actions(rep) for row in m for x in row)
 
 
 def test_adjoint_abelian_is_zero():
     rep = adjoint_rep(catalog.abelian(3))
-    assert all(x == 0 for m in rep.matrices for row in m.entries for x in row)
+    assert all(x == 0 for m in rational_actions(rep) for row in m for x in row)
 
 
 def test_adjoint_sl2_ad_h_diagonal():
     rep = adjoint_rep(catalog.sl2())
-    assert rep.matrices[2] == Matrix([[2, 0, 0], [0, -2, 0], [0, 0, 0]])
+    assert rational_actions(rep)[2] == ((2, 0, 0), (0, -2, 0), (0, 0, 0))
 
 
 def test_adjoint_center_acts_by_zero():
     rep = adjoint_rep(catalog.heisenberg3())
-    assert rep.matrices[2] == Matrix([[0] * 3] * 3)
+    assert rational_actions(rep)[2] == ((0,) * 3,) * 3
 
 
 def test_adjoint_passes_validation_for_all_catalog_algebras():
@@ -164,7 +165,8 @@ def test_load_representation_builds_only_the_named_one(monkeypatch):
     rep = catalog.load_representation(alg, "standard")
     assert built == ["standard"]
     assert rep.name == "standard"
-    assert rep.matrices == Representation(alg, catalog.CATALOG["sl2"][1]["standard"]).matrices
+    want = Representation(alg, catalog.CATALOG["sl2"][1]["standard"])
+    assert (rep.d, rep.actions) == (want.d, want.actions)
 
 
 def test_load_representation_unknown_name_lists_every_name():
@@ -178,6 +180,52 @@ def test_zero_dimensional_rep_is_valid():
     rep = Representation(catalog.abelian(2), [[], []])
     assert rep.dimV == 0
     assert adjunction_check(rep) is None
+
+
+def test_malformed_matrices_are_refused():
+    alg = catalog.abelian(2)
+    ragged = "ragged rows in matrix literal"
+    count = "need one action matrix per basis element"
+    square = "action matrices must be square of a common size"
+    for mats, message in [
+        ([[[1, 2], [3]], [[0, 0], [0, 0]]], ragged),
+        ([[[1, 2]], [[0, 0], [0, 0]]], square),  # one row of two
+        ([[[1, 2], [3, 4]], [[1, 2, 3], [4, 5, 6]]], square),  # 2x2 and 2x3
+        ([[[1]], [[0, 0], [0, 0]]], square),  # 1x1 and 2x2
+        ([[[], []], [[], []]], square),  # two rows of no columns
+        ([[[1]]], count),
+        ([[[1]], [[0]], [[0]]], count),
+        ([[[1, 2], [3]], [[1]], [[0]]], ragged),  # ragged is found first
+    ]:
+        with pytest.raises(ValueError) as exc:
+            Representation(alg, mats)
+        assert exc.value.args == (message,), mats
+
+
+def _literal_tables(tmp_path):
+    """(algebra, representation name, literal matrices) for each catalog
+    table, each catalog algebra's adjoint and the dense gl2's adjoint; an
+    adjoint's literal is read off alg.constants, ad(x_g)[o][i] = c[g][i][o]."""
+    algebras = [catalog.load_algebra(name) for name in catalog.algebra_names()]
+    algebras.append(catalog.load_algebra(str(dense_gl2(tmp_path / "dense_gl2.json"))))
+    for alg in algebras:
+        _, tables = catalog._entry(alg.name) or (None, {})
+        yield from ((alg, name, table) for name, table in tables.items())
+        c, n = alg.constants, alg.dim
+        yield alg, "adjoint", [[[c[g][i][o] for i in range(n)] for o in range(n)] for g in range(n)]
+
+
+def test_cleared_table_matches_the_literal_input(tmp_path):
+    # the oracle reads rho(x_g) back as R_g / d, so R_g / d must be the
+    # literal it was cleared from, and d the lcm of that literal's denominators
+    cleared = 0
+    for alg, name, literal in _literal_tables(tmp_path):
+        rep = catalog.load_representation(alg, name)
+        parsed = [[[parse_rational(x) for x in row] for row in m] for m in literal]
+        assert rep.d == lcm(*(x.denominator for m in parsed for row in m for x in row))
+        assert [[[Fraction(x, rep.d) for x in row] for row in r] for r in rep.actions] == parsed
+        cleared += rep.d > 1
+    assert cleared == 1  # the dense gl2 adjoint
 
 
 # -- Fraction references for the integer checks --------------------------------
@@ -222,7 +270,7 @@ def bracket_reference(c, mats):
                 for o in range(dv)
             ]
             if expected != got:
-                return (i, j), Matrix(expected), Matrix(got)
+                return (i, j), tuple(map(tuple, expected)), tuple(map(tuple, got))
     return None
 
 
@@ -250,7 +298,7 @@ def assert_algebra_like_reference(constants) -> bool:
 
 def assert_rep_like_reference(alg, mats) -> bool:
     """Representation(alg, mats) raises BracketMismatch exactly when the
-    reference finds a mismatch, with its pair, matrices and message;
+    reference finds a mismatch, with its pair, Fraction rows and message;
     returns whether it raised."""
     want = bracket_reference(alg.constants, [_fractions(m) for m in mats])
     if want is None:
@@ -301,7 +349,7 @@ def test_valid_algebras_and_reps_agree_with_references(algebras):
     for alg in algebras.values():
         assert not assert_algebra_like_reference(alg.constants), alg
         for name, rep in catalog.representations(alg).items():
-            mats = [m.entries for m in rep.matrices]
+            mats = rational_actions(rep)
             assert not assert_rep_like_reference(alg, mats), (alg, name)
 
 
@@ -326,11 +374,10 @@ def test_perturbed_rep_entries_match_bracket_reference(algebras):
     raised = 0
     for alg in algebras.values():
         for rep in catalog.representations(alg).values():
-            d = lcm(*(x.denominator for m in rep.matrices for row in m.entries for x in row))
-            p = _fresh_prime(alg.delta, d)
+            p = _fresh_prime(alg.delta, rep.d)
             dv = rep.dimV
             for shift in (1, -1, Fraction(1, p)):
-                mats = [[list(row) for row in m.entries] for m in rep.matrices]
+                mats = [[list(row) for row in m] for m in rational_actions(rep)]
                 mats[0][0][dv - 1] += shift
                 raised += assert_rep_like_reference(alg, mats)
     assert raised == 39  # of 18 reps times 3 shifts; the rest still represent

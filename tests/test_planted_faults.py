@@ -43,6 +43,11 @@ from test_stream_digests import DIGESTS, LIE_DIGESTS, _sha, dense_gl2
 ARGV = ["verify-hodge", "--dim", "2", "--seed", "0", "--cases", "1"]
 
 
+def _json(rows):
+    """Fraction rows as a lie-diagram witness writes them."""
+    return [[str(x) for x in row] for row in rows]
+
+
 def _lines(out, suite):
     return [r for r in map(json.loads, out.splitlines()) if r["suite"] == suite]
 
@@ -350,17 +355,21 @@ def test_corrupt_coaction_fails_lie_diagram(monkeypatch):
             witness = r["witness"]
             sym = symmetrize(SymElement.monomial(_sl2_monomial(witness["monomial"])))
             assert witness["path_theta"] != witness["path_contract"]
-            assert witness["path_theta"] == theta(rep, sym).to_json()
+            assert witness["path_theta"] == _json(theta(rep, sym))
             # the permutation-sum phi over the shifted rational coaction
-            assert witness["path_contract"] == phi(rep, sym).to_json()
+            assert witness["path_contract"] == _json(phi(rep, sym))
     assert run_cli(LIE_ARGV)[0] == 0
 
 
 # The reference code the tests compare the commands against, all in
 # tests/pbw_oracle.py: the d! oracle (symmetrize, theta, phi over LambdaMap,
-# the Fraction rational coaction, with products by mat_mul) and hodge's
-# one-class view of the obstruction.
-ORACLE = ("symmetrize", "theta", "phi", "LambdaMap", "mat_mul", "contract_exp_atiyah")
+# the Fraction rational coaction, with products by mat_mul, all on the
+# Fraction rows of rational_actions) and hodge's one-class view of the
+# obstruction.
+ORACLE = (
+    "symmetrize", "theta", "phi", "LambdaMap", "mat_mul", "rational_actions",
+    "contract_exp_atiyah",
+)
 
 
 def _refuse_oracle(monkeypatch):
@@ -460,8 +469,8 @@ def test_dropped_letter_in_theta_recursion_fails_lie_diagram(monkeypatch):
         witness = r["witness"]
         sym = symmetrize(SymElement.monomial(_sl2_monomial(witness["monomial"])))
         kept = TensorElement({w: c for w, c in sym.terms.items() if 0 not in w})
-        assert witness["path_theta"] == theta(rep, kept).to_json()
-        assert witness["path_contract"] == theta(rep, sym).to_json()
+        assert witness["path_theta"] == _json(theta(rep, kept))
+        assert witness["path_contract"] == _json(theta(rep, sym))
     assert run_cli(LIE_ARGV)[0] == 0
 
 
@@ -490,8 +499,8 @@ def test_faulty_coaction_clearing_fails_lie_diagram_on_dense_gl2(monkeypatch, tm
             witness = r["witness"]
             mono = tuple(alg.labels.index(x) for x in witness["monomial"].split("*"))
             sym = symmetrize(SymElement.monomial(mono))
-            assert witness["path_theta"] == theta(rep, sym).to_json()
-            assert witness["path_contract"] == phi(rep, sym).to_json()
+            assert witness["path_theta"] == _json(theta(rep, sym))
+            assert witness["path_contract"] == _json(phi(rep, sym))
             assert witness["path_theta"] != witness["path_contract"]
     assert run_cli(argv)[0] == 0
 
