@@ -33,9 +33,10 @@ and multiplies the two denominators.  The two Mukai operators, the
 obstruction alpha -| exp(c1), a (p, 0) form, and the moduli action, are
 the LineBundle hooks a planted fault patches: integer images of basis
 terms through the one contraction loop _contract_terms, which the class
-contractions also run.  A pass builds no kernel for either sweep line:
-with Todd = 1 the Mukai line passes on the factorization lemma
-moduli(beta) = obstruction(beta) ^ exp(c1) for the 2^n generators
+contractions also run, as it builds the first-order identities' per-model
+integer images of the (1,1) basis.  A pass builds no kernel for either
+sweep line: with Todd = 1 the Mukai line passes on the factorization
+lemma moduli(beta) = obstruction(beta) ^ exp(c1) for the 2^n generators
 beta = (0, J), and the Duflo round trip on u ^ s = 1 for the Todd roots
 (README).  Any other Mukai line sweeps the kernel, each vector through
 check_mukai_implication, the entry a witness replays through.  No inverse
@@ -221,13 +222,13 @@ class HodgeModel:
     (datum 1), which makes the Duflo twist the identity.
     """
 
-    __slots__ = ("n", "todd", "_sqrt", "_loci_equal", "_c1_parts")
+    __slots__ = ("n", "todd", "_sqrt", "_first_order")
 
     def __init__(self, n: int, todd: dict | None = None):
         if n < 1:
             raise ValueError("model rank must be at least 1")
         self.n = n
-        self._sqrt = self._loci_equal = self._c1_parts = None
+        self._sqrt = self._first_order = None
         todd = FormClass(self, {(0, 0): 1} if todd is None else todd)
         for a, b in todd.num:
             if a.bit_count() != b.bit_count():
@@ -428,7 +429,7 @@ def _duflo_images(root: dict, target: dict, keys: list, n: int) -> list[dict]:
 def _act(op: tuple[list[dict], int], alpha: PolyClass) -> tuple[dict, int]:
     """The operator op = (images, den) on alpha, as integer terms over one denominator.
 
-    The image of the term (a, b) is images[(a << n) | b]; zeros are dropped.
+    The image of the term (a, b) is images[(a << n) | b], a list's or a dict's; zeros are dropped.
     """
     images, den = op
     n = alpha.model.n
@@ -453,7 +454,8 @@ def term_keys_11(n: int) -> list[tuple[int, int]]:
 
 
 def poly_basis_11(model: HodgeModel) -> list[PolyClass]:
-    return [PolyClass(model, {k: 1}) for k in term_keys_11(model.n)]
+    zero = PolyClass(model)
+    return [zero._like({k: 1}) for k in term_keys_11(model.n)]
 
 
 def exp_atiyah_kernel(line: LineBundle) -> list[PolyClass]:
@@ -540,41 +542,53 @@ def first_order_check(model: HodgeModel, alpha: PolyClass) -> dict | None:
     guaranteed only when the datum is generated by c1 (components are
     rational multiples of wedge powers of c1); with independent higher
     (p,p) data the two loci genuinely differ, so callers sweeping (iii)
-    must build the datum from c1.  (iii) depends only on the model, so it
-    is computed on the first call and kept on the model, as are c1, c1/4
-    and c1/2.  Returns None, or the witness: alpha, the Todd datum, D(alpha).
+    must build the datum from c1.  Each is linear in alpha: the model keeps
+    the _basis_images of the first call with the verdict of (iii), alpha
+    combines them by _act, and D(alpha), the witness's, is taken on classes.
+    Returns None, or the witness: alpha, the Todd datum, D(alpha).
     """
     for a, b in alpha.num:
         if a.bit_count() != 1 or b.bit_count() != 1:
             raise BidegreeError("first_order_check needs a pure (1,1) polyvector")
-    if model._c1_parts is None:
-        c1 = model.todd.component(1, 1).scale(2)
-        model._c1_parts = (c1, c1.scale(Fraction(1, 4)), c1.scale(Fraction(1, 2)))
-    c1, quarter, half = model._c1_parts
-    d_alpha = duflo(model, alpha)
-
-    check_i = d_alpha == alpha + contract_Omega_on_T(quarter, alpha)
-
-    lhs = contract_T_on_Omega(d_alpha, sqrt_todd(model)).component(2, 0)
-    rhs = contract_T_on_Omega(alpha, half).component(2, 0)
-    check_ii = lhs == rhs
-
-    if model._loci_equal is None:
-        k1, k2 = _first_order_loci(model, c1)
-        model._loci_equal = k1 == k2
-    if check_i and check_ii and model._loci_equal:
+    if model._first_order is None or "loci" not in model._first_order:
+        k1, k2 = _first_order_loci(model, model.todd.component(1, 1).scale(2))
+        model._first_order["loci"] = k1 == k2
+    ops, d_alpha = model._first_order, duflo(model, alpha)
+    check_i = _same((d_alpha.num, d_alpha.den), _act(ops["shift"], alpha))
+    if check_i and _same(_act(ops["lhs"], alpha), _act(ops["rhs"], alpha)) and ops["loci"]:
         return None
     return {"alpha": alpha.to_obj(), "todd": model.todd.to_obj(), "duflo_alpha": d_alpha.to_obj()}
+
+
+def _same(u: tuple[dict, int], v: tuple[dict, int]) -> bool:
+    """Whether two (nonzero integer terms, denominator) pairs are one value."""
+    return {k: x * v[1] for k, x in u[0].items()} == {k: x * u[1] for k, x in v[0].items()}
+
+
+def _basis_images(model: HodgeModel, c1: FormClass) -> dict:
+    """Ops (images, den) keyed (a << n) | b of each (1,1) basis term e, R the Todd
+    root's numerators: shift e + (c1/4) -| e, (i)'s right side; full1 e -| c1 and
+    full2 D(e) -| R, the loci of (iii); rhs and lhs, their (2, 0) parts over 2 c1.den
+    and R.den^2, the sides of (ii).  c1 -| e and e -| c1 are (2, 0), so rhs is full1."""
+    root, n = sqrt_todd(model), model.n
+    shift, full1, full2, lhs = {}, {}, {}, {}
+    for a, b in term_keys_11(n):
+        e, k = {(a, b): 1}, (a << n) | b
+        shift[k] = {(a, b): 4 * c1.den, **_contract_terms(c1.num, e, n, -1)}
+        full1[k] = _nonzero(_contract_terms(e, c1.num, n, +1))
+        full2[k] = _nonzero(_contract_terms(_contract_terms(root.num, e, n, -1), root.num, n, +1))
+        lhs[k] = {t: x for t, x in full2[k].items() if not t[1] and t[0].bit_count() == 2}
+    return {"shift": (shift, 4 * c1.den), "full1": (full1, c1.den), "full2": (full2, root.den**2),
+            "lhs": (lhs, root.den**2), "rhs": (full1, 2 * c1.den)}
 
 
 def _first_order_loci(model: HodgeModel, c1: FormClass):
     """Canonical kernel bases of alpha -| c1 and D(alpha) -| v(O) on (1,1), v(O) = R.
 
-    The images are read from the numerators of c1 and of the Todd root R;
+    They are the kernels of _basis_images' full1 and full2, kept on the model;
     leaving out the denominators scales each image set by one constant.
     """
-    n = model.n
-    root = sqrt_todd(model).num
-    keys = term_keys_11(n)
-    k1 = kernel_of_images([_nonzero(_contract_terms({k: 1}, c1.num, n, +1)) for k in keys])
-    return k1, kernel_of_images(_duflo_images(root, root, keys, n))
+    if model._first_order is None:
+        model._first_order = _basis_images(model, c1)
+    ops = model._first_order
+    return tuple(kernel_of_images(list(ops[op][0].values())) for op in ("full1", "full2"))

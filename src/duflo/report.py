@@ -15,9 +15,8 @@ import sys
 import time
 
 
-def canonical(obj) -> str:
-    """The one JSON spelling of obj: sorted keys, no spaces."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# The one JSON spelling of an object: sorted keys, no spaces, by one shared encoder.
+canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class ReportSink:

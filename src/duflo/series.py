@@ -25,7 +25,6 @@ _mul_terms on the numerators, over both denominators.
 
 from operator import getitem, itemgetter, mul
 from fractions import Fraction
-from functools import cache
 from math import factorial, gcd
 
 from .sparse import LinComb, graded_exp
@@ -134,21 +133,29 @@ class GradedSeries(LinComb):
     def _sorted(self) -> list[tuple[int, str, int, int]]:
         """(weight, monomial text, numerator, denominator) of every term, the
         coefficient in lowest terms, by weight then by descending exponents
-        in generator order; the text of each half of those is built once."""
+        in generator order: one bucket per weight, each sorted on its
+        exponent bytes.  The text of each half of those is built once."""
         gens = sorted(_GENS)
         fields = [_GENS.index(g) + 1 for g in gens]
         get = itemgetter(*fields) if len(fields) > 1 else lambda b: [b[j] for j in fields]
         pieces = [("", n, *(f"{n}^{e}" for e in range(2, self.trunc // w + 1))) for n, w in gens]
         h, size, den = len(fields) // 2, len(_GENS) + 1, self.den
-        text = cache(lambda lo, e: "*".join(filter(None, map(getitem, pieces[lo:], e))))
-        out = []
-        for w, e, x in sorted(
-            ((-(m & WMASK), bytes(get(m.to_bytes(size, "little"))), x) for m, x in self.num.items()),
-            reverse=True,
-        ):
-            g = gcd(x, den)
-            body = "*".join(filter(None, (text(0, e[:h]), text(h, e[h:])))) or "1"
-            out.append((-w, body, x // g, den // g))
+        buckets: list[list] = [[] for _ in range(self.trunc + 1)]
+        for m, x in self.num.items():
+            buckets[m & WMASK].append((bytes(get(m.to_bytes(size, "little"))), x))
+        low, high, out = {}, {}, []
+        for w, bucket in enumerate(buckets):
+            bucket.sort(reverse=True)  # exponent bytes differ within one weight
+            for e, x in bucket:
+                lo, hi = e[:h], e[h:]
+                a = low.get(lo)
+                if a is None:
+                    a = low[lo] = "*".join(filter(None, map(getitem, pieces, lo)))
+                b = high.get(hi)
+                if b is None:
+                    b = high[hi] = "*".join(filter(None, map(getitem, pieces[h:], hi)))
+                g = gcd(x, den)
+                out.append((w, f"{a}*{b}" if a and b else a or b or "1", x // g, den // g))
         return out
 
     def __repr__(self):

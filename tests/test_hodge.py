@@ -10,6 +10,7 @@ from fractions import Fraction as Q
 import pytest
 
 from duflo import hodge
+from duflo.cli import _random_11_terms, _random_todd_terms, _todd_terms_from_c1
 from duflo.hodge import (
     BidegreeError,
     FormClass,
@@ -558,6 +559,43 @@ def test_first_order_requires_11():
     m = HodgeModel(2)
     with pytest.raises(BidegreeError):
         first_order_check(m, _term(PolyClass, m, [1, 2], []))
+
+
+def _first_order_models(n, rng):
+    """Every basis model of the CLI sweep, c1-generated models, and models on
+    independent Todd data, on which (iii) may fail from rank 3 on."""
+    for key in hodge.term_keys_11(n):
+        yield HodgeModel(n, {(0, 0): 1, key: Q(1, 2)})
+    for _ in range(3):
+        scratch = HodgeModel(n)
+        c1 = FormClass(scratch, _random_11_terms(n, rng))
+        yield HodgeModel(n, _todd_terms_from_c1(scratch, c1, rng))
+        yield HodgeModel(n, _random_todd_terms(n, rng))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_first_order_images_match_class_route(n):
+    # alpha combines the per-model basis images into the class route's values,
+    # so the check's verdict is the identities' on dense alpha
+    rng = SplitMix64(derive(39, n))
+    verdicts = set()
+    for m in _first_order_models(n, rng):
+        c1 = m.todd.component(1, 1).scale(2)
+        ops = hodge._basis_images(m, c1)
+        poly, form = PolyClass(m), FormClass(m)
+        for _ in range(2):
+            alpha = PolyClass(m, _random_11_terms(n, rng))
+            shift = alpha + contract_Omega_on_T(c1.scale(Q(1, 4)), alpha)
+            assert poly._like(*hodge._act(ops["shift"], alpha)) == shift
+            lhs = contract_T_on_Omega(duflo(m, alpha), sqrt_todd(m)).component(2, 0)
+            assert form._like(*hodge._act(ops["lhs"], alpha)) == lhs
+            rhs = contract_T_on_Omega(alpha, c1.scale(Q(1, 2))).component(2, 0)
+            assert form._like(*hodge._act(ops["rhs"], alpha)) == rhs
+            holds = first_order_identities(m, alpha) == (True, True, True)
+            assert (first_order_check(m, alpha) is None) == holds
+            verdicts.add(holds)
+    # below rank 3 the two loci agree on any datum, so (iii) holds there too
+    assert verdicts == ({True} if n < 3 else {True, False})
 
 
 # -- serialization ------------------------------------------------------------------

@@ -2,13 +2,15 @@
 
 verify-hodge builds the Mukai line once per c1, with its two operator
 hooks (the obstruction and the moduli action, integer images of basis
-terms), and compares the loci once per model, then shares them with
-every alpha checked against them.  On the Todd = 1 model mukai_sweep
-first reads the hooks on the b-free terms and the 2^n generators (0, J):
-a pass needs each (a, 0) to have obstruction image a, the rank check,
-and each generator to meet the factorization lemma.  A plant either
-check sees sends the line to the kernel sweep, which pushes each kernel
-vector through both operators and hands the first failing one to
+terms), and the first-order images of the (1,1) basis terms and the loci
+verdict once per model, then shares them with every alpha checked
+against them: a corrupt locus kernel fails every alpha of its model, a
+doubled right side of (ii) exactly the alpha it moves.  On the Todd = 1
+model mukai_sweep first reads the hooks on the b-free terms and the 2^n
+generators (0, J): a pass needs each (a, 0) to have obstruction image a,
+the rank check, and each generator to meet the factorization lemma.  A
+plant either check sees sends the line to the kernel sweep, which pushes
+each kernel vector through both operators and hands the first failing one to
 check_mukai_implication for the witness: a corrupt Mukai vector or a
 shifted generator image (LineBundle.moduli_action) corrupts the
 implication's conclusion, and a doubled or blanked b-free image
@@ -209,6 +211,51 @@ def test_corrupt_locus_kernel_fails_first_order_basis(monkeypatch):
     alpha = PolyClass.from_obj(model, witness["alpha"])
     assert first_order_identities(model, alpha) == (True, True, True)
     assert hodge.first_order_check(model, alpha) is None
+
+
+def _key_11(indices):
+    """The (1,1) term of a first-order-basis instance's 1-based indices."""
+    return 1 << indices["a"] - 1, 1 << indices["b"] - 1
+
+
+def test_doubled_right_side_fails_first_order_ii(monkeypatch):
+    # (ii)'s right side doubled in the per-model images; (i) and (iii) read
+    # other images, so an alpha fails exactly when alpha -| c1 has a (2, 0) part
+    build = hodge._basis_images
+
+    def doubled_rhs(model, c1):
+        ops = build(model, c1)
+        images, den = ops["rhs"]
+        return {**ops, "rhs": ({k: _doubled(image) for k, image in images.items()}, den)}
+
+    monkeypatch.setattr(hodge, "_basis_images", doubled_rhs)
+    code, out, _ = run_cli(ARGV)
+    assert code == 1
+    assert _failing_suites(out) == {"first-order-basis", "first-order"}
+    basis = _lines(out, "first-order-basis")
+    assert len(basis) == 16
+    for r in basis:
+        c1_key, alpha_key = (_key_11(r["instance"][name]) for name in ("c1", "alpha"))
+        model = HodgeModel(2, {(0, 0): 1, c1_key: Fraction(1, 2)})
+        alpha = PolyClass(model, {alpha_key: 1})
+        c1 = model.todd.component(1, 1).scale(2)
+        moved = not hodge.contract_T_on_Omega(alpha, c1).component(2, 0).is_zero()
+        assert r["status"] == ("fail" if moved else "pass")
+    assert sum(r["status"] == "fail" for r in basis) == 4
+
+    witnesses = [r["witness"] for r in _lines(out, "first-order") + basis if r["witness"]]
+    assert len(witnesses) == 5
+    for witness in witnesses:
+        model, alpha = _model_from_witness(witness)
+        c1 = model.todd.component(1, 1).scale(2)
+        assert not hodge.contract_T_on_Omega(alpha, c1).component(2, 0).is_zero()
+        assert first_order_identities(model, alpha) == (True, True, True)
+        assert hodge.first_order_check(model, alpha) == witness
+
+    monkeypatch.undo()
+    for witness in witnesses:
+        assert hodge.first_order_check(*_model_from_witness(witness)) is None
+    assert run_cli(ARGV)[0] == 0
 
 
 def _failing_suites(out):
