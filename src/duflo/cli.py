@@ -177,7 +177,7 @@ def cmd_verify_hodge(args) -> int:
     for case in range(args.cases):
         rng = SplitMix64(derive(args.seed, case))
 
-        # 1. kernel sweep of the obstruction-to-Mukai implication (Todd = 1)
+        # 1. obstruction-to-Mukai implication on a random c1 (Todd = 1)
         c1 = FormClass(plain, _random_11_terms(n, rng))
         kernel_dim, witness = hodge.mukai_sweep(hodge.LineBundle(plain, c1))
         inst = {"dim": n, "case": case, "kernel_dim": kernel_dim}

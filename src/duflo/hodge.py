@@ -33,16 +33,18 @@ and multiplies the two denominators.  The two Mukai operators, the
 obstruction alpha -| exp(c1), a (p, 0) form, and the moduli action, are
 the LineBundle hooks a planted fault patches: integer images of basis
 terms through the one contraction loop _contract_terms, which the class
-contractions also run, as it builds the first-order identities' per-model
-integer images of the (1,1) basis.  A pass builds no kernel for either
-sweep line: with Todd = 1 the Mukai line passes on the factorization
-lemma moduli(beta) = obstruction(beta) ^ exp(c1) for the 2^n generators
-beta = (0, J), and the Duflo round trip on u ^ s = 1 for the Todd roots
-(README).  Any other Mukai line sweeps the kernel, each vector through
-check_mukai_implication, the entry a witness replays through.  No inverse
-twist is applied, and the class route to the obstruction is the tests'
-reference (tests/pbw_oracle.py).  Every class in a witness is a FormClass
-or a PolyClass and reads back through from_obj.  Everything is exact; no
+contractions also run.  The moduli action is two term maps, _twists by
+the Todd root and then _hooks into v(L); the first-order identities read
+one record per model, _first_order_ops, built by the same two maps on the
+(1,1) basis.  A pass builds no kernel for either sweep line: with Todd = 1
+the Mukai line passes on the factorization lemma moduli(beta) =
+obstruction(beta) ^ exp(c1) for the 2^n generators beta = (0, J), and the
+Duflo round trip on u ^ s = 1 for the Todd roots (README).  Any other
+Mukai line sweeps the kernel, each vector through check_mukai_implication,
+the entry a witness replays through.  No inverse twist is applied, and
+the class route to the obstruction is the tests' reference
+(tests/pbw_oracle.py).  Every class in a witness is a FormClass or a
+PolyClass and reads back through from_obj.  Everything is exact; no
 floats anywhere.
 """
 
@@ -412,7 +414,7 @@ class LineBundle:
 
     def moduli_action(self, keys: list) -> tuple[list[dict], int]:
         root, n = sqrt_todd(self.model), self.model.n
-        return _duflo_images(root.num, self.mukai.num, keys, n), root.den * self.mukai.den
+        return _hooks(_twists(root.num, keys, n), self.mukai.num, n), root.den * self.mukai.den
 
     def full(self, hook: str) -> tuple[list[dict], int]:
         if hook not in self._full:
@@ -420,10 +422,14 @@ class LineBundle:
         return self._full[hook]
 
 
-def _duflo_images(root: dict, target: dict, keys: list, n: int) -> list[dict]:
-    """D(beta) -| target for each basis term beta in keys, root the Todd root's numerators."""
-    twists = (_contract_terms(root, {k: 1}, n, -1) for k in keys)
-    return [_nonzero(_contract_terms(d, target, n, +1)) for d in twists]
+def _twists(form: dict, keys: list, n: int) -> list[dict]:
+    """form -| e for each basis term e in keys (forms on polyvectors); zero sums kept."""
+    return [_contract_terms(form, {k: 1}, n, -1) for k in keys]
+
+
+def _hooks(polys: list, target: dict, n: int) -> list[dict]:
+    """p -| target for each integer polyvector p in polys (polyvectors on forms), zeros dropped."""
+    return [_nonzero(_contract_terms(p, target, n, +1)) for p in polys]
 
 
 def _act(op: tuple[list[dict], int], alpha: PolyClass) -> tuple[dict, int]:
@@ -543,19 +549,19 @@ def first_order_check(model: HodgeModel, alpha: PolyClass) -> dict | None:
     rational multiples of wedge powers of c1); with independent higher
     (p,p) data the two loci genuinely differ, so callers sweeping (iii)
     must build the datum from c1.  Each is linear in alpha: the model keeps
-    the _basis_images of the first call with the verdict of (iii), alpha
-    combines them by _act, and D(alpha), the witness's, is taken on classes.
+    the record _first_order_ops(model) of the first call, alpha combines
+    its images by _act, and D(alpha), the witness's, is taken on classes.
     Returns None, or the witness: alpha, the Todd datum, D(alpha).
     """
     for a, b in alpha.num:
         if a.bit_count() != 1 or b.bit_count() != 1:
             raise BidegreeError("first_order_check needs a pure (1,1) polyvector")
-    if model._first_order is None or "loci" not in model._first_order:
-        k1, k2 = _first_order_loci(model, model.todd.component(1, 1).scale(2))
-        model._first_order["loci"] = k1 == k2
-    ops, d_alpha = model._first_order, duflo(model, alpha)
-    check_i = _same((d_alpha.num, d_alpha.den), _act(ops["shift"], alpha))
-    if check_i and _same(_act(ops["lhs"], alpha), _act(ops["rhs"], alpha)) and ops["loci"]:
+    if model._first_order is None:
+        model._first_order = _first_order_ops(model)
+    shift, lhs, rhs, (k1, k2) = model._first_order
+    d_alpha = duflo(model, alpha)
+    check_i = _same((d_alpha.num, d_alpha.den), _act(shift, alpha))
+    if check_i and _same(_act(lhs, alpha), _act(rhs, alpha)) and k1 == k2:
         return None
     return {"alpha": alpha.to_obj(), "todd": model.todd.to_obj(), "duflo_alpha": d_alpha.to_obj()}
 
@@ -565,30 +571,22 @@ def _same(u: tuple[dict, int], v: tuple[dict, int]) -> bool:
     return {k: x * v[1] for k, x in u[0].items()} == {k: x * u[1] for k, x in v[0].items()}
 
 
-def _basis_images(model: HodgeModel, c1: FormClass) -> dict:
-    """Ops (images, den) keyed (a << n) | b of each (1,1) basis term e, R the Todd
-    root's numerators: shift e + (c1/4) -| e, (i)'s right side; full1 e -| c1 and
-    full2 D(e) -| R, the loci of (iii); rhs and lhs, their (2, 0) parts over 2 c1.den
-    and R.den^2, the sides of (ii).  c1 -| e and e -| c1 are (2, 0), so rhs is full1."""
-    root, n = sqrt_todd(model), model.n
-    shift, full1, full2, lhs = {}, {}, {}, {}
-    for a, b in term_keys_11(n):
-        e, k = {(a, b): 1}, (a << n) | b
-        shift[k] = {(a, b): 4 * c1.den, **_contract_terms(c1.num, e, n, -1)}
-        full1[k] = _nonzero(_contract_terms(e, c1.num, n, +1))
-        full2[k] = _nonzero(_contract_terms(_contract_terms(root.num, e, n, -1), root.num, n, +1))
-        lhs[k] = {t: x for t, x in full2[k].items() if not t[1] and t[0].bit_count() == 2}
-    return {"shift": (shift, 4 * c1.den), "full1": (full1, c1.den), "full2": (full2, root.den**2),
-            "lhs": (lhs, root.den**2), "rhs": (full1, 2 * c1.den)}
+def _first_order_ops(model: HodgeModel) -> tuple:
+    """first_order_check's record (shift, lhs, rhs, (k1, k2)) on model.
 
-
-def _first_order_loci(model: HodgeModel, c1: FormClass):
-    """Canonical kernel bases of alpha -| c1 and D(alpha) -| v(O) on (1,1), v(O) = R.
-
-    They are the kernels of _basis_images' full1 and full2, kept on the model;
-    leaving out the denominators scales each image set by one constant.
+    Over the (1,1) basis terms e, c1 twice the Todd datum's (1,1) part and R
+    the Todd root's numerators: shift = e + (c1/4) -| e, (i)'s right side;
+    k1, k2 the canonical kernel bases of full1 = e -| c1 and full2 = D(e) -| R,
+    the loci of (iii) (a denominator scales an image set by one constant);
+    lhs, full2's (2, 0) part over R.den^2, and rhs, full1 over 2 c1.den (e -| c1
+    is all (2, 0)), the sides of (ii).  Each op is (images, den), keyed for _act.
     """
-    if model._first_order is None:
-        model._first_order = _basis_images(model, c1)
-    ops = model._first_order
-    return tuple(kernel_of_images(list(ops[op][0].values())) for op in ("full1", "full2"))
+    c1, root, n = model.todd.component(1, 1).scale(2), sqrt_todd(model), model.n
+    keys = term_keys_11(n)
+    full1 = _hooks([{k: 1} for k in keys], c1.num, n)
+    full2 = _hooks(_twists(root.num, keys, n), root.num, n)
+    lhs = [{t: x for t, x in m.items() if not t[1] and t[0].bit_count() == 2} for m in full2]
+    shift = _twists({(0, 0): 4 * c1.den, **c1.num}, keys, n)
+    at = [(a << n) | b for a, b in keys]
+    return ((dict(zip(at, shift)), 4 * c1.den), (dict(zip(at, lhs)), root.den**2),
+            (dict(zip(at, full1)), 2 * c1.den), (kernel_of_images(full1), kernel_of_images(full2)))

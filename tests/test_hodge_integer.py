@@ -1,16 +1,17 @@
 """The integer Hodge checks against plain-Fraction references built here.
 
 The package keeps every class as integer numerators over one denominator,
-and check_duflo_roundtrip, the first-order loci, the two Mukai operators
+and check_duflo_roundtrip, the first-order record, the two Mukai operators
 and mukai_sweep all run on those integers.  The references below work on
 {key: Fraction} dicts, with every sign from the per-bit loops of
 test_sign_table, so they share no arithmetic with the package: the Todd
 root and its inverse are checked by squaring and multiplying out, exp(c1)
-against its power series, the round trip by four contractions, the loci
-as kernels of Fraction images cleared row by row, and the operators and
-the sweep by contracting basis terms and kernel vectors; the sweep's
-generator certificate is held to the lemma on all 4^n terms and to the
-kernel sweep it skips.  The class path
+against its power series, the round trip by four contractions, the
+record's loci as kernels of Fraction images cleared row by row, and the
+operators and the sweep by contracting basis terms and kernel vectors;
+the sweep's generator certificate is held to the lemma on all 4^n terms
+and to the kernel sweep it skips, and the record's other images to the
+class contractions.  The class path
 of a test name is this Fraction reference on the classes' terms.  Each
 pair must agree, also under planted faults.
 """
@@ -26,6 +27,7 @@ from duflo.hodge import FormClass, HodgeModel, PolyClass
 from duflo.kernels import kernel_of_images
 from duflo.rng import SplitMix64, derive
 
+from test_hodge import first_order_identities
 from test_kernels import cleared_images
 from test_planted_faults import _doubled, _inverse_missing_last_term, _patch_image, _plus_one
 from test_sign_table import contract_term, wedge_term
@@ -139,25 +141,56 @@ def _ref_loci(model, c1):
     return kernel_of_images(cleared_images(images1)), kernel_of_images(cleared_images(images2))
 
 
-def _loci_models(n):
-    """Every basis model of the CLI sweep, and c1-generated models, with their c1."""
-    for i in range(n):
-        for j in range(n):
-            yield HodgeModel(n, {(0, 0): 1, (1 << i, 1 << j): Fraction(1, 2)})
-    rng = SplitMix64(derive(53, n))
-    for _ in range(4):
+def _first_order_models(n, rng):
+    """(model, generated): every basis model of the CLI sweep and c1-generated
+    models, on which (iii) holds, and models on independent Todd data, on
+    which it may fail from rank 3 on."""
+    for key in _keys_11(n):
+        yield HodgeModel(n, {(0, 0): 1, key: Fraction(1, 2)}), True
+    for _ in range(3):
         scratch = HodgeModel(n)
         c1 = FormClass(scratch, _random_11_terms(n, rng))
-        yield HodgeModel(n, _todd_terms_from_c1(scratch, c1, rng))
+        yield HodgeModel(n, _todd_terms_from_c1(scratch, c1, rng)), True
+        yield HodgeModel(n, _random_todd_terms(n, rng)), False
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_first_order_loci_match_class_path(n):
-    for model in _loci_models(n):
-        c1 = model.todd.component(1, 1).scale(2)
-        got = hodge._first_order_loci(model, c1)
-        assert got == _ref_loci(model, c1)
-        assert got[0] == got[1]
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_first_order_loci_match_class_path(monkeypatch, n):
+    # the record first_order_check keeps, built once for two checks on a model:
+    # alpha combines shift, lhs and rhs into the class route's values, (k1, k2)
+    # are the Fraction route's kernel bases, and the verdict is the identities'
+    build, built, models = hodge._first_order_ops, [], []
+
+    def counted(model):
+        built.append(model)
+        return build(model)
+
+    monkeypatch.setattr(hodge, "_first_order_ops", counted)
+    rng = SplitMix64(derive(39, n))
+    verdicts = set()
+    for m, generated in _first_order_models(n, rng):
+        models.append(m)
+        alphas = [PolyClass(m, _random_11_terms(n, rng)) for _ in range(2)]
+        passed = [hodge.first_order_check(m, alpha) is None for alpha in alphas]
+        c1 = m.todd.component(1, 1).scale(2)
+        shift, lhs, rhs, (k1, k2) = m._first_order
+        assert (k1, k2) == _ref_loci(m, c1)
+        assert k1 == k2 or not generated
+        poly, form = PolyClass(m), FormClass(m)
+        for alpha, ok in zip(alphas, passed):
+            want = alpha + hodge.contract_Omega_on_T(c1.scale(Fraction(1, 4)), alpha)
+            assert poly._like(*hodge._act(shift, alpha)) == want
+            d_alpha = hodge.duflo(m, alpha)
+            want = hodge.contract_T_on_Omega(d_alpha, hodge.sqrt_todd(m)).component(2, 0)
+            assert form._like(*hodge._act(lhs, alpha)) == want
+            want = hodge.contract_T_on_Omega(alpha, c1.scale(Fraction(1, 2))).component(2, 0)
+            assert form._like(*hodge._act(rhs, alpha)) == want
+            holds = first_order_identities(m, alpha) == (True, True, True)
+            assert ok == holds
+            verdicts.add(holds)
+    assert built == models
+    # below rank 3 the two loci agree on any datum, so (iii) holds there too
+    assert verdicts == ({True} if n < 3 else {True, False})
 
 
 def _as_fractions(op):
@@ -376,17 +409,34 @@ def _det(rows) -> Fraction:
     return det
 
 
+def _minor(c1, a, b) -> Fraction:
+    """det C[I, J] for c1 = sum C_ij a_i b_j, I and J the indices of the masks a and b."""
+    n = c1.model.n
+    cols = [j for j in range(n) if b >> j & 1]
+    return _det([[c1.terms.get((1 << i, 1 << j), 0) for j in cols] for i in range(n) if a >> i & 1])
+
+
 def test_exp_form_is_signed_minors():
     # c1 = sum C_ij a_i b_j: the (I, J) coefficient of exp(c1) is
     # (-1)^(k(k-1)/2) det C[I, J] for |I| = |J| = k, and there is no other term
     for n, line in _seeded_lines(71, {n: 4 for n in range(1, 6)}):
-        c = [[line.c1.terms.get((1 << i, 1 << j), 0) for j in range(n)] for i in range(n)]
         want = {}
         for a, b in hodge.term_keys(n):
             k = a.bit_count()
-            if k == b.bit_count():
-                rows = [i for i in range(n) if a >> i & 1]
-                det = _det([[c[i][j] for j in range(n) if b >> j & 1] for i in rows])
-                if det:
-                    want[(a, b)] = (-1) ** (k * (k - 1) // 2) * det
+            if k == b.bit_count() and (det := _minor(line.c1, a, b)):
+                want[(a, b)] = (-1) ** (k * (k - 1) // 2) * det
         assert hodge.exp_form(line.c1).terms == want, n
+
+
+def test_generator_obstruction_is_signed_minors():
+    # the images _factorization_certified reads: the generator (0, J) sends
+    # exp(c1) to (-1)^|J| sum over |I| = |J| of det C[I, J] a_I
+    for n, line in _seeded_lines(73, {n: 6 for n in range(1, 6)}):
+        gens = [(0, b) for b in range(1 << n)]
+        images, den = line.obstruction(gens)
+        for (_, b), image in zip(gens, images, strict=True):
+            k, want = b.bit_count(), {}
+            for a in range(1 << n):
+                if a.bit_count() == k and (det := _minor(line.c1, a, b)):
+                    want[(a, 0)] = (-1) ** k * det
+            assert {key: Fraction(x, den) for key, x in image.items() if x} == want, (n, b)

@@ -2,9 +2,11 @@
 
 verify-hodge builds the Mukai line once per c1, with its two operator
 hooks (the obstruction and the moduli action, integer images of basis
-terms), and the first-order images of the (1,1) basis terms and the loci
-verdict once per model, then shares them with every alpha checked
-against them: a corrupt locus kernel fails every alpha of its model, a
+terms), and the first-order record once per model, then shares them with
+every alpha checked against them.  The record, _first_order_ops, is the
+one first-order seam: both its plants wrap it, and the reference
+identities, recomputed on classes and Fraction kernels, still hold on
+every witness.  A corrupt locus kernel fails every alpha of its model, a
 doubled right side of (ii) exactly the alpha it moves.  On the Todd = 1
 model mukai_sweep first reads the hooks on the b-free terms and the 2^n
 generators (0, J): a pass needs each (a, 0) to have obstruction image a,
@@ -185,13 +187,13 @@ def test_blanked_obstruction_image_fails_mukai_implication(monkeypatch):
 
 
 def test_corrupt_locus_kernel_fails_first_order_basis(monkeypatch):
-    loci = hodge._first_order_loci
+    build = hodge._first_order_ops
 
-    def corrupt(model, c1):
-        k1, k2 = loci(model, c1)
-        return k1, k2[:-1]
+    def corrupt(model):
+        *ops, (k1, k2) = build(model)
+        return *ops, (k1, k2[:-1])
 
-    monkeypatch.setattr(hodge, "_first_order_loci", corrupt)
+    monkeypatch.setattr(hodge, "_first_order_ops", corrupt)
     code, out, _ = run_cli(ARGV)
     assert code == 1
     lines = _lines(out, "first-order-basis")
@@ -203,7 +205,7 @@ def test_corrupt_locus_kernel_fails_first_order_basis(monkeypatch):
     todd = FormClass.from_obj(HodgeModel(2), witness["todd"])
     model = HodgeModel(2, dict(todd.terms))
     alpha = PolyClass.from_obj(model, witness["alpha"])
-    assert first_order_identities(model, alpha) == (True, True, False)
+    assert first_order_identities(model, alpha) == (True, True, True)
     assert hodge.first_order_check(model, alpha) == witness
 
     monkeypatch.undo()
@@ -219,16 +221,15 @@ def _key_11(indices):
 
 
 def test_doubled_right_side_fails_first_order_ii(monkeypatch):
-    # (ii)'s right side doubled in the per-model images; (i) and (iii) read
-    # other images, so an alpha fails exactly when alpha -| c1 has a (2, 0) part
-    build = hodge._basis_images
+    # (ii)'s right side doubled in the per-model record; (i) and (iii) read
+    # other parts, so an alpha fails exactly when alpha -| c1 has a (2, 0) part
+    build = hodge._first_order_ops
 
-    def doubled_rhs(model, c1):
-        ops = build(model, c1)
-        images, den = ops["rhs"]
-        return {**ops, "rhs": ({k: _doubled(image) for k, image in images.items()}, den)}
+    def doubled_rhs(model):
+        shift, lhs, (images, den), loci = build(model)
+        return shift, lhs, ({k: _doubled(image) for k, image in images.items()}, den), loci
 
-    monkeypatch.setattr(hodge, "_basis_images", doubled_rhs)
+    monkeypatch.setattr(hodge, "_first_order_ops", doubled_rhs)
     code, out, _ = run_cli(ARGV)
     assert code == 1
     assert _failing_suites(out) == {"first-order-basis", "first-order"}
