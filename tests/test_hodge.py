@@ -10,6 +10,7 @@ from fractions import Fraction as Q
 import pytest
 
 from duflo import hodge
+from duflo.cli import _random_11_terms, _random_todd_terms, _todd_terms_from_c1
 from duflo.hodge import (
     BidegreeError,
     FormClass,
@@ -562,6 +563,55 @@ def test_first_order_requires_11():
     m = HodgeModel(2)
     with pytest.raises(BidegreeError):
         first_order_check(m, _term(PolyClass, m, [1, 2], []))
+
+
+def _first_order_models(n, rng):
+    """(model, generated): every basis model of the CLI sweep and c1-generated
+    models, on which (iii) holds, and models on independent Todd data, on
+    which it may fail from rank 3 on."""
+    for key in hodge.term_keys_11(n):
+        yield HodgeModel(n, {(0, 0): 1, key: Q(1, 2)}), True
+    for _ in range(3):
+        scratch = HodgeModel(n)
+        c1 = FormClass(scratch, _random_11_terms(n, rng))
+        yield HodgeModel(n, _todd_terms_from_c1(scratch, c1, rng)), True
+        yield HodgeModel(n, _random_todd_terms(n, rng)), False
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_first_order_images_match_class_route(monkeypatch, n):
+    # the record first_order_check keeps, built once for two checks on a model:
+    # alpha combines shift, lhs and rhs into the class route's values, so the
+    # check's verdict is the identities' on dense alpha
+    build, built, models = hodge._first_order_ops, [], []
+
+    def counted(model):
+        built.append(model)
+        return build(model)
+
+    monkeypatch.setattr(hodge, "_first_order_ops", counted)
+    rng = SplitMix64(derive(39, n))
+    verdicts = set()
+    for m, _ in _first_order_models(n, rng):
+        models.append(m)
+        alphas = [PolyClass(m, _random_11_terms(n, rng)) for _ in range(2)]
+        passed = [first_order_check(m, alpha) is None for alpha in alphas]
+        c1 = m.todd.component(1, 1).scale(2)
+        shift, lhs, rhs, _ = m._first_order
+        poly, form = PolyClass(m), FormClass(m)
+        for alpha, ok in zip(alphas, passed):
+            want = alpha + contract_Omega_on_T(c1.scale(Q(1, 4)), alpha)
+            assert poly._like(*hodge._act(shift, alpha)) == want
+            want = contract_T_on_Omega(duflo(m, alpha), sqrt_todd(m)).component(2, 0)
+            assert form._like(*hodge._act(lhs, alpha)) == want
+            want = contract_T_on_Omega(alpha, c1.scale(Q(1, 2))).component(2, 0)
+            assert form._like(*hodge._act(rhs, alpha)) == want
+            holds = first_order_identities(m, alpha) == (True, True, True)
+            assert ok == holds
+            verdicts.add(holds)
+    assert built == models
+    # below rank 3 the two loci agree on any datum, so (iii) holds there too
+    assert verdicts == ({True} if n < 3 else {True, False})
 
 
 # -- serialization ------------------------------------------------------------------

@@ -10,8 +10,7 @@ against its power series, the round trip by four contractions, the
 record's loci as kernels of Fraction images cleared row by row, and the
 operators and the sweep by contracting basis terms and kernel vectors;
 the sweep's generator certificate is held to the lemma on all 4^n terms
-and to the kernel sweep it skips, and the record's other images to the
-class contractions.  The class path
+and to the kernel sweep it skips.  The class path
 of a test name is this Fraction reference on the classes' terms.  Each
 pair must agree, also under planted faults.
 """
@@ -27,7 +26,7 @@ from duflo.hodge import FormClass, HodgeModel, PolyClass
 from duflo.kernels import kernel_of_images
 from duflo.rng import SplitMix64, derive
 
-from test_hodge import first_order_identities
+from test_hodge import _first_order_models
 from test_kernels import cleared_images
 from test_planted_faults import _doubled, _inverse_missing_last_term, _patch_image, _plus_one
 from test_sign_table import contract_term, wedge_term
@@ -141,56 +140,16 @@ def _ref_loci(model, c1):
     return kernel_of_images(cleared_images(images1)), kernel_of_images(cleared_images(images2))
 
 
-def _first_order_models(n, rng):
-    """(model, generated): every basis model of the CLI sweep and c1-generated
-    models, on which (iii) holds, and models on independent Todd data, on
-    which it may fail from rank 3 on."""
-    for key in _keys_11(n):
-        yield HodgeModel(n, {(0, 0): 1, key: Fraction(1, 2)}), True
-    for _ in range(3):
-        scratch = HodgeModel(n)
-        c1 = FormClass(scratch, _random_11_terms(n, rng))
-        yield HodgeModel(n, _todd_terms_from_c1(scratch, c1, rng)), True
-        yield HodgeModel(n, _random_todd_terms(n, rng)), False
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_first_order_loci_match_class_path(monkeypatch, n):
-    # the record first_order_check keeps, built once for two checks on a model:
-    # alpha combines shift, lhs and rhs into the class route's values, (k1, k2)
-    # are the Fraction route's kernel bases, and the verdict is the identities'
-    build, built, models = hodge._first_order_ops, [], []
-
-    def counted(model):
-        built.append(model)
-        return build(model)
-
-    monkeypatch.setattr(hodge, "_first_order_ops", counted)
+def test_first_order_loci_match_class_path(n):
+    # the record's (k1, k2) are the Fraction route's kernel bases, equal on
+    # the sweep's basis models and on c1-generated ones
     rng = SplitMix64(derive(39, n))
-    verdicts = set()
     for m, generated in _first_order_models(n, rng):
-        models.append(m)
-        alphas = [PolyClass(m, _random_11_terms(n, rng)) for _ in range(2)]
-        passed = [hodge.first_order_check(m, alpha) is None for alpha in alphas]
         c1 = m.todd.component(1, 1).scale(2)
-        shift, lhs, rhs, (k1, k2) = m._first_order
+        k1, k2 = hodge._first_order_ops(m)[3]
         assert (k1, k2) == _ref_loci(m, c1)
         assert k1 == k2 or not generated
-        poly, form = PolyClass(m), FormClass(m)
-        for alpha, ok in zip(alphas, passed):
-            want = alpha + hodge.contract_Omega_on_T(c1.scale(Fraction(1, 4)), alpha)
-            assert poly._like(*hodge._act(shift, alpha)) == want
-            d_alpha = hodge.duflo(m, alpha)
-            want = hodge.contract_T_on_Omega(d_alpha, hodge.sqrt_todd(m)).component(2, 0)
-            assert form._like(*hodge._act(lhs, alpha)) == want
-            want = hodge.contract_T_on_Omega(alpha, c1.scale(Fraction(1, 2))).component(2, 0)
-            assert form._like(*hodge._act(rhs, alpha)) == want
-            holds = first_order_identities(m, alpha) == (True, True, True)
-            assert ok == holds
-            verdicts.add(holds)
-    assert built == models
-    # below rank 3 the two loci agree on any datum, so (iii) holds there too
-    assert verdicts == ({True} if n < 3 else {True, False})
 
 
 def _as_fractions(op):
