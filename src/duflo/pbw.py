@@ -19,12 +19,14 @@ monomials, one entry per monomial.
 
 The tables are integer matrices.  Both routes start from the integer
 actions R_i = d*rho(x_i) that Representation clears once, with d the lcm
-of the matrices' denominators: theta multiplies by R_i, and phi contracts
-the integer coaction, the reshape of the R_i, so each table entry is
-d^|m| times the image of W(m).  check_pbw_diagram compares a monomial's
-two entries, and check_invariant_image weighs an invariant's entries and
-tests centrality, both in Z; each returns None or its line's witness,
-and a diagram witness's Fraction rows come from the tables.
+of the matrices' denominators: theta fills an entry with one product, the
+R_i of m's distinct letters side by side times the entries of the m - e_i
+stacked, and phi contracts the integer coaction, the reshape of the R_i,
+so each table entry is d^|m| times the image of W(m).  check_pbw_diagram
+compares a monomial's two entries, and check_invariant_image weighs an
+invariant's entries and tests centrality, both in Z; each returns None
+or its line's witness, and a diagram witness's Fraction rows come from
+the tables.
 
 The derivations ad(x_i) of the symmetric algebra run in Z as well: they
 read LieAlgebra.cleared_brackets, the brackets times one lcm delta of the
@@ -44,6 +46,7 @@ import itertools
 from bisect import bisect
 from collections import Counter
 from math import factorial, gcd, prod
+from operator import mul
 
 from .kernels import kernel_basis, kernel_of_images, matmul_int
 from .lie import LieAlgebra, Representation, fraction_rows
@@ -103,11 +106,12 @@ class SymImages:
     theta_table[m] is d^|m| theta(W(m)), where W(m) is the sum of the
     distinct words of the sorted monomial m, and phi_table[m] is
     d^|m| phi(W(m)); both are tuples of int rows.  Each is filled by
-    W(m) = sum_i x_i W(m - e_i) on its own route: theta multiplies by R_i
-    through kernels.matmul_int, phi contracts lam, the integer coaction
-    lam[o][i][g] = R_g[o][i], with index loops.  A degree-D sweep over n
-    letters stores at most C(n+D, D) entries per table.  sym_images keeps
-    one on each representation, so every check on it shares the tables.
+    W(m) = sum_i x_i W(m - e_i) on its own route: theta in one
+    kernels.matmul_int of the R_i of m's distinct letters side by side
+    and the entries of the m - e_i stacked in the same order, phi by
+    contracting lam[o][i][g] = R_g[o][i] with index loops.  A degree-D
+    sweep over n letters stores at most C(n+D, D) entries per table, and
+    sym_images keeps one on each representation for all its checks.
 
     theta(s) and phi(s) turn the tables back into the Fraction rows of
     the symmetrization of s under each route, which the word-by-word
@@ -131,12 +135,11 @@ class SymImages:
     def theta_words(self, m: SymMonomial) -> tuple:
         got = self.theta_table.get(m)
         if got is None:
-            terms = [
-                matmul_int(self.rep.actions[letter], self.theta_words(rest))
-                for letter, rest in _splits(m)
-            ]
-            got = self.theta_table[m] = tuple(
-                tuple(map(sum, zip(*rows))) for rows in zip(*terms)
+            splits = tuple(_splits(m))
+            acts = [self.rep.actions[letter] for letter, _ in splits]
+            got = self.theta_table[m] = matmul_int(
+                [sum(rows, ()) for rows in zip(*acts)],
+                [row for _, rest in splits for row in self.theta_words(rest)],
             )
         return got
 
@@ -175,13 +178,10 @@ class SymImages:
     def theta_sum(self, weights: list) -> tuple:
         """sum_m k_m theta_table[m] over the (m, k_m) of weights."""
         dv = self.rep.dimV
-        acc = ((0,) * dv,) * dv
-        for m, k in weights:
-            acc = tuple(
-                tuple(x + k * y for x, y in zip(ra, rb))
-                for ra, rb in zip(acc, self.theta_words(m))
-            )
-        return acc
+        ks = [k for _, k in weights]
+        flat = [sum(self.theta_words(m), ()) for m, _ in weights]
+        cells = [sum(map(mul, ks, cell)) for cell in zip(*flat)] or [0] * dv * dv
+        return tuple(zip(*[iter(cells)] * dv))
 
     def phi_sum(self, weights: list) -> tuple:
         """sum_m k_m phi_table[m] over the (m, k_m) of weights."""

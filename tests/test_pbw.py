@@ -315,6 +315,35 @@ def test_oracle_shares_no_arithmetic_with_the_tables(tmp_path, monkeypatch):
             assert theta(rep, sym) == images.theta(s) == phi(rep, sym), (rep.name, s)
 
 
+def test_theta_fills_each_entry_with_one_product(tmp_path, monkeypatch):
+    # an entry is the letters' actions side by side times the rests' entries
+    # stacked, one matmul_int; weighing entries for an invariant multiplies
+    # nothing, so the image check's only products are the centrality test's
+    gl2 = catalog.load_algebra(str(dense_gl2(tmp_path / "dense_gl2.json")))
+    calls = []
+    product = pbw.matmul_int
+
+    def counted(a, b):
+        calls.append(len(b))
+        return product(a, b)
+
+    monkeypatch.setattr(pbw, "matmul_int", counted)
+    top = 4
+    for alg in (catalog.gl2(), gl2):
+        rep = catalog.load_representation(alg, "adjoint")
+        calls.clear()
+        assert all(check_pbw_diagram(rep, m) is None
+                   for d in range(top + 1) for m in sym_basis(alg.dim, d))
+        table = rep._sym_images.theta_table
+        assert len(table) == comb(alg.dim + top, top)
+        assert len(calls) == len(table) - 1, alg.name
+        invariants = [s for d in range(top + 1) for s in invariants_s(alg, d)]
+        calls.clear()
+        assert all(check_invariant_image(rep, s) is None for s in invariants)
+        assert calls == [rep.dimV] * (2 * alg.dim * len(invariants)), alg.name
+        assert len(table) == comb(alg.dim + top, top)
+
+
 def test_sym_images_clear_denominators_on_dense_gl2(tmp_path, monkeypatch):
     # gl2 in a dense rational basis: its adjoint action has denominators,
     # so both routes' sources are cleared by a common d > 1

@@ -496,11 +496,15 @@ def test_hodge_pass_path_builds_no_mukai_kernel_and_no_inverse_twist(monkeypatch
 
 def test_dropped_letter_in_theta_recursion_fails_lie_diagram(monkeypatch):
     e = _sl2_standard().actions[0]  # d = 1, so R_e is e itself
-    product = pbw.matmul_int
+    dv, product = len(e), pbw.matmul_int
 
     def drop_e(a, b):
-        # the theta table multiplies by an integer action matrix on the left
-        return tuple((0,) * len(b[0]) for _ in a) if a == e else product(a, b)
+        # a theta entry is one product whose left operand sets its letters'
+        # actions side by side; e is letter 0, so its block, when present,
+        # is the leading dv columns
+        if tuple(row[:dv] for row in a) == e:
+            a = [(0,) * dv + row[dv:] for row in a]
+        return product(a, b)
 
     monkeypatch.setattr(pbw, "matmul_int", drop_e)
     code, out, _ = run_cli(LIE_ARGV)
@@ -519,6 +523,35 @@ def test_dropped_letter_in_theta_recursion_fails_lie_diagram(monkeypatch):
         kept = TensorElement({w: c for w, c in sym.terms.items() if 0 not in w})
         assert witness["path_theta"] == _json(theta(rep, kept))
         assert witness["path_contract"] == _json(theta(rep, sym))
+    assert run_cli(LIE_ARGV)[0] == 0
+
+
+def test_dropped_last_weight_in_theta_sum_fails_lie_invariant_image(monkeypatch):
+    theta_sum = pbw.SymImages.theta_sum
+
+    def drop_last(self, weights):
+        return theta_sum(self, weights[:-1])
+
+    monkeypatch.setattr(pbw.SymImages, "theta_sum", drop_last)
+    code, out, _ = run_cli(LIE_ARGV)
+    assert code == 1
+    # the diagram checks compare table entries, which theta_sum only weighs
+    assert _failed_diagrams(out) == []
+    lines = list(map(json.loads, out.splitlines()))
+    assert len(lines) == 12
+    failed = [r for r in lines if r["status"] == "fail"]
+    assert [r["suite"] for r in failed] == ["lie-invariant-image"]
+    witness = failed[0]["witness"]
+    assert witness == {"element": "4*e*f + 1*h*h", "diagram_equal": False, "central": True}
+
+    monkeypatch.undo()
+    rep = _sl2_standard()
+    (casimir,) = pbw.invariants_s(rep.algebra, 2)
+    assert casimir.describe(rep.algebra) == witness["element"]
+    # the oracle's theta without the last term misses the oracle's phi
+    *kept, _ = casimir.terms.items()
+    assert theta(rep, symmetrize(SymElement(dict(kept)))) != phi(rep, symmetrize(casimir))
+    assert pbw.check_invariant_image(rep, casimir) is None
     assert run_cli(LIE_ARGV)[0] == 0
 
 
