@@ -399,3 +399,17 @@ def test_generator_obstruction_is_signed_minors():
                 if a.bit_count() == k and (det := _minor(line.c1, a, b)):
                     want[(a, 0)] = (-1) ** k * det
             assert {key: Fraction(x, den) for key, x in image.items() if x} == want, (n, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_torus_pairing_is_a_determinant(n):
+    # the Grassmann Gaussian (Berezin): exp(-c1) ^ exp(c2) = exp(c2 - c1), and
+    # its (top, top) coefficient is (-1)^(n(n-1)/2) det(C2 - C1)
+    rng = SplitMix64(derive(74, n))
+    model, top = HodgeModel(n), (1 << n) - 1
+    for _ in range(4):
+        c1, c2 = (FormClass(model, _random_11_terms(n, rng)) for _ in range(2))
+        pairing = hodge.wedge(hodge.exp_form(-c1), hodge.exp_form(c2))
+        assert pairing == hodge.exp_form(c2 - c1)
+        want = (-1) ** (n * (n - 1) // 2) * _minor(c2 - c1, top, top)
+        assert pairing.terms.get((top, top), 0) == want
