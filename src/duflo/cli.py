@@ -169,8 +169,7 @@ def cmd_verify_hodge(args) -> int:
     # exhaustive basis sweep: every basis (1,1) direction as designated c1
     for key in hodge.term_keys_11(n):
         model = HodgeModel(n, {(0, 0): 1, key: Fraction(1, 2)})
-        for alpha in hodge.poly_basis_11(model):
-            (term,) = alpha.num
+        for term, alpha in zip(hodge.term_keys_11(n), hodge.poly_basis_11(model)):
             inst = {"dim": n, "c1": _indices(key), "alpha": _indices(term)}
             sink.add("first-order-basis", inst, hodge.first_order_check(model, alpha))
 

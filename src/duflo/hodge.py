@@ -4,9 +4,13 @@ The model is built on two rank-n spaces: generators a_1..a_n span the
 "cohomological" directions and b_1..b_n the holomorphic form directions.
 Forms live in /\\A (x) /\\B, polyvector fields in /\\A (x) /\\B*, and the
 endomorphism side (line-bundle case) is /\\A.  All generators are odd, so
-a term is stored as a pair of bitmasks (amask, bmask) meaning the wedge
-word  a_{i1} ^ ... ^ a_{ip} ^ b_{j1} ^ ... ^ b_{jq}  with ascending
-indices, and every sign is the permutation sign relative to that order.
+a term is the wedge word  a_{i1} ^ ... ^ a_{ip} ^ b_{j1} ^ ... ^ b_{jq}
+with ascending indices, and every sign is the permutation sign relative
+to that order.  Outside this module a term is the pair of bitmasks
+(amask, bmask): constructors read pairs through _key, and terms, to_obj
+and from_obj speak pairs.  Inside, every numerator is keyed by the one
+int (amask << n) | bmask, whose order is the pairs' order, and products,
+contractions and operator images all run on those ints.
 
 Sign conventions (fixed here, pinned by golden tests):
 
@@ -20,12 +24,15 @@ Sign conventions (fixed here, pinned by golden tests):
     the defining pairing <b*, b> = 1.  This is what makes the two mixed
     contractions agree on their common (1,1) x (1,1) -> (2,0) overlap.
 
-Every such sign is a parity read from one table per rank n: entry
-(first << n) | second is the parity of the inversions of merging the
-ascending blocks first and second, built on first use.  A wedge's sign is
-par[a1, a2] ^ par[b1, b2] ^ |b1||a2|; a word [a(a_act), dual(b_act)] on a
-target term has sign par[a_act, a_tgt] ^ par[b_act, b_tgt] ^ k(|a_tgt| + e)
-with k = |b_act| and e = 1 for the extra minus per pair, all mod 2.
+Every such sign is one rule on word positions, a_i at i and b_j at n + j:
+the word of a key followed by the word of another has the parity of its
+inversions, the pairs of a position in the first above a position in the
+second.  _sign_mask counts them from the first key's side, so a wedge of
+keys k1, k2 has sign (k2 & _sign_mask(k1)).bit_count() & 1, and a word
+[a(a_act), dual(b_act)] on a target term that value XOR (|b_act| & e),
+e = 1 for the extra minus per pair.  A wedge needs k1 & k2 == 0 and gives
+k1 | k2; a contraction needs k1 & (k2 ^ low) == 0, low = (1 << n) - 1 the
+b-bits, and gives k1 ^ k2.
 
 A class is a sparse.LinComb, integer numerators over one denominator, so
 every product and contraction runs in Z: it combines the numerator maps
@@ -39,17 +46,16 @@ one record per model, _first_order_ops, built by the same two maps on the
 (1,1) basis.  A pass builds no kernel for either sweep line: with Todd = 1
 the Mukai line passes on the factorization lemma moduli(beta) =
 obstruction(beta) ^ exp(c1) for the 2^n generators beta = (0, J), and the
-Duflo round trip on u ^ s = 1 for the Todd roots (README).  Any other
-Mukai line sweeps the kernel, each vector through check_mukai_implication,
-the entry a witness replays through.  No inverse twist is applied, and
-the class route to the obstruction is the tests' reference
-(tests/pbw_oracle.py).  Every class in a witness is a FormClass or a
-PolyClass and reads back through from_obj.  Everything is exact; no
-floats anywhere.
+Duflo round trip on u ^ s = 1 and s ^ s = T for the Todd roots (README).
+Any other Mukai line sweeps the kernel, each vector through
+check_mukai_implication, the entry a witness replays through.  No
+inverse twist is applied, and the class route to the obstruction is the
+tests' reference (tests/pbw_oracle.py).  Every class in a witness is a
+FormClass or a PolyClass and reads back through from_obj.  Everything is
+exact; no floats anywhere.
 """
 
 from fractions import Fraction
-from functools import cache
 
 from .kernels import kernel_of_images
 from .sparse import LinComb, graded_exp, graded_power, parse_rational, quoted
@@ -71,27 +77,29 @@ def _bits(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-@cache
-def _parity(n: int) -> bytes:
-    """Inversion parities of merging ascending blocks, indexed (first << n) | second.
+def _bidegree(key: int, n: int) -> tuple[int, int]:
+    return (key >> n).bit_count(), (key & ((1 << n) - 1)).bit_count()
 
-    An inversion is a pair i in first, j in second with j < i; splitting
-    off first's lowest index l adds the indices of second below l.  The
-    table is immutable and depends on n alone, so every model of rank n
-    shares it.
+
+def _sign_mask(key: int, n: int) -> int:
+    """The key-bits g at which an odd number of key's generators follow g in word order.
+
+    The word of key followed by the word of other then has sign
+    (-1)^|other & mask|: each generator of other counts the generators of
+    key it must pass.  The parities are a suffix XOR of the word positions
+    r, with a_i at i and b_j at n + j.
     """
-    size = 1 << n
-    par = bytearray(size * size)
-    for first in range(1, size):
-        low = first & -first
-        rest, row = (first ^ low) << n, first << n
-        for second in range(size):
-            par[row | second] = par[rest | second] ^ (second & (low - 1)).bit_count() & 1
-    return bytes(par)
+    low = (1 << n) - 1
+    s = ((key & low) << n | key >> n) >> 1
+    shift = 1
+    while shift < 2 * n:
+        s ^= s >> shift
+        shift <<= 1
+    return (s & low) << n | s >> n
 
 
 class _Exterior(LinComb):
-    """Classes keyed by (amask, bmask) of a rank-n model; combine on one model only."""
+    """Classes of a rank-n model keyed by the int (amask << n) | bmask; combine on one model only."""
 
     __slots__ = ("model",)
     _CONTEXT = ("model",)
@@ -106,17 +114,22 @@ class _Exterior(LinComb):
 
     def _key(self, key):
         a, b = key
-        limit = 1 << self.model.n
-        if not (0 <= a < limit and 0 <= b < limit):
-            raise BidegreeError(f"term ({a},{b}) outside rank-{self.model.n} model")
-        return (a, b)
+        n = self.model.n
+        if not (0 <= a < 1 << n and 0 <= b < 1 << n):
+            raise BidegreeError(f"term ({a},{b}) outside rank-{n} model")
+        return a << n | b
+
+    @property
+    def terms(self) -> dict:
+        """The coefficients as a fresh {(amask, bmask): Fraction} dict."""
+        n = self.model.n
+        return {(k >> n, k & ((1 << n) - 1)): c for k, c in super().terms.items()}
 
     # -- structure ---------------------------------------------------------
     def component(self, p: int, q: int):
-        return self._like(
-            {k: x for k, x in self.num.items() if k[0].bit_count() == p and k[1].bit_count() == q},
-            self.den,
-        )
+        n = self.model.n
+        terms = {k: x for k, x in self.num.items() if _bidegree(k, n) == (p, q)}
+        return self._like(terms, self.den)
 
     # -- literals ----------------------------------------------------------
     @classmethod
@@ -232,10 +245,11 @@ class HodgeModel:
         self.n = n
         self._sqrt = self._first_order = None
         todd = FormClass(self, {(0, 0): 1} if todd is None else todd)
-        for a, b in todd.num:
-            if a.bit_count() != b.bit_count():
+        for k in todd.num:
+            p, q = _bidegree(k, n)
+            if p != q:
                 raise BidegreeError("todd datum must have only (p,p) components")
-        if todd.num.get((0, 0)) != todd.den:
+        if todd.num.get(0) != todd.den:
             raise BidegreeError("todd datum must have constant term 1")
         self.todd = todd
 
@@ -251,18 +265,14 @@ def wedge(u, v):
     """Graded-commutative product; same-kind classes only."""
     u._join(v)
     n = u.model.n
-    par = _parity(n)
     out: dict = {}
-    for (a1, b1), c1 in u.num.items():
-        odd_b1 = b1.bit_count() & 1
-        ra, rb = a1 << n, b1 << n
-        for (a2, b2), c2 in v.num.items():
-            if a1 & a2 or b1 & b2:
+    for k1, c1 in u.num.items():
+        mask = _sign_mask(k1, n)
+        for k2, c2 in v.num.items():
+            if k1 & k2:
                 continue
-            c = c1 * c2
-            if par[ra | a2] ^ par[rb | b2] ^ odd_b1 & a2.bit_count():
-                c = -c
-            key = (a1 | a2, b1 | b2)
+            c = -c1 * c2 if (k2 & mask).bit_count() & 1 else c1 * c2
+            key = k1 | k2
             out[key] = out[key] + c if key in out else c
     return u._like(out, u.den * v.den)
 
@@ -276,19 +286,19 @@ def _contract_terms(act: dict, tgt: dict, n: int, pair_sign: int) -> dict:
     pair (+1 for polyvectors on forms, -1 for forms on polyvectors).
     Zero sums are kept.
     """
-    par = _parity(n)
-    per_pair = int(pair_sign < 0)
+    low = (1 << n) - 1
     out: dict = {}
-    for (a1, b1), c1 in act.items():
-        odd_k = b1.bit_count() & 1
-        ra, rb, keep = a1 << n, b1 << n, ~b1
-        for (a2, b2), c2 in tgt.items():
-            if b1 & ~b2 or a1 & a2:
+    for k1, c1 in act.items():
+        mask = -1  # built at the first target k1 meets: most act terms of a twist meet none
+        if pair_sign < 0 and (k1 & low).bit_count() & 1:
+            c1 = -c1
+        for k2, c2 in tgt.items():
+            if k1 & (k2 ^ low):
                 continue
-            c = c1 * c2
-            if par[ra | a2] ^ par[rb | b2] ^ odd_k & (a2.bit_count() + per_pair):
-                c = -c
-            key = (a1 | a2, b2 & keep)
+            if mask < 0:
+                mask = _sign_mask(k1, n)
+            c = -c1 * c2 if (k2 & mask).bit_count() & 1 else c1 * c2
+            key = k1 ^ k2
             out[key] = out[key] + c if key in out else c
     return out
 
@@ -325,11 +335,11 @@ def _weight_pieces(v: FormClass) -> list[FormClass]:
     """The parts of v by weight, half the total degree, in one pass over its terms;
     odd forms anticommute, so a term of odd total degree raises BidegreeError."""
     pieces: list[dict] = [{} for _ in range(v.model.n + 1)]
-    for (a, b), x in v.num.items():
-        degree = a.bit_count() + b.bit_count()
+    for k, x in v.num.items():
+        degree = k.bit_count()
         if degree & 1:
             raise BidegreeError(f"exp_form needs even total degree, got a degree-{degree} term")
-        pieces[degree // 2][(a, b)] = x
+        pieces[degree // 2][k] = x
     return [v._like(p, v.den) for p in pieces]
 
 
@@ -339,7 +349,7 @@ def exp_form(v: FormClass) -> FormClass:
     Even forms commute, so exp is the graded recursion of sparse.graded_exp
     over wedge on the pieces of total degree 2d.
     """
-    if (0, 0) in v.num:
+    if 0 in v.num:
         raise NonzeroConstantTerm("exp_form needs a class with zero (0,0) part")
     return graded_exp(_weight_pieces(v), FormClass.one(v.model), wedge)
 
@@ -364,12 +374,16 @@ def duflo(model: HodgeModel, alpha: PolyClass) -> PolyClass:
 
 
 def check_duflo_roundtrip(model: HodgeModel, alpha: PolyClass) -> dict | None:
-    """None if D^-1(D(alpha)) == alpha for every alpha, else the witness: alpha and the Todd datum.
+    """None if D^-1(D(alpha)) == alpha for every alpha and the twist is by a root
+    of the Todd datum T, else the witness: alpha and the Todd datum.
 
     D^-1(D(alpha)) = (u ^ s) -| alpha = D(D^-1(alpha)) by the module law, as the
-    roots s and u, each taken from the Todd datum, are even: the line decides u ^ s = 1."""
+    roots s and u, each taken from T, are even: the line decides u ^ s = 1, and
+    then s ^ s = T as u ^ T = s, a product with the sparser T.  The second
+    fails when both roots are the roots of one wrong datum."""
     _same_model(alpha, model.todd)
-    if wedge(inv_sqrt_todd(model), sqrt_todd(model)) == FormClass.one(model):
+    s, u = sqrt_todd(model), inv_sqrt_todd(model)
+    if wedge(u, s) == FormClass.one(model) and wedge(u, model.todd) == s:
         return None
     return {"alpha": alpha.to_obj(), "todd": model.todd.to_obj()}
 
@@ -385,9 +399,10 @@ class LineBundle:
     exp is exp(c1) and mukai the Mukai vector exp(c1) ^ sqrt(Todd).  The
     hooks a planted fault patches, obstruction(keys) for alpha -| exp(c1)
     and moduli_action(keys) for D(alpha) -| v(L), return the integer images
-    of the basis terms keys over one denominator, by _contract_terms from
-    the attributes as they are then; full(hook) keeps a hook's images of
-    all 4^n terms, in canonical order, so a sweep builds them once.
+    of the basis terms keys, int keys of model, over one denominator, by
+    _contract_terms from the attributes as they are then; full(hook) keeps
+    a hook's images of all 4^n terms, the image of key k at index k, so a
+    sweep builds them once.
     """
 
     __slots__ = ("model", "c1", "exp", "mukai", "_full")
@@ -395,8 +410,8 @@ class LineBundle:
     def __init__(self, model: HodgeModel, c1: FormClass):
         if c1.model is not model:
             raise ModelMismatch("c1 built on a different model")
-        for a, b in c1.num:
-            if a.bit_count() != 1 or b.bit_count() != 1:
+        for k in c1.num:
+            if _bidegree(k, model.n) != (1, 1):
                 raise BidegreeError("line-bundle first Chern class must be pure (1,1)")
         self.exp = exp_form(c1)
         self.model = model
@@ -404,21 +419,22 @@ class LineBundle:
         self.mukai = wedge(self.exp, sqrt_todd(model))
         self._full = {}
 
-    def obstruction(self, keys: list) -> tuple[list[dict], int]:
+    def obstruction(self, keys) -> tuple[list[dict], int]:
         n = self.model.n
-        # a basis term (a, b) fully contracts only the terms of b-mask b
+        low = (1 << n) - 1
+        # a basis term fully contracts only the terms of its own b-mask
         by_b: dict[int, dict] = {}
-        for (a, b), x in self.exp.num.items():
-            by_b.setdefault(b, {})[(a, b)] = x
-        return [_contract_terms({k: 1}, by_b.get(k[1], {}), n, +1) for k in keys], self.exp.den
+        for k, x in self.exp.num.items():
+            by_b.setdefault(k & low, {})[k] = x
+        return [_contract_terms({k: 1}, by_b.get(k & low, {}), n, +1) for k in keys], self.exp.den
 
-    def moduli_action(self, keys: list) -> tuple[list[dict], int]:
+    def moduli_action(self, keys) -> tuple[list[dict], int]:
         root, n = sqrt_todd(self.model), self.model.n
         return _hooks(_twists(root.num, keys, n), self.mukai.num, n), root.den * self.mukai.den
 
     def full(self, hook: str) -> tuple[list[dict], int]:
         if hook not in self._full:
-            self._full[hook] = getattr(self, hook)(term_keys(self.model.n))
+            self._full[hook] = getattr(self, hook)(range(1 << 2 * self.model.n))
         return self._full[hook]
 
 
@@ -435,14 +451,13 @@ def _hooks(polys: list, target: dict, n: int) -> list[dict]:
 def _act(op: tuple[list[dict], int], alpha: PolyClass) -> tuple[dict, int]:
     """The operator op = (images, den) on alpha, as integer terms over one denominator.
 
-    The image of the term (a, b) is images[(a << n) | b], a list's or a dict's; zeros are dropped.
+    The image of the term k is images[k], a list's or a dict's; zeros are dropped.
     """
     images, den = op
-    n = alpha.model.n
     acc: dict = {}
-    for (a, b), m in alpha.num.items():
-        for k, x in images[(a << n) | b].items():
-            acc[k] = acc[k] + m * x if k in acc else m * x
+    for k, m in alpha.num.items():
+        for t, x in images[k].items():
+            acc[t] = acc[t] + m * x if t in acc else m * x
     return _nonzero(acc), den * alpha.den
 
 
@@ -451,7 +466,7 @@ def _act(op: tuple[list[dict], int], alpha: PolyClass) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 def term_keys(n: int) -> list[tuple[int, int]]:
-    """Every term (a, b) of rank n, in canonical order: index (a << n) | b."""
+    """Every term (a, b) of rank n, in canonical order."""
     return [(a, b) for a in range(1 << n) for b in range(1 << n)]
 
 
@@ -459,23 +474,25 @@ def term_keys_11(n: int) -> list[tuple[int, int]]:
     return [(1 << i, 1 << j) for i in range(n) for j in range(n)]
 
 
+def _keys_11(n: int) -> list[int]:
+    """The keys of term_keys_11(n), in its order."""
+    return [1 << (i + n) | 1 << j for i in range(n) for j in range(n)]
+
+
 def poly_basis_11(model: HodgeModel) -> list[PolyClass]:
     zero = PolyClass(model)
-    return [zero._like({k: 1}) for k in term_keys_11(model.n)]
+    return [zero._like({k: 1}) for k in _keys_11(model.n)]
 
 
 def exp_atiyah_kernel(line: LineBundle) -> list[PolyClass]:
     """Exact basis of {alpha : alpha -| exp(c1) = 0} on line.model.
 
     Linear in alpha, so the kernel is computed from the line's
-    obstruction images of the canonical term basis; each (num, den)
-    vector is the polyvector num[(a << n) | b] / den on the term (a, b).
+    obstruction images of every term, the image of key k in column k; so
+    each (num, den) vector is the polyvector num / den.
     """
-    n, zero = line.model.n, PolyClass(line.model)
-    return [
-        zero._like({(c >> n, c & ((1 << n) - 1)): x for c, x in num.items()}, den)
-        for num, den in kernel_of_images(line.full("obstruction")[0])
-    ]
+    zero = PolyClass(line.model)
+    return [zero._like(num, den) for num, den in kernel_of_images(line.full("obstruction")[0])]
 
 
 def mukai_sweep(line: LineBundle) -> tuple[int, dict | None]:
@@ -505,10 +522,11 @@ def _factorization_certified(line: LineBundle) -> bool:
     2^n, and each generator (0, J) must meet the factorization lemma: its
     moduli image is its obstruction image ^ exp(c1).  The module law
     image(a, b) = a ^ image(0, b) of _contract_terms carries it to all terms."""
-    size, zero = 1 << line.model.n, FormClass(line.model)
-    gens = [(0, b) for b in range(size)]
-    images, den = line.obstruction([(a, 0) for a in range(size)] + gens)
-    if images[:size] != [{(a, 0): den} for a in range(size)]:
+    n, zero = line.model.n, FormClass(line.model)
+    size = 1 << n
+    b_free, gens = [a << n for a in range(size)], list(range(size))
+    images, den = line.obstruction(b_free + gens)
+    if images[:size] != [{k: den} for k in b_free]:
         return False
     moduli, mden = line.moduli_action(gens)
     return all(zero._like(m, mden) == wedge(zero._like(o, den), line.exp)
@@ -553,8 +571,8 @@ def first_order_check(model: HodgeModel, alpha: PolyClass) -> dict | None:
     its images by _act, and D(alpha), the witness's, is taken on classes.
     Returns None, or the witness: alpha, the Todd datum, D(alpha).
     """
-    for a, b in alpha.num:
-        if a.bit_count() != 1 or b.bit_count() != 1:
+    for k in alpha.num:
+        if _bidegree(k, model.n) != (1, 1):
             raise BidegreeError("first_order_check needs a pure (1,1) polyvector")
     if model._first_order is None:
         model._first_order = _first_order_ops(model)
@@ -582,11 +600,10 @@ def _first_order_ops(model: HodgeModel) -> tuple:
     is all (2, 0)), the sides of (ii).  Each op is (images, den), keyed for _act.
     """
     c1, root, n = model.todd.component(1, 1).scale(2), sqrt_todd(model), model.n
-    keys = term_keys_11(n)
+    keys = _keys_11(n)
     full1 = _hooks([{k: 1} for k in keys], c1.num, n)
     full2 = _hooks(_twists(root.num, keys, n), root.num, n)
-    lhs = [{t: x for t, x in m.items() if not t[1] and t[0].bit_count() == 2} for m in full2]
-    shift = _twists({(0, 0): 4 * c1.den, **c1.num}, keys, n)
-    at = [(a << n) | b for a, b in keys]
-    return ((dict(zip(at, shift)), 4 * c1.den), (dict(zip(at, lhs)), root.den**2),
-            (dict(zip(at, full1)), 2 * c1.den), (kernel_of_images(full1), kernel_of_images(full2)))
+    lhs = [{t: x for t, x in m.items() if _bidegree(t, n) == (2, 0)} for m in full2]
+    shift = _twists({0: 4 * c1.den, **c1.num}, keys, n)
+    return ((dict(zip(keys, shift)), 4 * c1.den), (dict(zip(keys, lhs)), root.den**2),
+            (dict(zip(keys, full1)), 2 * c1.den), (kernel_of_images(full1), kernel_of_images(full2)))

@@ -151,4 +151,4 @@ def contract_exp_atiyah(alpha: PolyClass, line: LineBundle) -> FormClass:
     contract_T_on_Omega(alpha, exp_form(c1)).
     """
     full = contract_T_on_Omega(alpha, line.exp)
-    return full._like({k: x for k, x in full.num.items() if not k[1]}, full.den)
+    return FormClass(alpha.model, {k: c for k, c in full.terms.items() if not k[1]})

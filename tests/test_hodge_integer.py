@@ -152,10 +152,11 @@ def test_first_order_loci_match_class_path(n):
         assert k1 == k2 or not generated
 
 
-def _as_fractions(op):
-    """An operator's integer images over its denominator, as Fraction dicts."""
+def _as_fractions(op, model):
+    """An operator's integer images over its denominator, as Fraction dicts by term."""
     images, den = op
-    return [{k: Fraction(x, den) for k, x in image.items() if x} for image in images]
+    zero = FormClass(model)
+    return [zero._like(image, den).terms for image in images]
 
 
 @pytest.mark.parametrize("todd", ["one", "from-c1"])
@@ -172,20 +173,21 @@ def test_mukai_operators_match_fraction_reference(n, todd):
     assert line.mukai.terms == ref_wedge(exp, root)
     basis = [(a, b) for a in range(1 << n) for b in range(1 << n)]
     obstruction = [ref_contract({k: 1}, exp, +1) for k in basis]
-    assert _as_fractions(line.full("obstruction")) == [
+    assert _as_fractions(line.full("obstruction"), model) == [
         {key: c for key, c in image.items() if not key[1]} for image in obstruction
     ]
-    assert _as_fractions(line.full("moduli_action")) == [
+    assert _as_fractions(line.full("moduli_action"), model) == [
         ref_contract(ref_contract(root, {k: 1}, -1), line.mukai.terms, +1) for k in basis
     ]
 
 
 def _ref_apply(op, alpha) -> dict:
-    """sum_c alpha_c images[c] / den over the terms c of alpha, in Fractions."""
-    images, n = _as_fractions(op), alpha.model.n
+    """sum_c alpha_c images[c] / den over the terms c of alpha, in Fractions;
+    images hold every term's image, in canonical order."""
+    images = dict(zip(hodge.term_keys(alpha.model.n), _as_fractions(op, alpha.model)))
     out: dict = {}
-    for (a, b), c in alpha.terms.items():
-        for key, x in images[(a << n) | b].items():
+    for term, c in alpha.terms.items():
+        for key, x in images[term].items():
             out[key] = out.get(key, 0) + c * x
     return {key: c for key, c in out.items() if c}
 
@@ -316,13 +318,13 @@ def _lemma_on_all_terms(line) -> bool:
     """beta -| exp(c1) = (beta -| exp(c1))_{b-free} ^ exp(c1) for every basis
     term beta, from both operators on all 4^n terms, and each b-free
     column (a, 0) has obstruction image a."""
-    n, model = line.model.n, line.model
-    (obstruction, oden), (moduli, mden) = line.full("obstruction"), line.full("moduli_action")
-    for (a, b), image, m in zip(hodge.term_keys(n), obstruction, moduli):
-        if not b and image != {(a, 0): oden}:
+    model = line.model
+    obstruction = _as_fractions(line.full("obstruction"), model)
+    moduli = _as_fractions(line.full("moduli_action"), model)
+    for (a, b), image, m in zip(hodge.term_keys(model.n), obstruction, moduli):
+        if not b and image != {(a, 0): 1}:
             return False
-        b_free = FormClass(model, {k: Fraction(x, oden) for k, x in image.items()})
-        if {k: Fraction(x, mden) for k, x in m.items()} != hodge.wedge(b_free, line.exp).terms:
+        if m != hodge.wedge(FormClass(model, image), line.exp).terms:
             return False
     return True
 
@@ -391,14 +393,15 @@ def test_generator_obstruction_is_signed_minors():
     # the images _factorization_certified reads: the generator (0, J) sends
     # exp(c1) to (-1)^|J| sum over |I| = |J| of det C[I, J] a_I
     for n, line in _seeded_lines(73, {n: 6 for n in range(1, 6)}):
-        gens = [(0, b) for b in range(1 << n)]
-        images, den = line.obstruction(gens)
-        for (_, b), image in zip(gens, images, strict=True):
+        images = _as_fractions(line.full("obstruction"), line.model)
+        for (a0, b), image in zip(hodge.term_keys(n), images, strict=True):
+            if a0:
+                continue
             k, want = b.bit_count(), {}
             for a in range(1 << n):
                 if a.bit_count() == k and (det := _minor(line.c1, a, b)):
                     want[(a, 0)] = (-1) ** k * det
-            assert {key: Fraction(x, den) for key, x in image.items() if x} == want, (n, b)
+            assert image == want, (n, b)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -20,9 +20,10 @@ implication's conclusion, and a doubled or blanked b-free image
 reads back through from_obj.  A plant in a non-generator image or in
 kernel_of_images no longer reaches a pass; the module law of the one
 contraction loop, pinned by tests, stands in for the terms left out.
-The Duflo round trip, decided on u ^ s = 1, and the per-case first-order
-suite read the Todd root and its inverse from the graded recursions of
-duflo.sparse.
+The Duflo round trip, decided on u ^ s = 1 and s ^ s = T, and the
+per-case first-order suite read the Todd root and its inverse from the
+graded recursions of duflo.sparse; a datum both roots misread passes the
+first identity and fails the second.
 verify-lie fills one integer table per representation and route, shared
 by every diagram check on that representation, and checks each invariant
 it finds in one suite.  Each test plants one fault and checks that the
@@ -90,14 +91,28 @@ def test_corrupt_mukai_line_fails_mukai_implication(monkeypatch):
 
 def _patch_image(monkeypatch, hook, key, change):
     """Make LineBundle.<hook> return change(image) as the image of the basis
-    term key, whichever keys it is asked for."""
+    term key, whichever keys it is asked for.  key and the image that change
+    reads and returns are by (amask, bmask) pairs; the model's own _key and
+    terms translate them to and from the hook's keys."""
     build = getattr(hodge.LineBundle, hook)
 
     def patched(self, keys):
         images, den = build(self, keys)
-        return [change(image) if k == key else image for k, image in zip(keys, images)], den
+        zero = FormClass(self.model)
+        target = zero._key(key)
+        for i, k in enumerate(keys):
+            if k == target:
+                pairs = {_pair(zero, t): x for t, x in images[i].items()}
+                images[i] = {zero._key(t): x for t, x in change(pairs).items()}
+        return images, den
 
     monkeypatch.setattr(hodge.LineBundle, hook, patched)
+
+
+def _pair(zero, key):
+    """The (amask, bmask) pair of a key of zero's model, read through terms."""
+    (pair,) = zero._like({key: 1}).terms
+    return pair
 
 
 def _plus_one(image):
@@ -284,7 +299,7 @@ def _model_from_witness(witness):
 
 def _roots_invert(witness):
     """u ^ s = 1 for the Todd roots of a round-trip witness's datum, the
-    identity the line decides; the witness's alpha must read back too."""
+    first identity the line decides; the witness's alpha must read back too."""
     model, _ = _model_from_witness(witness)
     u_s = hodge.wedge(hodge.inv_sqrt_todd(model), hodge.sqrt_todd(model))
     return u_s == FormClass.one(model)
@@ -331,6 +346,43 @@ def test_faulty_unit_sqrt_fails_first_order(monkeypatch):
     assert first_order_identities(*_model_from_witness(witness)) == (True, True, True)
     assert hodge.first_order_check(*_model_from_witness(witness)) is None
     assert _roots_invert(trips[2]["witness"])
+
+
+def _weight_two_doubled(pieces, mul, r):
+    """graded_power on the datum with its weight-2 piece doubled: both Todd
+    roots read the one wrong datum T + T_2, so u ^ s = 1 still holds."""
+    if len(pieces) > 2:
+        pieces = [*pieces[:2], pieces[2].scale(2), *pieces[3:]]
+    return sparse.graded_power(pieces, mul, r)
+
+
+def test_doubled_weight_two_datum_fails_duflo_roundtrip(monkeypatch):
+    # u ^ s = 1 cannot see a datum both roots misread; s ^ s = T can, on
+    # every case whose datum has a weight-2 part
+    monkeypatch.setattr(hodge, "graded_power", _weight_two_doubled)
+    check, weight_two = hodge.check_duflo_roundtrip, []
+
+    def recorded(model, alpha):
+        weight_two.append(not model.todd.component(2, 2).is_zero())
+        return check(model, alpha)
+
+    monkeypatch.setattr(hodge, "check_duflo_roundtrip", recorded)
+    code, out, _ = run_cli(ARGV[:-1] + ["8"])
+    assert code == 1
+    assert _failing_suites(out) == {"duflo-roundtrip"}
+    lines = _lines(out, "duflo-roundtrip")
+    assert [r["status"] == "fail" for r in lines] == weight_two
+    assert 0 < sum(weight_two) < len(weight_two)
+
+    witnesses = [r["witness"] for r in lines if r["witness"]]
+    for witness in witnesses:
+        assert _roots_invert(witness)
+        assert check(*_model_from_witness(witness)) == witness
+
+    monkeypatch.undo()
+    for witness in witnesses:
+        assert check(*_model_from_witness(witness)) is None
+    assert run_cli(ARGV[:-1] + ["8"])[0] == 0
 
 
 # -- verify-lie ------------------------------------------------------------------

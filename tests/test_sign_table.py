@@ -1,12 +1,14 @@
-"""Hodge signs from the inversion-parity table against per-bit loops.
+"""Hodge signs from the one sign rule against per-bit loops.
 
 merge_sign and contract_term below compute each sign bit by bit, one
 index at a time.  They are the reference for duflo.hodge, which reads
-every sign from one parity table per rank.  The checks run through the
-package's own wedge and contractions.  The target class has every basis
-term, each with its own coefficient.  For one acting term the map from
-target term to result term is injective, so the result dict shows, for
-every pair, whether it was skipped and the (sign, amask, bmask) it gave.
+every sign of wedge and both contractions from one rule on word
+positions, _sign_mask.  The rule is checked against merge_sign on every
+pair of terms, and the products through the package's own wedge and
+contractions.  The target class has every basis term, each with its own
+coefficient.  For one acting term the map from target term to result term
+is injective, so the result dict shows, for every pair, whether it was
+skipped and the (sign, amask, bmask) it gave.
 """
 
 import pytest
@@ -15,7 +17,7 @@ from duflo.hodge import (
     FormClass,
     HodgeModel,
     PolyClass,
-    _parity,
+    _sign_mask,
     contract_Omega_on_T,
     contract_T_on_Omega,
     wedge,
@@ -86,13 +88,16 @@ def _expected(act, targets, term_fn):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_parity_table_is_merge_sign(n):
-    par = _parity(n)
-    assert len(par) == 4**n
-    for first in range(1 << n):
-        for second in range(1 << n):
-            want = 1 if merge_sign(first, second) < 0 else 0
-            assert par[(first << n) | second] == want, (first, second)
+def test_sign_rule_is_merge_sign(n):
+    # the word of (a1, b1) followed by that of (a2, b2) merges the position
+    # blocks r = (b << n) | a, a_i at i and b_j at n + j, overlapping or not
+    key = FormClass(HodgeModel(n))._key
+    terms = _terms(n)
+    for a1, b1 in terms:
+        mask = _sign_mask(key((a1, b1)), n)
+        for a2, b2 in terms:
+            want = merge_sign((b1 << n) | a1, (b2 << n) | a2)
+            assert (-1) ** (key((a2, b2)) & mask).bit_count() == want, (a1, b1, a2, b2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
